@@ -31,7 +31,7 @@
  *   --retries=N             per-run retry budget (also bounds how
  *                           often a run is re-queued after a worker
  *                           death)
- *   --resume=FILE           carry completed runs forward (coordinator)
+ *   --store-dir=DIR         replay runs the store already holds
  *   --json=path             merged sweep manifest (coordinator)
  *   --campaign-chunk=N --campaign-heartbeat=SECONDS
  */

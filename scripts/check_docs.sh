@@ -48,23 +48,7 @@ for p in $(grep -ohE '(src|tests|scripts)/[A-Za-z0-9_./-]+' $docs |
     fi
 done
 
-# 4. Every checked-in benchmark baseline must be documented: each
-#    BENCH_*.json in the repo root needs a README.md reference, and
-#    each documented BENCH_*.json token needs the file (so a renamed
-#    baseline cannot leave a stale doc or an orphaned artifact).
-for f in BENCH_*.json; do
-    [ -e "$f" ] || continue
-    if ! grep -q -- "$f" README.md; then
-        err "baseline $f is checked in but not referenced in README.md"
-    fi
-done
-for f in $(grep -ohE 'BENCH_[A-Za-z0-9_]+\.json' $docs | sort -u); do
-    if [ ! -e "$f" ]; then
-        err "baseline $f is documented but does not exist"
-    fi
-done
-
-# 5. Documented ctest gate names (the `*_smoke` canaries) must be
+# 4. Documented ctest gate names (the `*_smoke` canaries) must be
 #    registered with add_test under a stable name in a CMakeLists, so
 #    a renamed gate cannot leave CI dashboards pointing at prose.
 for t in $(grep -ohE '`[a-z0-9_]+_smoke`' $docs | tr -d '\`' | sort -u); do
@@ -74,7 +58,7 @@ for t in $(grep -ohE '`[a-z0-9_]+_smoke`' $docs | tr -d '\`' | sort -u); do
     fi
 done
 
-# 6. CAMPAIGNS.md's message catalog must match the wire protocol
+# 5. CAMPAIGNS.md's message catalog must match the wire protocol
 #    implementation: every "type":"NAME" literal src/campaign emits
 #    needs a catalog entry, and every cataloged message must be one
 #    the code emits (so a renamed message cannot leave the spec
@@ -97,30 +81,9 @@ for m in $doc_msgs; do
     fi
 done
 
-# 6b. Same for STORE.md's catalog against the result-store daemon:
-#     every "type":"NAME" literal src/store emits needs a STORE.md
-#     entry and vice versa (the campaign literals live in
-#     src/campaign and are covered by rule 6 above).
-store_impl_msgs=$(grep -ohE 'type\\":\\"[a-z]+' src/store/*.cc src/store/*.hh |
-                  sed 's/.*\\"//' | sort -u)
-store_doc_msgs=$(grep -ohE '"type":"[a-z]+"' STORE.md |
-                 sed 's/.*type":"//; s/"$//' | sort -u)
-[ -n "$store_impl_msgs" ] || err "no wire message types found in src/store"
-[ -n "$store_doc_msgs" ] || err "no message catalog entries found in STORE.md"
-for m in $store_impl_msgs; do
-    if ! echo "$store_doc_msgs" | grep -qx "$m"; then
-        err "wire message \"$m\" is emitted by src/store but missing from the STORE.md catalog"
-    fi
-done
-for m in $store_doc_msgs; do
-    if ! echo "$store_impl_msgs" | grep -qx "$m"; then
-        err "wire message \"$m\" is cataloged in STORE.md but emitted nowhere in src/store"
-    fi
-done
-
-# 6c. STORE.md's flag table must cover every store flag the
-#     implementation parses (the "store-*" Config keys), so a new
-#     store knob cannot ship undocumented.
+# 6. STORE.md's flag table must cover every store flag the
+#    implementation parses (the "store-*" Config keys), so a new
+#    store knob cannot ship undocumented.
 for key in $(grep -rohE '"store-[a-z-]+"' src examples | tr -d '"' |
              sort -u); do
     if ! grep -q -- "--$key" STORE.md; then

@@ -29,24 +29,22 @@ runCampaignSweep(const ExperimentArgs &args, const std::string &tool,
         std::exit(runWorker(args, tool, jobs));
     }
 
-    // Coordinator role: reuse the whole runSweep pipeline
-    // (--resume carry-forward, --json export) around an executor
-    // that shards the pending runs across workers. The Coordinator
-    // is constructed inside the executor, while this process is
-    // still single-threaded - it forks.
+    // Coordinator role: reuse the whole runSweep pipeline (job
+    // preparation, --json export) around an executor that shards the
+    // grid across workers. The Coordinator is constructed inside the
+    // executor, while this process is still single-threaded - it
+    // forks.
     std::shared_ptr<CampaignStats> stats =
         std::make_shared<CampaignStats>();
     std::shared_ptr<store::ResultStoreStats> storeStats =
         std::make_shared<store::ResultStoreStats>();
     const auto execute =
-        [&args, &tool, &onCoordinator, stats, storeStats](
-            const std::vector<SweepJob> &prepared,
-            const std::vector<std::size_t> &pendingSlots) {
+        [&args, &tool, &onCoordinator, stats,
+         storeStats](const std::vector<SweepJob> &prepared) {
             Coordinator coordinator(args, tool, prepared);
             if (onCoordinator)
                 onCoordinator(coordinator);
-            std::vector<SweepOutcome> outcomes =
-                coordinator.execute(pendingSlots);
+            std::vector<SweepOutcome> outcomes = coordinator.execute();
             *stats = coordinator.stats();
             // execute() flushed the store, so these are final.
             if (coordinator.resultStore())

@@ -35,7 +35,7 @@ class Coordinator;
  *  - --campaign-workers=N and/or --campaign-listen=[HOST:]PORT:
  *    coordinator role - shard the grid across the workers and return
  *    merged outcomes in submission order, exactly as runSweep would
- *    have (--resume/--json/--retries all apply on this side).
+ *    have (--store-dir/--json/--retries all apply on this side).
  *
  * `onCoordinator` (may be null) is a test seam invoked with the
  * coordinator after construction, before any run is dispatched -

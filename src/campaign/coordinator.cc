@@ -292,7 +292,7 @@ Coordinator::reapChildren(bool block)
 bool
 Coordinator::done() const
 {
-    return recorded.size() >= expected;
+    return recorded.size() >= prepared.size();
 }
 
 bool
@@ -344,31 +344,18 @@ Coordinator::handleFrame(Worker &worker, const std::string &payload)
 }
 
 std::vector<SweepOutcome>
-Coordinator::execute(const std::vector<std::size_t> &pendingSlots)
+Coordinator::execute()
 {
-    expected = pendingSlots.size();
-    for (const std::size_t slot : pendingSlots) {
+    for (std::size_t slot = 0; slot < prepared.size(); ++slot) {
         // Store hits are recorded as outcomes up front, before any
         // lease is issued: a run the store already holds never
         // crosses the wire at all. An entry that fails to replay
         // degrades to a normal dispatch.
         if (resultStore_) {
-            const std::string fp =
-                configFingerprint(prepared[slot].options);
-            if (std::optional<store::StoreEntry> entry =
-                    resultStore_->lookup(fp)) {
-                try {
-                    recordOutcome(slot,
-                                  outcomeFromStoreEntry(
-                                      prepared[slot].id, *entry),
-                                  /*fromStore=*/true);
-                    continue;
-                } catch (const std::exception &e) {
-                    warn("result store entry for " +
-                         prepared[slot].id + " (" + fp +
-                         ") did not replay: " + e.what() +
-                         "; dispatching");
-                }
+            if (std::optional<SweepOutcome> hit =
+                    tryServeFromStore(*resultStore_, prepared[slot])) {
+                recordOutcome(slot, *hit, /*fromStore=*/true);
+                continue;
             }
         }
         queue.push_back(slot);
@@ -387,7 +374,7 @@ Coordinator::execute(const std::vector<std::size_t> &pendingSlots)
         if (open == 0 && listenFd < 0) {
             fatal("campaign stalled: every worker is gone, no "
                   "listener to admit new ones, and " +
-                  std::to_string(expected - recorded.size()) +
+                  std::to_string(prepared.size() - recorded.size()) +
                   " runs have no outcome");
         }
         // A listener alone is only worth waiting on before anything
@@ -405,7 +392,7 @@ Coordinator::execute(const std::vector<std::size_t> &pendingSlots)
                   std::to_string(stats_.deaths) + " died, " +
                   std::to_string(stats_.protocolErrors) +
                   " protocol errors) and " +
-                  std::to_string(expected - recorded.size()) +
+                  std::to_string(prepared.size() - recorded.size()) +
                   " runs have no outcome; aborting instead of waiting "
                   "for a new worker to connect");
         }
@@ -546,8 +533,8 @@ Coordinator::execute(const std::vector<std::size_t> &pendingSlots)
         resultStore_->flush();
 
     std::vector<SweepOutcome> out;
-    out.reserve(pendingSlots.size());
-    for (const std::size_t slot : pendingSlots) {
+    out.reserve(prepared.size());
+    for (std::size_t slot = 0; slot < prepared.size(); ++slot) {
         const auto it = recorded.find(slot);
         VSV_ASSERT(it != recorded.end(),
                    "campaign finished without an outcome for slot " +

@@ -64,13 +64,11 @@ class Coordinator
     Coordinator &operator=(const Coordinator &) = delete;
 
     /**
-     * Dispatch the still-pending grid slots (submission-order indices
-     * into the prepared grid, as computed by runSweepWith's --resume
-     * partition) and block until every one has an outcome.
-     * @return one outcome per pending slot, in the given order
+     * Serve what the result store holds, dispatch the rest of the grid
+     * and block until every run has an outcome.
+     * @return one outcome per grid job, in submission order
      */
-    std::vector<SweepOutcome> execute(
-        const std::vector<std::size_t> &pendingSlots);
+    std::vector<SweepOutcome> execute();
 
     /** Campaign counters for the manifest (valid after execute()). */
     const CampaignStats &stats() const { return stats_; }
@@ -137,7 +135,6 @@ class Coordinator
     std::map<std::uint64_t, unsigned> dispatches;
     /** Fatal dispatches (worker died holding the run) per grid index. */
     std::map<std::uint64_t, unsigned> fatalDispatches;
-    std::size_t expected = 0;
 
     /** --store-dir: hits are recorded before any lease is issued, so
      *  a stored run never crosses the wire; fresh Ok outcomes are

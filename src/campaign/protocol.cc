@@ -360,7 +360,7 @@ decodeOutcome(const minijson::Value &v)
     o.statsJson = optionalString(run, "stats");
     o.statsText = optionalString(run, "statsText");
     if (!o.statsJson.empty()) {
-        // Re-derive the scalar map the way --resume does, so a
+        // Re-derive the scalar map the way a store replay does, so a
         // campaign outcome is interchangeable with a local one for
         // every consumer (bench tables, golden gates).
         try {

@@ -30,7 +30,7 @@ namespace campaign
  * exchange cross-checks sweepGridFingerprint and the worker is
  * refused on any drift. Uses args for --jobs/--retries/--lockstep/
  * --no-snapshot-cache/--snapshot-dir/--campaign-heartbeat; the
- * coordinator-side flags (--json/--resume/--campaign-listen/...) are
+ * coordinator-side flags (--json/--campaign-listen/...) are
  * ignored here. Closes `fd` before returning.
  *
  * @return process exit code (0 = clean BYE from the coordinator)

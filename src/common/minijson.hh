@@ -1,9 +1,9 @@
 /**
  * @file
  * Strict recursive-descent JSON parser (plus a writer) for the
- * documents this repo produces itself: sweep manifests consumed by
- * `--resume`, golden-stats files, and trace exports under test. Small
- * on purpose: it accepts exactly RFC 8259 JSON and throws
+ * documents this repo produces itself: sweep manifests, store entries,
+ * campaign frames, golden-stats files, and trace exports under test.
+ * Small on purpose: it accepts exactly RFC 8259 JSON and throws
  * std::runtime_error (with a byte offset) on the first deviation, so
  * a malformed document fails loudly instead of being half-accepted
  * the way lenient viewers would.
@@ -337,8 +337,8 @@ parse(const std::string &text)
 /**
  * Serialize a Value back to RFC 8259 JSON. Object keys come out in
  * map order; numbers use %.17g (round-trip exact for doubles) with
- * non-finite values written as null. Used to re-emit the carried-
- * forward stats of runs a `--resume` campaign skips.
+ * non-finite values written as null. The reproduction benchmark uses
+ * it to digest manifest runs.
  */
 inline void
 write(std::ostream &os, const Value &value)

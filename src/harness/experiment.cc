@@ -47,7 +47,6 @@ parseExperimentArgs(int argc, char **argv,
     args.intervalStats = args.config.getUInt("interval-stats", 0);
     args.retries =
         static_cast<unsigned>(args.config.getUInt("retries", 0));
-    args.resumePath = args.config.getString("resume", "");
     args.timeoutSeconds = args.config.getDouble("timeout", 0.0);
     args.snapshotCache = !args.config.getBool("no-snapshot-cache", false);
     args.snapshotDir = args.config.getString("snapshot-dir", "");
@@ -55,11 +54,7 @@ parseExperimentArgs(int argc, char **argv,
         fatal("--snapshot-dir requires the snapshot cache "
               "(drop --no-snapshot-cache)");
     }
-    // Valueless "--no-store" parses as no-store=true. Unlike the
-    // snapshot pair this is not a conflict: scripts keep a fixed
-    // --store-dir and add --no-store to force re-simulation.
     args.storeDir = args.config.getString("store-dir", "");
-    args.noStore = args.config.getBool("no-store", false);
     // Distributed-campaign roles (CAMPAIGNS.md). Parsed here so every
     // sweep binary shares one flag surface; interpreted by
     // src/campaign (runCampaignSweep). A worker cannot also listen or
@@ -163,20 +158,6 @@ printBenchmarkList(std::ostream &os)
     table.print(os);
 }
 
-RepeatTiming
-summarizeRepeats(std::vector<double> seconds)
-{
-    VSV_ASSERT(!seconds.empty(), "summarizing zero repeats");
-    std::sort(seconds.begin(), seconds.end());
-    RepeatTiming timing;
-    timing.minSeconds = seconds.front();
-    const std::size_t n = seconds.size();
-    timing.medianSeconds =
-        n % 2 == 1 ? seconds[n / 2]
-                   : 0.5 * (seconds[n / 2 - 1] + seconds[n / 2]);
-    return timing;
-}
-
 std::vector<SweepJob>
 prepareSweepJobs(const ExperimentArgs &args,
                  const std::vector<SweepJob> &jobs)
@@ -211,42 +192,10 @@ runSweepWith(const ExperimentArgs &args, const std::string &tool,
     const std::vector<SweepJob> prepared =
         prepareSweepJobs(args, jobs);
 
-    // --resume: carry forward runs the prior manifest already
-    // completed (same id AND same configuration fingerprint) and only
-    // execute the rest.
-    std::vector<SweepOutcome> outcomes(prepared.size());
-    std::vector<std::size_t> pendingSlot;
-    if (!args.resumePath.empty()) {
-        const SweepResume resume = SweepResume::load(args.resumePath);
-        std::size_t carried = 0;
-        for (std::size_t i = 0; i < prepared.size(); ++i) {
-            const std::string fingerprint =
-                configFingerprint(prepared[i].options);
-            if (const SweepOutcome *prior =
-                    resume.completed(prepared[i].id, fingerprint)) {
-                outcomes[i] = *prior;
-                ++carried;
-            } else {
-                pendingSlot.push_back(i);
-            }
-        }
-        inform("--resume " + args.resumePath + ": carrying forward " +
-               std::to_string(carried) + "/" +
-               std::to_string(prepared.size()) + " runs, executing " +
-               std::to_string(pendingSlot.size()));
-    } else {
-        pendingSlot.resize(prepared.size());
-        for (std::size_t i = 0; i < prepared.size(); ++i)
-            pendingSlot[i] = i;
-    }
-
     const auto start = std::chrono::steady_clock::now();
-    const std::vector<SweepOutcome> executed =
-        execute(prepared, pendingSlot);
-    VSV_ASSERT(executed.size() == pendingSlot.size(),
+    std::vector<SweepOutcome> outcomes = execute(prepared);
+    VSV_ASSERT(outcomes.size() == prepared.size(),
                "sweep executor returned the wrong outcome count");
-    for (std::size_t i = 0; i < executed.size(); ++i)
-        outcomes[pendingSlot[i]] = executed[i];
     const double wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -310,15 +259,9 @@ runSweep(const ExperimentArgs &args, const std::string &tool,
         runner.enableResultStore(*resultStore);
     }
 
-    const auto execute =
-        [&runner](const std::vector<SweepJob> &prepared,
-                  const std::vector<std::size_t> &pendingSlots) {
-            std::vector<SweepJob> pending;
-            pending.reserve(pendingSlots.size());
-            for (const std::size_t slot : pendingSlots)
-                pending.push_back(prepared[slot]);
-            return runner.run(pending);
-        };
+    const auto execute = [&runner](const std::vector<SweepJob> &prepared) {
+        return runner.run(prepared);
+    };
     const auto amend = [&runner, &cache,
                         &resultStore](SweepManifest &manifest) {
         manifest.threads = runner.threads();

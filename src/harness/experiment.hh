@@ -60,9 +60,6 @@ struct ExperimentArgs
     std::uint64_t intervalStats = 0;
     /** --retries=N: extra executions of a failed run (default 0). */
     unsigned retries = 0;
-    /** --resume=FILE: prior --json manifest whose completed runs are
-     *  carried forward instead of re-executed. */
-    std::string resumePath;
     /** --timeout=SECONDS: per-run soft timeout (0 = none). */
     double timeoutSeconds = 0.0;
     /** Deduplicate warmup across the sweep's runs through a
@@ -70,16 +67,15 @@ struct ExperimentArgs
      *  (results are bit-identical either way). */
     bool snapshotCache = true;
     /** --snapshot-dir=DIR: persist warmup snapshots on disk so later
-     *  campaigns (e.g. under --resume) skip warmup too. */
+     *  sweeps skip warmup too. */
     std::string snapshotDir;
     /** --store-dir=DIR: content-addressed result store (STORE.md). A
      *  run whose configuration fingerprint is already stored replays
      *  the recorded bytes instead of simulating; fresh Ok runs are
-     *  recorded for the next sweep. Empty = no store. */
+     *  recorded for the next sweep, so re-invoking a sweep with the
+     *  same directory re-runs only failed or changed runs. Empty = no
+     *  store. */
     std::string storeDir;
-    /** --no-store: ignore --store-dir for this invocation (useful to
-     *  force re-simulation against a populated store). */
-    bool noStore = false;
     /** --cores=N: cores per simulated chip (default 1; max 64). */
     std::uint32_t cores = 1;
     /** --rail-policy=per-core|shared (multi-core runs only). */
@@ -119,11 +115,7 @@ struct ExperimentArgs
     }
 
     /** Should this invocation read/write the result store? */
-    bool
-    storeEnabled() const
-    {
-        return !storeDir.empty() && !noStore;
-    }
+    bool storeEnabled() const { return !storeDir.empty(); }
 };
 
 /**
@@ -145,29 +137,15 @@ ExperimentArgs parseExperimentArgs(
 void printBenchmarkList(std::ostream &os);
 
 /**
- * Min and median of a set of per-repeat wall times (--repeat=N in the
- * perf benches). Min is the headline number - it is the least
- * scheduler-noisy estimate of the true cost - and the median bounds
- * the jitter.
- */
-struct RepeatTiming
-{
-    double minSeconds = 0.0;
-    double medianSeconds = 0.0;
-};
-RepeatTiming summarizeRepeats(std::vector<double> seconds);
-
-/**
  * Execute the grid on a SweepRunner sized by args.jobs (honouring
  * --retries/--timeout) and, when --json was given, write the
  * machine-readable sweep document (manifest + per-run results and
- * stats). With --resume, runs already completed in the prior manifest
- * (matched by id + configuration fingerprint) are carried forward as
- * Skipped outcomes instead of re-executing. Rejects any command-line
- * flag no code path has asked for (Config::rejectUnknown), so call it
- * after the binary has read all of its extra keys. Outcomes come back
- * in submission order regardless of thread count; failed runs are
- * Error/Timeout outcomes, never a crash.
+ * stats). With --store-dir, runs the store already holds replay
+ * instead of re-executing. Rejects any command-line flag no code path
+ * has asked for (Config::rejectUnknown), so call it after the binary
+ * has read all of its extra keys. Outcomes come back in submission
+ * order regardless of thread count; failed runs are Error/Timeout
+ * outcomes, never a crash.
  */
 std::vector<SweepOutcome> runSweep(const ExperimentArgs &args,
                                    const std::string &tool,
@@ -184,21 +162,18 @@ std::vector<SweepJob> prepareSweepJobs(const ExperimentArgs &args,
                                        const std::vector<SweepJob> &jobs);
 
 /**
- * Executes the runs a sweep could not carry forward from --resume:
- * receives the fully prepared grid plus the indices still pending (in
- * submission order) and returns one outcome per pending index, in
- * that order. runSweep supplies a SweepRunner-backed executor; the
- * campaign coordinator supplies one that shards the pending runs
- * across worker processes.
+ * Executes a sweep: receives the fully prepared grid and returns one
+ * outcome per job, in submission order. runSweep supplies a
+ * SweepRunner-backed executor; the campaign coordinator supplies one
+ * that shards the grid across worker processes.
  */
 using SweepExecutor = std::function<std::vector<SweepOutcome>(
-    const std::vector<SweepJob> &prepared,
-    const std::vector<std::size_t> &pendingSlots)>;
+    const std::vector<SweepJob> &prepared)>;
 
 /**
  * The full runSweep pipeline - unknown-flag rejection, job
- * preparation, --resume carry-forward, wall-clock accounting and
- * --json export - around a caller-supplied executor. `amendManifest`
+ * preparation, wall-clock accounting and --json export - around a
+ * caller-supplied executor. `amendManifest`
  * (may be null) runs just before the manifest is written, letting the
  * executor publish its effectiveness counters (thread count, cache
  * hits, campaign stats) into the document.

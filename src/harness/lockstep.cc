@@ -1,10 +1,10 @@
 #include "lockstep.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace vsv
@@ -14,22 +14,6 @@ using namespace fingerprint_detail;
 
 namespace
 {
-
-/** FNV-1a 64 over the serialized knob text, as 16 hex digits (the
- *  same construction configFingerprint uses). */
-std::string
-fingerprintHash(const std::string &text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
 
 /** The ramp duration VsvController derives from the rail voltages
  *  (VoltageRail::swingTicks): the one timing-relevant consequence of
@@ -56,10 +40,10 @@ structuralFingerprint(const SimulationOptions &o)
     std::ostringstream s;
     const char sep = '|';
     s << "structural-v1" << sep;
-    s << o.profile.name << sep << o.profile.seed << sep << o.tracePath
-      << sep << o.traceLoop << sep << o.warmupInstructions << sep
-      << o.measureInstructions << sep << o.timekeeping << sep
-      << o.stridePrefetch << sep;
+    appendProfileIdentity(s, o.profile);
+    s << o.tracePath << sep << o.traceLoop << sep
+      << o.warmupInstructions << sep << o.measureInstructions << sep
+      << o.timekeeping << sep << o.stridePrefetch << sep;
     s << o.vsv.enabled << sep << o.vsv.down.threshold << sep
       << o.vsv.down.period << sep << static_cast<int>(o.vsv.upPolicy)
       << sep << o.vsv.up.threshold << sep << o.vsv.up.period << sep
@@ -81,7 +65,7 @@ structuralFingerprint(const SimulationOptions &o)
     s << o.cores << sep << static_cast<int>(o.railPolicy) << sep;
     for (const std::string &bench : o.coreBenchmarks)
         s << bench << sep;
-    return fingerprintHash(s.str());
+    return fnv1a64Hex(s.str());
 }
 
 const char *

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <thread>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/minijson.hh"
 #include "harness/lockstep.hh"
@@ -33,11 +32,8 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/**
- * Replay a stored run for this job, or nullopt on any miss. A stored
- * entry that fails to parse is a store bug, not a sweep failure: warn
- * and fall through to simulating (the fresh run will re-insert).
- */
+} // namespace
+
 std::optional<SweepOutcome>
 tryServeFromStore(store::ResultStore &resultStore, const SweepJob &job)
 {
@@ -53,8 +49,6 @@ tryServeFromStore(store::ResultStore &resultStore, const SweepJob &job)
         return std::nullopt;
     }
 }
-
-} // namespace
 
 store::StoreEntry
 storeEntryFromOutcome(const SweepOutcome &outcome)
@@ -100,7 +94,6 @@ sweepStatusName(SweepStatus status)
       case SweepStatus::Ok:      return "ok";
       case SweepStatus::Error:   return "error";
       case SweepStatus::Timeout: return "timeout";
-      case SweepStatus::Skipped: return "skipped";
     }
     return "unknown";
 }
@@ -114,8 +107,6 @@ sweepStatusFromName(std::string_view name)
         return SweepStatus::Error;
     if (name == "timeout")
         return SweepStatus::Timeout;
-    if (name == "skipped")
-        return SweepStatus::Skipped;
     throw std::runtime_error("unknown sweep status: " +
                              std::string(name));
 }
@@ -384,19 +375,42 @@ applyRunSeed(SimulationOptions &options, std::uint64_t sweepSeed)
 namespace
 {
 
-/** FNV-1a 64 over the serialized knob text, as 16 hex digits. */
-std::string
-fingerprintHash(const std::string &text)
+/**
+ * Every workload-generation knob (the Table 2 calibration targets are
+ * reporting-only and deliberately absent). Warmup snapshots key on all
+ * of them; configFingerprint and structuralFingerprint add them only
+ * for non-stock profiles (appendProfileIdentity).
+ */
+void
+appendProfileKnobs(std::ostream &s, const WorkloadProfile &p)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
+    const char sep = '|';
+    s << p.name << sep << p.seed << sep << p.loadFrac << sep
+      << p.storeFrac << sep << p.branchFrac << sep << p.fpFrac << sep
+      << p.intMulFrac << sep << p.intDivFrac << sep << p.fpMulFrac
+      << sep << p.fpDivFrac << sep << p.meanDepDist << sep
+      << p.secondSrcProb << sep << p.loadConsumerProb << sep
+      << p.coldConsumerProb << sep << p.coldFrac << sep << p.coldBurst
+      << sep << p.warmFrac << sep << p.hotFootprint << sep
+      << p.warmFootprint << sep << p.coldFootprint << sep
+      << static_cast<int>(p.coldPattern) << sep << p.coldStride << sep
+      << p.scanStreams << sep << p.scanJitterProb << sep
+      << p.chainCount << sep << p.chainMutateProb << sep
+      << p.coldRegularFrac << sep << p.regularFootprint << sep
+      << p.storeColdScale << sep << p.branchNoise << sep
+      << p.codeFootprint << sep << p.callFrac << sep
+      << p.swPrefetchCoverage << sep << p.swPrefetchLookahead << sep
+      << p.tkWarmupInstructions << sep;
+}
+
+/** appendProfileKnobs at full double precision, as a string. */
+std::string
+profileKnobText(const WorkloadProfile &p)
+{
+    std::ostringstream s;
+    s.precision(17);
+    appendProfileKnobs(s, p);
+    return s.str();
 }
 
 } // namespace
@@ -408,6 +422,21 @@ fingerprintHash(const std::string &text)
 
 namespace fingerprint_detail
 {
+
+void
+appendProfileIdentity(std::ostream &s, const WorkloadProfile &p)
+{
+    const char sep = '|';
+    s << p.name << sep << p.seed << sep;
+    const std::string knobs = profileKnobText(p);
+    if (isSpec2kBenchmark(p.name)) {
+        WorkloadProfile stock = spec2kProfile(p.name);
+        stock.seed = p.seed;
+        if (knobs == profileKnobText(stock))
+            return;
+    }
+    s << "profile" << sep << knobs;
+}
 
 void
 appendPowerKnobs(std::ostream &s, const PowerModelConfig &p)
@@ -452,57 +481,22 @@ appendPrefetcherKnobs(std::ostream &s, const TimekeepingConfig &tk,
 
 } // namespace fingerprint_detail
 
-namespace
-{
-
 using namespace fingerprint_detail;
-
-/**
- * Every workload-generation knob (the Table 2 calibration targets are
- * reporting-only and deliberately absent). configFingerprint gets by
- * with name+seed because the stock profiles are pure functions of
- * their names, but warmup snapshots must also distinguish the custom
- * profiles tests build under default names - restoring ammp state
- * into a hand-rolled profile would be silently wrong.
- */
-void
-appendProfileKnobs(std::ostream &s, const WorkloadProfile &p)
-{
-    const char sep = '|';
-    s << p.name << sep << p.seed << sep << p.loadFrac << sep
-      << p.storeFrac << sep << p.branchFrac << sep << p.fpFrac << sep
-      << p.intMulFrac << sep << p.intDivFrac << sep << p.fpMulFrac
-      << sep << p.fpDivFrac << sep << p.meanDepDist << sep
-      << p.secondSrcProb << sep << p.loadConsumerProb << sep
-      << p.coldConsumerProb << sep << p.coldFrac << sep << p.coldBurst
-      << sep << p.warmFrac << sep << p.hotFootprint << sep
-      << p.warmFootprint << sep << p.coldFootprint << sep
-      << static_cast<int>(p.coldPattern) << sep << p.coldStride << sep
-      << p.scanStreams << sep << p.scanJitterProb << sep
-      << p.chainCount << sep << p.chainMutateProb << sep
-      << p.coldRegularFrac << sep << p.regularFootprint << sep
-      << p.storeColdScale << sep << p.branchNoise << sep
-      << p.codeFootprint << sep << p.callFrac << sep
-      << p.swPrefetchCoverage << sep << p.swPrefetchLookahead << sep
-      << p.tkWarmupInstructions << sep;
-}
-
-} // namespace
 
 std::string
 configFingerprint(const SimulationOptions &o)
 {
     // Serialize every result-determining knob, then FNV-1a the text.
-    // The profile's calibration constants are all derived from its
-    // name, so name+seed pins the workload; tracing and fast-forward
+    // A stock profile is pinned by its name and seed; a modified one
+    // adds its knobs (appendProfileIdentity). Tracing and fast-forward
     // are deliberately absent (bit-identical by contract, see
     // DESIGN.md 5d/5e).
     std::ostringstream s;
     const char sep = '|';
-    s << o.profile.name << sep << o.profile.seed << sep << o.tracePath
-      << sep << o.traceLoop << sep << o.warmupInstructions << sep
-      << o.measureInstructions << sep << o.timekeeping << sep
-      << o.stridePrefetch << sep;
+    appendProfileIdentity(s, o.profile);
+    s << o.tracePath << sep << o.traceLoop << sep
+      << o.warmupInstructions << sep << o.measureInstructions << sep
+      << o.timekeeping << sep << o.stridePrefetch << sep;
     s << o.vsv.enabled << sep << o.vsv.down.threshold << sep
       << o.vsv.down.period << sep << static_cast<int>(o.vsv.upPolicy)
       << sep << o.vsv.up.threshold << sep << o.vsv.up.period << sep
@@ -530,7 +524,7 @@ configFingerprint(const SimulationOptions &o)
     s << o.cores << sep << static_cast<int>(o.railPolicy) << sep;
     for (const std::string &bench : o.coreBenchmarks)
         s << bench << sep;
-    return fingerprintHash(s.str());
+    return fnv1a64Hex(s.str());
 }
 
 std::string
@@ -568,7 +562,7 @@ warmupFingerprint(const SimulationOptions &o)
     s << o.cores << sep;
     for (const std::string &bench : o.coreBenchmarks)
         s << bench << sep;
-    return fingerprintHash(s.str());
+    return fnv1a64Hex(s.str());
 }
 
 std::string
@@ -582,7 +576,7 @@ sweepGridFingerprint(const std::vector<SweepJob> &jobs)
     s << "grid-v1|" << jobs.size() << '|';
     for (const SweepJob &job : jobs)
         s << job.id << '|' << configFingerprint(job.options) << '|';
-    return fingerprintHash(s.str());
+    return fnv1a64Hex(s.str());
 }
 
 std::string_view
@@ -806,65 +800,6 @@ parseScalarsFromStats(const minijson::Value &stats)
     for (const auto &[name, value] : stats.at("scalars").object())
         scalars.emplace(name, numberOrZero(value));
     return scalars;
-}
-
-SweepResume
-SweepResume::load(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        fatal("cannot open --resume manifest: " + path);
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-
-    SweepResume resume;
-    try {
-        const minijson::Value doc = minijson::parse(buffer.str());
-        for (const minijson::Value &run : doc.at("runs").array()) {
-            const std::string id = run.at("id").str();
-            // Manifests from before the status field are all-ok by
-            // construction (a failed run used to kill the export).
-            const std::string status =
-                run.has("status") ? run.at("status").str() : "ok";
-            if (status != "ok" && status != "skipped")
-                continue;
-            if (!run.has("fingerprint") ||
-                !run.at("fingerprint").isString())
-                continue;
-
-            SweepOutcome outcome;
-            outcome.id = id;
-            outcome.status = SweepStatus::Skipped;
-            outcome.attempts = 0;
-            outcome.fingerprint = run.at("fingerprint").str();
-            if (run.has("result") && run.at("result").isObject()) {
-                outcome.result =
-                    parseSimulationResultJson(run.at("result"));
-            }
-            if (run.has("stats") && run.at("stats").isObject()) {
-                const minijson::Value &stats = run.at("stats");
-                outcome.scalars = parseScalarsFromStats(stats);
-                std::ostringstream json;
-                minijson::write(json, stats);
-                outcome.statsJson = json.str();
-            }
-            resume.runs[id] = std::move(outcome);
-        }
-    } catch (const std::exception &e) {
-        fatal("--resume manifest " + path + " is not a valid sweep "
-              "document: " + e.what());
-    }
-    return resume;
-}
-
-const SweepOutcome *
-SweepResume::completed(const std::string &id,
-                       const std::string &fingerprint) const
-{
-    const auto it = runs.find(id);
-    if (it == runs.end() || it->second.fingerprint != fingerprint)
-        return nullptr;
-    return &it->second;
 }
 
 } // namespace vsv

@@ -16,11 +16,11 @@
  * error record in that run's SweepOutcome instead of taking down the
  * campaign. A per-run soft timeout (SweepJob::softTimeoutSeconds)
  * aborts runaway runs via the Simulator's abort hook, and a retry
- * policy (`--retries`) re-runs failed jobs. Campaigns are resumable:
- * the exported JSON records per-run status/error/attempts plus a
- * configuration fingerprint, and SweepResume replays a previous
- * manifest so `--resume` skips runs already completed with the same
- * configuration.
+ * policy (`--retries`) re-runs failed jobs. The exported JSON records
+ * per-run status/error/attempts plus a configuration fingerprint, and
+ * the result store (`--store-dir`) replays every run already completed
+ * with the same fingerprint, so re-sweeping a grid re-runs only what
+ * failed or changed.
  *
  * The runner also owns the machine-readable output path: one JSON
  * document per sweep with a run manifest (tool, git-describe,
@@ -35,6 +35,7 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,10 +69,9 @@ enum class SweepStatus
     Ok,       ///< completed normally; result/stats are valid
     Error,    ///< exception or fatal() escaped the run
     Timeout,  ///< the abort hook (soft timeout) stopped the run
-    Skipped,  ///< carried forward from a --resume manifest, not re-run
 };
 
-/** JSON spelling of a status: "ok", "error", "timeout", "skipped". */
+/** JSON spelling of a status: "ok", "error", "timeout". */
 std::string_view sweepStatusName(SweepStatus status);
 
 /**
@@ -86,9 +86,10 @@ struct SweepOutcome
 {
     std::string id;
     SweepStatus status = SweepStatus::Ok;
-    /** What went wrong; empty when status is Ok/Skipped. */
+    /** What went wrong; empty when status is Ok. */
     std::string error;
-    /** Executions this campaign (includes retries); 0 when skipped. */
+    /** Executions (includes retries); a store replay reports those of
+     *  the run that was recorded. */
     unsigned attempts = 0;
     /** configFingerprint() of the options that produced this run. */
     std::string fingerprint;
@@ -100,12 +101,7 @@ struct SweepOutcome
     /** The full StatRegistry::dump text (for --stats style output). */
     std::string statsText;
 
-    bool
-    ok() const
-    {
-        return status == SweepStatus::Ok ||
-               status == SweepStatus::Skipped;
-    }
+    bool ok() const { return status == SweepStatus::Ok; }
 };
 
 /**
@@ -279,6 +275,16 @@ SweepOutcome outcomeFromStoreEntry(const std::string &id,
                                    const store::StoreEntry &entry);
 
 /**
+ * The one store-replay path (SweepRunner and the campaign coordinator
+ * both probe through it): look up the job's configFingerprint and
+ * replay the entry, or nullopt on a miss. An entry that does not
+ * replay is a store bug, not a sweep failure: warn and report a miss
+ * so the run simulates (and its fresh outcome re-inserts).
+ */
+std::optional<SweepOutcome> tryServeFromStore(store::ResultStore &store,
+                                              const SweepJob &job);
+
+/**
  * Deterministic per-run seed derivation (splitmix64 mixing): depends
  * only on the two seeds, so any execution order reproduces it. A
  * sweep seed of 0 means "leave the profile seed alone", keeping the
@@ -294,7 +300,7 @@ void applyRunSeed(SimulationOptions &options, std::uint64_t sweepSeed);
  * a run's simulated results (workload, window, VSV policy, circuit
  * constants, machine geometry). Observability settings (tracing,
  * fast-forward) are excluded: they are proven not to change stats, so
- * a resumed campaign may vary them without invalidating prior runs.
+ * a re-sweep may vary them and still replay stored runs.
  */
 std::string configFingerprint(const SimulationOptions &options);
 
@@ -304,6 +310,16 @@ namespace fingerprint_detail
 // warmupFingerprint (sweep.cc) and structuralFingerprint
 // (lockstep.cc), so the three fingerprints cannot silently drift
 // apart on the knobs they share. Each appends a trailing separator.
+
+/**
+ * The workload profile's name and seed, plus every generation knob
+ * when the profile differs (seed aside) from spec2kProfile(name). A
+ * stock profile is a pure function of its name, so every stock
+ * fingerprint stays name+seed; a modified one (baseline_techniques'
+ * software-prefetch-off variants, hand-built test profiles) can never
+ * share a fingerprint with its stock twin.
+ */
+void appendProfileIdentity(std::ostream &s, const WorkloadProfile &p);
 void appendPowerKnobs(std::ostream &s, const PowerModelConfig &p);
 void appendCacheKnobs(std::ostream &s, const HierarchyConfig &h);
 void appendBranchKnobs(std::ostream &s, const BranchPredictorConfig &b);
@@ -363,8 +379,8 @@ std::string_view buildGitDescribe();
 /**
  * Write the sweep document: `{"manifest": {...}, "runs": [...]}` with
  * one entry per outcome carrying id/fingerprint/status/error/attempts
- * plus, for completed (ok or carried-forward) runs, the whole-run
- * result and the full stats dump (`null` for failed runs).
+ * plus, for completed runs, the whole-run result and the full stats
+ * dump (`null` for failed runs).
  */
 void writeSweepJson(std::ostream &os, const SweepManifest &manifest,
                     const std::vector<SweepOutcome> &outcomes);
@@ -382,8 +398,8 @@ void writeSimulationResultJson(std::ostream &os,
                                const SimulationResult &r);
 
 /**
- * Inverse of writeSimulationResultJson, used by --resume and the
- * campaign coordinator. Missing optional blocks (perCore,
+ * Inverse of writeSimulationResultJson, used by the store replay and
+ * the campaign coordinator. Missing optional blocks (perCore,
  * throughput) leave their fields default; numbers written as null
  * (non-finite values) parse back as 0.0.
  */
@@ -397,35 +413,6 @@ SimulationResult parseSimulationResultJson(const minijson::Value &r);
  */
 std::map<std::string, double> parseScalarsFromStats(
     const minijson::Value &stats);
-
-/**
- * A previous campaign's `--json` manifest, loaded for `--resume`:
- * runs recorded there as completed ("ok" or "skipped") are carried
- * forward - result and stats included, so the re-exported manifest
- * stays whole - and only failed or new runs execute again. Matching
- * is by run id plus configuration fingerprint, so a run whose
- * configuration changed since the manifest was written is re-run, not
- * trusted.
- */
-class SweepResume
-{
-  public:
-    /** Parse a sweep JSON file; fatal() on unreadable/invalid input. */
-    static SweepResume load(const std::string &path);
-
-    /**
-     * The completed prior outcome for this id, or nullptr when the
-     * run is absent, failed, or its fingerprint does not match.
-     */
-    const SweepOutcome *completed(const std::string &id,
-                                  const std::string &fingerprint) const;
-
-    /** Number of completed runs available to carry forward. */
-    std::size_t size() const { return runs.size(); }
-
-  private:
-    std::map<std::string, SweepOutcome> runs;
-};
 
 } // namespace vsv
 

@@ -25,9 +25,9 @@
  * Persistence: with a non-empty disk directory (--snapshot-dir),
  * snapshots are also written as <dir>/<fingerprint>.vsvsnap
  * (write-to-temp + rename, so readers never see partial files) and
- * probed before computing, letting warmup survive across campaigns
- * alongside --resume. A corrupt or stale file is a miss - logged and
- * counted, never fatal.
+ * probed before computing, letting warmup survive across campaigns.
+ * A corrupt or stale file is a miss - logged and counted, never
+ * fatal.
  */
 
 #ifndef VSV_HARNESS_WARMUP_CACHE_HH

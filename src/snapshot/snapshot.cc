@@ -6,6 +6,7 @@
 #include <limits>
 #include <ostream>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace vsv
@@ -19,17 +20,6 @@ constexpr std::string_view endTag = "end";
 
 /** Tags and fingerprints are short; anything longer is corruption. */
 constexpr std::uint32_t maxStringLength = 1u << 20;
-
-std::uint64_t
-fnv1a(std::string_view bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
 
 [[noreturn]] void
 corrupt(const std::string &what)
@@ -81,7 +71,7 @@ SnapshotWriter::end()
     const std::uint64_t size = buffer.size();
     os.write(reinterpret_cast<const char *>(&size), sizeof(size));
     os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    const std::uint64_t checksum = fnv1a(buffer);
+    const std::uint64_t checksum = fnv1a64(buffer);
     os.write(reinterpret_cast<const char *>(&checksum),
              sizeof(checksum));
     if (!os)
@@ -100,7 +90,7 @@ SnapshotWriter::finish()
     os.write(endTag.data(), static_cast<std::streamsize>(endTag.size()));
     const std::uint64_t size = 0;
     os.write(reinterpret_cast<const char *>(&size), sizeof(size));
-    const std::uint64_t checksum = fnv1a({});
+    const std::uint64_t checksum = fnv1a64({});
     os.write(reinterpret_cast<const char *>(&checksum),
              sizeof(checksum));
     os.flush();
@@ -220,7 +210,7 @@ SnapshotReader::begin(std::string_view expected_tag)
     is.read(reinterpret_cast<char *>(&checksum), sizeof(checksum));
     if (!is)
         corrupt("truncated section '" + tag + "'");
-    if (checksum != fnv1a(payload))
+    if (checksum != fnv1a64(payload))
         corrupt("checksum mismatch in section '" + tag + "'");
     cursor = 0;
     inSection = true;

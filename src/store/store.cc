@@ -21,17 +21,6 @@ namespace store
 namespace detail
 {
 
-std::uint64_t
-fnv1a64(const std::string &bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
 namespace
 {
 
@@ -441,6 +430,11 @@ ResultStore::insert(StoreEntry entry)
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        // Two writer threads must never persist one fingerprint side
+        // by side: both would pass the on-disk probe and count an
+        // insert. A queued or in-flight copy already holds these bytes.
+        if (!pending_.insert(entry.fingerprint).second)
+            return;
         queue_.push_back(std::move(entry));
     }
     workReady_.notify_one();
@@ -473,6 +467,7 @@ ResultStore::writerLoop()
         lock.unlock();
         persist(entry);
         lock.lock();
+        pending_.erase(entry.fingerprint);
         --inProgress_;
         if (queue_.empty() && inProgress_ == 0)
             queueIdle_.notify_all();

@@ -9,9 +9,9 @@
  * function's input with a stable 64-bit hash. The store persists the
  * run's exact output bytes - the result JSON writeSimulationResultJson
  * emits plus the full stats dump and stats text, all kept as opaque
- * strings - under <dir>/<fp[0:2]>/<fp>.vsvres, so any later sweep,
- * campaign coordinator or daemon that reaches the same fingerprint
- * replays the recorded bytes instead of simulating.
+ * strings - under <dir>/<fp[0:2]>/<fp>.vsvres, so any later sweep or
+ * campaign coordinator that reaches the same fingerprint replays the
+ * recorded bytes instead of simulating.
  *
  * Durability discipline mirrors WarmupSnapshotCache: entries are
  * written to a per-process temp name and rename()d into place, so a
@@ -46,9 +46,12 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/hash.hh"
 
 namespace vsv
 {
@@ -152,8 +155,7 @@ class ResultStore
     std::string entryPath(const std::string &fingerprint) const;
 
     /** 16 lowercase hex digits - the only shape lookup/insert accept
-     *  (daemon queries arrive over the network; everything else is
-     *  rejected before it can name a path). */
+     *  (anything else is rejected before it can name a path). */
     static bool validFingerprint(const std::string &fingerprint);
 
   private:
@@ -167,6 +169,8 @@ class ResultStore
     std::condition_variable workReady_;
     std::condition_variable queueIdle_;
     std::deque<StoreEntry> queue_;
+    /** Fingerprints queued or being written (insert() dedup). */
+    std::set<std::string> pending_;
     unsigned inProgress_ = 0;
     bool stopping_ = false;
     std::vector<std::thread> writers_;
@@ -184,8 +188,8 @@ namespace detail
 // Exposed for unit tests; everything below is an implementation
 // detail of the .vsvres envelope.
 
-/** FNV-1a 64 over a byte string (the envelope checksum). */
-std::uint64_t fnv1a64(const std::string &bytes);
+/** The envelope checksum (common/hash.hh). */
+using vsv::fnv1a64;
 
 /**
  * LZSS-compress `input` (64 KiB window, 4..259-byte matches, 8-flag

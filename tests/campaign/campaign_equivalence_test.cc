@@ -357,7 +357,7 @@ TEST(CampaignEquivalence, AllWorkersGoneIsAStructuredError)
 
     try {
         ScopedThrowingFatal guard;
-        coordinator.execute({0, 1, 2});
+        coordinator.execute();
         FAIL() << "coordinator did not detect the stall";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("campaign stalled"),
@@ -384,23 +384,27 @@ TEST(CampaignEquivalence, DriftedWorkerIsRefused)
     // The campaign cannot complete before the healthy worker serves
     // every run, and the drifted worker's handshake (pure message
     // exchange) resolves long before that - so the refusal is always
-    // observed in the merged manifest.
+    // observed in the merged manifest. Both connections are made
+    // before the coordinator's event loop starts, healthy first, so
+    // the healthy worker is accepted no later than the drifted one:
+    // the refusal can never leave the coordinator with no open worker
+    // (which its stall detection would rightly treat as fatal).
     std::thread driftedThread, healthyThread;
     const auto attach = [&](campaign::Coordinator &coordinator) {
-        const std::uint16_t port = coordinator.listenPort();
-        driftedThread = std::thread([port, &camp, &drifted] {
-            const int fd = campaign::net::connectTo(
-                {"127.0.0.1", std::to_string(port)});
+        const std::string port = std::to_string(coordinator.listenPort());
+        const int healthyFd =
+            campaign::net::connectTo({"127.0.0.1", port});
+        const int driftedFd =
+            campaign::net::connectTo({"127.0.0.1", port});
+        driftedThread = std::thread([driftedFd, &camp, &drifted] {
             // Returns nonzero: refused before any assignment.
             EXPECT_NE(campaign::serveCoordinator(
-                          fd, camp, "campaign_test",
+                          driftedFd, camp, "campaign_test",
                           prepareSweepJobs(camp, drifted)),
                       0);
         });
-        healthyThread = std::thread([port, &camp, &jobs] {
-            const int fd = campaign::net::connectTo(
-                {"127.0.0.1", std::to_string(port)});
-            campaign::serveCoordinator(fd, camp, "campaign_test",
+        healthyThread = std::thread([healthyFd, &camp, &jobs] {
+            campaign::serveCoordinator(healthyFd, camp, "campaign_test",
                                        prepareSweepJobs(camp, jobs));
         });
     };

@@ -104,8 +104,8 @@ TEST(MinijsonWrite, ControlCharacterEscapes)
 TEST(MinijsonWrite, DoublesRoundTripExactly)
 {
     // %.17g must reproduce the exact bits after a parse cycle - the
-    // sweep manifest's byte-compatibility (and therefore --resume and
-    // campaign merges) depends on it.
+    // sweep manifest's byte-compatibility (and therefore store replays
+    // and campaign merges) depends on it.
     const double values[] = {0.0, 1.0 / 3.0, 6.0221407599999999e23,
                              -2.2250738585072014e-308, 12345.6789,
                              std::numeric_limits<double>::epsilon()};

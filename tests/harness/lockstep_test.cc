@@ -107,6 +107,42 @@ TEST(StructuralFingerprintTest, SeparatesEveryTimingKnob)
     }
 }
 
+TEST(StructuralFingerprintTest, ModifiedProfileNeverMatchesItsStockTwin)
+{
+    // baseline_techniques' swPF-off variant keeps the stock name and
+    // seed but generates a different stream: neither lockstep nor the
+    // result store may treat it as its swPF-on twin.
+    const SimulationOptions stock = fsmOptions("art");
+    SimulationOptions no_sw_prefetch = stock;
+    no_sw_prefetch.profile.swPrefetchCoverage = 0.0;
+    EXPECT_NE(configFingerprint(no_sw_prefetch), configFingerprint(stock));
+    EXPECT_NE(structuralFingerprint(no_sw_prefetch),
+              structuralFingerprint(stock));
+
+    // The seed is not a modification: reseeding keeps a stock profile
+    // stock, and a reseeded twin pair still differs.
+    SimulationOptions reseeded = stock;
+    applyRunSeed(reseeded, 7);
+    SimulationOptions reseeded_twin = no_sw_prefetch;
+    applyRunSeed(reseeded_twin, 7);
+    EXPECT_NE(configFingerprint(reseeded), configFingerprint(stock));
+    EXPECT_NE(configFingerprint(reseeded_twin),
+              configFingerprint(reseeded));
+}
+
+TEST(StructuralFingerprintTest, StockProfilesKeepTheirFingerprints)
+{
+    // Stock profiles fingerprint as name+seed only, exactly as before
+    // profile knobs were hashed: stored results and the benchmark's
+    // reference fingerprints stay valid.
+    SimulationOptions options = fsmOptions();
+    EXPECT_EQ(configFingerprint(options), "eaecfcae38e08d30");
+    EXPECT_EQ(structuralFingerprint(options), "8aa18908889a295e");
+    applyRunSeed(options, 1);
+    EXPECT_EQ(configFingerprint(options), "fe5de603e18d9c6e");
+    EXPECT_EQ(structuralFingerprint(options), "142b81fb0a69ae0a");
+}
+
 TEST(LockstepEligibilityTest, ReasonsAreReportedAndStable)
 {
     EXPECT_EQ(lockstepIneligibleReason({"ok", fsmOptions()}), nullptr);

@@ -2,13 +2,14 @@
  * @file
  * Tests of the sweep campaign hardening: per-run fault isolation,
  * soft timeouts, the retry policy, configuration fingerprints,
- * `--resume` carry-forward, the per-run trace path derivation, and
- * `--benchmarks` validation.
+ * re-sweeping through the result store, the per-run trace path
+ * derivation, and `--benchmarks` validation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -147,7 +148,7 @@ TEST(FingerprintTest, DeterministicAndSensitiveToResults)
 TEST(FingerprintTest, ObservabilitySettingsDoNotPerturbIt)
 {
     // Tracing and fast-forward are proven not to change stats, so a
-    // resumed campaign may toggle them without invalidating runs.
+    // re-sweep may toggle them and still replay stored runs.
     const SimulationOptions a = makeOptions("mcf", false, 20000, 5000);
     SimulationOptions traced = a;
     traced.trace.path = "trace.json";
@@ -185,95 +186,98 @@ TEST(SweepJsonTest, FailedRunsExportStructuredErrorRecords)
     EXPECT_TRUE(runs[1].at("fingerprint").isString());
 }
 
-TEST(SweepResumeTest, SecondInvocationReRunsOnlyTheFailedRun)
+/** The `store` counter block of a --json sweep document. */
+minijson::Value
+manifestStoreBlock(const std::string &path)
 {
-    const std::string manifest = tempPath("sweep_resume_test.json");
+    std::ifstream is(path);
+    std::ostringstream buffer;
+    buffer << is.rdbuf();
+    return minijson::parse(buffer.str()).at("manifest").at("store");
+}
 
-    // Campaign 1: one good run, one faulting run.
+void
+expectStoreCounters(const std::string &manifest, double hits,
+                    double misses, double inserts)
+{
+    const minijson::Value store = manifestStoreBlock(manifest);
+    EXPECT_EQ(store.at("hits").num(), hits);
+    EXPECT_EQ(store.at("misses").num(), misses);
+    EXPECT_EQ(store.at("inserts").num(), inserts);
+}
+
+TEST(StoreReSweepTest, SecondSweepReRunsOnlyTheFailedRun)
+{
+    const std::string store = tempPath("sweep_store_resweep");
+    const std::string manifest = tempPath("sweep_store_resweep.json");
+    std::filesystem::remove_all(store);
     ExperimentArgs args;
     args.jsonPath = manifest;
+    args.storeDir = store;
+
+    // Sweep 1: one good run, one faulting run. Failed runs are never
+    // stored, so only the good one is recorded.
     const std::vector<SweepOutcome> first =
         runSweep(args, "sweep_fault_test",
                  {goodJob("mcf/base", "mcf", false),
                   faultingJob("ammp/base")});
     ASSERT_EQ(first[0].status, SweepStatus::Ok);
     ASSERT_EQ(first[1].status, SweepStatus::Error);
+    expectStoreCounters(manifest, 0, 2, 1);
 
-    // Campaign 2: same grid with the fault fixed, resuming. The good
-    // run is carried forward (attempts 0), the failed one re-executes.
-    ExperimentArgs resumed;
-    resumed.jsonPath = manifest;
-    resumed.resumePath = manifest;
+    // Sweep 2: same grid with the fault fixed, same store. The good
+    // run replays its recorded bytes; only the fixed one simulates.
+    const std::vector<SweepJob> fixed = {
+        goodJob("mcf/base", "mcf", false),
+        goodJob("ammp/base", "ammp", false)};
     const std::vector<SweepOutcome> second =
-        runSweep(resumed, "sweep_fault_test",
-                 {goodJob("mcf/base", "mcf", false),
-                  goodJob("ammp/base", "ammp", false)});
-
-    EXPECT_EQ(second[0].status, SweepStatus::Skipped);
-    EXPECT_EQ(second[0].attempts, 0u);
-    EXPECT_TRUE(second[0].ok());
-    // Carried-forward runs keep their full result and scalars.
+        runSweep(args, "sweep_fault_test", fixed);
+    expectStoreCounters(manifest, 1, 1, 1);
+    EXPECT_EQ(second[0].status, SweepStatus::Ok);
+    EXPECT_EQ(second[0].attempts, first[0].attempts);
     EXPECT_EQ(second[0].result.ticks, first[0].result.ticks);
     EXPECT_EQ(second[0].scalars, first[0].scalars);
-
+    EXPECT_EQ(second[0].statsJson, first[0].statsJson);
     EXPECT_EQ(second[1].status, SweepStatus::Ok);
     EXPECT_EQ(second[1].attempts, 1u);
     EXPECT_GT(second[1].result.instructions, 0u);
 
-    // Campaign 3: resuming from the re-exported manifest re-runs
-    // nothing - skipped entries count as completed too.
-    ExperimentArgs chained;
-    chained.resumePath = manifest;
+    // Sweep 3: nothing is left to run.
     const std::vector<SweepOutcome> third =
-        runSweep(chained, "sweep_fault_test",
-                 {goodJob("mcf/base", "mcf", false),
-                  goodJob("ammp/base", "ammp", false)});
-    EXPECT_EQ(third[0].status, SweepStatus::Skipped);
-    EXPECT_EQ(third[1].status, SweepStatus::Skipped);
-    EXPECT_EQ(third[1].result.ticks, second[1].result.ticks);
+        runSweep(args, "sweep_fault_test", fixed);
+    expectStoreCounters(manifest, 2, 0, 0);
+    EXPECT_EQ(third[1].status, SweepStatus::Ok);
+    EXPECT_EQ(third[1].statsJson, second[1].statsJson);
 
+    std::filesystem::remove_all(store);
     std::remove(manifest.c_str());
 }
 
-TEST(SweepResumeTest, ChangedConfigurationInvalidatesTheCarry)
+TEST(StoreReSweepTest, ChangedConfigurationMissesTheStore)
 {
-    const std::string manifest = tempPath("sweep_resume_fp_test.json");
-
+    const std::string store = tempPath("sweep_store_changed");
+    const std::string manifest = tempPath("sweep_store_changed.json");
+    std::filesystem::remove_all(store);
     ExperimentArgs args;
     args.jsonPath = manifest;
-    runSweep(args, "sweep_fault_test",
-             {goodJob("mcf/base", "mcf", false)});
+    args.storeDir = store;
+    const std::vector<SweepOutcome> first = runSweep(
+        args, "sweep_fault_test", {goodJob("mcf/base", "mcf", false)});
 
     // Same run id, different measurement window: the fingerprint
-    // mismatch forces a re-run rather than trusting stale numbers.
+    // differs, so the run simulates rather than trusting stale numbers.
     SweepJob changed = goodJob("mcf/base", "mcf", false);
     changed.options.measureInstructions = 30000;
-    ExperimentArgs resumed;
-    resumed.resumePath = manifest;
     const std::vector<SweepOutcome> outcomes =
-        runSweep(resumed, "sweep_fault_test", {changed});
+        runSweep(args, "sweep_fault_test", {changed});
+    expectStoreCounters(manifest, 0, 1, 1);
     EXPECT_EQ(outcomes[0].status, SweepStatus::Ok);
-    EXPECT_EQ(outcomes[0].attempts, 1u);
+    EXPECT_NE(outcomes[0].fingerprint, first[0].fingerprint);
+    EXPECT_GT(outcomes[0].result.instructions,
+              first[0].result.instructions);
 
+    std::filesystem::remove_all(store);
     std::remove(manifest.c_str());
-}
-
-TEST(SweepResumeTest, MissingManifestIsFatal)
-{
-    EXPECT_EXIT(SweepResume::load("/nonexistent/manifest.json"),
-                ::testing::ExitedWithCode(1), "cannot open");
-}
-
-TEST(SweepResumeTest, MalformedManifestIsFatal)
-{
-    const std::string path = tempPath("sweep_resume_bad.json");
-    {
-        std::ofstream os(path);
-        os << "{\"runs\": [{\"id\": \"x\"";  // truncated
-    }
-    EXPECT_EXIT(SweepResume::load(path), ::testing::ExitedWithCode(1),
-                "not a valid sweep document");
-    std::remove(path.c_str());
 }
 
 TEST(TraceOutPathTest, InsertsRunIdBeforeTheExtension)
@@ -349,11 +353,10 @@ TEST(BenchmarkListTest, AllEmptyListIsFatal)
 
 TEST(BenchmarkListTest, HarnessFlagsParse)
 {
-    const ExperimentArgs args = parseArgv(
-        {"--retries=2", "--timeout=1.5", "--resume=prior.json"});
+    const ExperimentArgs args =
+        parseArgv({"--retries=2", "--timeout=1.5"});
     EXPECT_EQ(args.retries, 2u);
     EXPECT_DOUBLE_EQ(args.timeoutSeconds, 1.5);
-    EXPECT_EQ(args.resumePath, "prior.json");
 }
 
 } // namespace

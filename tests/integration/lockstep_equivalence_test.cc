@@ -7,7 +7,9 @@
  * divergent, so the planner must route every run serially) and over a
  * power-characterization grid that genuinely batches (one front-end
  * feeding many PowerModel/VsvController replicas, including an
- * equal-rampTicks rail-voltage variant).
+ * equal-rampTicks rail-voltage variant), and over baseline_techniques'
+ * grid, whose modified workload profiles must not batch with their
+ * stock twins.
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +110,35 @@ baselineGrid()
     SimulationOptions leaky = base;
     leaky.power.leakageFraction = 0.1;
     jobs.push_back({"ammp/base-leak-0.1", leaky});
+    return jobs;
+}
+
+/**
+ * baseline_techniques' grid for one benchmark: {DCG, simple gating} x
+ * {software prefetching on, off} x {baseline, VSV-FSM}. Gating is
+ * accounting-only, so gating twins share a front-end; the swPF-off
+ * profile generates a different stream under the same name and seed,
+ * so it must never batch with its swPF-on twin.
+ */
+std::vector<SweepJob>
+baselineTechniquesGrid(const std::string &bench)
+{
+    std::vector<SweepJob> jobs;
+    for (const bool dcg : {true, false}) {
+        for (const bool sw_prefetch : {true, false}) {
+            SimulationOptions base = makeOptions(bench, false, 20000, 5000);
+            base.power.gating = dcg ? GatingStyle::Dcg : GatingStyle::Simple;
+            if (!sw_prefetch)
+                base.profile.swPrefetchCoverage = 0.0;
+            const std::string stem = bench + (dcg ? "/dcg" : "/simple") +
+                                     (sw_prefetch ? "-swpf" : "");
+            jobs.push_back({stem + "/base", base});
+
+            SimulationOptions vsv = base;
+            vsv.vsv = fsmVsvConfig();
+            jobs.push_back({stem + "/vsv", vsv});
+        }
+    }
     return jobs;
 }
 
@@ -226,6 +257,24 @@ TEST(LockstepEquivalenceTest, BaselineGridBatchesAndIsBitIdentical)
     lockstep.enableLockstep(16);
     const std::vector<SweepOutcome> got = lockstep.run(jobs);
 
+    EXPECT_EQ(lockstep.lockstepStats().batchedRuns, jobs.size());
+    expectBitIdentical(got, want);
+}
+
+TEST(LockstepEquivalenceTest, BaselineTechniquesGridIsBitIdentical)
+{
+    const std::vector<SweepJob> jobs = baselineTechniquesGrid("art");
+
+    SweepRunner serial(2);
+    const std::vector<SweepOutcome> want = serial.run(jobs);
+
+    SweepRunner lockstep(2);
+    lockstep.enableLockstep(16);
+    const std::vector<SweepOutcome> got = lockstep.run(jobs);
+
+    // One batch of gating twins per {swPF on, off} x {base, VSV}.
+    EXPECT_EQ(lockstep.lockstepStats().batches, 4u);
+    EXPECT_EQ(lockstep.lockstepStats().largestBatch, 2u);
     EXPECT_EQ(lockstep.lockstepStats().batchedRuns, jobs.size());
     expectBitIdentical(got, want);
 }

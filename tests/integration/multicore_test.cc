@@ -3,13 +3,15 @@
  * Multi-core contracts: per-core stats that sum to the aggregates,
  * shared-rail lockstep behavior, fast-forward and snapshot/restore
  * bit-identity with 2 cores, warmup-snapshot sharing across rail
- * policies, fingerprint-keyed resume, and the N=1 guarantee that the
- * multi-core simulator registers exactly the legacy stat surface.
+ * policies, fingerprint-keyed store replay, and the N=1 guarantee
+ * that the multi-core simulator registers exactly the legacy stat
+ * surface.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -19,6 +21,7 @@
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "harness/warmup_cache.hh"
+#include "store/store.hh"
 #include "workload/workload.hh"
 
 namespace vsv
@@ -172,8 +175,8 @@ TEST(MulticoreTest, RailPoliciesShareOneWarmupSnapshot)
 {
     // Both rail policies (and baseline vs VSV) of the same 2-core
     // workload share a warmup fingerprint: a 4-job campaign warms up
-    // exactly once. Their config fingerprints stay distinct, so
-    // --resume still keys results correctly.
+    // exactly once. Their config fingerprints stay distinct, so the
+    // result store still keys results correctly.
     WarmupSnapshotCache cache;
     SweepRunner runner(2);
     runner.enableWarmupSnapshots(cache);
@@ -196,39 +199,40 @@ TEST(MulticoreTest, RailPoliciesShareOneWarmupSnapshot)
     }
 }
 
-TEST(MulticoreTest, TwoCoreSweepResumesByFingerprint)
+TEST(MulticoreTest, TwoCoreSweepReplaysFromTheStoreByFingerprint)
 {
-    // A completed 2-core campaign's manifest resumes: every run is
-    // carried forward when its id and config fingerprint match, and a
-    // core-count change invalidates the match.
-    SweepRunner runner(2);
+    // A completed 2-core sweep replays from the result store: every
+    // run is served when its config fingerprint matches, and a
+    // core-count change misses.
+    const std::string dir = testing::TempDir() + "vsv_multicore_store";
+    std::filesystem::remove_all(dir);
     const std::vector<SweepJob> jobs = twoCoreGrid(true);
-    const std::vector<SweepOutcome> outcomes = runner.run(jobs);
-
-    SweepManifest manifest;
-    manifest.tool = "multicore-test";
-    std::ostringstream doc;
-    writeSweepJson(doc, manifest, outcomes);
-    const std::string path = "MULTICORE_resume_test.json";
+    std::vector<SweepOutcome> cold;
     {
-        std::ofstream os(path);
-        os << doc.str();
+        store::ResultStore store(dir);
+        SweepRunner runner(2);
+        runner.enableResultStore(store);
+        cold = runner.run(jobs);
     }
 
-    const SweepResume resume = SweepResume::load(path);
+    store::ResultStore store(dir);
+    SweepRunner runner(2);
+    runner.enableResultStore(store);
+    const std::vector<SweepOutcome> warm = runner.run(jobs);
+    EXPECT_EQ(store.stats().hits, jobs.size());
+    EXPECT_EQ(store.stats().misses, 0u);
+    ASSERT_EQ(warm.size(), cold.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::string fp = configFingerprint(jobs[i].options);
-        EXPECT_NE(resume.completed(jobs[i].id, fp), nullptr)
-            << jobs[i].id;
+        EXPECT_EQ(warm[i].status, SweepStatus::Ok) << jobs[i].id;
+        EXPECT_EQ(warm[i].statsJson, cold[i].statsJson) << jobs[i].id;
+        EXPECT_EQ(warm[i].result.perCore.size(), 2u) << jobs[i].id;
 
         SimulationOptions more_cores = jobs[i].options;
         more_cores.cores = 4;
-        EXPECT_EQ(resume.completed(jobs[i].id,
-                                   configFingerprint(more_cores)),
-                  nullptr)
+        EXPECT_FALSE(store.lookup(configFingerprint(more_cores)))
             << jobs[i].id;
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(MulticoreTest, SingleCoreKeepsTheLegacyStatSurface)

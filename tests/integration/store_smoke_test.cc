@@ -8,7 +8,7 @@
  * including the recorded host-dependent throughput block - and the
  * manifest differs only in the accounting spans (wall clock, cache/
  * lockstep/store counters). The deep checks (codec, quarantine,
- * multi-process safety, daemon) live in tests/store.
+ * multi-process safety) live in tests/store.
  */
 
 #include <gtest/gtest.h>
