@@ -44,7 +44,11 @@ bool update_golden = false;
 /**
  * The pinned grid: small enough to run in seconds, wide enough to
  * exercise the baseline and the full VSV-FSM path on both a pointer
- * chaser (mcf) and a sequential-chain code (ammp).
+ * chaser (mcf) and a sequential-chain code (ammp), plus three points
+ * aimed at the out-of-order window: a 130-entry RUU (not a multiple
+ * of 64) with a 40-entry LSQ, a high-ILP FP code with unpipelined
+ * dividers and many same-cycle completions (applu), and Time-Keeping
+ * prefetches (art).
  */
 std::vector<SweepJob>
 goldenGrid()
@@ -59,6 +63,19 @@ goldenGrid()
         fsm.vsv = fsmVsvConfig();
         jobs.push_back({std::string(bench) + "/fsm", fsm});
     }
+    SimulationOptions odd_window = makeOptions("mcf", false, 20000, 5000);
+    odd_window.core.ruuSize = 130;
+    odd_window.core.lsqSize = 40;
+    odd_window.vsv = fsmVsvConfig();
+    jobs.push_back({"mcf/fsm-ruu130", odd_window});
+
+    SimulationOptions fp_ilp = makeOptions("applu", false, 20000, 5000);
+    fp_ilp.vsv = fsmVsvConfig();
+    jobs.push_back({"applu/fsm", fp_ilp});
+
+    SimulationOptions tk = makeOptions("art", true, 20000, 5000);
+    tk.vsv = fsmVsvConfig();
+    jobs.push_back({"art/tk-fsm", tk});
     // One pinned multi-core point per rail policy: 2 cores of mcf
     // sharing the L2 under the full VSV-FSM path, so per-core stats,
     // bus arbitration and the rail policies all sit under the gate.
@@ -209,10 +226,12 @@ TEST(GoldenStatsTest, CachedWarmupGridMatchesGoldenFile)
 
     WarmupSnapshotCache cache;
     const std::map<std::string, ScalarMap> current = runGrid(&cache);
-    // One warmup each for mcf, ammp and 2-core mcf; both rail
-    // policies of the 2-core point restore the same snapshot.
-    EXPECT_EQ(cache.stats().misses, 3u);
-    EXPECT_EQ(cache.stats().hits, 3u);
+    // One warmup each for mcf, ammp, applu, art+TK and 2-core mcf;
+    // the core geometry is not part of the warmup key, so the 130-entry
+    // RUU point restores mcf's snapshot, and both rail policies of the
+    // 2-core point restore the same one.
+    EXPECT_EQ(cache.stats().misses, 5u);
+    EXPECT_EQ(cache.stats().hits, 4u);
     EXPECT_EQ(cache.stats().failures, 0u);
 
     for (const auto &[id, scalars] : current) {
@@ -258,8 +277,8 @@ TEST(GoldenStatsTest, LockstepGridMatchesGoldenFile)
     const std::vector<SweepOutcome> outcomes = runner.run(jobs);
 
     const LockstepStats &stats = runner.lockstepStats();
-    EXPECT_EQ(stats.batches, 4u);
-    EXPECT_EQ(stats.batchedRuns, 8u);
+    EXPECT_EQ(stats.batches, 7u);
+    EXPECT_EQ(stats.batchedRuns, 14u);
     EXPECT_EQ(stats.serialRuns, 2u);
     EXPECT_EQ(stats.fallbacks, 0u);
     ASSERT_EQ(stats.ineligible.size(), 1u);
