@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/logging.hh"
 #include "isa/microop.hh"
 
 namespace vsv
@@ -39,8 +40,39 @@ struct OpTiming
     bool pipelined;       ///< can the unit accept a new op next cycle?
 };
 
+namespace isa_detail
+{
+
+/** Indexed by OpClass. */
+inline constexpr std::array<OpTiming,
+                            static_cast<std::size_t>(OpClass::NumOpClasses)>
+    opTimingTable{{
+        {FuPool::IntAlu, 1, true},      // IntAlu
+        {FuPool::IntMulDiv, 3, true},   // IntMult
+        {FuPool::IntMulDiv, 20, false}, // IntDiv
+        {FuPool::FpAlu, 2, true},       // FpAlu
+        {FuPool::FpMulDiv, 4, true},    // FpMult
+        {FuPool::FpMulDiv, 12, false},  // FpDiv
+        // Memory ops and branches use an integer ALU for
+        // address/target generation; cache latency is added by the
+        // LSQ, not here.
+        {FuPool::IntAlu, 1, true},      // Load
+        {FuPool::IntAlu, 1, true},      // Store
+        {FuPool::IntAlu, 1, true},      // Branch
+        {FuPool::IntAlu, 1, true},      // Prefetch
+    }};
+
+} // namespace isa_detail
+
 /** Timing for an op class (Load/Store timing covers agen only). */
-OpTiming opTiming(OpClass cls);
+inline OpTiming
+opTiming(OpClass cls)
+{
+    const auto idx = static_cast<std::size_t>(cls);
+    if (idx >= isa_detail::opTimingTable.size())
+        panic("opTiming: bad op class");
+    return isa_detail::opTimingTable[idx];
+}
 
 /** Default pool sizes per Table 1. */
 struct FuPoolSizes

@@ -1,4 +1,3 @@
-#include "isa/funcunits.hh"
 #include "isa/microop.hh"
 
 #include "common/logging.hh"
@@ -23,27 +22,6 @@ opClassName(OpClass cls)
       default:                break;
     }
     panic("opClassName: bad op class");
-}
-
-OpTiming
-opTiming(OpClass cls)
-{
-    switch (cls) {
-      case OpClass::IntAlu:   return {FuPool::IntAlu, 1, true};
-      case OpClass::IntMult:  return {FuPool::IntMulDiv, 3, true};
-      case OpClass::IntDiv:   return {FuPool::IntMulDiv, 20, false};
-      case OpClass::FpAlu:    return {FuPool::FpAlu, 2, true};
-      case OpClass::FpMult:   return {FuPool::FpMulDiv, 4, true};
-      case OpClass::FpDiv:    return {FuPool::FpMulDiv, 12, false};
-      // Memory ops and branches use an integer ALU for address/target
-      // generation; cache latency is added by the LSQ, not here.
-      case OpClass::Load:     return {FuPool::IntAlu, 1, true};
-      case OpClass::Store:    return {FuPool::IntAlu, 1, true};
-      case OpClass::Prefetch: return {FuPool::IntAlu, 1, true};
-      case OpClass::Branch:   return {FuPool::IntAlu, 1, true};
-      default:                break;
-    }
-    panic("opTiming: bad op class");
 }
 
 } // namespace vsv

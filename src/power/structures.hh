@@ -27,8 +27,11 @@
 #ifndef VSV_POWER_STRUCTURES_HH
 #define VSV_POWER_STRUCTURES_HH
 
+#include <array>
 #include <cstdint>
 #include <string_view>
+
+#include "common/logging.hh"
 
 namespace vsv
 {
@@ -88,11 +91,60 @@ struct StructureParams
     double maxCyclePj;  ///< energy of a fully-busy cycle at VDDH (pJ)
 };
 
+namespace structures_detail
+{
+
+using enum VoltageDomain;
+
+// {name, domain, dcgGateable, accessPj, maxCyclePj}
+//
+// Scale: a fully busy cycle sums to roughly 70 nJ, i.e. ~70 W at
+// 1 GHz - the magnitude of the 0.18 um Alpha-class parts Wattch
+// models. Keeping the absolute scale realistic matters for exactly
+// one constant: the 66 nJ dual-rail ramp energy (about one busy
+// cycle's worth), whose relative cost sets how often VSV can afford
+// to transition.
+inline constexpr std::array<StructureParams, numPowerStructures> paramTable{{
+    {"fetchLogic",      Scaled, false, 1200.0, 12000.0},
+    {"renameLogic",     Scaled, false, 1200.0, 12000.0},
+    {"ruuCam",          Scaled, false, 1800.0, 18000.0},
+    {"ruuRam",          Scaled, false, 1200.0, 14400.0},
+    {"lsqCam",          Scaled, false, 1800.0,  7200.0},
+    {"intAlu",          Scaled, true,  2400.0, 19200.0},
+    {"intMulDiv",       Scaled, true,  4800.0,  9600.0},
+    {"fpAlu",           Scaled, true,  3600.0, 14400.0},
+    {"fpMulDiv",        Scaled, true,  6000.0, 24000.0},
+    {"resultBus",       Scaled, true,  1800.0, 14400.0},
+    {"pipelineLatches", Scaled, true,   600.0, 26400.0},
+    {"levelConverters", Scaled, true,   180.0,  3600.0},
+    {"clockTree",       Scaled, false, 16200.0, 16200.0},
+
+    {"regFile",         Fixed,  false,  900.0, 18000.0},
+    {"l1i",             Fixed,  false, 4800.0,  4800.0},
+    {"l1d",             Fixed,  true,  6000.0, 24000.0},
+    {"l2",              Fixed,  false, 18000.0, 18000.0},
+    {"branchPred",      Fixed,  false, 1800.0,  5400.0},
+    {"prefetchBuffer",  Fixed,  false, 2400.0,  4800.0},
+    {"tkTables",        Fixed,  false, 1800.0,  5400.0},
+}};
+
+} // namespace structures_detail
+
 /** Parameter table lookup. */
-const StructureParams &structureParams(PowerStructure s);
+inline const StructureParams &
+structureParams(PowerStructure s)
+{
+    const auto idx = static_cast<std::size_t>(s);
+    VSV_ASSERT(idx < numPowerStructures, "bad power structure id");
+    return structures_detail::paramTable[idx];
+}
 
 /** Printable name. */
-std::string_view powerStructureName(PowerStructure s);
+inline std::string_view
+powerStructureName(PowerStructure s)
+{
+    return structureParams(s).name;
+}
 
 } // namespace vsv
 

@@ -89,20 +89,33 @@ computeOnly(double mean_dep = 8.0)
     return p;
 }
 
-TEST(CoreDetailTest, WindowWrapsManyTimesWithoutCorruption)
+/**
+ * Window geometry: the RUU is a ring of `ruuSize` slots with a ready
+ * bitset over it, so sizes below, at and just past a 64-bit word
+ * boundary (and one that leaves the last word partial) must all wrap
+ * cleanly and keep committing.
+ */
+class CoreWindowTest : public ::testing::TestWithParam<std::uint32_t>
 {
-    // 50K instructions through a 128-entry RUU = ~400 wraps of the
-    // sequence-number ring.
-    Rig rig(computeOnly());
+};
+
+TEST_P(CoreWindowTest, WindowWrapsManyTimesWithoutCorruption)
+{
+    // 50K instructions wrap the sequence-number ring hundreds to
+    // thousands of times.
+    CoreConfig config;
+    config.ruuSize = GetParam();
+    Rig rig(computeOnly(), config);
     rig.warm(8000);
     rig.run(50000);
     EXPECT_GE(rig.core.committedInstructions(), 50000u);
 }
 
-TEST(CoreDetailTest, TinyWindowStillMakesProgress)
+TEST_P(CoreWindowTest, TinyWindowStillMakesProgress)
 {
+    // Tiny LSQ and fetch queue: loads and dispatch stall constantly.
     CoreConfig config;
-    config.ruuSize = 4;
+    config.ruuSize = GetParam();
     config.lsqSize = 2;
     config.fetchQueueSize = 2;
     WorkloadProfile p = computeOnly(4.0);
@@ -112,6 +125,12 @@ TEST(CoreDetailTest, TinyWindowStillMakesProgress)
     const Tick ticks = rig.run(5000);
     EXPECT_LT(ticks, 1'000'000u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    RuuSizes, CoreWindowTest, ::testing::Values(4u, 64u, 65u, 128u, 130u),
+    [](const ::testing::TestParamInfo<std::uint32_t> &info) {
+        return "ruu" + std::to_string(info.param);
+    });
 
 TEST(CoreDetailTest, CommitWidthBoundsThroughput)
 {
