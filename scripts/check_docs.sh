@@ -91,7 +91,22 @@ for key in $(grep -rohE '"store-[a-z-]+"' src examples | tr -d '"' |
     fi
 done
 
-# 7. Relative markdown link targets must exist.
+# 7. STORE.md's "`kStoreFormatVersion`, currently N" must name the
+#    constant's value in src/store/store.hh, so a format bump cannot
+#    leave the spec describing the previous envelope. The doc may wrap
+#    the phrase across lines.
+impl_ver=$(grep -ohE 'kStoreFormatVersion = [0-9]+' src/store/store.hh |
+           grep -oE '[0-9]+$')
+doc_ver=$(tr '\n' ' ' < STORE.md |
+          grep -oE 'kStoreFormatVersion`, currently +[0-9]+' |
+          grep -oE '[0-9]+$')
+if [ -z "$impl_ver" ] || [ -z "$doc_ver" ]; then
+    err "kStoreFormatVersion not found in src/store/store.hh or STORE.md"
+elif [ "$impl_ver" != "$doc_ver" ]; then
+    err "STORE.md documents store format $doc_ver but src/store/store.hh has kStoreFormatVersion = $impl_ver"
+fi
+
+# 8. Relative markdown link targets must exist.
 for l in $(grep -ohE '\]\([^)]+\)' $docs | sed 's/^](//; s/)$//' |
            sort -u); do
     case "$l" in http://*|https://*|'#'*) continue ;; esac

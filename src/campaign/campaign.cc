@@ -46,7 +46,6 @@ runCampaignSweep(const ExperimentArgs &args, const std::string &tool,
                 onCoordinator(coordinator);
             std::vector<SweepOutcome> outcomes = coordinator.execute();
             *stats = coordinator.stats();
-            // execute() flushed the store, so these are final.
             if (coordinator.resultStore())
                 *storeStats = coordinator.resultStore()->stats();
             return outcomes;

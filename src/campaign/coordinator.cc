@@ -49,8 +49,6 @@ Coordinator::Coordinator(const ExperimentArgs &args,
                std::to_string(listenPort_));
     }
     spawnLocalWorkers();
-    // After the forks: the store spawns writer threads, and forking a
-    // multi-threaded process risks inheriting a lock mid-operation.
     if (args.storeEnabled()) {
         resultStore_ =
             std::make_unique<store::ResultStore>(args.storeDir);
@@ -527,10 +525,6 @@ Coordinator::execute()
         listenFd = -1;
     }
     reapChildren(/*block=*/true);
-    // Drain queued inserts so the manifest's store counters are final
-    // and every recorded run is durable before we return.
-    if (resultStore_)
-        resultStore_->flush();
 
     std::vector<SweepOutcome> out;
     out.reserve(prepared.size());

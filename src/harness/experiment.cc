@@ -268,13 +268,8 @@ runSweep(const ExperimentArgs &args, const std::string &tool,
         if (cache)
             manifest.snapshotCache = cache->stats();
         manifest.lockstep = runner.lockstepStats();
-        if (resultStore) {
-            // Drain queued inserts so the published counters are
-            // final and a process exiting right after the export
-            // leaves every entry durable.
-            resultStore->flush();
+        if (resultStore)
             manifest.store = resultStore->stats();
-        }
     };
     return runSweepWith(args, tool, jobs, execute, amend);
 }

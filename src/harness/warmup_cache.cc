@@ -1,15 +1,13 @@
 #include "warmup_cache.hh"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
-#include <unistd.h>
-
 #include "common/logging.hh"
 #include "harness/sweep.hh"
+#include "store/atomic_file.hh"
 
 namespace vsv
 {
@@ -33,7 +31,7 @@ WarmupSnapshotCache::snapshotPath(const std::string &fingerprint) const
     return diskDir_ + "/" + fingerprint + ".vsvsnap";
 }
 
-bool
+std::string
 WarmupSnapshotCache::tryRestore(Simulator &sim, const std::string &bytes,
                                 const std::string &fingerprint)
 {
@@ -45,67 +43,10 @@ WarmupSnapshotCache::tryRestore(Simulator &sim, const std::string &bytes,
         ScopedThrowingFatal guard;
         std::istringstream is(bytes);
         sim.restoreFrom(is, fingerprint);
-        return true;
+        return {};
     } catch (const std::exception &e) {
-        warn("warmup snapshot " + fingerprint + " rejected: " + e.what());
-        return false;
+        return e.what();
     }
-}
-
-WarmupSnapshotCache::Bytes
-WarmupSnapshotCache::loadFromDisk(const std::string &fingerprint) const
-{
-    std::ifstream is(snapshotPath(fingerprint), std::ios::binary);
-    if (!is)
-        return nullptr;  // nothing on disk for this fingerprint
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    return std::make_shared<const std::string>(buffer.str());
-}
-
-void
-WarmupSnapshotCache::saveToDisk(const std::string &fingerprint,
-                                const std::string &bytes) const
-{
-    // Write-to-temp + rename so a concurrent reader (or a killed
-    // campaign) never sees a partial snapshot; the temp name is
-    // per-process so two campaigns sharing a directory cannot
-    // interleave writes. Disk trouble only costs persistence, never
-    // the run.
-    const std::string path = snapshotPath(fingerprint);
-    const std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os ||
-        !os.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()))) {
-        warn("cannot write warmup snapshot " + tmp +
-             "; caching in memory only");
-        std::remove(tmp.c_str());
-        return;
-    }
-    os.close();
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("cannot move warmup snapshot into place: " + path);
-        std::remove(tmp.c_str());
-    }
-}
-
-void
-WarmupSnapshotCache::quarantineSnapshot(
-    const std::string &fingerprint) const
-{
-    // Without the quarantine a corrupt snapshot was re-read and
-    // re-rejected by every later worker and every later campaign
-    // sharing the directory. rename() is atomic, so of several
-    // processes rejecting the same file concurrently exactly one
-    // wins and the rest find it already gone - both fine.
-    const std::string path = snapshotPath(fingerprint);
-    const std::string bad = path + ".bad";
-    if (std::rename(path.c_str(), bad.c_str()) == 0)
-        warn("quarantined corrupt warmup snapshot as " + bad);
-    // else: already quarantined by a sibling process, or the
-    // directory is read-only - nothing further to do either way.
 }
 
 std::unique_ptr<Simulator>
@@ -136,12 +77,14 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
         const Bytes bytes = future.get();
         if (bytes) {
             auto sim = std::make_unique<Simulator>(options);
-            if (tryRestore(*sim, *bytes, fingerprint)) {
+            const std::string why = tryRestore(*sim, *bytes, fingerprint);
+            if (why.empty()) {
                 hits_.fetch_add(1, std::memory_order_relaxed);
                 return sim;
             }
             // A partially restored simulator is unusable; discard it
             // and warm a fresh one.
+            warn("warmup snapshot " + fingerprint + " rejected: " + why);
             failures_.fetch_add(1, std::memory_order_relaxed);
         }
         auto sim = std::make_unique<Simulator>(options);
@@ -153,15 +96,21 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
     // else warm up fresh; either way publish the bytes exactly once.
     try {
         if (!diskDir_.empty()) {
-            if (const Bytes bytes = loadFromDisk(fingerprint)) {
+            const std::string path = snapshotPath(fingerprint);
+            if (std::optional<std::string> disk = store::readFile(path)) {
+                const Bytes bytes =
+                    std::make_shared<const std::string>(std::move(*disk));
                 auto sim = std::make_unique<Simulator>(options);
-                if (tryRestore(*sim, *bytes, fingerprint)) {
+                const std::string why = tryRestore(*sim, *bytes, fingerprint);
+                if (why.empty()) {
                     diskHits_.fetch_add(1, std::memory_order_relaxed);
                     promise.set_value(bytes);
                     return sim;
                 }
+                // Quarantined, so no later worker (or campaign sharing
+                // the directory) re-reads and re-rejects the file.
                 failures_.fetch_add(1, std::memory_order_relaxed);
-                quarantineSnapshot(fingerprint);
+                store::quarantineFile(path, "warmup snapshot", why);
             }
         }
 
@@ -172,8 +121,9 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
         sim->snapshotTo(os, fingerprint);
         const Bytes bytes =
             std::make_shared<const std::string>(os.str());
+        // Disk trouble only costs persistence, never the run.
         if (!diskDir_.empty())
-            saveToDisk(fingerprint, *bytes);
+            store::writeFileAtomically(snapshotPath(fingerprint), *bytes);
         promise.set_value(bytes);
         return sim;
     } catch (...) {

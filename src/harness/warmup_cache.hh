@@ -23,11 +23,13 @@
  * sweep.
  *
  * Persistence: with a non-empty disk directory (--snapshot-dir),
- * snapshots are also written as <dir>/<fingerprint>.vsvsnap
- * (write-to-temp + rename, so readers never see partial files) and
+ * snapshots are also written as <dir>/<fingerprint>.vsvsnap and
  * probed before computing, letting warmup survive across campaigns.
- * A corrupt or stale file is a miss - logged and counted, never
- * fatal.
+ * The files follow the result store's discipline
+ * (src/store/atomic_file.hh): write-to-temp + rename, so readers never
+ * see partial files, and a corrupt or stale file is quarantined as
+ * `.bad` and counted as a miss, never fatal. They keep their own
+ * format and per-section checksums, with no store envelope.
  */
 
 #ifndef VSV_HARNESS_WARMUP_CACHE_HH
@@ -91,25 +93,15 @@ class WarmupSnapshotCache
     using Bytes = std::shared_ptr<const std::string>;
 
     std::string snapshotPath(const std::string &fingerprint) const;
-    Bytes loadFromDisk(const std::string &fingerprint) const;
-    void saveToDisk(const std::string &fingerprint,
-                    const std::string &bytes) const;
 
     /**
-     * Rename a rejected on-disk snapshot to `<path>.bad` so no later
-     * worker (or campaign sharing the directory) reads and rejects
-     * the same bytes again; the quarantined file stays around for a
-     * post-mortem. warn()s with the quarantined path.
-     */
-    void quarantineSnapshot(const std::string &fingerprint) const;
-
-    /**
-     * Restore `sim` from snapshot bytes; false (with a warning) on
-     * any structural problem. A false return leaves `sim` partially
+     * Restore `sim` from snapshot bytes. Returns why the bytes were
+     * rejected, empty on success. A rejection leaves `sim` partially
      * restored - the caller must discard it and build a fresh one.
      */
-    static bool tryRestore(Simulator &sim, const std::string &bytes,
-                           const std::string &fingerprint);
+    static std::string tryRestore(Simulator &sim,
+                                  const std::string &bytes,
+                                  const std::string &fingerprint);
 
     std::string diskDir_;
     std::mutex mutex;

@@ -1,5 +1,6 @@
 #include "snapshot.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <istream>
@@ -204,8 +205,23 @@ SnapshotReader::begin(std::string_view expected_tag)
         corrupt("expected section '" + std::string(expected_tag) +
                 "', found '" + tag + "'");
     }
-    payload.resize(size);
-    is.read(payload.data(), static_cast<std::streamsize>(size));
+    // The size comes from the file: grow the buffer only as bytes
+    // actually arrive, so a size that lies is a SnapshotError rather
+    // than a multi-gigabyte allocation.
+    constexpr std::uint64_t chunk = 1u << 20;
+    payload.clear();
+    while (payload.size() < size) {
+        const std::size_t at = payload.size();
+        const std::size_t n =
+            static_cast<std::size_t>(std::min(chunk, size - at));
+        payload.resize(at + n);
+        if (!is.read(payload.data() + at,
+                     static_cast<std::streamsize>(n))) {
+            corrupt("section '" + tag + "' records " +
+                    std::to_string(size) +
+                    " bytes but the stream ends first");
+        }
+    }
     std::uint64_t checksum = 0;
     is.read(reinterpret_cast<char *>(&checksum), sizeof(checksum));
     if (!is)

@@ -13,22 +13,19 @@
  * campaign coordinator that reaches the same fingerprint replays the
  * recorded bytes instead of simulating.
  *
- * Durability discipline mirrors WarmupSnapshotCache: entries are
- * written to a per-process temp name and rename()d into place, so a
- * concurrent reader (or a killed campaign) never observes a partial
- * entry, and concurrent writers of the same fingerprint race benignly
- * (last rename wins; both wrote identical payloads). Each entry is a
- * checksummed envelope - FNV-1a 64 over the uncompressed payload -
- * and the payload is LZSS-compressed when that helps, so the store
- * stays compact under sweep load with zero external dependencies. A
- * corrupt entry is quarantined (renamed to `.bad`) on first read and
- * degrades to a miss, never to a failed run.
+ * Durability discipline (src/store/atomic_file.hh, shared with
+ * WarmupSnapshotCache): entries are written to a per-process temp
+ * name and rename()d into place, so a concurrent reader (or a killed
+ * campaign) never observes a partial entry, and concurrent writers of
+ * the same fingerprint race benignly (last rename wins; both wrote
+ * identical payloads). Each entry is a checksummed envelope - FNV-1a
+ * 64 over the raw payload. A corrupt entry is quarantined (renamed to
+ * `.bad`) on first read and degrades to a miss, never to a failed
+ * run.
  *
- * Inserts run on a small background writer pool: the sweep's hot path
- * only enqueues the entry; serialization, compression, checksumming
- * and the write+rename all happen off-thread. flush() (and the
- * destructor) drain the queue, so callers can publish effectiveness
- * counters knowing every insert has landed.
+ * insert() writes synchronously under one mutex: entries are a few
+ * KB, so a background writer would buy nothing, and the mutex is what
+ * makes one process write and count each fingerprint exactly once.
  *
  * This library deliberately knows nothing about SweepOutcome or the
  * harness: it stores fingerprint-keyed records of opaque strings.
@@ -41,15 +38,10 @@
 #define VSV_STORE_STORE_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/hash.hh"
 
@@ -59,7 +51,7 @@ namespace store
 {
 
 /** Bumped on any incompatible envelope or payload schema change. */
-constexpr std::uint8_t kStoreFormatVersion = 1;
+constexpr std::uint8_t kStoreFormatVersion = 2;
 
 /**
  * One stored run: everything a sweep needs to replay the outcome
@@ -111,15 +103,9 @@ struct ResultStoreStats
 class ResultStore
 {
   public:
-    /**
-     * @param dir store root; created (with parents) if absent,
-     *            fatal() if that fails
-     * @param writerThreads background insert workers (min 1)
-     */
-    explicit ResultStore(std::string dir, unsigned writerThreads = 2);
-
-    /** Drains every queued insert, then stops the writers. */
-    ~ResultStore();
+    /** @param dir store root; created (with parents) if absent,
+     *         fatal() if that fails */
+    explicit ResultStore(std::string dir);
 
     ResultStore(const ResultStore &) = delete;
     ResultStore &operator=(const ResultStore &) = delete;
@@ -133,20 +119,18 @@ class ResultStore
     std::optional<StoreEntry> lookup(const std::string &fingerprint);
 
     /**
-     * Queue an entry for insertion and return immediately; a
-     * background writer checksums, compresses and persists it. An
-     * entry whose fingerprint is already on disk is skipped (the
-     * store is content-addressed: same fingerprint, same bytes).
-     * Invalid fingerprints are dropped with a warn().
+     * Persist an entry before returning. An entry whose fingerprint
+     * is already on disk is skipped (the store is content-addressed:
+     * same fingerprint, same bytes). Invalid fingerprints and disk
+     * trouble are counted writeFailures with a warn(), never errors.
      */
-    void insert(StoreEntry entry);
+    void insert(const StoreEntry &entry);
 
-    /** Block until every queued insert has been persisted (or failed
-     *  with a counted writeFailure). */
-    void flush();
+    /** No-op: insert() is synchronous, so every entry has landed
+     *  when it returns. Deprecated; kept until its last caller drops
+     *  the call, then removed. */
+    void flush() {}
 
-    /** Counters so far; inserts/writeFailures are only final after
-     *  flush(). */
     ResultStoreStats stats() const;
 
     const std::string &dir() const { return dir_; }
@@ -159,21 +143,10 @@ class ResultStore
     static bool validFingerprint(const std::string &fingerprint);
 
   private:
-    void writerLoop();
-    void persist(const StoreEntry &entry);
-    void quarantine(const std::string &path, const std::string &why);
-
     std::string dir_;
 
-    std::mutex mutex_;
-    std::condition_variable workReady_;
-    std::condition_variable queueIdle_;
-    std::deque<StoreEntry> queue_;
-    /** Fingerprints queued or being written (insert() dedup). */
-    std::set<std::string> pending_;
-    unsigned inProgress_ = 0;
-    bool stopping_ = false;
-    std::vector<std::thread> writers_;
+    /** Serializes insert()'s probe + write + rename. */
+    std::mutex insertMutex_;
 
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
@@ -191,21 +164,6 @@ namespace detail
 /** The envelope checksum (common/hash.hh). */
 using vsv::fnv1a64;
 
-/**
- * LZSS-compress `input` (64 KiB window, 4..259-byte matches, 8-flag
- * control bytes). Returns nullopt when compression does not shrink
- * the input - the caller stores it raw.
- */
-std::optional<std::string> lzssCompress(const std::string &input);
-
-/**
- * Inverse of lzssCompress. Throws std::runtime_error on any
- * malformed stream or when the output size differs from
- * `expectedSize` (the envelope records it).
- */
-std::string lzssDecompress(const std::string &input,
-                           std::size_t expectedSize);
-
 /** Serialize an entry into the JSON payload stored inside the
  *  envelope. */
 std::string encodeEntryPayload(const StoreEntry &entry);
@@ -215,12 +173,11 @@ std::string encodeEntryPayload(const StoreEntry &entry);
 StoreEntry decodeEntryPayload(const std::string &payload,
                               const std::string &expected);
 
-/** Wrap a payload in the checksummed (optionally compressed)
- *  envelope. */
+/** Wrap a payload in the checksummed envelope. */
 std::string encodeEnvelope(const std::string &payload);
 
 /** Unwrap an envelope; throws std::runtime_error on a bad magic,
- *  version, size, codec or checksum. */
+ *  version, padding, size or checksum. */
 std::string decodeEnvelope(const std::string &envelope);
 
 } // namespace detail

@@ -546,9 +546,9 @@ WorkloadGenerator::restore(SnapshotReader &reader)
         coldWindow.push_back({addr, chain_id});
     }
     coldBurstRemaining = reader.u32();
-    const std::uint64_t pending_size = reader.u64();
+    const std::uint64_t prefetch_count = reader.u64();
     pendingPrefetches.clear();
-    for (std::uint64_t i = 0; i < pending_size; ++i)
+    for (std::uint64_t i = 0; i < prefetch_count; ++i)
         pendingPrefetches.push_back(reader.u64());
     reader.expectU64(scanCursors.size(), "scan stream count");
     for (std::uint64_t &cursor : scanCursors)

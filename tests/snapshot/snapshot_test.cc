@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -157,6 +158,25 @@ TEST(SnapshotFormatTest, TruncationThrows)
             },
             SnapshotError)
             << "prefix of " << keep << " bytes accepted";
+    }
+}
+
+TEST(SnapshotFormatTest, SectionSizeThatLiesThrowsWithoutAllocating)
+{
+    // Header is magic(4) + version(4) + fp len(4) + "fp"(2); the
+    // section size u64 follows tag len(4) + "sec"(3). A size far past
+    // the stream's end must be rejected as corruption, not trusted as
+    // an allocation size.
+    const std::size_t size_at = 14 + 4 + 3;
+    for (const std::uint64_t lie :
+         {std::uint64_t{1} << 40, std::uint64_t{1} << 60}) {
+        std::string bytes = validSnapshot();
+        ASSERT_LT(size_at + sizeof(lie), bytes.size());
+        std::memcpy(bytes.data() + size_at, &lie, sizeof(lie));
+        std::istringstream is(bytes);
+        SnapshotReader reader(is);
+        EXPECT_THROW(reader.begin("sec"), SnapshotError)
+            << "section size " << lie << " accepted";
     }
 }
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * ResultStore contracts (STORE.md): the LZSS codec and checksummed
- * envelope round-trip; insert/lookup replay the exact bytes that went
- * in; a corrupt or torn entry is quarantined as `.bad` and degrades
- * to a miss; duplicate inserts of one fingerprint write once;
- * concurrent multi-process inserts into one directory never produce a
- * torn entry; and the SweepRunner integration serves hits without
- * simulating, byte-identically to the cold run.
+ * ResultStore contracts (STORE.md): the checksummed envelope
+ * round-trips and rejects every truncation and single-byte flip;
+ * insert/lookup replay the exact bytes that went in; a corrupt, torn
+ * or stale-version entry is quarantined as `.bad` and degrades to a
+ * miss; duplicate inserts of one fingerprint - also from concurrent
+ * threads - write once; concurrent multi-process inserts into one
+ * directory never produce a torn entry; and the SweepRunner
+ * integration serves hits without simulating, byte-identically to the
+ * cold run.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +16,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/wait.h>
@@ -63,43 +65,6 @@ readFile(const std::string &path)
     return buffer.str();
 }
 
-TEST(LzssTest, CompressibleInputRoundTrips)
-{
-    std::string input;
-    for (int i = 0; i < 200; ++i)
-        input += "{\"scalars\":{\"sim.ticks\":" + std::to_string(i) +
-                 "},";
-    const std::optional<std::string> packed =
-        detail::lzssCompress(input);
-    ASSERT_TRUE(packed.has_value());
-    EXPECT_LT(packed->size(), input.size());
-    EXPECT_EQ(detail::lzssDecompress(*packed, input.size()), input);
-}
-
-TEST(LzssTest, IncompressibleInputIsDeclined)
-{
-    // High-entropy bytes: every match attempt fails, so the output
-    // would be larger than the input and compress declines.
-    std::mt19937_64 rng(12345);
-    std::string input;
-    for (int i = 0; i < 4096; ++i)
-        input.push_back(static_cast<char>(rng() & 0xff));
-    EXPECT_FALSE(detail::lzssCompress(input).has_value());
-    // Tiny inputs are declined outright.
-    EXPECT_FALSE(detail::lzssCompress("ab").has_value());
-}
-
-TEST(LzssTest, OverlappingMatchesRoundTrip)
-{
-    // A run of one byte forces offset-1 matches that overlap their
-    // own output - the copy-forward case.
-    const std::string input(1000, 'x');
-    const std::optional<std::string> packed =
-        detail::lzssCompress(input);
-    ASSERT_TRUE(packed.has_value());
-    EXPECT_EQ(detail::lzssDecompress(*packed, input.size()), input);
-}
-
 TEST(EnvelopeTest, RoundTripsAndRejectsCorruption)
 {
     const std::string payload =
@@ -107,24 +72,28 @@ TEST(EnvelopeTest, RoundTripsAndRejectsCorruption)
     const std::string envelope = detail::encodeEnvelope(payload);
     EXPECT_EQ(detail::decodeEnvelope(envelope), payload);
 
-    // Bad magic.
-    std::string bad = envelope;
-    bad[0] = 'X';
-    EXPECT_THROW(detail::decodeEnvelope(bad), std::runtime_error);
+    // Truncation (a torn write) at every length fails loudly.
+    for (std::size_t keep = 0; keep < envelope.size(); ++keep) {
+        EXPECT_THROW(detail::decodeEnvelope(envelope.substr(0, keep)),
+                     std::runtime_error)
+            << "prefix of " << keep << " bytes decoded";
+    }
 
-    // Truncation (a torn write) at any point fails loudly.
-    EXPECT_THROW(
-        detail::decodeEnvelope(envelope.substr(0, 10)),
-        std::runtime_error);
-    EXPECT_THROW(
-        detail::decodeEnvelope(envelope.substr(0, envelope.size() - 1)),
-        std::runtime_error);
+    // Any single-byte change is caught: header bytes by the magic,
+    // version, padding, size and checksum checks, payload bytes by
+    // FNV-1a (which detects every single-byte change).
+    for (std::size_t at = 0; at < envelope.size(); ++at) {
+        for (const unsigned mask : {0x01u, 0x80u, 0xffu}) {
+            std::string bad = envelope;
+            bad[at] = static_cast<char>(bad[at] ^ mask);
+            EXPECT_THROW(detail::decodeEnvelope(bad), std::runtime_error)
+                << "byte " << at << " ^ " << mask << " decoded";
+        }
+    }
 
-    // A flipped payload byte trips the checksum (or the codec).
-    bad = envelope;
-    bad[bad.size() - 1] =
-        static_cast<char>(bad[bad.size() - 1] ^ 0x01);
-    EXPECT_THROW(detail::decodeEnvelope(bad), std::runtime_error);
+    // Trailing bytes past the recorded size are rejected too.
+    EXPECT_THROW(detail::decodeEnvelope(envelope + "x"),
+                 std::runtime_error);
 }
 
 TEST(EnvelopeTest, PayloadDecoderChecksFingerprintAndShape)
@@ -157,7 +126,6 @@ TEST(ResultStoreTest, InsertThenLookupReplaysTheExactBytes)
 
     EXPECT_FALSE(store.lookup(entry.fingerprint).has_value());
     store.insert(entry);
-    store.flush();
     EXPECT_TRUE(std::filesystem::exists(
         store.entryPath(entry.fingerprint)));
 
@@ -193,7 +161,6 @@ TEST(ResultStoreTest, MalformedFingerprintsAreRejected)
     EXPECT_FALSE(store.lookup("../escape").has_value());
     StoreEntry bad = sampleEntry("not-a-fingerprint");
     store.insert(bad);
-    store.flush();
     EXPECT_EQ(store.stats().writeFailures, 1u);
     EXPECT_EQ(store.stats().inserts, 0u);
     std::filesystem::remove_all(dir);
@@ -204,14 +171,30 @@ TEST(ResultStoreTest, DuplicateInsertWritesOnce)
     const std::string dir = freshDir("vsv_store_dup");
     ResultStore store(dir);
     const StoreEntry entry = sampleEntry("1122334455667788");
-    store.insert(entry);
-    store.insert(entry);
-    store.insert(entry);
-    store.flush();
-    // Content-addressed: same fingerprint means same bytes, so only
-    // the first insert touches the disk.
+    // Eight threads insert one fingerprint at once, then again.
+    // Content-addressed: same fingerprint means same bytes, so exactly
+    // one insert touches the disk.
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 8; ++i) {
+        threads.emplace_back([&store, &entry] {
+            store.insert(entry);
+            store.insert(entry);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
     EXPECT_EQ(store.stats().inserts, 1u);
     EXPECT_EQ(store.stats().writeFailures, 0u);
+
+    // One entry file, and no temp file left behind.
+    std::vector<std::string> files;
+    for (const auto &f :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (f.is_regular_file())
+            files.push_back(f.path().string());
+    }
+    ASSERT_EQ(files.size(), 1u);
+    EXPECT_EQ(files[0], store.entryPath(entry.fingerprint));
     std::filesystem::remove_all(dir);
 }
 
@@ -223,7 +206,6 @@ TEST(ResultStoreTest, CorruptEntryIsQuarantinedAndMissed)
     {
         ResultStore store(dir);
         store.insert(entry);
-        store.flush();
         path = store.entryPath(entry.fingerprint);
     }
     // Flip one payload byte on disk.
@@ -246,8 +228,37 @@ TEST(ResultStoreTest, CorruptEntryIsQuarantinedAndMissed)
 
     // The fingerprint is insertable again after quarantine.
     store.insert(entry);
-    store.flush();
     EXPECT_EQ(store.stats().inserts, 1u);
+    EXPECT_TRUE(store.lookup(entry.fingerprint).has_value());
+
+    // A stale format-1 entry (version 1, codec byte 1 = LZSS, two
+    // pad bytes, payload size, checksum, stored size) is a miss too,
+    // and is quarantined: otherwise insert()'s existence probe would
+    // keep it as a permanent miss.
+    std::filesystem::remove(path);
+    std::filesystem::remove(path + ".bad");
+    std::string stale = "VSVR";
+    stale += '\1';
+    stale += '\1';
+    stale.append(2, '\0');
+    const std::string v1Payload = "{\"format\":1}";
+    for (const std::uint64_t field :
+         {std::uint64_t{v1Payload.size()}, fnv1a64(v1Payload),
+          std::uint64_t{v1Payload.size()}}) {
+        for (int i = 0; i < 8; ++i)
+            stale.push_back(static_cast<char>((field >> (8 * i)) & 0xff));
+    }
+    stale += v1Payload;
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << stale;
+    }
+    EXPECT_FALSE(store.lookup(entry.fingerprint).has_value());
+    EXPECT_EQ(store.stats().corrupt, 2u);
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_TRUE(std::filesystem::exists(path + ".bad"));
+    store.insert(entry);
+    EXPECT_EQ(store.stats().inserts, 2u);
     EXPECT_TRUE(store.lookup(entry.fingerprint).has_value());
     std::filesystem::remove_all(dir);
 }
@@ -260,7 +271,6 @@ TEST(ResultStoreTest, TornWriteIsQuarantinedAndMissed)
     {
         ResultStore store(dir);
         store.insert(entry);
-        store.flush();
         path = store.entryPath(entry.fingerprint);
     }
     const auto full = std::filesystem::file_size(path);
@@ -297,7 +307,6 @@ TEST(ResultStoreTest, ConcurrentProcessesShareOneDirectorySafely)
                 std::ostringstream own;
                 own << std::hex << 0x2000000000000000ULL + child;
                 store.insert(sampleEntry(own.str()));
-                store.flush();
             }
             ::_exit(0);
         }
@@ -335,7 +344,6 @@ TEST(StoreSweepTest, SecondSweepServesEveryRunFromTheStore)
         SweepRunner runner(2);
         runner.enableResultStore(store);
         cold = runner.run(jobs);
-        store.flush();
         EXPECT_EQ(store.stats().hits, 0u);
         EXPECT_EQ(store.stats().misses, 2u);
         EXPECT_EQ(store.stats().inserts, 2u);
@@ -345,7 +353,6 @@ TEST(StoreSweepTest, SecondSweepServesEveryRunFromTheStore)
     SweepRunner runner(2);
     runner.enableResultStore(store);
     const std::vector<SweepOutcome> warm = runner.run(jobs);
-    store.flush();
     EXPECT_EQ(store.stats().hits, 2u);
     EXPECT_EQ(store.stats().misses, 0u);
     EXPECT_EQ(store.stats().inserts, 0u);
