@@ -48,7 +48,9 @@ bool update_golden = false;
  * aimed at the out-of-order window: a 130-entry RUU (not a multiple
  * of 64) with a 40-entry LSQ, a high-ILP FP code with unpipelined
  * dividers and many same-cycle completions (applu), and Time-Keeping
- * prefetches (art).
+ * prefetches (art). A second Time-Keeping point (swim) warms up for
+ * 60000 instructions, so thousands of decay sweeps run and issue
+ * prefetches before the measured window starts.
  */
 std::vector<SweepJob>
 goldenGrid()
@@ -76,6 +78,9 @@ goldenGrid()
     SimulationOptions tk = makeOptions("art", true, 20000, 5000);
     tk.vsv = fsmVsvConfig();
     jobs.push_back({"art/tk-fsm", tk});
+
+    jobs.push_back({"swim/tk", makeOptions("swim", true, 20000, 60000)});
+
     // One pinned multi-core point per rail policy: 2 cores of mcf
     // sharing the L2 under the full VSV-FSM path, so per-core stats,
     // bus arbitration and the rail policies all sit under the gate.
@@ -226,11 +231,11 @@ TEST(GoldenStatsTest, CachedWarmupGridMatchesGoldenFile)
 
     WarmupSnapshotCache cache;
     const std::map<std::string, ScalarMap> current = runGrid(&cache);
-    // One warmup each for mcf, ammp, applu, art+TK and 2-core mcf;
-    // the core geometry is not part of the warmup key, so the 130-entry
-    // RUU point restores mcf's snapshot, and both rail policies of the
-    // 2-core point restore the same one.
-    EXPECT_EQ(cache.stats().misses, 5u);
+    // One warmup each for mcf, ammp, applu, art+TK, swim+TK and
+    // 2-core mcf; the core geometry is not part of the warmup key, so
+    // the 130-entry RUU point restores mcf's snapshot, and both rail
+    // policies of the 2-core point restore the same one.
+    EXPECT_EQ(cache.stats().misses, 6u);
     EXPECT_EQ(cache.stats().hits, 4u);
     EXPECT_EQ(cache.stats().failures, 0u);
 
@@ -277,8 +282,8 @@ TEST(GoldenStatsTest, LockstepGridMatchesGoldenFile)
     const std::vector<SweepOutcome> outcomes = runner.run(jobs);
 
     const LockstepStats &stats = runner.lockstepStats();
-    EXPECT_EQ(stats.batches, 7u);
-    EXPECT_EQ(stats.batchedRuns, 14u);
+    EXPECT_EQ(stats.batches, 8u);
+    EXPECT_EQ(stats.batchedRuns, 16u);
     EXPECT_EQ(stats.serialRuns, 2u);
     EXPECT_EQ(stats.fallbacks, 0u);
     ASSERT_EQ(stats.ineligible.size(), 1u);
