@@ -21,12 +21,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -34,22 +28,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t s = seed;
     for (auto &word : state)
         word = splitmix64(s);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
 }
 
 std::uint64_t
@@ -65,22 +43,6 @@ Rng::nextBounded(std::uint64_t bound)
     }
 }
 
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
-}
-
 std::array<std::uint64_t, 4>
 Rng::stateWords() const
 {
@@ -94,15 +56,11 @@ Rng::setStateWords(const std::array<std::uint64_t, 4> &words)
         state[i] = words[i];
 }
 
-std::uint64_t
-Rng::nextGeometric(double p)
+GeometricParam::GeometricParam(double p)
+    : certain(p >= 1.0),
+      logFailure(std::log1p(-p))
 {
     VSV_ASSERT(p > 0.0 && p <= 1.0, "geometric parameter out of range");
-    if (p >= 1.0)
-        return 0;
-    const double u = nextDouble();
-    const double v = std::log1p(-u) / std::log1p(-p);
-    return static_cast<std::uint64_t>(v);
 }
 
 } // namespace vsv

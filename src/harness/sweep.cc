@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -258,14 +259,10 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
     // The unit of scheduling is a task: one serial job, or one
     // lockstep batch of structurally identical jobs that share a
     // front-end (lockstep.hh). With lockstep off every job is its own
-    // task - the original behaviour, instruction for instruction.
-    // Lockstep plans over the pending subset only (store hits must not
-    // anchor batches), then maps back to submission indices.
-    struct Task
-    {
-        std::vector<std::size_t> members;
-    };
-    std::vector<Task> tasks;
+    // task. Lockstep plans over the pending subset only (store hits
+    // must not anchor batches), then maps back to submission indices.
+    std::vector<std::vector<std::size_t>> batches;
+    std::vector<std::size_t> serial;
     if (lockstepStats_.enabled) {
         std::vector<SweepJob> pendingJobs;
         pendingJobs.reserve(pending.size());
@@ -273,21 +270,19 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
             pendingJobs.push_back(jobs[i]);
         LockstepPlan plan =
             planLockstep(pendingJobs, lockstepMax_, lockstepStats_);
-        tasks.reserve(plan.batches.size() + plan.serial.size());
         for (const LockstepBatch &batch : plan.batches) {
-            Task task;
-            task.members.reserve(batch.members.size());
+            std::vector<std::size_t> &members = batches.emplace_back();
+            members.reserve(batch.members.size());
             for (const std::size_t p : batch.members)
-                task.members.push_back(pending[p]);
-            tasks.push_back(std::move(task));
+                members.push_back(pending[p]);
         }
         for (const std::size_t p : plan.serial)
-            tasks.push_back({{pending[p]}});
+            serial.push_back(pending[p]);
     } else {
-        tasks.reserve(pending.size());
-        for (const std::size_t i : pending)
-            tasks.push_back({{i}});
+        serial = std::move(pending);
     }
+    const std::vector<std::vector<std::size_t>> tasks =
+        orderSweepTasks(jobs, batches, std::move(serial));
 
     // Workers pull the next un-run task; each outcome lands in its
     // submission slot, so the result vector is schedule-independent.
@@ -307,7 +302,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                 next.fetch_add(1, std::memory_order_relaxed);
             if (t >= tasks.size())
                 return;
-            const std::vector<std::size_t> &members = tasks[t].members;
+            const std::vector<std::size_t> &members = tasks[t];
             if (members.size() == 1) {
                 outcomes[members[0]] = runWithRetries(jobs[members[0]]);
                 finished(members[0]);
@@ -356,6 +351,38 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
     lockstepStats_.fallbacks =
         fallbacks.load(std::memory_order_relaxed);
     return outcomes;
+}
+
+std::vector<std::vector<std::size_t>>
+orderSweepTasks(const std::vector<SweepJob> &jobs,
+                const std::vector<std::vector<std::size_t>> &batches,
+                std::vector<std::size_t> serial)
+{
+    std::vector<std::vector<std::size_t>> tasks = batches;
+    tasks.reserve(batches.size() + serial.size());
+
+    // Split the serial jobs, in submission order, into each warmup
+    // fingerprint's first job (its owner) and the rest.
+    std::sort(serial.begin(), serial.end());
+    std::vector<std::size_t> owners;
+    std::vector<std::size_t> rest;
+    std::set<std::string> seen;
+    for (const std::size_t i : serial) {
+        if (seen.insert(warmupFingerprint(jobs[i].options)).second)
+            owners.push_back(i);
+        else
+            rest.push_back(i);
+    }
+    std::stable_sort(owners.begin(), owners.end(),
+                     [&jobs](std::size_t a, std::size_t b) {
+                         return jobs[a].options.warmupInstructions >
+                                jobs[b].options.warmupInstructions;
+                     });
+    for (const std::size_t i : owners)
+        tasks.push_back({i});
+    for (const std::size_t i : rest)
+        tasks.push_back({i});
+    return tasks;
 }
 
 std::uint64_t

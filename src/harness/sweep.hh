@@ -258,6 +258,25 @@ class SweepRunner
 };
 
 /**
+ * The order a SweepRunner's pool takes its tasks in. A task is a list
+ * of submission indices into `jobs`: the members of one lockstep batch
+ * (`batches`, in plan order) or one serial job (`serial`, any order).
+ *
+ * Batches come first and intact: they warm up fresh, outside the
+ * warmup cache. Next comes the first serial task of each
+ * warmupFingerprint - the one that computes that warmup for the rest -
+ * longest warmupInstructions first, ties in submission order. The
+ * remaining serial tasks follow in submission order. So the workers
+ * start by computing distinct warmups side by side, and a task that
+ * restores a snapshot seldom blocks on a warmup that is still running.
+ * Every task appears exactly once.
+ */
+std::vector<std::vector<std::size_t>>
+orderSweepTasks(const std::vector<SweepJob> &jobs,
+                const std::vector<std::vector<std::size_t>> &batches,
+                std::vector<std::size_t> serial);
+
+/**
  * Package a completed (status=ok) outcome as a store entry: the result
  * re-serializes through writeSimulationResultJson so the stored bytes
  * are exactly what a manifest would have written. Call only for Ok

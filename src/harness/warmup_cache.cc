@@ -1,8 +1,10 @@
 #include "warmup_cache.hh"
 
 #include <filesystem>
+#include <istream>
 #include <optional>
 #include <sstream>
+#include <streambuf>
 #include <utility>
 
 #include "common/logging.hh"
@@ -11,6 +13,24 @@
 
 namespace vsv
 {
+
+namespace
+{
+
+/** Reads a string's bytes in place: restores copy nothing. */
+class ReadOnlyBuffer : public std::streambuf
+{
+  public:
+    explicit ReadOnlyBuffer(const std::string &bytes)
+    {
+        // The get area is never written through: std::streambuf only
+        // offers a mutable pointer type, and no putback is made.
+        char *data = const_cast<char *>(bytes.data());
+        setg(data, data, data + bytes.size());
+    }
+};
+
+} // namespace
 
 WarmupSnapshotCache::WarmupSnapshotCache(std::string disk_dir)
     : diskDir_(std::move(disk_dir))
@@ -41,7 +61,8 @@ WarmupSnapshotCache::tryRestore(Simulator &sim, const std::string &bytes,
         // sweep worker's own) so a bad snapshot degrades to a fresh
         // warmup instead of failing the run.
         ScopedThrowingFatal guard;
-        std::istringstream is(bytes);
+        ReadOnlyBuffer buffer(bytes);
+        std::istream is(&buffer);
         sim.restoreFrom(is, fingerprint);
         return {};
     } catch (const std::exception &e) {
@@ -119,6 +140,8 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
         sim->warmup();
         std::ostringstream os;
         sim->snapshotTo(os, fingerprint);
+        // os.str() copies to the exact size; moving the stream's
+        // string out would keep its spare capacity in every entry.
         const Bytes bytes =
             std::make_shared<const std::string>(os.str());
         // Disk trouble only costs persistence, never the run.

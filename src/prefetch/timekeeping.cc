@@ -1,6 +1,8 @@
 #include "timekeeping.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -26,7 +28,9 @@ TimekeepingPrefetcher::TimekeepingPrefetcher(const TimekeepingConfig &config,
     numSets = static_cast<std::uint32_t>(
         l1d_config.sizeBytes / (l1d_config.blockBytes * l1d_config.assoc));
     assoc = l1d_config.assoc;
+    VSV_ASSERT(isPowerOf2(numSets), "L1D set count must be a power of two");
     frames.resize(static_cast<std::size_t>(numSets) * assoc);
+    setWake.assign(numSets, 0);
     predictor.resize(config.predictorEntries);
 }
 
@@ -37,10 +41,16 @@ TimekeepingPrefetcher::setIssuer(PrefetchIssuer *new_issuer)
 }
 
 std::uint32_t
+TimekeepingPrefetcher::setOf(Addr block_addr) const
+{
+    return static_cast<std::uint32_t>(
+        (block_addr / l1dConfig.blockBytes) & (numSets - 1));
+}
+
+std::uint32_t
 TimekeepingPrefetcher::signature(Addr block_addr) const
 {
-    const std::uint32_t set = static_cast<std::uint32_t>(
-        (block_addr / l1dConfig.blockBytes) & (numSets - 1));
+    const std::uint32_t set = setOf(block_addr);
     const Addr tag = block_addr / l1dConfig.blockBytes / numSets;
 
     const std::uint32_t tag_part =
@@ -54,9 +64,8 @@ TimekeepingPrefetcher::signature(Addr block_addr) const
 TimekeepingPrefetcher::Frame *
 TimekeepingPrefetcher::findFrame(Addr block_addr)
 {
-    const std::uint32_t set = static_cast<std::uint32_t>(
-        (block_addr / l1dConfig.blockBytes) & (numSets - 1));
-    Frame *base = &frames[static_cast<std::size_t>(set) * assoc];
+    Frame *base = &frames[static_cast<std::size_t>(setOf(block_addr)) *
+                          assoc];
     for (std::uint32_t way = 0; way < assoc; ++way) {
         if (base[way].blockAddr == block_addr)
             return &base[way];
@@ -71,8 +80,13 @@ TimekeepingPrefetcher::notifyL1DAccess(Addr addr, bool hit, Tick now)
         return;
     const Addr block = addr & ~static_cast<Addr>(l1dConfig.blockBytes - 1);
     if (Frame *frame = findFrame(block)) {
+        const bool revived = frame->deadHandled;
         frame->lastAccess = now;
         frame->deadHandled = false;
+        // A hit on a live frame only moves its deadline later, so the
+        // set's wake bound stays valid; a handled frame rejoins it.
+        if (revived)
+            noteDeadline(setOf(block), *frame);
     }
 }
 
@@ -80,8 +94,7 @@ void
 TimekeepingPrefetcher::notifyL1DFill(Addr block_addr, Addr victim_block,
                                      Tick now)
 {
-    const std::uint32_t set = static_cast<std::uint32_t>(
-        (block_addr / l1dConfig.blockBytes) & (numSets - 1));
+    const std::uint32_t set = setOf(block_addr);
     Frame *base = &frames[static_cast<std::size_t>(set) * assoc];
 
     // Train the predictor with the exact frame-successor pair: the
@@ -139,6 +152,7 @@ TimekeepingPrefetcher::notifyL1DFill(Addr block_addr, Addr victim_block,
     target->fillTime = now;
     target->lastAccess = now;
     target->deadHandled = false;
+    noteDeadline(set, *target);
 }
 
 bool
@@ -194,15 +208,39 @@ TimekeepingPrefetcher::tick(Tick now)
     sweepSlice(now);
 }
 
+Tick
+TimekeepingPrefetcher::deadAt(const Frame &frame) const
+{
+    // The sweep's test is idle > deadMultiplier * live in double; the
+    // smallest integer idle that passes is floor(product) + 1.
+    const Tick live = std::max<Tick>(frame.lastAccess - frame.fillTime,
+                                     config.minLiveTime);
+    const double product =
+        config.deadMultiplier * static_cast<double>(live);
+    if (!(product < 0x1p62))
+        return std::numeric_limits<Tick>::max();
+    return frame.lastAccess + static_cast<Tick>(std::floor(product)) + 1;
+}
+
+void
+TimekeepingPrefetcher::noteDeadline(std::uint32_t set, const Frame &frame)
+{
+    setWake[set] = std::min(setWake[set], deadAt(frame));
+}
+
 void
 TimekeepingPrefetcher::sweepSlice(Tick now)
 {
     const std::uint32_t sets_per_slice =
         std::max<std::uint32_t>(1, numSets / config.sweepSlices);
+    const std::uint32_t set_mask = numSets - 1;
 
     power.recordAccess(PowerStructure::TkTables);
     for (std::uint32_t i = 0; i < sets_per_slice; ++i) {
-        const std::uint32_t set = (sweepCursor + i) % numSets;
+        const std::uint32_t set = (sweepCursor + i) & set_mask;
+        if (now < setWake[set])
+            continue;
+        Tick wake = std::numeric_limits<Tick>::max();
         Frame *base = &frames[static_cast<std::size_t>(set) * assoc];
         for (std::uint32_t way = 0; way < assoc; ++way) {
             Frame &frame = base[way];
@@ -214,6 +252,7 @@ TimekeepingPrefetcher::sweepSlice(Tick now)
             const Tick idle = now - frame.lastAccess;
             if (static_cast<double>(idle) <=
                 config.deadMultiplier * static_cast<double>(live)) {
+                wake = std::min(wake, deadAt(frame));
                 continue;
             }
 
@@ -241,8 +280,9 @@ TimekeepingPrefetcher::sweepSlice(Tick now)
                 ++issued;
             }
         }
+        setWake[set] = wake;
     }
-    sweepCursor = (sweepCursor + sets_per_slice) % numSets;
+    sweepCursor = (sweepCursor + sets_per_slice) & set_mask;
 }
 
 std::vector<std::pair<std::int32_t, std::uint8_t>>
@@ -322,6 +362,8 @@ TimekeepingPrefetcher::restore(SnapshotReader &reader)
         bufferSet.insert(reader.u64());
     nextSweepTick = reader.u64();
     sweepCursor = reader.u32();
+    // The wake bounds are not serialized: start from "unknown".
+    setWake.assign(numSets, 0);
     reader.scalar(issued);
     reader.scalar(deadPredictions);
     reader.scalar(trainedPairs);

@@ -29,7 +29,11 @@
  * sets every 16 ticks) so the software cost is O(frames/sweepSlices)
  * per interval; hardware decay counters tick all frames in parallel,
  * and the slice rotation only quantizes death detection, which is
- * orders of magnitude finer than typical L1 dead times.
+ * orders of magnitude finer than typical L1 dead times. The scan
+ * skips a set whose frames cannot be dead yet: each set keeps a lower
+ * bound on the first tick any of its frames can be found dead. That
+ * bound is a software shortcut with no hardware meaning; it is
+ * derived state, never serialized, and reset by restore().
  */
 
 #ifndef VSV_PREFETCH_TIMEKEEPING_HH
@@ -134,9 +138,16 @@ class TimekeepingPrefetcher : public Prefetcher
         std::uint8_t confidence = 0; ///< 2-bit saturating counter
     };
 
+    std::uint32_t setOf(Addr block_addr) const;
     std::uint32_t signature(Addr block_addr) const;
     Frame *findFrame(Addr block_addr);
     void sweepSlice(Tick now);
+
+    /** First tick at which the sweep's idle > deadMultiplier * live
+     *  test can hold for `frame`, given its current timestamps. */
+    Tick deadAt(const Frame &frame) const;
+    /** Pull set `set`'s wake bound down to `frame`'s deadline. */
+    void noteDeadline(std::uint32_t set, const Frame &frame);
 
     TimekeepingConfig config;
     CacheConfig l1dConfig;
@@ -146,6 +157,10 @@ class TimekeepingPrefetcher : public Prefetcher
     std::uint32_t numSets;
     std::uint32_t assoc;
     std::vector<Frame> frames;          ///< numSets * assoc
+    /** Per set: no live frame of the set can be found dead before
+     *  this tick, so the sweep skips the set until then. 0 = unknown
+     *  (the next visit checks every frame and recomputes it). */
+    std::vector<Tick> setWake;
     std::vector<PredictorEntry> predictor;
 
     std::deque<Addr> bufferFifo;

@@ -29,6 +29,7 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile &profile,
     : profile_(profile),
       rng(profile.seed * 0x2545f4914f6cdd1dULL + 1),
       addrRng(profile.seed * 0x9e3779b97f4a7c15ULL + 7),
+      producerParam(1.0 / std::max(1.0, profile.meanDepDist)),
       batch_(batch)
 {
     VSV_ASSERT(batch >= 1, profile.name + ": zero op batch");
@@ -83,8 +84,7 @@ WorkloadGenerator::currentPc() const
 std::uint32_t
 WorkloadGenerator::producerDistance()
 {
-    const double mean = std::max(1.0, profile_.meanDepDist);
-    const std::uint64_t draw = rng.nextGeometric(1.0 / mean) + 1;
+    const std::uint64_t draw = rng.nextGeometric(producerParam) + 1;
     return static_cast<std::uint32_t>(std::min<std::uint64_t>(draw, 256));
 }
 
@@ -538,11 +538,29 @@ WorkloadGenerator::restore(SnapshotReader &reader)
     sinceLastLoad = reader.u64();
     sinceLastColdLoad = reader.u64();
 
+    // Every stream index below is later used to subscript a vector,
+    // so one out of range is rejected here rather than trusted.
+    const auto checkIndex = [](std::uint64_t index, std::uint64_t size,
+                               const char *what) {
+        if (index >= size) {
+            throw SnapshotError(std::string("snapshot: workload ") + what +
+                                " " + std::to_string(index) +
+                                " out of range (" + std::to_string(size) +
+                                ")");
+        }
+    };
+
     const std::uint64_t window_size = reader.u64();
     coldWindow.clear();
     for (std::uint64_t i = 0; i < window_size; ++i) {
         const Addr addr = reader.u64();
         const std::int32_t chain_id = reader.i32();
+        // -1 marks a non-chain reference; a chain id subscripts the
+        // per-chain load positions (one slot for SeqChain).
+        if (chain_id != -1) {
+            checkIndex(static_cast<std::uint32_t>(chain_id),
+                       lastChainLoadPos.size(), "cold-window chain id");
+        }
         coldWindow.push_back({addr, chain_id});
     }
     coldBurstRemaining = reader.u32();
@@ -554,17 +572,25 @@ WorkloadGenerator::restore(SnapshotReader &reader)
     for (std::uint64_t &cursor : scanCursors)
         cursor = reader.u64();
     nextScanStream = reader.u32();
+    checkIndex(nextScanStream, scanCursors.size(), "scan stream");
     regularCursor = reader.u64();
     reader.expectU64(chainNext.size(), "chain link count");
-    for (std::uint32_t &link : chainNext)
+    for (std::uint32_t &link : chainNext) {
         link = reader.u32();
+        checkIndex(link, chainNext.size(), "chain link");
+    }
     reader.expectU64(chainCursor.size(), "chain count");
-    for (std::uint32_t &cursor : chainCursor)
+    for (std::uint32_t &cursor : chainCursor) {
         cursor = reader.u32();
+        // SeqChain keeps one unused cursor and no links.
+        if (!chainNext.empty())
+            checkIndex(cursor, chainNext.size(), "chain cursor");
+    }
     reader.expectU64(lastChainLoadPos.size(), "chain position count");
     for (std::uint64_t &pos : lastChainLoadPos)
         pos = reader.u64();
     nextChain = reader.u32();
+    checkIndex(nextChain, profile_.chainCount, "next chain");
     const std::uint64_t stack_size = reader.u64();
     callStack.clear();
     for (std::uint64_t i = 0; i < stack_size; ++i)

@@ -248,6 +248,8 @@ class WorkloadGenerator : public TraceSource
     WorkloadProfile profile_;
     Rng rng;
     Rng addrRng;   ///< separate stream so mix and addresses decouple
+    /** Producer-distance distribution: geometric, mean meanDepDist. */
+    GeometricParam producerParam;
 
     // Batch buffer: generate() runs `batch_` ops ahead of delivery.
     std::uint32_t batch_;

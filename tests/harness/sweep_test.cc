@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "harness/experiment.hh"
@@ -49,6 +50,70 @@ TEST(SweepRunnerTest, ParallelMatchesSerialBitIdentically)
         EXPECT_EQ(serial[i].result.ticks, threaded[i].result.ticks);
         EXPECT_EQ(serial[i].result.energyPj, threaded[i].result.energyPj);
     }
+}
+
+TEST(SweepTaskOrderTest, BatchesThenLongestWarmupOwnersThenTheRest)
+{
+    // Warmup fingerprints: {0, 1} mcf, {2, 4} art+TK, 3 ammp, 5
+    // swim+TK. 6 and 7 form a lockstep batch; their warmup is the
+    // longest, yet the batch keeps its place at the front.
+    std::vector<SweepJob> jobs;
+    const auto add = [&jobs](const char *name, bool tk,
+                             std::uint64_t warmup, bool fsm) {
+        SimulationOptions o = makeOptions(name, tk, 1000, warmup);
+        if (fsm)
+            o.vsv = fsmVsvConfig();
+        const std::string id =
+            std::string(name) + "/" + std::to_string(jobs.size());
+        jobs.push_back({id, o});
+    };
+    add("mcf", false, 3000, false);
+    add("mcf", false, 3000, true);
+    add("art", true, 9000, false);
+    add("ammp", false, 3000, false);
+    add("art", true, 9000, true);
+    add("swim", true, 9000, false);
+    add("gzip", false, 20000, false);
+    add("gzip", false, 20000, true);
+
+    const std::vector<std::vector<std::size_t>> tasks =
+        orderSweepTasks(jobs, {{7, 6}}, {5, 3, 0, 4, 1, 2});
+    const std::vector<std::vector<std::size_t>> expected = {
+        {7, 6},          // the batch, first and intact
+        {2}, {5},        // 9000-instruction owners, submission order
+        {0}, {3},        // 3000-instruction owners
+        {1}, {4},        // restores, submission order
+    };
+    EXPECT_EQ(tasks, expected);
+}
+
+TEST(SweepTaskOrderTest, EveryTaskAppearsExactlyOnce)
+{
+    std::vector<SweepJob> jobs;
+    std::vector<std::size_t> serial;
+    for (std::size_t i = 0; i < 24; ++i) {
+        const char *name = i % 3 == 0 ? "mcf" : i % 3 == 1 ? "art" : "swim";
+        SimulationOptions o =
+            makeOptions(name, i % 2 == 0, 1000, 1000 * (1 + i % 5));
+        jobs.push_back({std::string(name) + "/" + std::to_string(i), o});
+        if (i >= 4)
+            serial.push_back(i);
+    }
+    std::reverse(serial.begin(), serial.end());
+    const std::vector<std::vector<std::size_t>> batches = {{2, 0},
+                                                           {3, 1}};
+    const std::vector<std::vector<std::size_t>> tasks =
+        orderSweepTasks(jobs, batches, serial);
+
+    ASSERT_EQ(tasks.size(), batches.size() + serial.size());
+    EXPECT_EQ(tasks[0], batches[0]);
+    EXPECT_EQ(tasks[1], batches[1]);
+    std::vector<std::size_t> seen;
+    for (const std::vector<std::size_t> &task : tasks)
+        seen.insert(seen.end(), task.begin(), task.end());
+    std::sort(seen.begin(), seen.end());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(seen[i], i);
 }
 
 TEST(SweepRunnerTest, ZeroJobsPicksAtLeastOneThread)

@@ -72,6 +72,44 @@ TEST(WarmupCacheTest, OneWarmupPerFingerprintUnderParallelSweep)
     EXPECT_EQ(stats.failures, 0u);
 }
 
+TEST(WarmupCacheTest, MixedTkGridIsScheduleIndependent)
+{
+    // Time-Keeping warmups run longer than the rest, so the sweep
+    // starts them first; the counters and every outcome must still
+    // be those of a one-thread sweep.
+    std::vector<SweepJob> jobs = twoBenchmarkGrid();
+    for (const std::string name : {"art", "swim"}) {
+        SimulationOptions tk = makeOptions(name, true, 5000, 6000);
+        jobs.push_back({name + "/tk", tk});
+        tk.vsv = fsmVsvConfig();
+        jobs.push_back({name + "/tk-fsm", tk});
+    }
+
+    const auto sweep = [&jobs](unsigned threads) {
+        SweepRunner runner(threads);
+        WarmupSnapshotCache cache;
+        runner.enableWarmupSnapshots(cache);
+        std::vector<SweepOutcome> outcomes = runner.run(jobs);
+        return std::make_pair(cache.stats(), std::move(outcomes));
+    };
+    const auto [serial_stats, serial] = sweep(1);
+    const auto [parallel_stats, parallel] = sweep(4);
+
+    EXPECT_EQ(serial_stats.misses, 4u);
+    EXPECT_EQ(serial_stats.hits, 6u);
+    EXPECT_EQ(parallel_stats.misses, serial_stats.misses);
+    EXPECT_EQ(parallel_stats.hits, serial_stats.hits);
+    EXPECT_EQ(parallel_stats.diskHits, 0u);
+    EXPECT_EQ(parallel_stats.failures, 0u);
+    ASSERT_EQ(parallel.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(parallel[i].status, SweepStatus::Ok) << parallel[i].error;
+        EXPECT_EQ(parallel[i].id, jobs[i].id);
+        EXPECT_EQ(parallel[i].statsJson, serial[i].statsJson) << jobs[i].id;
+        EXPECT_EQ(parallel[i].result.ticks, serial[i].result.ticks);
+    }
+}
+
 TEST(WarmupCacheTest, ManifestRecordsCacheCounters)
 {
     SweepRunner runner(2);

@@ -6,10 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "common/random.hh"
 #include "power/model.hh"
 #include "prefetch/timekeeping.hh"
+#include "snapshot/snapshot.hh"
+#include "stats/stats.hh"
 
 namespace vsv
 {
@@ -247,6 +257,339 @@ TEST_F(TimekeepingTest, AccessResetsDeadHandling)
     for (Tick t = t0 + 40000; t < t0 + 200000; t += 16)
         tk.tick(t);
     EXPECT_EQ(issuer.issued.size(), 2u);
+}
+
+/**
+ * Reference model of the engine with the decay sweep in its original
+ * brute-force form: every 16 ticks it checks every frame of the next
+ * slice of sets. Only what decides issued addresses and the tk.*
+ * stats is modelled (no power accounting).
+ */
+class BruteForceTk
+{
+  public:
+    BruteForceTk(const TimekeepingConfig &config, const CacheConfig &l1d)
+        : config(config),
+          blockBytes(l1d.blockBytes),
+          numSets(static_cast<std::uint32_t>(
+              l1d.sizeBytes / (l1d.blockBytes * l1d.assoc))),
+          assoc(l1d.assoc),
+          frames(static_cast<std::size_t>(numSets) * assoc),
+          predictor(config.predictorEntries)
+    {
+    }
+
+    void
+    notifyL1DAccess(Addr addr, bool hit, Tick now)
+    {
+        if (!hit)
+            return;
+        if (Frame *frame = findFrame(addr & ~Addr{blockBytes - 1})) {
+            frame->lastAccess = now;
+            frame->deadHandled = false;
+        }
+    }
+
+    void
+    notifyL1DFill(Addr block_addr, Addr victim_block, Tick now)
+    {
+        Frame *base = &frames[setOf(block_addr) * assoc];
+        if (victim_block != invalidAddr && victim_block != block_addr) {
+            const std::int64_t delta =
+                (static_cast<std::int64_t>(block_addr) -
+                 static_cast<std::int64_t>(victim_block)) /
+                static_cast<std::int64_t>(setStride());
+            if (delta != 0 && delta <= config.maxDeltaTags &&
+                delta >= -config.maxDeltaTags) {
+                Entry &entry = predictor[signature(victim_block)];
+                if (entry.confidence > 0 && entry.delta == delta) {
+                    if (entry.confidence < 3)
+                        ++entry.confidence;
+                } else if (entry.confidence > 0) {
+                    --entry.confidence;
+                } else {
+                    entry.delta = static_cast<std::int32_t>(delta);
+                    entry.confidence = 1;
+                }
+                ++stats["tk.trainedPairs"];
+            }
+        }
+        Frame *target = nullptr;
+        for (std::uint32_t way = 0; way < assoc; ++way) {
+            if (base[way].blockAddr == block_addr) {
+                target = &base[way];
+                break;
+            }
+            if (base[way].blockAddr == invalidAddr && !target)
+                target = &base[way];
+        }
+        if (!target) {
+            target = &base[0];
+            for (std::uint32_t way = 1; way < assoc; ++way) {
+                if (base[way].lastAccess < target->lastAccess)
+                    target = &base[way];
+            }
+        }
+        *target = {block_addr, now, now, false};
+    }
+
+    bool
+    probeBuffer(Addr addr)
+    {
+        if (!bufferSet.erase(addr & ~Addr{blockBytes - 1}))
+            return false;
+        ++stats["tk.bufferHits"];
+        return true;
+    }
+
+    void
+    fillBuffer(Addr block_addr)
+    {
+        if (bufferSet.count(block_addr))
+            return;
+        while (bufferSet.size() >= config.bufferEntries) {
+            const Addr head = bufferFifo.front();
+            bufferFifo.pop_front();
+            if (bufferSet.erase(head))
+                ++stats["tk.bufferReplacements"];
+        }
+        bufferFifo.push_back(block_addr);
+        bufferSet.insert(block_addr);
+        ++stats["tk.bufferInsertions"];
+        while (bufferFifo.size() > 4 * config.bufferEntries &&
+               !bufferSet.count(bufferFifo.front())) {
+            bufferFifo.pop_front();
+        }
+    }
+
+    void
+    tick(Tick now)
+    {
+        if (now < nextSweepTick)
+            return;
+        nextSweepTick = now + config.decayResolution;
+        const std::uint32_t per_slice =
+            std::max<std::uint32_t>(1, numSets / config.sweepSlices);
+        for (std::uint32_t i = 0; i < per_slice; ++i) {
+            Frame *base = &frames[((sweepCursor + i) % numSets) * assoc];
+            for (std::uint32_t way = 0; way < assoc; ++way) {
+                Frame &frame = base[way];
+                if (frame.blockAddr == invalidAddr || frame.deadHandled)
+                    continue;
+                const Tick live = std::max<Tick>(
+                    frame.lastAccess - frame.fillTime, config.minLiveTime);
+                const Tick idle = now - frame.lastAccess;
+                if (static_cast<double>(idle) <=
+                    config.deadMultiplier * static_cast<double>(live))
+                    continue;
+                frame.deadHandled = true;
+                ++stats["tk.deadPredictions"];
+                const Entry &entry = predictor[signature(frame.blockAddr)];
+                if (entry.confidence < config.confidenceThreshold) {
+                    ++stats["tk.predictorMisses"];
+                    continue;
+                }
+                const std::int64_t next =
+                    static_cast<std::int64_t>(frame.blockAddr) +
+                    entry.delta * static_cast<std::int64_t>(setStride());
+                if (next >= 0 && !bufferSet.count(static_cast<Addr>(next))) {
+                    issued.push_back(static_cast<Addr>(next));
+                    ++stats["tk.issued"];
+                }
+            }
+        }
+        sweepCursor = (sweepCursor + per_slice) % numSets;
+    }
+
+    std::vector<Addr> issued;
+    std::map<std::string, double> stats{
+        {"tk.bufferHits", 0},         {"tk.bufferInsertions", 0},
+        {"tk.bufferReplacements", 0}, {"tk.deadPredictions", 0},
+        {"tk.issued", 0},             {"tk.predictorMisses", 0},
+        {"tk.trainedPairs", 0}};
+
+  private:
+    struct Frame
+    {
+        Addr blockAddr = invalidAddr;
+        Tick fillTime = 0;
+        Tick lastAccess = 0;
+        bool deadHandled = false;
+    };
+    struct Entry
+    {
+        std::int32_t delta = 0;
+        std::uint8_t confidence = 0;
+    };
+
+    std::size_t setOf(Addr block) const
+    {
+        return (block / blockBytes) & (numSets - 1);
+    }
+    Addr setStride() const { return Addr{numSets} * blockBytes; }
+    std::uint32_t
+    signature(Addr block) const
+    {
+        const Addr tag = block / blockBytes / numSets;
+        const std::uint32_t sig =
+            ((static_cast<std::uint32_t>(tag) &
+              ((1u << config.tagSigBits) - 1))
+             << config.indexSigBits) |
+            (static_cast<std::uint32_t>(setOf(block)) &
+             ((1u << config.indexSigBits) - 1));
+        return sig & (config.predictorEntries - 1);
+    }
+    Frame *
+    findFrame(Addr block)
+    {
+        Frame *base = &frames[setOf(block) * assoc];
+        for (std::uint32_t way = 0; way < assoc; ++way) {
+            if (base[way].blockAddr == block)
+                return &base[way];
+        }
+        return nullptr;
+    }
+
+    TimekeepingConfig config;
+    std::uint32_t blockBytes;
+    std::uint32_t numSets;
+    std::uint32_t assoc;
+    std::vector<Frame> frames;
+    std::vector<Entry> predictor;
+    std::deque<Addr> bufferFifo;
+    std::unordered_set<Addr> bufferSet;
+    Tick nextSweepTick = 0;
+    std::uint32_t sweepCursor = 0;
+};
+
+/** The engine under test, with its issued addresses and stats. */
+struct EngineUnderTest
+{
+    EngineUnderTest(const TimekeepingConfig &config, const CacheConfig &l1d)
+        : tk(config, l1d, power)
+    {
+        tk.setIssuer(&issuer);
+        tk.regStats(registry, "tk");
+    }
+
+    PowerModel power;
+    TimekeepingPrefetcher tk;
+    RecordingIssuer issuer;
+    StatRegistry registry;
+};
+
+TEST(TimekeepingDifferentialTest, DecaySweepMatchesBruteForce)
+{
+    // 32 sets x 2 ways of 32 B, two sets per sweep slice.
+    const CacheConfig l1d{"l1d", 2048, 2, 32, 2};
+    const std::uint32_t sets = 32;
+    for (const double multiplier : {1.0, 1.5, 2.0, 3.7}) {
+        for (const std::uint32_t min_live : {0u, 64u}) {
+            SCOPED_TRACE("deadMultiplier " + std::to_string(multiplier) +
+                         ", minLiveTime " + std::to_string(min_live));
+            TimekeepingConfig config;
+            config.deadMultiplier = multiplier;
+            config.minLiveTime = min_live;
+            config.bufferEntries = 8;
+
+            BruteForceTk reference(config, l1d);
+            EngineUnderTest engine(config, l1d);
+            std::unique_ptr<EngineUnderTest> restored;
+
+            // A toy L1 (two resident blocks per set) supplies
+            // plausible victims; addresses walk a few tags per set,
+            // mostly in +1-tag streams so deltas gain confidence.
+            std::vector<Addr> resident(2 * sets, invalidAddr);
+            std::vector<std::uint32_t> next_tag(sets, 0);
+            Rng rng(static_cast<std::uint64_t>(multiplier * 10) + min_live);
+            std::size_t fed = 0;  // issued addresses already buffered
+            Tick now = 0;
+            const int steps = 40000;
+            for (int step = 0; step < steps; ++step) {
+                if (step == steps / 2) {
+                    std::stringstream bytes;
+                    SnapshotWriter writer(bytes, "tk-differential");
+                    engine.tk.snapshot(writer);
+                    writer.finish();
+                    restored = std::make_unique<EngineUnderTest>(config, l1d);
+                    SnapshotReader reader(bytes);
+                    restored->tk.restore(reader);
+                    restored->issuer.issued = engine.issuer.issued;
+                }
+                const auto each = [&](auto &&call) {
+                    call(engine.tk);
+                    if (restored)
+                        call(restored->tk);
+                };
+
+                now += rng.nextBounded(48);
+                const std::uint32_t set =
+                    static_cast<std::uint32_t>(rng.nextBounded(sets));
+                const std::uint64_t kind = rng.nextBounded(100);
+                if (kind < 35) {
+                    // Fill: usually the set's next streaming tag.
+                    const std::uint32_t tag =
+                        rng.chance(0.8)
+                            ? next_tag[set]++ % 12
+                            : static_cast<std::uint32_t>(rng.nextBounded(12));
+                    const Addr block = (Addr{tag} * sets + set) * 32;
+                    Addr &slot0 = resident[2 * set];
+                    Addr &slot1 = resident[2 * set + 1];
+                    Addr victim = invalidAddr;
+                    if (block == slot0 || block == slot1) {
+                        // Refill of a resident block.
+                    } else if (slot0 == invalidAddr) {
+                        slot0 = block;
+                    } else {
+                        victim = slot1;
+                        slot1 = slot0;
+                        slot0 = block;
+                    }
+                    reference.notifyL1DFill(block, victim, now);
+                    each([&](auto &tk) {
+                        tk.notifyL1DFill(block, victim, now);
+                    });
+                } else if (kind < 75) {
+                    // Hit on a resident block, handled or not.
+                    const Addr block = resident[2 * set + rng.nextBounded(2)];
+                    if (block != invalidAddr) {
+                        const Addr addr = block + rng.nextBounded(32);
+                        reference.notifyL1DAccess(addr, true, now);
+                        each([&](auto &tk) {
+                            tk.notifyL1DAccess(addr, true, now);
+                        });
+                    }
+                } else if (kind < 80) {
+                    const Addr addr = rng.nextBounded(sets * 12 * 32);
+                    const bool ref_hit = reference.probeBuffer(addr);
+                    EXPECT_EQ(engine.tk.probeBuffer(addr, now), ref_hit);
+                    if (restored) {
+                        EXPECT_EQ(restored->tk.probeBuffer(addr, now),
+                                  ref_hit);
+                    }
+                }
+                // Prefetches arrive a little later; buffer them all.
+                while (fed < reference.issued.size() && rng.chance(0.5)) {
+                    const Addr block = reference.issued[fed++];
+                    reference.fillBuffer(block);
+                    each([&](auto &tk) { tk.fillBuffer(block, now); });
+                }
+                reference.tick(now);
+                each([&](auto &tk) { tk.tick(now); });
+            }
+
+            EXPECT_GT(reference.stats["tk.issued"], 100.0);
+            EXPECT_GT(reference.stats["tk.bufferHits"], 0.0);
+            EXPECT_EQ(engine.issuer.issued, reference.issued);
+            ASSERT_TRUE(restored);
+            EXPECT_EQ(restored->issuer.issued, reference.issued);
+            for (const auto &[name, value] : reference.stats) {
+                EXPECT_EQ(engine.registry.scalarMap().at(name), value) << name;
+                EXPECT_EQ(restored->registry.scalarMap().at(name), value)
+                    << name;
+            }
+        }
+    }
 }
 
 } // namespace

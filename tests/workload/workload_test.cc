@@ -7,7 +7,10 @@
 
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "snapshot/snapshot.hh"
 #include "workload/workload.hh"
 
 namespace vsv
@@ -238,6 +241,153 @@ TEST(Spec2kTest, ProfilesAreDistinctStreams)
             ++identical;
     }
     EXPECT_LT(identical, 100);
+}
+
+/** A stream-index field of the "workload" snapshot section. */
+enum class IndexField
+{
+    None,
+    ScanStream,   ///< nextScanStream
+    ChainLink,    ///< chainNext[0]
+    ChainCursor,  ///< chainCursor[0]
+    NextChain,    ///< nextChain
+    ColdChainId,  ///< coldWindow[0].chainId
+};
+
+/**
+ * Copy a snapshot holding one "workload" section field by field,
+ * setting `field` to `value` on the way, and frame the result with
+ * fresh sizes and checksums - a snapshot that is valid at every layer
+ * except the one index. Mirrors WorkloadGenerator::snapshot's layout.
+ */
+std::string
+reframeWorkload(const std::string &bytes, IndexField field,
+                std::uint64_t value)
+{
+    std::istringstream is(bytes);
+    SnapshotReader r(is);
+    std::ostringstream os;
+    SnapshotWriter w(os, r.fingerprint());
+    const auto u32 = [&](IndexField f) {
+        const std::uint32_t v = r.u32();
+        w.u32(f == field ? static_cast<std::uint32_t>(value) : v);
+    };
+    const auto u64 = [&]() { w.u64(r.u64()); };
+    const auto u64s = [&]() {
+        const std::uint64_t n = r.u64();
+        w.u64(n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            u64();
+    };
+    const auto u32s = [&](IndexField f) {
+        const std::uint64_t n = r.u64();
+        w.u64(n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            u32(i == 0 ? f : IndexField::None);
+    };
+
+    r.begin("workload");
+    w.begin("workload");
+    w.str(r.str());
+    for (int i = 0; i < 1 + 4 + 4 + 4; ++i)  // seed, two RNGs, counters
+        u64();
+    const std::uint64_t window = r.u64();
+    w.u64(window);
+    for (std::uint64_t i = 0; i < window; ++i) {
+        u64();
+        const std::int32_t chain_id = r.i32();
+        w.i32(i == 0 && field == IndexField::ColdChainId
+                  ? static_cast<std::int32_t>(value)
+                  : chain_id);
+    }
+    w.u32(r.u32());  // coldBurstRemaining
+    u64s();          // pendingPrefetches
+    u64s();          // scanCursors
+    u32(IndexField::ScanStream);
+    u64();           // regularCursor
+    u32s(IndexField::ChainLink);
+    u32s(IndexField::ChainCursor);
+    u64s();          // lastChainLoadPos
+    u32(IndexField::NextChain);
+    u64s();          // callStack
+    const std::uint64_t buffered = r.u64();
+    w.u64(buffered);
+    for (std::uint64_t i = 0; i < buffered; ++i) {
+        w.u8(r.u8());
+        w.u8(r.u8());
+        w.b(r.b());
+        w.u32(r.u32());
+        w.u32(r.u32());
+        u64();
+        u64();
+        u64();
+    }
+    r.end();
+    w.end();
+    w.finish();
+    return os.str();
+}
+
+TEST(WorkloadSnapshotTest, OutOfRangeStreamIndicesAreRejected)
+{
+    struct Case
+    {
+        const char *benchmark;
+        IndexField field;
+        std::uint64_t value;
+    };
+    // mcf is a 3-chain MutatingChain over 98304 blocks with one scan
+    // stream; ammp a SeqChain (one chain slot); art a plain Scan,
+    // whose cold references carry no chain at all.
+    const Case cases[] = {
+        {"art", IndexField::ScanStream, 1},
+        {"mcf", IndexField::ScanStream, 0xffffffffu},
+        {"mcf", IndexField::ChainLink, 98304},
+        {"mcf", IndexField::ChainCursor, 98304},
+        {"mcf", IndexField::NextChain, 3},
+        {"mcf", IndexField::ColdChainId, 3},
+        {"mcf", IndexField::ColdChainId,
+         static_cast<std::uint32_t>(-2)},
+        {"ammp", IndexField::ColdChainId, 1},
+        {"art", IndexField::ColdChainId, 0},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.benchmark) + " field " +
+                     std::to_string(static_cast<int>(c.field)) + " = " +
+                     std::to_string(c.value));
+        WorkloadGenerator source(spec2kProfile(c.benchmark));
+        for (int i = 0; i < 5000; ++i)
+            source.next();
+        std::ostringstream os;
+        SnapshotWriter writer(os, "fp");
+        source.snapshot(writer);
+        writer.finish();
+
+        // The unmutated copy restores: the re-framing itself is sound.
+        {
+            const std::string same = reframeWorkload(
+                os.str(), IndexField::None, 0);
+            std::istringstream is(same);
+            SnapshotReader reader(is);
+            WorkloadGenerator target(spec2kProfile(c.benchmark));
+            EXPECT_NO_THROW(target.restore(reader));
+        }
+
+        const std::string bad = reframeWorkload(os.str(), c.field, c.value);
+        std::istringstream is(bad);
+        SnapshotReader reader(is);
+        WorkloadGenerator target(spec2kProfile(c.benchmark));
+        try {
+            target.restore(reader);
+        } catch (const SnapshotError &) {
+            continue;
+        }
+        ADD_FAILURE() << "out-of-range index accepted";
+        // Drive the accepted state, so a sanitizer build reports the
+        // out-of-bounds access it leads to.
+        for (int i = 0; i < 20000; ++i)
+            target.next();
+    }
 }
 
 } // namespace
