@@ -6,7 +6,9 @@
  * Small on purpose: it accepts exactly RFC 8259 JSON and throws
  * std::runtime_error (with a byte offset) on the first deviation, so
  * a malformed document fails loudly instead of being half-accepted
- * the way lenient viewers would.
+ * the way lenient viewers would. Nesting is capped at maxDepth
+ * containers, so hostile input (a run of '[') is rejected the same
+ * way instead of overflowing the stack.
  */
 
 #ifndef VSV_COMMON_MINIJSON_HH
@@ -85,13 +87,21 @@ struct Value
  * The recursive-descent parser behind parse(). Accepts exactly one
  * RFC 8259 value followed by optional whitespace; anything else -
  * trailing content, comments, unquoted keys, leading '+', NaN/Inf
- * literals, raw control characters, non-ASCII \\u escapes - throws
- * std::runtime_error naming the byte offset. Construct with the text
- * (kept by reference; must outlive the Parser) and call parse() once.
+ * literals, raw control characters, non-ASCII \\u escapes, arrays and
+ * objects nested deeper than maxDepth - throws std::runtime_error
+ * naming the byte offset. Construct with the text (kept by reference;
+ * must outlive the Parser) and call parse() once.
  */
 class Parser
 {
   public:
+    /**
+     * Deepest accepted nesting of arrays and objects. Every document
+     * this repo writes is far shallower; the cap only bounds the
+     * recursion (and the recursive Value destructor) on hostile input.
+     */
+    static constexpr std::size_t maxDepth = 512;
+
     explicit Parser(const std::string &text) : text(text) {}
 
     Value
@@ -152,9 +162,13 @@ class Parser
         skipWs();
         switch (peek()) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            if (++depth > maxDepth)
+                fail("nesting deeper than " + std::to_string(maxDepth));
+            Value v = text[pos] == '{' ? parseObject() : parseArray();
+            --depth;
+            return v;
+          }
           case '"':
             return Value{parseString()};
           case 't':
@@ -319,6 +333,7 @@ class Parser
 
     const std::string &text;
     std::size_t pos = 0;
+    std::size_t depth = 0;  ///< arrays/objects open at pos
 };
 
 /**

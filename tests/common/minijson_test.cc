@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the public minijson API (common/minijson.hh): the
- * strict RFC 8259 parse() contract, the write() serializer, the
- * round-trip guarantees the sweep manifest and campaign protocol
- * depend on, and the non-finite-number -> null rule.
+ * strict RFC 8259 parse() contract and its nesting limit, the write()
+ * serializer, the round-trip guarantees the sweep manifest and
+ * campaign protocol depend on, and the non-finite-number -> null rule.
  */
 
 #include <cmath>
@@ -25,6 +25,28 @@ rewrite(const minijson::Value &v)
     std::ostringstream os;
     minijson::write(os, v);
     return os.str();
+}
+
+/** The error message parse() throws for `text`, or "" if it parses. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        minijson::parse(text);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+std::string
+repeat(const std::string &unit, std::size_t n)
+{
+    std::string out;
+    out.reserve(unit.size() * n);
+    for (std::size_t i = 0; i < n; ++i)
+        out += unit;
+    return out;
 }
 
 } // namespace
@@ -84,6 +106,51 @@ TEST(MinijsonParse, ErrorsNameTheByteOffset)
         EXPECT_NE(std::string(e.what()).find("at byte"),
                   std::string::npos);
     }
+}
+
+TEST(MinijsonParse, DepthBombsAreRejectedWithTheByteOffset)
+{
+    constexpr std::size_t limit = minijson::Parser::maxDepth;
+    static_assert(limit == 512);
+
+    // A run of '[' is rejected at the first bracket past the limit,
+    // long before the end of input, instead of overflowing the stack.
+    EXPECT_EQ(parseError(std::string(2'000'000, '[')),
+              "minijson: nesting deeper than 512 at byte 512");
+
+    // The same for objects: each level is the 5 bytes {"a":.
+    EXPECT_EQ(parseError(repeat("{\"a\":", 2'000'000)),
+              "minijson: nesting deeper than 512 at byte " +
+                  std::to_string(5 * limit));
+
+    // One level past the limit, even when otherwise well formed.
+    EXPECT_EQ(parseError(std::string(limit + 1, '[') +
+                         std::string(limit + 1, ']')),
+              "minijson: nesting deeper than 512 at byte 512");
+}
+
+TEST(MinijsonParse, NestingExactlyAtTheLimitParses)
+{
+    constexpr std::size_t limit = minijson::Parser::maxDepth;
+
+    const std::string arrays =
+        std::string(limit, '[') + std::string(limit, ']');
+    const minijson::Value v = minijson::parse(arrays);
+    std::size_t depth = 1;
+    for (const minijson::Value *p = &v; !p->array().empty();
+         p = &p->array()[0]) {
+        ++depth;
+    }
+    EXPECT_EQ(depth, limit);
+    EXPECT_EQ(rewrite(v), arrays);
+
+    const std::string objects = repeat("{\"a\":", limit - 1) + "{}" +
+                                std::string(limit - 1, '}');
+    EXPECT_EQ(rewrite(minijson::parse(objects)), objects);
+
+    // The limit is on nesting, not on the number of containers.
+    const std::string siblings = "[" + repeat("[[]],", 4 * limit) + "[]]";
+    EXPECT_EQ(minijson::parse(siblings).array().size(), 4 * limit + 1);
 }
 
 TEST(MinijsonWrite, CanonicalForm)
