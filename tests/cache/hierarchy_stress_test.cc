@@ -153,7 +153,7 @@ TEST_F(HierarchyStressTest, L2CapacityEvictionsWriteBackToMemory)
     Tick t = 0;
     for (int i = 0; i < 4096; ++i) {
         small.dataAccess(0x40000000 + i * 64, true, false, t, {});
-        for (; t < (i + 1) * 200; ++t)
+        for (; t < static_cast<Tick>(i + 1) * 200; ++t)
             small.service(t);
     }
     StatRegistry registry;

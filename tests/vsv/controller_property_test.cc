@@ -72,8 +72,9 @@ TEST_P(ControllerPropertyTest, InvariantsUnderRandomTraffic)
         }
 
         // Invariant: in stable Low, voltage is VDDL.
-        if (ctrl.state() == VsvState::Low)
+        if (ctrl.state() == VsvState::Low) {
             ASSERT_DOUBLE_EQ(power.pipelineVdd(), 1.2);
+        }
     }
 
     // Invariant: half-clocked stretches carry edges at half rate.

@@ -90,8 +90,9 @@ TEST(WorkloadTest, ColdScanAddressesStrideThroughFootprint)
     for (int i = 0; i < 100; ++i) {
         const MicroOp op = gen.next();
         ASSERT_EQ(op.cls, OpClass::Load);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(op.addr, prev + 64);
+        }
         prev = op.addr;
     }
 }
@@ -180,8 +181,9 @@ TEST(WorkloadTest, BranchOutcomesAreConsistentPerSite)
         if (op.cls != OpClass::Branch || op.brKind != BranchKind::Cond)
             continue;
         auto [it, inserted] = site_target.emplace(op.pc, op.target);
-        if (!inserted)
+        if (!inserted) {
             EXPECT_EQ(it->second, op.target);
+        }
     }
 }
 
@@ -219,8 +221,9 @@ TEST(Spec2kTest, HighMrSubsetMatchesTable2)
         bool high = false;
         for (const auto &h : highMrBenchmarks())
             high = high || h == name;
-        if (!high)
+        if (!high) {
             EXPECT_LE(spec2kProfile(name).targetMrBase, 4.0) << name;
+        }
     }
 }
 
