@@ -8,13 +8,17 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <new>
+#include <vector>
 
 #include "branch/predictor.hh"
 #include "cache/cache.hh"
 #include "common/eventq.hh"
 #include "common/random.hh"
+#include "cpu/core.hh"
 #include "harness/simulator.hh"
+#include "power/model.hh"
 #include "prefetch/timekeeping.hh"
 #include "workload/workload.hh"
 
@@ -195,6 +199,115 @@ BM_WorkloadGeneration(benchmark::State &state)
 BENCHMARK(BM_WorkloadGeneration)
     ->Arg(1)
     ->Arg(WorkloadGenerator::defaultBatchOps);
+
+void
+BM_PowerRecordAccess(benchmark::State &state)
+{
+    // The per-access Wattch charge at a mid-ramp VDD: one
+    // instruction's typical access mix (about sixteen charges, as the
+    // core makes them), then the tick that closes it. range(0)
+    // lockstep followers each charge the same accesses at their own
+    // VDD. Items are charges, so the per-item time is the cost of one
+    // recordAccess() across the whole batch.
+    using enum PowerStructure;
+    static constexpr PowerStructure mix[] = {
+        FetchLogic,      PipelineLatches, RenameLogic,     RuuRam,
+        PipelineLatches, IntAlu,          RuuCam,          RegFile,
+        LevelConverters, PipelineLatches, ResultBus,       RuuCam,
+        RegFile,         LevelConverters, RuuRam,          PipelineLatches};
+    const auto n = static_cast<std::size_t>(state.range(0));
+    std::vector<PowerModel> followers(n);
+    std::vector<PowerModel *> fanout;
+    for (PowerModel &follower : followers) {
+        follower.setPipelineVdd(1.2 + 0.03 * static_cast<double>(
+                                                 fanout.size()));
+        fanout.push_back(&follower);
+    }
+    PowerModel leader;
+    leader.setPipelineVdd(1.53);
+    leader.setFanout(fanout.data(), n);
+    for (auto _ : state) {
+        for (const PowerStructure s : mix)
+            leader.recordAccess(s);
+        leader.tick(true);
+        benchmark::ClobberMemory();
+    }
+    leader.setFanout(nullptr, 0);
+    benchmark::DoNotOptimize(leader.totalEnergyPj());
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * std::size(mix) * (n + 1)));
+}
+BENCHMARK(BM_PowerRecordAccess)->Arg(0)->Arg(7);
+
+/**
+ * A store-heavy stream over an L1-resident set of words: every group
+ * of eight ops holds three stores and three loads, two of which read
+ * a word just stored, so the LSQ always holds address-ready stores
+ * and most loads walk it.
+ */
+class StoreHeavyTrace : public TraceSource
+{
+  public:
+    static constexpr Addr dataBase = WorkloadRegions::hot;
+    static constexpr Addr dataBytes = 16 * 1024;
+    static constexpr Addr codeBytes = 256;
+
+    MicroOp
+    next() override
+    {
+        MicroOp op;
+        const Addr word = dataBase + (group * 24) % dataBytes;
+        switch (n % 8) {
+          case 0: op.cls = OpClass::Store; op.addr = word; break;
+          case 1: op.cls = OpClass::Store; op.addr = word + 8; break;
+          case 2: op.cls = OpClass::Load; op.addr = word; break;
+          case 3: op.cls = OpClass::IntAlu; op.depDist1 = 1; break;
+          case 4: op.cls = OpClass::Store; op.addr = word + 16; break;
+          case 5: op.cls = OpClass::Load; op.addr = word + 2048; break;
+          case 6: op.cls = OpClass::Load; op.addr = word + 16; break;
+          default: op.cls = OpClass::IntAlu; op.depDist1 = 2; break;
+        }
+        op.pc = WorkloadRegions::code + (4 * n) % codeBytes;
+        if (++n % 8 == 0)
+            ++group;
+        return op;
+    }
+
+  private:
+    std::uint64_t n = 0;
+    std::uint64_t group = 0;
+};
+
+void
+BM_CoreStoreHeavyCycle(benchmark::State &state)
+{
+    // One pipeline cycle of a core whose window is full of stores and
+    // loads that forward from them: the cost line for the LSQ's
+    // store-forward search. Items are committed instructions.
+    PowerModel power;
+    MemoryHierarchy mem(HierarchyConfig{}, power);
+    BranchPredictor predictor;
+    StoreHeavyTrace trace;
+    Core core(CoreConfig{}, trace, mem, predictor, power);
+    mem.setWarmupMode(true);
+    Tick now = 0;
+    for (Addr off = 0; off < StoreHeavyTrace::codeBytes; off += 32)
+        mem.warmupInstAccess(WorkloadRegions::code + off, now++);
+    for (Addr off = 0; off < StoreHeavyTrace::dataBytes + 4096; off += 32)
+        mem.warmupDataAccess(StoreHeavyTrace::dataBase + off, false, now++);
+    mem.setWarmupMode(false);
+
+    const std::uint64_t committed0 = core.committedInstructions();
+    for (auto _ : state) {
+        mem.service(now);
+        benchmark::DoNotOptimize(core.cycle(now));
+        power.tick(true);
+        ++now;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        core.committedInstructions() - committed0));
+}
+BENCHMARK(BM_CoreStoreHeavyCycle);
 
 void
 BM_SimulatorThroughput(benchmark::State &state)

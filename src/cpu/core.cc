@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -48,6 +49,8 @@ Core::Core(const CoreConfig &config, TraceSource &workload,
 {
     VSV_ASSERT(config.ruuSize > 0 && config.lsqSize > 0,
                "window sizes must be nonzero");
+    VSV_ASSERT(config.lsqSize <= std::numeric_limits<std::uint16_t>::max(),
+               "LSQ too large for the store filter's counters");
     headSlot = tailSlot = static_cast<std::uint32_t>(headSeq % config.ruuSize);
     calendar.reserve(config.ruuSize);
     dueScratch.reserve(config.ruuSize);
@@ -127,9 +130,11 @@ bool
 Core::storeForwards(const RuuEntry &entry) const
 {
     const LsqEntry &self = lsq[entry.lsqSlot];
+    if (readyStores[storeFilterBucket(self.wordAddr)] == 0)
+        return false;  // no address-ready store to this word's bucket
     std::uint32_t idx = entry.lsqSlot;
     while (idx != lsqHead) {
-        idx = (idx + config.lsqSize - 1) % config.lsqSize;
+        idx = (idx == 0 ? config.lsqSize : idx) - 1;
         const LsqEntry &other = lsq[idx];
         if (other.seq == invalidSeqNum || other.seq >= entry.seq)
             continue;
@@ -167,7 +172,9 @@ Core::startMemoryAccess(RuuEntry &entry, Tick now)
     if (is_store) {
         // Store issue = address generation; the write happens at
         // commit through the write buffer.
-        lsq[entry.lsqSlot].addrReady = true;
+        LsqEntry &mem = lsq[entry.lsqSlot];
+        mem.addrReady = true;
+        ++readyStores[storeFilterBucket(mem.wordAddr)];
         entry.completeCycle = cycleNum + timing.latency;
         return true;
     }
@@ -258,10 +265,17 @@ Core::commitStage(Tick now)
         }
 
         if (isMemOp(entry.op.cls)) {
-            VSV_ASSERT(lsq[lsqHead].seq == entry.seq,
+            LsqEntry &mem = lsq[lsqHead];
+            VSV_ASSERT(mem.seq == entry.seq,
                        "LSQ head out of order with RUU head");
-            lsq[lsqHead].seq = invalidSeqNum;
-            lsqHead = (lsqHead + 1) % config.lsqSize;
+            if (mem.isStore) {
+                // A Completed store has done its agen.
+                VSV_ASSERT(mem.addrReady, "committing a store before agen");
+                --readyStores[storeFilterBucket(mem.wordAddr)];
+            }
+            mem.seq = invalidSeqNum;
+            if (++lsqHead == config.lsqSize)
+                lsqHead = 0;
             --lsqOccupancy;
         }
 
@@ -418,7 +432,8 @@ Core::dispatchStage()
             mem.isStore = fo.op.cls == OpClass::Store;
             mem.addrReady = false;
             entry.lsqSlot = lsqTail;
-            lsqTail = (lsqTail + 1) % config.lsqSize;
+            if (++lsqTail == config.lsqSize)
+                lsqTail = 0;
             ++lsqOccupancy;
         }
 

@@ -36,7 +36,10 @@
  *
  * Memory disambiguation is optimistic (loads wait only for earlier
  * stores to the same 8-byte word; unknown store addresses are assumed
- * non-aliasing), which sim-outorder calls perfect disambiguation.
+ * non-aliasing), which sim-outorder calls perfect disambiguation. A
+ * counting filter over the address-ready stores in the LSQ, bucketed
+ * by word address, lets most loads skip the LSQ walk: an empty bucket
+ * proves no store can forward.
  *
  * Every structure access is charged to the PowerModel, giving the
  * per-cycle activity that deterministic clock gating and VSV act on.
@@ -45,6 +48,7 @@
 #ifndef VSV_CPU_CORE_HH
 #define VSV_CPU_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -226,6 +230,15 @@ class Core
     /** True if an older store to the same word can forward. */
     bool storeForwards(const RuuEntry &entry) const;
 
+    /** Buckets of the address-ready store filter (a power of two). */
+    static constexpr std::uint32_t storeFilterBuckets = 256;
+    static std::uint32_t
+    storeFilterBucket(Addr word_addr)
+    {
+        return static_cast<std::uint32_t>(word_addr >> 3) &
+               (storeFilterBuckets - 1);
+    }
+
     /** Try to start the memory access of a ready load/prefetch. */
     bool startMemoryAccess(RuuEntry &entry, Tick now);
 
@@ -270,6 +283,15 @@ class Core
     std::uint32_t lsqHead = 0;
     std::uint32_t lsqTail = 0;
     std::uint32_t lsqOccupancy = 0;
+    /**
+     * Address-ready stores in the LSQ, counted per storeFilterBucket()
+     * of their word address: a store's agen increments its bucket and
+     * its commit decrements it. A superset of the stores that can
+     * forward to a load (it also counts younger stores and other words
+     * in the bucket), so a zero bucket skips the LSQ walk without
+     * changing its answer. Derived state: the core starts empty.
+     */
+    std::array<std::uint16_t, storeFilterBuckets> readyStores{};
 
     /** Per-pool unit free times (pipeline cycles). */
     std::vector<std::vector<Cycle>> unitFreeAt;

@@ -21,6 +21,7 @@ PowerModel::PowerModel(const PowerModelConfig &config)
                "gating efficiency must be in [0,1]");
     VSV_ASSERT(config.leakageFraction >= 0.0,
                "leakage fraction must be non-negative");
+    refreshScaledVsq();
 
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
         const StructureParams &params =
@@ -68,6 +69,7 @@ PowerModel::setPipelineVdd(double vdd)
         // Banked idle ticks were accumulated at the old voltage.
         flushIdle();
         pipelineVdd_ = vdd;
+        refreshScaledVsq();
     }
 }
 
@@ -83,34 +85,11 @@ PowerModel::addRampEnergy(Tick when)
     }
 }
 
-double
-PowerModel::domainVoltageSq(VoltageDomain domain) const
-{
-    if (domain == VoltageDomain::Fixed)
-        return 1.0;  // energies are specified at VDDH
-    return (pipelineVdd_ * pipelineVdd_) / vddHighSq;
-}
-
 void
-PowerModel::recordAccess(PowerStructure s, double count)
+PowerModel::fanOutAccess(PowerStructure s, double count)
 {
     for (std::size_t f = 0; f < fanoutCount_; ++f)
         fanout_[f]->recordAccess(s, count);
-
-    const auto idx = static_cast<std::size_t>(s);
-    const StructureParams &params = structureParams(s);
-
-    accessesThisTick[idx] += count;
-    anyAccessThisTick = true;
-
-    double per_access = params.accessPj;
-    // The VDDL->VDDH path latches: in the high-power mode the regular
-    // (cheaper) latch set is selected; in the low-power mode the
-    // level-converting set is. Only the selected set burns power.
-    if (s == PowerStructure::LevelConverters && !lowPowerPath)
-        per_access *= config_.converterHighModeFactor;
-
-    energyPj[idx] += count * per_access * domainVoltageSq(params.domain);
 }
 
 void
@@ -328,6 +307,7 @@ PowerModel::restore(SnapshotReader &reader)
     reader.expectU32(static_cast<std::uint32_t>(numPowerStructures),
                      "power structure count");
     pipelineVdd_ = reader.f64();
+    refreshScaledVsq();
     lowPowerPath = reader.b();
     anyAccessThisTick = reader.b();
     for (double &accesses : accessesThisTick)

@@ -138,8 +138,34 @@ class PowerModel
         fanoutCount_ = n;
     }
 
-    /** Record `count` accesses to structure s during this tick. */
-    void recordAccess(PowerStructure s, double count = 1.0);
+    /**
+     * Record `count` accesses to structure s during this tick. Inline:
+     * the core charges about sixteen accesses per instruction.
+     */
+    void
+    recordAccess(PowerStructure s, double count = 1.0)
+    {
+        if (fanoutCount_ != 0)
+            fanOutAccess(s, count);
+
+        const auto idx = static_cast<std::size_t>(s);
+        const StructureParams &params = structureParams(s);
+
+        accessesThisTick[idx] += count;
+        anyAccessThisTick = true;
+
+        double per_access = params.accessPj;
+        // The VDDL->VDDH path latches: in the high-power mode the
+        // regular (cheaper) latch set is selected; in the low-power
+        // mode the level-converting set is. Only the selected set
+        // burns power.
+        if (s == PowerStructure::LevelConverters && !lowPowerPath)
+            per_access *= config_.converterHighModeFactor;
+
+        // Keep this product order: count * (per_access * vsq) rounds
+        // differently unless count is a power of two.
+        energyPj[idx] += count * per_access * domainVoltageSq(params.domain);
+    }
 
     /**
      * Close out one global tick.
@@ -219,7 +245,24 @@ class PowerModel
     const PowerModelConfig &config() const { return config_; }
 
   private:
-    double domainVoltageSq(VoltageDomain domain) const;
+    /** recordAccess() on every lockstep follower; out of line so the
+     *  inlined charge stays small. */
+    void fanOutAccess(PowerStructure s, double count);
+
+    /** (V/VDDH)^2 of a domain's current supply: 1 for the fixed
+     *  domain, whose energies are specified at VDDH. */
+    double
+    domainVoltageSq(VoltageDomain domain) const
+    {
+        return domain == VoltageDomain::Fixed ? 1.0 : scaledVsq;
+    }
+
+    /** Recompute scaledVsq from pipelineVdd_; call on every change. */
+    void
+    refreshScaledVsq()
+    {
+        scaledVsq = (pipelineVdd_ * pipelineVdd_) / vddHighSq;
+    }
 
     /** Charge idle/clock/leakage energy for one access-carrying tick
      *  (the original per-tick loop). */
@@ -228,6 +271,13 @@ class PowerModel
     PowerModelConfig config_;
     double pipelineVdd_;
     double vddHighSq;
+    /**
+     * The scaled domain's (V*V)/VDDH^2 at pipelineVdd_, refreshed by
+     * the constructor, setPipelineVdd() and restore(). Cached as this
+     * exact quotient, never folded into a per-structure constant, so
+     * every charge rounds as it would with the ratio recomputed.
+     */
+    double scaledVsq = 1.0;
     bool lowPowerPath = false;
     TraceSink *trace = nullptr;
     std::uint16_t traceCore = 0;

@@ -3,9 +3,13 @@
  * Tests of the voltage-aware power model.
  */
 
+#include <initializer_list>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "power/model.hh"
+#include "snapshot/snapshot.hh"
 
 namespace vsv
 {
@@ -273,6 +277,135 @@ TEST(PowerModelTest, IdleBankFlushesBeforeActiveTick)
     EXPECT_DOUBLE_EQ(batched.totalEnergyPj(), stepped.totalEnergyPj());
     EXPECT_DOUBLE_EQ(batched.structureEnergyPj(PowerStructure::IntAlu),
                      stepped.structureEnergyPj(PowerStructure::IntAlu));
+}
+
+/**
+ * A fixed mix of accesses and ticks, including an idle bank. Idle
+ * banking does not fan out, so a lockstep leader passes its followers
+ * to bank alongside it, as the lockstep executor does.
+ */
+void
+chargeSequence(PowerModel &pm,
+               std::initializer_list<PowerModel *> followers = {})
+{
+    pm.recordAccess(PowerStructure::IntAlu);
+    pm.recordAccess(PowerStructure::RuuCam, 3.0);
+    pm.recordAccess(PowerStructure::LevelConverters, 2.0);
+    pm.recordAccess(PowerStructure::RegFile, 2.0);
+    pm.tick(true);
+    pm.tick(false);
+    pm.accrueIdleTicks(7, 5);
+    for (PowerModel *follower : followers)
+        follower->accrueIdleTicks(7, 5);
+    pm.recordAccess(PowerStructure::LsqCam);
+    pm.recordAccess(PowerStructure::PipelineLatches);
+    pm.tick(true);
+}
+
+void
+expectSameEnergy(const PowerModel &a, const PowerModel &b)
+{
+    for (std::size_t i = 0; i < numPowerStructures; ++i) {
+        const auto s = static_cast<PowerStructure>(i);
+        EXPECT_EQ(a.structureEnergyPj(s), b.structureEnergyPj(s))
+            << structureParams(s).name;
+    }
+    EXPECT_EQ(a.leakageEnergyPj(), b.leakageEnergyPj());
+    EXPECT_EQ(a.totalEnergyPj(), b.totalEnergyPj());
+}
+
+TEST(PowerModelTest, RestoreAtMidRampVddChargesBitIdentically)
+{
+    // Snapshot mid-ramp: the restored model must charge at the saved
+    // VDD, not at the VDDH it was constructed with, even though the
+    // next setPipelineVdd() pushes an unchanged value.
+    PowerModelConfig config;
+    config.leakageFraction = 0.05;
+    PowerModel live(config);
+    live.setLowPowerPath(true);
+    live.setPipelineVdd(1.62);
+    chargeSequence(live);
+    live.setPipelineVdd(1.53);
+    live.recordAccess(PowerStructure::FetchLogic);
+
+    std::ostringstream os;
+    SnapshotWriter writer(os, "power");
+    live.snapshot(writer);
+    writer.finish();
+
+    PowerModel restored(config);
+    std::istringstream is(os.str());
+    SnapshotReader reader(is);
+    restored.restore(reader);
+    EXPECT_EQ(restored.pipelineVdd(), 1.53);
+
+    for (PowerModel *pm : {&live, &restored}) {
+        pm->setPipelineVdd(1.53);
+        pm->tick(true);
+        chargeSequence(*pm);
+        pm->setPipelineVdd(1.44);
+        chargeSequence(*pm);
+    }
+    expectSameEnergy(live, restored);
+}
+
+TEST(PowerModelTest, LockstepFollowersChargeAtTheirOwnVdd)
+{
+    // A leader fans accesses out to two followers; each follower must
+    // land on the doubles of a serial model run at its own VDD.
+    PowerModel leader;
+    PowerModel follower_a;
+    PowerModel follower_b;
+    PowerModel *const followers[] = {&follower_a, &follower_b};
+    leader.setFanout(followers, 2);
+
+    PowerModel serial_leader;
+    PowerModel serial_a;
+    PowerModel serial_b;
+
+    const double vdds[][3] = {
+        {1.8, 1.2, 1.53}, {1.71, 1.2, 1.8}, {1.53, 1.47, 1.2}};
+    for (const auto &v : vdds) {
+        leader.setPipelineVdd(v[0]);
+        follower_a.setPipelineVdd(v[1]);
+        follower_b.setPipelineVdd(v[2]);
+        serial_leader.setPipelineVdd(v[0]);
+        serial_a.setPipelineVdd(v[1]);
+        serial_b.setPipelineVdd(v[2]);
+
+        chargeSequence(leader, {&follower_a, &follower_b});
+        chargeSequence(serial_leader);
+        chargeSequence(serial_a);
+        chargeSequence(serial_b);
+    }
+    leader.setFanout(nullptr, 0);
+
+    expectSameEnergy(leader, serial_leader);
+    expectSameEnergy(follower_a, serial_a);
+    expectSameEnergy(follower_b, serial_b);
+}
+
+TEST(PowerModelTest, AccessChargeKeepsItsProductOrder)
+{
+    // energy += count * per_access * vsq, left to right. Folding
+    // per_access * vsq into one constant rounds differently unless
+    // count is a power of two.
+    const double vsq = (1.53 * 1.53) / (1.8 * 1.8);  // (V*V)/VDDH^2
+
+    PowerModel converters;
+    converters.setLowPowerPath(false);
+    converters.setPipelineVdd(1.53);
+    converters.recordAccess(PowerStructure::LevelConverters, 2.0);
+    EXPECT_EQ(converters.structureEnergyPj(PowerStructure::LevelConverters),
+              (2.0 * (180.0 * 0.5)) * vsq);
+
+    PowerModel cam;
+    cam.setPipelineVdd(1.53);
+    cam.recordAccess(PowerStructure::RuuCam, 3.0);
+    const double left_to_right = (3.0 * 1800.0) * vsq;
+    const double folded = 3.0 * (1800.0 * vsq);
+    ASSERT_NE(left_to_right, folded) << "pick a count/VDD that tells";
+    EXPECT_EQ(cam.structureEnergyPj(PowerStructure::RuuCam), left_to_right);
 }
 
 } // namespace
