@@ -14,7 +14,6 @@
 #include <functional>
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -96,7 +95,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "ablation_vsv", jobs);
+        runSweep(args, "ablation_vsv", jobs);
 
     if (reportSweepFailures(outcomes) != 0)
         return 1;

@@ -17,7 +17,6 @@
 
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -63,7 +62,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "baseline_techniques", jobs);
+        runSweep(args, "baseline_techniques", jobs);
 
     if (reportSweepFailures(outcomes) != 0)
         return 1;

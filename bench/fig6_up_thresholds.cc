@@ -11,7 +11,6 @@
 
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -53,7 +52,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "fig6_up_thresholds", jobs);
+        runSweep(args, "fig6_up_thresholds", jobs);
 
     if (reportSweepFailures(outcomes) != 0)
         return 1;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -64,7 +63,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "fig7_timekeeping", jobs);
+        runSweep(args, "fig7_timekeeping", jobs);
 
     if (reportSweepFailures(outcomes) != 0)
         return 1;

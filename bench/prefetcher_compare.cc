@@ -13,7 +13,6 @@
 
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -52,7 +51,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "prefetcher_compare", jobs);
+        runSweep(args, "prefetcher_compare", jobs);
 
     if (reportSweepFailures(outcomes) != 0)
         return 1;

@@ -8,7 +8,6 @@
 
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -99,7 +98,7 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     if (!args.jsonPath.empty()) {
-        campaign::runCampaignSweep(args, "table1_config", {});
+        runSweep(args, "table1_config", {});
     } else {
         args.config.rejectUnknown("table1_config");
     }

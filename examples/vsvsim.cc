@@ -37,7 +37,6 @@
 
 #include <iostream>
 
-#include "campaign/campaign.hh"
 #include "harness/experiment.hh"
 
 using namespace vsv;
@@ -153,7 +152,7 @@ main(int argc, char **argv)
     const bool csv_header = config.getBool("csv-header", false);
 
     const std::vector<SweepOutcome> outcomes =
-        campaign::runCampaignSweep(args, "vsvsim", jobs);
+        runSweep(args, "vsvsim", jobs);
     const std::size_t failures = reportSweepFailures(outcomes);
 
     bool first = true;

@@ -6,7 +6,7 @@
 set -u
 cd "$(dirname "$0")/.."
 
-docs="README.md EXPERIMENTS.md OBSERVABILITY.md DESIGN.md CAMPAIGNS.md STORE.md"
+docs="README.md EXPERIMENTS.md OBSERVABILITY.md DESIGN.md STORE.md"
 fail=0
 
 err() {
@@ -20,7 +20,7 @@ err() {
 #    ("--update-golden", flags a test main strips itself).
 #    Allowlisted: meta placeholders and flags belonging to other tools
 #    (cmake --build, ctest --test-dir, git describe --always --dirty).
-#    A trailing dash is a family glob ("--campaign-*"), not a flag.
+#    A trailing dash is a family glob ("--trace-*"), not a flag.
 allow_flags=" options build test-dir output-on-failure always dirty "
 for flag in $(grep -ohE -- '--[a-z][a-z0-9-]*' $docs | sed 's/^--//' |
               sort -u); do
@@ -58,30 +58,7 @@ for t in $(grep -ohE '`[a-z0-9_]+_smoke`' $docs | tr -d '\`' | sort -u); do
     fi
 done
 
-# 5. CAMPAIGNS.md's message catalog must match the wire protocol
-#    implementation: every "type":"NAME" literal src/campaign emits
-#    needs a catalog entry, and every cataloged message must be one
-#    the code emits (so a renamed message cannot leave the spec
-#    stale). The source spells the literal with escaped quotes
-#    (\"type\":\"hello\"), the doc without.
-impl_msgs=$(grep -ohE 'type\\":\\"[a-z]+' src/campaign/*.cc src/campaign/*.hh |
-            sed 's/.*\\"//' | sort -u)
-doc_msgs=$(grep -ohE '"type":"[a-z]+"' CAMPAIGNS.md |
-           sed 's/.*type":"//; s/"$//' | sort -u)
-[ -n "$impl_msgs" ] || err "no wire message types found in src/campaign"
-[ -n "$doc_msgs" ] || err "no message catalog entries found in CAMPAIGNS.md"
-for m in $impl_msgs; do
-    if ! echo "$doc_msgs" | grep -qx "$m"; then
-        err "wire message \"$m\" is emitted by src/campaign but missing from the CAMPAIGNS.md catalog"
-    fi
-done
-for m in $doc_msgs; do
-    if ! echo "$impl_msgs" | grep -qx "$m"; then
-        err "wire message \"$m\" is cataloged in CAMPAIGNS.md but emitted nowhere in src/campaign"
-    fi
-done
-
-# 6. STORE.md's flag table must cover every store flag the
+# 5. STORE.md's flag table must cover every store flag the
 #    implementation parses (the "store-*" Config keys), so a new
 #    store knob cannot ship undocumented.
 for key in $(grep -rohE '"store-[a-z-]+"' src examples | tr -d '"' |
@@ -91,7 +68,7 @@ for key in $(grep -rohE '"store-[a-z-]+"' src examples | tr -d '"' |
     fi
 done
 
-# 7. STORE.md's "`kStoreFormatVersion`, currently N" must name the
+# 6. STORE.md's "`kStoreFormatVersion`, currently N" must name the
 #    constant's value in src/store/store.hh, so a format bump cannot
 #    leave the spec describing the previous envelope. The doc may wrap
 #    the phrase across lines.
@@ -106,7 +83,7 @@ elif [ "$impl_ver" != "$doc_ver" ]; then
     err "STORE.md documents store format $doc_ver but src/store/store.hh has kStoreFormatVersion = $impl_ver"
 fi
 
-# 8. Relative markdown link targets must exist.
+# 7. Relative markdown link targets must exist.
 for l in $(grep -ohE '\]\([^)]+\)' $docs | sed 's/^](//; s/)$//' |
            sort -u); do
     case "$l" in http://*|https://*|'#'*) continue ;; esac

@@ -1,10 +1,10 @@
 /**
  * @file
  * FNV-1a 64, the one non-cryptographic hash behind every fingerprint
- * (configFingerprint, warmupFingerprint, structuralFingerprint,
- * sweepGridFingerprint) and every on-disk checksum (snapshot files,
- * result-store envelopes). Changing it changes every fingerprint and
- * invalidates every stored artifact.
+ * (configFingerprint, warmupFingerprint, structuralFingerprint) and
+ * every on-disk checksum (snapshot files, result-store envelopes).
+ * Changing it changes every fingerprint and invalidates every stored
+ * artifact.
  */
 
 #ifndef VSV_COMMON_HASH_HH

@@ -2,7 +2,7 @@
  * @file
  * Strict recursive-descent JSON parser (plus a writer) for the
  * documents this repo produces itself: sweep manifests, store entries,
- * campaign frames, golden-stats files, and trace exports under test.
+ * golden-stats files, and trace exports under test.
  * Small on purpose: it accepts exactly RFC 8259 JSON and throws
  * std::runtime_error (with a byte offset) on the first deviation, so
  * a malformed document fails loudly instead of being half-accepted

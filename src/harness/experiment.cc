@@ -55,29 +55,6 @@ parseExperimentArgs(int argc, char **argv,
               "(drop --no-snapshot-cache)");
     }
     args.storeDir = args.config.getString("store-dir", "");
-    // Distributed-campaign roles (CAMPAIGNS.md). Parsed here so every
-    // sweep binary shares one flag surface; interpreted by
-    // src/campaign (runCampaignSweep). A worker cannot also listen or
-    // fork workers - roles are per-process by design.
-    args.campaignListen = args.config.getString("campaign-listen", "");
-    args.campaignConnect =
-        args.config.getString("campaign-connect", "");
-    args.campaignWorkers = static_cast<unsigned>(
-        args.config.getUInt("campaign-workers", 0));
-    args.campaignChunk = static_cast<unsigned>(
-        args.config.getUInt("campaign-chunk", 16));
-    args.campaignHeartbeat =
-        args.config.getDouble("campaign-heartbeat", 2.0);
-    if (!args.campaignConnect.empty() &&
-        (!args.campaignListen.empty() || args.campaignWorkers > 0)) {
-        fatal("--campaign-connect (worker role) conflicts with "
-              "--campaign-listen/--campaign-workers (coordinator "
-              "role)");
-    }
-    if (args.campaignChunk == 0)
-        fatal("--campaign-chunk must be >= 1");
-    if (args.campaignHeartbeat < 0.0)
-        fatal("--campaign-heartbeat must be >= 0");
 
     args.cores =
         static_cast<std::uint32_t>(args.config.getUInt("cores", 1));
@@ -158,6 +135,14 @@ printBenchmarkList(std::ostream &os)
     table.print(os);
 }
 
+namespace
+{
+
+/**
+ * The per-job preparation runSweep applies before executing anything:
+ * per-run trace paths derived from a shared --trace-out base, and the
+ * --timeout soft deadline copied onto every job.
+ */
 std::vector<SweepJob>
 prepareSweepJobs(const ExperimentArgs &args,
                  const std::vector<SweepJob> &jobs)
@@ -178,61 +163,16 @@ prepareSweepJobs(const ExperimentArgs &args,
     return prepared;
 }
 
-std::vector<SweepOutcome>
-runSweepWith(const ExperimentArgs &args, const std::string &tool,
-             const std::vector<SweepJob> &jobs,
-             const SweepExecutor &execute,
-             const std::function<void(SweepManifest &)> &amendManifest)
-{
-    // Every binary has read its extra keys by now; anything still
-    // unqueried is a typo the user should hear about before hours of
-    // simulation, not after.
-    args.config.rejectUnknown(tool);
-
-    const std::vector<SweepJob> prepared =
-        prepareSweepJobs(args, jobs);
-
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<SweepOutcome> outcomes = execute(prepared);
-    VSV_ASSERT(outcomes.size() == prepared.size(),
-               "sweep executor returned the wrong outcome count");
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-
-    if (!args.jsonPath.empty()) {
-        SweepManifest manifest;
-        manifest.tool = tool;
-        manifest.seed = args.seed;
-        manifest.wallSeconds = wall_seconds;
-        manifest.config = args.config.items();
-        if (amendManifest)
-            amendManifest(manifest);
-
-        std::ofstream os(args.jsonPath);
-        if (!os)
-            fatal("cannot open --json output file: " + args.jsonPath);
-        writeSweepJson(os, manifest, outcomes);
-        inform("wrote " + std::to_string(outcomes.size()) +
-               " runs to " + args.jsonPath);
-    }
-    return outcomes;
-}
+} // namespace
 
 std::vector<SweepOutcome>
 runSweep(const ExperimentArgs &args, const std::string &tool,
          const std::vector<SweepJob> &jobs)
 {
-    // The in-process path cannot honour a campaign role; a binary
-    // that supports distribution routes through runCampaignSweep
-    // (src/campaign), which falls back here when no role was asked
-    // for. Failing loudly beats silently running everything locally.
-    if (args.campaignRequested()) {
-        fatal(tool + " runs sweeps in-process only; the --campaign-* "
-              "flags need a campaign-enabled binary (see "
-              "CAMPAIGNS.md)");
-    }
+    // Every binary has read its extra keys by now; anything still
+    // unqueried is a typo the user should hear about before hours of
+    // simulation, not after.
+    args.config.rejectUnknown(tool);
 
     SweepRunner runner(args.jobs, args.retries);
     // Lockstep batching: structurally identical configs share one
@@ -259,19 +199,35 @@ runSweep(const ExperimentArgs &args, const std::string &tool,
         runner.enableResultStore(*resultStore);
     }
 
-    const auto execute = [&runner](const std::vector<SweepJob> &prepared) {
-        return runner.run(prepared);
-    };
-    const auto amend = [&runner, &cache,
-                        &resultStore](SweepManifest &manifest) {
+    const std::vector<SweepJob> prepared = prepareSweepJobs(args, jobs);
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<SweepOutcome> outcomes = runner.run(prepared);
+    const double wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+
+    if (!args.jsonPath.empty()) {
+        SweepManifest manifest;
+        manifest.tool = tool;
+        manifest.seed = args.seed;
         manifest.threads = runner.threads();
+        manifest.wallSeconds = wall_seconds;
         if (cache)
             manifest.snapshotCache = cache->stats();
         manifest.lockstep = runner.lockstepStats();
         if (resultStore)
             manifest.store = resultStore->stats();
-    };
-    return runSweepWith(args, tool, jobs, execute, amend);
+        manifest.config = args.config.items();
+
+        std::ofstream os(args.jsonPath);
+        if (!os)
+            fatal("cannot open --json output file: " + args.jsonPath);
+        writeSweepJson(os, manifest, outcomes);
+        inform("wrote " + std::to_string(outcomes.size()) +
+               " runs to " + args.jsonPath);
+    }
+    return outcomes;
 }
 
 std::size_t

@@ -99,19 +99,6 @@ sweepStatusName(SweepStatus status)
     return "unknown";
 }
 
-SweepStatus
-sweepStatusFromName(std::string_view name)
-{
-    if (name == "ok")
-        return SweepStatus::Ok;
-    if (name == "error")
-        return SweepStatus::Error;
-    if (name == "timeout")
-        return SweepStatus::Timeout;
-    throw std::runtime_error("unknown sweep status: " +
-                             std::string(name));
-}
-
 SweepRunner::SweepRunner(unsigned jobs, unsigned retries)
     : threads_(jobs), retries_(retries)
 {
@@ -219,13 +206,6 @@ SweepRunner::runWithRetries(const SweepJob &job) const
 std::vector<SweepOutcome>
 SweepRunner::run(const std::vector<SweepJob> &jobs)
 {
-    return run(jobs, OutcomeCallback{});
-}
-
-std::vector<SweepOutcome>
-SweepRunner::run(const std::vector<SweepJob> &jobs,
-                 const OutcomeCallback &onOutcome)
-{
     std::vector<SweepOutcome> outcomes(jobs.size());
     lockstepStats_ = LockstepStats{};
     lockstepStats_.enabled = lockstepMax_ >= 2;
@@ -235,9 +215,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
 
     // Serve what the result store already has before forming tasks:
     // a hit replays the recorded bytes as a status=ok outcome and the
-    // job never reaches the pool. `served` also keeps the insert path
-    // below from re-serializing entries that came from the store.
-    std::vector<char> served(jobs.size(), 0);
+    // job never reaches the pool, so only fresh runs are inserted.
     std::vector<std::size_t> pending;
     pending.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -245,9 +223,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
             if (std::optional<SweepOutcome> hit =
                     tryServeFromStore(*resultStore_, jobs[i])) {
                 outcomes[i] = std::move(*hit);
-                served[i] = 1;
-                if (onOutcome)
-                    onOutcome(i, outcomes[i]);
                 continue;
             }
         }
@@ -288,14 +263,10 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
     // submission slot, so the result vector is schedule-independent.
     std::atomic<std::size_t> next{0};
     std::atomic<std::uint64_t> fallbacks{0};
-    auto worker = [this, &jobs, &tasks, &outcomes, &served, &next,
-                   &fallbacks, &onOutcome]() {
+    auto worker = [this, &jobs, &tasks, &outcomes, &next, &fallbacks]() {
         const auto finished = [&](std::size_t i) {
-            if (resultStore_ && !served[i] &&
-                outcomes[i].status == SweepStatus::Ok)
+            if (resultStore_ && outcomes[i].status == SweepStatus::Ok)
                 resultStore_->insert(storeEntryFromOutcome(outcomes[i]));
-            if (onOutcome)
-                onOutcome(i, outcomes[i]);
         };
         for (;;) {
             const std::size_t t =
@@ -592,20 +563,6 @@ warmupFingerprint(const SimulationOptions &o)
     return fnv1a64Hex(s.str());
 }
 
-std::string
-sweepGridFingerprint(const std::vector<SweepJob> &jobs)
-{
-    // Ids cannot contain '|' by convention ('/' separates the parts),
-    // and each entry is terminated, so differently-split grids cannot
-    // collide. The per-job configFingerprint already pins every
-    // result-determining knob; the id pins the index assignment.
-    std::ostringstream s;
-    s << "grid-v1|" << jobs.size() << '|';
-    for (const SweepJob &job : jobs)
-        s << job.id << '|' << configFingerprint(job.options) << '|';
-    return fnv1a64Hex(s.str());
-}
-
 std::string_view
 buildGitDescribe()
 {
@@ -706,21 +663,6 @@ writeSweepJson(std::ostream &os, const SweepManifest &manifest,
            << ",\"inserts\":" << manifest.store.inserts
            << ",\"corrupt\":" << manifest.store.corrupt
            << ",\"writeFailures\":" << manifest.store.writeFailures
-           << '}';
-    }
-    // Campaign counters appear only for distributed runs, so a
-    // single-process manifest stays byte-identical to what earlier
-    // versions wrote (and to what a campaign of the same grid merges,
-    // apart from this block and the host-dependent fields above).
-    if (manifest.campaign.enabled) {
-        os << ",\"campaign\":{"
-           << "\"enabled\":true"
-           << ",\"localWorkers\":" << manifest.campaign.localWorkers
-           << ",\"workersJoined\":" << manifest.campaign.workersJoined
-           << ",\"deaths\":" << manifest.campaign.deaths
-           << ",\"requeuedRuns\":" << manifest.campaign.requeuedRuns
-           << ",\"abandonedRuns\":" << manifest.campaign.abandonedRuns
-           << ",\"protocolErrors\":" << manifest.campaign.protocolErrors
            << '}';
     }
     os << ",\"config\":{";

@@ -32,7 +32,6 @@
 #ifndef VSV_HARNESS_SWEEP_HH
 #define VSV_HARNESS_SWEEP_HH
 
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -73,13 +72,6 @@ enum class SweepStatus
 
 /** JSON spelling of a status: "ok", "error", "timeout". */
 std::string_view sweepStatusName(SweepStatus status);
-
-/**
- * Inverse of sweepStatusName. Throws std::runtime_error on any other
- * spelling - callers (the campaign wire decoder, manifest readers)
- * must treat an unknown status as a malformed document, not as Ok.
- */
-SweepStatus sweepStatusFromName(std::string_view name);
 
 /** What one finished job leaves behind. */
 struct SweepOutcome
@@ -123,24 +115,6 @@ struct LockstepStats
     std::map<std::string, std::uint64_t> ineligible;
 };
 
-/**
- * Distributed-campaign effectiveness, reported in the sweep manifest
- * when a grid was sharded across worker processes (CAMPAIGNS.md).
- * enabled=false (the default) omits the block entirely, so
- * single-process manifests stay byte-identical to earlier releases.
- */
-struct CampaignStats
-{
-    bool enabled = false;
-    unsigned localWorkers = 0;  ///< --campaign-workers forked locally
-    std::uint64_t workersJoined = 0; ///< HELLOs accepted (local + TCP)
-    std::uint64_t deaths = 0;        ///< workers lost mid-campaign
-    std::uint64_t requeuedRuns = 0;  ///< in-flight runs re-dispatched
-    /** Runs recorded as Error after exhausting the death budget. */
-    std::uint64_t abandonedRuns = 0;
-    std::uint64_t protocolErrors = 0; ///< rejected HELLOs / bad frames
-};
-
 /** Fixed-size thread pool executing SweepJobs in any order. */
 class SweepRunner
 {
@@ -158,25 +132,6 @@ class SweepRunner
      * @return outcomes in submission order, independent of schedule
      */
     std::vector<SweepOutcome> run(const std::vector<SweepJob> &jobs);
-
-    /**
-     * Called with (job index, final outcome) as each job finishes.
-     * Invoked from whichever pool thread completed the job - in
-     * completion order, not submission order - so the callback must
-     * do its own locking. A job that falls back from a failed
-     * lockstep batch is reported once, after its serial re-run.
-     */
-    using OutcomeCallback =
-        std::function<void(std::size_t, const SweepOutcome &)>;
-
-    /**
-     * Same as run(), additionally streaming each outcome through
-     * `onOutcome` the moment it is final. The campaign worker loop
-     * uses this to ship results over the wire while later jobs are
-     * still executing.
-     */
-    std::vector<SweepOutcome> run(const std::vector<SweepJob> &jobs,
-                                  const OutcomeCallback &onOutcome);
 
     unsigned threads() const { return threads_; }
     unsigned retries() const { return retries_; }
@@ -294,8 +249,7 @@ SweepOutcome outcomeFromStoreEntry(const std::string &id,
                                    const store::StoreEntry &entry);
 
 /**
- * The one store-replay path (SweepRunner and the campaign coordinator
- * both probe through it): look up the job's configFingerprint and
+ * SweepRunner's store probe: look up the job's configFingerprint and
  * replay the entry, or nullopt on a miss. An entry that does not
  * replay is a store bug, not a sweep failure: warn and report a miss
  * so the run simulates (and its fresh outcome re-inserts).
@@ -363,16 +317,6 @@ void appendPrefetcherKnobs(std::ostream &s, const TimekeepingConfig &tk,
  */
 std::string warmupFingerprint(const SimulationOptions &options);
 
-/**
- * Stable 64-bit hex fingerprint of a whole grid: FNV-1a over every
- * job's id and configFingerprint, in submission order. A distributed
- * campaign's coordinator and workers each build the grid from their
- * own command line and exchange this value in HELLO; a mismatch means
- * the two processes would disagree about what run index N is, so the
- * worker is refused before any work is assigned (CAMPAIGNS.md).
- */
-std::string sweepGridFingerprint(const std::vector<SweepJob> &jobs);
-
 /** What the sweep JSON records about the campaign itself. */
 struct SweepManifest
 {
@@ -384,8 +328,6 @@ struct SweepManifest
     SnapshotCacheStats snapshotCache;
     /** Lockstep batching effectiveness (enabled=false = off). */
     LockstepStats lockstep;
-    /** Distributed-campaign counters (enabled=false omits the block). */
-    CampaignStats campaign;
     /** Result-store counters (enabled=false omits the block). */
     store::ResultStoreStats store;
     /** Echo of the command-line configuration (Config::items()). */
@@ -407,20 +349,19 @@ void writeSweepJson(std::ostream &os, const SweepManifest &manifest,
 /**
  * Serialize one SimulationResult exactly as it appears under a
  * manifest run's "result" key (including the host-dependent
- * "throughput" block). Shared by the sweep exporter and the campaign
- * OUTCOME message so a result that crosses the wire re-serializes to
- * the same bytes a single-process export would have written: doubles
- * go through jsonNumber's %.17g (round-trip exact), integers are
- * written directly.
+ * "throughput" block). Shared by the sweep exporter and the result
+ * store, so a replayed result re-serializes to the same bytes the
+ * original run's export wrote: doubles go through jsonNumber's %.17g
+ * (round-trip exact), integers are written directly.
  */
 void writeSimulationResultJson(std::ostream &os,
                                const SimulationResult &r);
 
 /**
- * Inverse of writeSimulationResultJson, used by the store replay and
- * the campaign coordinator. Missing optional blocks (perCore,
- * throughput) leave their fields default; numbers written as null
- * (non-finite values) parse back as 0.0.
+ * Inverse of writeSimulationResultJson, used by the store replay.
+ * Missing optional blocks (perCore, throughput) leave their fields
+ * default; numbers written as null (non-finite values) parse back as
+ * 0.0.
  */
 SimulationResult parseSimulationResultJson(const minijson::Value &r);
 

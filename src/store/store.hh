@@ -9,14 +9,14 @@
  * function's input with a stable 64-bit hash. The store persists the
  * run's exact output bytes - the result JSON writeSimulationResultJson
  * emits plus the full stats dump and stats text, all kept as opaque
- * strings - under <dir>/<fp[0:2]>/<fp>.vsvres, so any later sweep or
- * campaign coordinator that reaches the same fingerprint replays the
- * recorded bytes instead of simulating.
+ * strings - under <dir>/<fp[0:2]>/<fp>.vsvres, so any later sweep
+ * that reaches the same fingerprint replays the recorded bytes
+ * instead of simulating.
  *
  * Durability discipline (src/store/atomic_file.hh, shared with
  * WarmupSnapshotCache): entries are written to a per-process temp
  * name and rename()d into place, so a concurrent reader (or a killed
- * campaign) never observes a partial entry, and concurrent writers of
+ * sweep) never observes a partial entry, and concurrent writers of
  * the same fingerprint race benignly (last rename wins; both wrote
  * identical payloads). Each entry is a checksummed envelope - FNV-1a
  * 64 over the raw payload. A corrupt entry is quarantined (renamed to
@@ -31,7 +31,7 @@
  * harness: it stores fingerprint-keyed records of opaque strings.
  * The adapters between StoreEntry and SweepOutcome live in
  * src/harness/sweep.hh, keeping the layering acyclic
- * (common/stats <- store <- harness <- campaign).
+ * (common/stats <- store <- harness).
  */
 
 #ifndef VSV_STORE_STORE_HH

