@@ -7,9 +7,12 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <iterator>
 #include <new>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "branch/predictor.hh"
@@ -107,6 +110,28 @@ BM_RngNext(benchmark::State &state)
 BENCHMARK(BM_RngNext);
 
 void
+BM_GeometricDraw(benchmark::State &state)
+{
+    // One producer-distance draw at p = 0.2 (meanDepDist 5). range(0)
+    // 0 evaluates the log1p formula with log1p(-p) hoisted, 1 looks
+    // the same draw up in GeometricParam's threshold table.
+    constexpr double p = 0.2;
+    Rng rng(1);
+    if (state.range(0) == 0) {
+        const double log_failure = std::log1p(-p);
+        for (auto _ : state) {
+            benchmark::DoNotOptimize(static_cast<std::uint64_t>(
+                std::log1p(-rng.nextDouble()) / log_failure));
+        }
+    } else {
+        const GeometricParam param(p);
+        for (auto _ : state)
+            benchmark::DoNotOptimize(rng.nextGeometric(param));
+    }
+}
+BENCHMARK(BM_GeometricDraw)->Arg(0)->Arg(1);
+
+void
 BM_CacheAccessHit(benchmark::State &state)
 {
     Cache cache(CacheConfig{"l1", 64 * 1024, 2, 32, 2});
@@ -199,6 +224,35 @@ BM_WorkloadGeneration(benchmark::State &state)
 BENCHMARK(BM_WorkloadGeneration)
     ->Arg(1)
     ->Arg(WorkloadGenerator::defaultBatchOps);
+
+void
+BM_SnapshotRoundTrip(benchmark::State &state)
+{
+    // Write plus restore of a warmed mcf simulator at the default
+    // geometry (about 1 MB: L2 tags and mcf's chain links dominate).
+    // Building the restored simulator is left out of the timing.
+    SimulationOptions options;
+    options.profile = spec2kProfile("mcf");
+    options.warmupInstructions = 20000;
+    Simulator warmed(options);
+    warmed.warmup();
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        std::ostringstream os;
+        warmed.snapshotTo(os, "fp");
+        const std::string snapshot = os.str();
+        bytes = snapshot.size();
+        state.PauseTiming();
+        Simulator fresh(options);
+        state.ResumeTiming();
+        std::istringstream is(snapshot);
+        fresh.restoreFrom(is, "fp");
+        benchmark::DoNotOptimize(fresh.warmedUp());
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                      bytes));
+}
+BENCHMARK(BM_SnapshotRoundTrip)->Unit(benchmark::kMillisecond);
 
 void
 BM_PowerRecordAccess(benchmark::State &state)

@@ -1,10 +1,11 @@
 /**
  * @file
- * FNV-1a 64, the one non-cryptographic hash behind every fingerprint
+ * FNV-1a 64, the non-cryptographic hash behind every fingerprint
  * (configFingerprint, warmupFingerprint, structuralFingerprint) and
- * every on-disk checksum (snapshot files, result-store envelopes).
- * Changing it changes every fingerprint and invalidates every stored
- * artifact.
+ * the result-store envelope checksum. Changing it changes every
+ * fingerprint and invalidates every stored result. Snapshot sections
+ * carry their own word-wise checksum (snapshotChecksum in
+ * snapshot/snapshot.hh).
  */
 
 #ifndef VSV_COMMON_HASH_HH

@@ -1,5 +1,6 @@
 #include "random.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -31,7 +32,7 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
+Rng::nextBoundedRejecting(std::uint64_t bound)
 {
     VSV_ASSERT(bound != 0, "nextBounded() with zero bound");
     // Rejection sampling to avoid modulo bias.
@@ -41,6 +42,16 @@ Rng::nextBounded(std::uint64_t bound)
         if (r >= threshold)
             return r % bound;
     }
+}
+
+std::uint64_t
+Rng::nextGeometric(double p)
+{
+    VSV_ASSERT(p > 0.0 && p <= 1.0, "geometric parameter out of range");
+    if (p >= 1.0)
+        return 0;
+    const double u = nextDouble();
+    return static_cast<std::uint64_t>(std::log1p(-u) / std::log1p(-p));
 }
 
 std::array<std::uint64_t, 4>
@@ -56,11 +67,83 @@ Rng::setStateWords(const std::array<std::uint64_t, 4> &words)
         state[i] = words[i];
 }
 
+namespace
+{
+
+/** One past the largest 53-bit mantissa: "no such m". */
+constexpr std::uint64_t mantissaLimit = std::uint64_t{1} << 53;
+
+} // namespace
+
 GeometricParam::GeometricParam(double p)
     : certain(p >= 1.0),
       logFailure(std::log1p(-p))
 {
     VSV_ASSERT(p > 0.0 && p <= 1.0, "geometric parameter out of range");
+    thr.fill(mantissaLimit);
+    if (certain)
+        return;
+    // Every m below thr[k - 1] draws below k, so the search for
+    // thr[k] starts there.
+    std::uint64_t lo = 0;
+    for (std::size_t k = 0; k < tableDraws; ++k) {
+        thr[k] = threshold(static_cast<double>(k + 1), lo);
+        if (thr[k] == mantissaLimit)
+            break;
+        lo = thr[k];
+    }
+    std::size_t k = 0;
+    for (std::size_t b = 0; b < start.size(); ++b) {
+        const std::uint64_t m = std::uint64_t{b} << bucketShift;
+        while (k < tableDraws && thr[k] <= m)
+            ++k;
+        start[b] = static_cast<std::uint16_t>(k);
+    }
+}
+
+std::uint64_t
+GeometricParam::threshold(double target, std::uint64_t lo) const
+{
+    std::uint64_t hi = mantissaLimit - 1;
+    if (drawValue(hi) < target)
+        return mantissaLimit;
+    // Invariant: every m < lo draws below target; hi draws at or
+    // above it. The exact distribution crosses target at
+    // u = 1 - (1-p)^target, so the rounded formula crosses within a
+    // few hundred mantissa steps of there: bracket that point with a
+    // doubling window, then bisect.
+    const double guess = std::clamp(-std::expm1(target * logFailure) *
+                                        0x1.0p53,
+                                    0.0, static_cast<double>(hi));
+    const std::uint64_t g =
+        std::clamp(static_cast<std::uint64_t>(guess), lo, hi);
+    if (drawValue(g) >= target) {
+        hi = g;
+        for (std::uint64_t step = 64; step < hi - lo; step *= 2) {
+            if (drawValue(hi - step) < target) {
+                lo = hi - step + 1;
+                break;
+            }
+            hi -= step;
+        }
+    } else {
+        lo = g + 1;
+        for (std::uint64_t step = 64; step < hi - lo; step *= 2) {
+            if (drawValue(lo + step) >= target) {
+                hi = lo + step;
+                break;
+            }
+            lo += step + 1;
+        }
+    }
+    while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (drawValue(mid) >= target)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return hi;
 }
 
 } // namespace vsv

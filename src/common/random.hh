@@ -14,26 +14,76 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace vsv
 {
 
 /**
- * A geometric distribution's success probability with log1p(-p)
- * precomputed, for callers that draw from one p many times
- * (Rng::nextGeometric).
+ * A geometric distribution's success probability, prepared for callers
+ * that draw from one p many times (Rng::nextGeometric).
+ *
+ * A draw maps the 53-bit mantissa m of one raw value to
+ * (uint64)(log1p(-m * 2^-53) / log1p(-p)), a non-decreasing function
+ * of m. The parameter stores, for each k below tableDraws, the
+ * smallest m whose draw is at least k + 1, each found by evaluating
+ * that exact expression. A draw below tableDraws is then the number
+ * of thresholds at or below m: the formula's answer, bit for bit, with
+ * no logarithm. Larger draws evaluate the formula.
  */
 class GeometricParam
 {
   public:
+    /** Draws the threshold table answers without a logarithm. */
+    static constexpr std::size_t tableDraws = 256;
+
     /** @param p success probability, in (0, 1] */
     explicit GeometricParam(double p);
 
+    /** The draw for the 53-bit mantissa m of one raw value. */
+    std::uint64_t
+    draw(std::uint64_t m) const
+    {
+        std::size_t k = start[m >> bucketShift];
+        while (k < tableDraws && thr[k] <= m)
+            ++k;
+        if (k < tableDraws)
+            return k;
+        return static_cast<std::uint64_t>(drawValue(m));
+    }
+
+    /** thresholds()[k]: the smallest m whose draw is >= k + 1, or
+     *  2^53 when no 53-bit m draws that much. */
+    const std::array<std::uint64_t, tableDraws> &
+    thresholds() const
+    {
+        return thr;
+    }
+
   private:
     friend class Rng;
+
+    /** Start-index buckets over the top bits of m. */
+    static constexpr unsigned bucketBits = 10;
+    static constexpr unsigned bucketShift = 53 - bucketBits;
+
+    /** The unfloored draw for mantissa m: the formula itself. */
+    double
+    drawValue(std::uint64_t m) const
+    {
+        const double u = static_cast<double>(m) * 0x1.0p-53;
+        return std::log1p(-u) / logFailure;
+    }
+
+    /** Smallest m in [lo, 2^53) whose draw reaches `target`, or 2^53. */
+    std::uint64_t threshold(double target, std::uint64_t lo) const;
+
     bool certain;      ///< p == 1: every draw is 0 and consumes nothing
     double logFailure; ///< log1p(-p), the draw's denominator
+    std::array<std::uint64_t, tableDraws> thr{}; ///< see thresholds()
+    /** start[b]: the draw at m = b << bucketShift, where scans begin. */
+    std::array<std::uint16_t, std::size_t{1} << bucketBits> start{};
 };
 
 /** Portable deterministic RNG (xoshiro256**). */
@@ -61,7 +111,15 @@ class Rng
     }
 
     /** Uniform integer in [0, bound). bound must be nonzero. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        // A power of two has rejection threshold 0: masking returns
+        // exactly what the rejection loop would.
+        if (std::has_single_bit(bound))
+            return next() & (bound - 1);
+        return nextBoundedRejecting(bound);
+    }
 
     /** Uniform double in [0, 1). */
     double
@@ -83,23 +141,18 @@ class Rng
 
     /**
      * Geometric draw: number of failures before the first success with
-     * success probability p (p in (0,1]); returns values >= 0.
+     * success probability p (p in (0,1]); returns values >= 0. Builds
+     * no table: this evaluates the formula GeometricParam tabulates.
      */
-    std::uint64_t
-    nextGeometric(double p)
-    {
-        return nextGeometric(GeometricParam(p));
-    }
+    std::uint64_t nextGeometric(double p);
 
-    /** nextGeometric() with the parameter's logarithm precomputed. */
+    /** nextGeometric() through the parameter's threshold table. */
     std::uint64_t
     nextGeometric(const GeometricParam &param)
     {
         if (param.certain)
             return 0;
-        const double u = nextDouble();
-        const double v = std::log1p(-u) / param.logFailure;
-        return static_cast<std::uint64_t>(v);
+        return param.draw(next() >> 11);
     }
 
     /** Raw generator state, for snapshot/restore. */
@@ -109,6 +162,9 @@ class Rng
     void setStateWords(const std::array<std::uint64_t, 4> &words);
 
   private:
+    /** nextBounded() for a bound that is not a power of two. */
+    std::uint64_t nextBoundedRejecting(std::uint64_t bound);
+
     std::uint64_t state[4];
 };
 

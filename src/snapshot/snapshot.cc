@@ -7,7 +7,6 @@
 #include <limits>
 #include <ostream>
 
-#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace vsv
@@ -28,13 +27,40 @@ corrupt(const std::string &what)
     throw SnapshotError("snapshot: " + what);
 }
 
-void
-appendRaw(std::string &out, const void *data, std::size_t n)
-{
-    out.append(static_cast<const char *>(data), n);
-}
-
 } // namespace
+
+std::uint64_t
+snapshotChecksum(std::string_view bytes)
+{
+    // An odd golden-ratio multiplier; the rotation carries each
+    // product's high bits into the next step's low ones, which a
+    // multiply alone never does. The lanes start from FNV-1a's offset
+    // basis and from the multiplier.
+    constexpr std::uint64_t mult = 0x9e3779b97f4a7c15ULL;
+    const auto step = [](std::uint64_t lane, std::uint64_t in) {
+        return std::rotl((lane ^ in) * mult, 29);
+    };
+    std::uint64_t a = 0xcbf29ce484222325ULL;
+    std::uint64_t b = mult;
+    const char *p = bytes.data();
+    const std::size_t words = bytes.size() / 8;
+    std::size_t i = 0;
+    for (; i + 2 <= words; i += 2) {
+        std::uint64_t w0, w1;
+        std::memcpy(&w0, p + 8 * i, 8);
+        std::memcpy(&w1, p + 8 * i + 8, 8);
+        a = step(a, w0);
+        b = step(b, w1);
+    }
+    if (i < words) {
+        std::uint64_t w;
+        std::memcpy(&w, p + 8 * i, 8);
+        a = step(a, w);
+    }
+    for (std::size_t j = 8 * words; j < bytes.size(); ++j)
+        b = step(b, static_cast<unsigned char>(p[j]));
+    return step(a ^ std::rotl(b, 32), bytes.size());
+}
 
 SnapshotWriter::SnapshotWriter(std::ostream &os_,
                                std::string_view fingerprint)
@@ -72,7 +98,7 @@ SnapshotWriter::end()
     const std::uint64_t size = buffer.size();
     os.write(reinterpret_cast<const char *>(&size), sizeof(size));
     os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    const std::uint64_t checksum = fnv1a64(buffer);
+    const std::uint64_t checksum = snapshotChecksum(buffer);
     os.write(reinterpret_cast<const char *>(&checksum),
              sizeof(checksum));
     if (!os)
@@ -91,7 +117,7 @@ SnapshotWriter::finish()
     os.write(endTag.data(), static_cast<std::streamsize>(endTag.size()));
     const std::uint64_t size = 0;
     os.write(reinterpret_cast<const char *>(&size), sizeof(size));
-    const std::uint64_t checksum = fnv1a64({});
+    const std::uint64_t checksum = snapshotChecksum({});
     os.write(reinterpret_cast<const char *>(&checksum),
              sizeof(checksum));
     os.flush();
@@ -101,63 +127,11 @@ SnapshotWriter::finish()
 }
 
 void
-SnapshotWriter::u8(std::uint8_t v)
-{
-    VSV_ASSERT(inSection, "snapshot value outside a section");
-    appendRaw(buffer, &v, sizeof(v));
-}
-
-void
-SnapshotWriter::u32(std::uint32_t v)
-{
-    VSV_ASSERT(inSection, "snapshot value outside a section");
-    appendRaw(buffer, &v, sizeof(v));
-}
-
-void
-SnapshotWriter::u64(std::uint64_t v)
-{
-    VSV_ASSERT(inSection, "snapshot value outside a section");
-    appendRaw(buffer, &v, sizeof(v));
-}
-
-void
-SnapshotWriter::i32(std::int32_t v)
-{
-    u32(static_cast<std::uint32_t>(v));
-}
-
-void
-SnapshotWriter::i64(std::int64_t v)
-{
-    u64(static_cast<std::uint64_t>(v));
-}
-
-void
-SnapshotWriter::f64(double v)
-{
-    u64(std::bit_cast<std::uint64_t>(v));
-}
-
-void
-SnapshotWriter::b(bool v)
-{
-    u8(v ? 1 : 0);
-}
-
-void
 SnapshotWriter::str(std::string_view s)
 {
     VSV_ASSERT(s.size() < maxStringLength, "snapshot string too long");
     u32(static_cast<std::uint32_t>(s.size()));
-    VSV_ASSERT(inSection, "snapshot value outside a section");
-    buffer.append(s.data(), s.size());
-}
-
-void
-SnapshotWriter::scalar(const Scalar &s)
-{
-    f64(s.value());
+    put(s.data(), s.size());
 }
 
 SnapshotReader::SnapshotReader(std::istream &is_)
@@ -226,7 +200,7 @@ SnapshotReader::begin(std::string_view expected_tag)
     is.read(reinterpret_cast<char *>(&checksum), sizeof(checksum));
     if (!is)
         corrupt("truncated section '" + tag + "'");
-    if (checksum != fnv1a64(payload))
+    if (checksum != snapshotChecksum(payload))
         corrupt("checksum mismatch in section '" + tag + "'");
     cursor = 0;
     inSection = true;
@@ -263,71 +237,23 @@ SnapshotReader::expectEnd()
         corrupt("truncated trailer");
     if (tag != endTag || size != 0)
         corrupt("expected trailer, found section '" + tag + "'");
+    if (checksum != snapshotChecksum({}))
+        corrupt("checksum mismatch in trailer");
 }
 
-const char *
-SnapshotReader::take(std::size_t n)
+void
+SnapshotReader::takeFailed(std::size_t n) const
 {
     VSV_ASSERT(inSection, "snapshot read outside a section");
-    if (payload.size() - cursor < n) {
-        corrupt("section '" + tag + "' exhausted (" +
-                std::to_string(payload.size() - cursor) +
-                " bytes left, " + std::to_string(n) + " needed)");
-    }
-    const char *p = payload.data() + cursor;
-    cursor += n;
-    return p;
+    corrupt("section '" + tag + "' exhausted (" +
+            std::to_string(payload.size() - cursor) + " bytes left, " +
+            std::to_string(n) + " needed)");
 }
 
-std::uint8_t
-SnapshotReader::u8()
+void
+SnapshotReader::badBool() const
 {
-    std::uint8_t v;
-    std::memcpy(&v, take(sizeof(v)), sizeof(v));
-    return v;
-}
-
-std::uint32_t
-SnapshotReader::u32()
-{
-    std::uint32_t v;
-    std::memcpy(&v, take(sizeof(v)), sizeof(v));
-    return v;
-}
-
-std::uint64_t
-SnapshotReader::u64()
-{
-    std::uint64_t v;
-    std::memcpy(&v, take(sizeof(v)), sizeof(v));
-    return v;
-}
-
-std::int32_t
-SnapshotReader::i32()
-{
-    return static_cast<std::int32_t>(u32());
-}
-
-std::int64_t
-SnapshotReader::i64()
-{
-    return static_cast<std::int64_t>(u64());
-}
-
-double
-SnapshotReader::f64()
-{
-    return std::bit_cast<double>(u64());
-}
-
-bool
-SnapshotReader::b()
-{
-    const std::uint8_t v = u8();
-    if (v > 1)
-        corrupt("bool out of range in section '" + tag + "'");
-    return v != 0;
+    corrupt("bool out of range in section '" + tag + "'");
 }
 
 std::string

@@ -39,6 +39,32 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile &profile,
     VSV_ASSERT(profile.coldFrac + profile.warmFrac <= 1.0,
                profile.name + ": load region mix exceeds 1.0");
     VSV_ASSERT(profile.chainCount >= 1, profile.name + ": chainCount 0");
+    VSV_ASSERT(profile.codeFootprint >= 4,
+               profile.name + ": codeFootprint " +
+                   std::to_string(profile.codeFootprint) +
+                   " holds no instruction");
+
+    loopInsts = profile.codeFootprint / 4;
+    // Each slot pc's hash decides once whether it is a branch site
+    // (see generate()).
+    branchSlots.assign((loopInsts + 63) / 64, 0);
+    if (profile.branchFrac > 0.0) {
+        for (std::uint64_t s = 0; s < loopInsts; ++s) {
+            const std::uint64_t slot_hash = pcHash(codeBase + s * 4);
+            if (static_cast<double>(slot_hash % 100000) <
+                profile.branchFrac * 100000.0) {
+                branchSlots[s / 64] |= std::uint64_t{1} << (s % 64);
+            }
+        }
+    }
+    const double rescale = 1.0 / (1.0 - profile.branchFrac);
+    loadCut = profile.loadFrac * rescale;
+    storeCut = (profile.loadFrac + profile.storeFrac) * rescale;
+    coldLoadCut = profile.coldFrac / profile.coldBurst;
+    warmLoadCut = profile.coldFrac / profile.coldBurst + profile.warmFrac;
+    coldStoreCut = profile.coldFrac * profile.storeColdScale;
+    warmStoreCut =
+        (profile.coldFrac + profile.warmFrac) * profile.storeColdScale;
 
     VSV_ASSERT(profile.scanStreams >= 1, profile.name + ": scanStreams 0");
     scanCursors.assign(profile.scanStreams, 0);
@@ -72,13 +98,6 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile &profile,
                 addrRng.nextBounded(blocks));
         }
     }
-}
-
-Addr
-WorkloadGenerator::currentPc() const
-{
-    const std::uint64_t loop_insts = profile_.codeFootprint / 4;
-    return codeBase + (position % loop_insts) * 4;
 }
 
 std::uint32_t
@@ -207,7 +226,7 @@ WorkloadGenerator::makeLoad()
         --coldBurstRemaining;
     }
     const double r = is_cold ? 1.0 : rng.nextDouble();
-    if (is_cold || r < profile_.coldFrac / profile_.coldBurst) {
+    if (is_cold || r < coldLoadCut) {
         if (!is_cold)
             coldBurstRemaining = profile_.coldBurst - 1;
         const ColdRef ref = takeColdRef();
@@ -225,8 +244,7 @@ WorkloadGenerator::makeLoad()
         } else {
             op.depDist1 = producerDistance();
         }
-    } else if (r < profile_.coldFrac / profile_.coldBurst +
-                       profile_.warmFrac) {
+    } else if (r < warmLoadCut) {
         op.addr = warmAddr();
         op.depDist1 = producerDistance();
     } else {
@@ -243,12 +261,11 @@ WorkloadGenerator::makeStore()
     op.cls = OpClass::Store;
     op.pc = currentPc();
 
-    const double scale = profile_.storeColdScale;
     const double r = rng.nextDouble();
-    if (r < profile_.coldFrac * scale) {
+    if (r < coldStoreCut) {
         op.addr = coldBase +
             roundDown(addrRng.nextBounded(profile_.coldFootprint), 8);
-    } else if (r < (profile_.coldFrac + profile_.warmFrac) * scale) {
+    } else if (r < warmStoreCut) {
         op.addr = warmAddr();
     } else {
         op.addr = hotAddr();
@@ -377,6 +394,8 @@ MicroOp
 WorkloadGenerator::generate()
 {
     ++position;
+    if (++loopSlot == loopInsts)
+        loopSlot = 0;
 
     ++sinceLastLoad;  // distance from the latest load to this op
     ++sinceLastColdLoad;
@@ -392,25 +411,20 @@ WorkloadGenerator::generate()
         return op;
     }
 
-    // Branches live at *fixed slots* of the code loop (decided by the
-    // slot pc's hash) so every loop iteration exercises the same
-    // static branch sites - without this, per-site predictor training
-    // would be unrealistically sparse. The remaining slots draw their
-    // class randomly, rescaled so the overall mix matches the profile.
-    const std::uint64_t slot_hash = pcHash(currentPc());
-    if (profile_.branchFrac > 0.0 &&
-        static_cast<double>(slot_hash % 100000) <
-            profile_.branchFrac * 100000.0) {
+    // Branches live at *fixed slots* of the code loop (branchSlots)
+    // so every loop iteration exercises the same static branch sites -
+    // without this, per-site predictor training would be
+    // unrealistically sparse. The remaining slots draw their class
+    // randomly, rescaled so the overall mix matches the profile.
+    if ((branchSlots[loopSlot / 64] >> (loopSlot % 64)) & 1)
         return makeBranch();
-    }
 
-    const double rescale = 1.0 / (1.0 - profile_.branchFrac);
     const double r = rng.nextDouble();
     MicroOp op;
-    if (r < profile_.loadFrac * rescale) {
+    if (r < loadCut) {
         op = makeLoad();
         sinceLastLoad = 0;
-    } else if (r < (profile_.loadFrac + profile_.storeFrac) * rescale) {
+    } else if (r < storeCut) {
         op = makeStore();
     } else {
         op = makeCompute();
@@ -534,6 +548,7 @@ WorkloadGenerator::restore(SnapshotReader &reader)
     readRng(reader, rng);
     readRng(reader, addrRng);
     position = reader.u64();
+    loopSlot = position % loopInsts;
     delivered = reader.u64();
     sinceLastLoad = reader.u64();
     sinceLastColdLoad = reader.u64();

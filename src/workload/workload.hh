@@ -243,13 +243,25 @@ class WorkloadGenerator : public TraceSource
 
     void assignComputeDeps(MicroOp &op);
     std::uint32_t producerDistance();
-    Addr currentPc() const;
+    Addr currentPc() const { return codeBase + loopSlot * 4; }
 
     WorkloadProfile profile_;
     Rng rng;
     Rng addrRng;   ///< separate stream so mix and addresses decouple
     /** Producer-distance distribution: geometric, mean meanDepDist. */
     GeometricParam producerParam;
+
+    // Derived from the profile once, in the constructor; per-op draws
+    // compare against these doubles.
+    std::uint64_t loopInsts = 0;  ///< code-loop slots: codeFootprint / 4
+    /** Bit s set iff loop slot s holds a branch (see generate()). */
+    std::vector<std::uint64_t> branchSlots;
+    double loadCut = 0.0;       ///< class draw below this: a load
+    double storeCut = 0.0;      ///< ...else below this: a store
+    double coldLoadCut = 0.0;   ///< load region draw below this: cold
+    double warmLoadCut = 0.0;   ///< ...else below this: warm
+    double coldStoreCut = 0.0;  ///< store region draw below this: cold
+    double warmStoreCut = 0.0;  ///< ...else below this: warm
 
     // Batch buffer: generate() runs `batch_` ops ahead of delivery.
     std::uint32_t batch_;
@@ -258,6 +270,8 @@ class WorkloadGenerator : public TraceSource
     std::uint64_t delivered = 0;
 
     std::uint64_t position = 0;
+    /** position % loopInsts, kept incrementally; not serialized. */
+    std::uint64_t loopSlot = 0;
     std::uint64_t sinceLastLoad = 0;
     std::uint64_t sinceLastColdLoad = 0;
 

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
+#include "workload/workload.hh"
 
 namespace vsv
 {
@@ -139,6 +144,84 @@ TEST(RngTest, StreamIsPinned)
         EXPECT_EQ(d.nextGeometric(0.2), geometric[i]) << "draw " << i;
         EXPECT_EQ(e.nextGeometric(param), geometric[i]) << "draw " << i;
     }
+}
+
+TEST(RngTest, PowerOfTwoBoundMasksTheRawDraw)
+{
+    // For a power-of-two bound the rejection loop never rejects, so
+    // the draw is the raw value reduced mod the bound.
+    for (const std::uint64_t bound :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{8},
+          std::uint64_t{32} * 1024, std::uint64_t{1} << 24,
+          std::uint64_t{1} << 63}) {
+        Rng rng(31), raw(31);
+        for (int i = 0; i < 1000; ++i)
+            EXPECT_EQ(rng.nextBounded(bound), raw.next() % bound)
+                << "bound " << bound;
+    }
+}
+
+TEST(RngTest, ZeroBoundIsFatal)
+{
+    Rng rng(1);
+    EXPECT_DEATH(rng.nextBounded(0), "zero bound");
+}
+
+/** The geometric draw for mantissa m, by the formula, in the test. */
+std::uint64_t
+formulaDraw(std::uint64_t m, double p)
+{
+    const double u = static_cast<double>(m) * 0x1.0p-53;
+    return static_cast<std::uint64_t>(std::log1p(-u) / std::log1p(-p));
+}
+
+TEST(GeometricParamTest, TableDrawEqualsTheFormula)
+{
+    // Every producer-distance parameter a stock profile uses, plus a
+    // spread of others. The formula's floor changes only where its
+    // value crosses an integer; log1p's rounding can blur a crossing
+    // by a few mantissa steps at most, far inside the +/-1024 checked
+    // around each threshold.
+    std::set<double> ps = {0.2, 0.5, 0.999, 1e-3};
+    for (const std::string &name : spec2kBenchmarks())
+        ps.insert(1.0 / std::max(1.0, spec2kProfile(name).meanDepDist));
+    constexpr std::uint64_t limit = std::uint64_t{1} << 53;
+    Rng pick(99);
+    std::uint64_t checked = 0;
+    for (const double p : ps) {
+        if (p >= 1.0)
+            continue;
+        SCOPED_TRACE("p = " + std::to_string(p));
+        const GeometricParam param(p);
+        const auto &thr = param.thresholds();
+        for (std::size_t k = 0; k < thr.size(); ++k) {
+            if (thr[k] == limit) {
+                // Nothing draws k + 1: the largest m stays below it.
+                EXPECT_LT(formulaDraw(limit - 1, p), k + 1);
+                break;
+            }
+            // thr[k] is the formula's first m at or past k + 1.
+            EXPECT_GE(formulaDraw(thr[k], p), k + 1);
+            if (thr[k] > 0) {
+                EXPECT_LT(formulaDraw(thr[k] - 1, p), k + 1);
+            }
+            const std::uint64_t lo = thr[k] < 1024 ? 0 : thr[k] - 1024;
+            const std::uint64_t hi = std::min(thr[k] + 1024, limit - 1);
+            for (std::uint64_t m = lo; m <= hi; ++m, ++checked) {
+                ASSERT_EQ(param.draw(m), formulaDraw(m, p))
+                    << "m = " << m << " near threshold " << k;
+            }
+        }
+        for (int i = 0; i < 100000; ++i, ++checked) {
+            const std::uint64_t m = pick.next() >> 11;
+            ASSERT_EQ(param.draw(m), formulaDraw(m, p)) << "m = " << m;
+        }
+        // The two Rng entry points consume the stream alike.
+        Rng table(7), formula(7);
+        for (int i = 0; i < 10000; ++i)
+            ASSERT_EQ(table.nextGeometric(param), formula.nextGeometric(p));
+    }
+    EXPECT_GT(checked, std::uint64_t{1000000});
 }
 
 } // namespace

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "harness/simulator.hh"
 #include "harness/sweep.hh"
 #include "harness/warmup_cache.hh"
 #include "workload/workload.hh"
@@ -245,6 +248,47 @@ TEST(WarmupCacheTest, TruncatedDiskFileIsAMissNotAnError)
     // under the original name.
     EXPECT_TRUE(std::filesystem::exists(path + ".bad"));
     EXPECT_TRUE(std::filesystem::exists(path));
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(WarmupCacheTest, OldFormatDiskFileIsQuarantined)
+{
+    // A snapshot left by an older build: the same warmup, but headed
+    // with format version 2, whose sections carried byte-serial FNV-1a
+    // checksums. The reader refuses it at the header; the cache must
+    // quarantine it and warm up fresh.
+    const std::string dir = freshDir("vsv_warmup_cache_v2");
+    SimulationOptions options = makeOptions("gzip", false, 5000, 3000);
+    const std::string fp = warmupFingerprint(options);
+    const SweepOutcome reference = SweepRunner::runOne({"gzip", options});
+
+    Simulator warmed(options);
+    warmed.warmup();
+    std::ostringstream os;
+    warmed.snapshotTo(os, fp);
+    std::string bytes = os.str();
+    const std::uint32_t old_version = 2;
+    std::memcpy(bytes.data() + 4, &old_version, sizeof(old_version));
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/" + fp + ".vsvsnap";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << bytes;
+    }
+
+    WarmupSnapshotCache cache(dir);
+    const SweepOutcome out =
+        SweepRunner::runOne({"gzip", options}, &cache);
+    EXPECT_EQ(out.status, SweepStatus::Ok);
+    EXPECT_EQ(cache.stats().failures, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().diskHits, 0u);
+    EXPECT_TRUE(std::filesystem::exists(path + ".bad"));
+    EXPECT_EQ(out.scalars, reference.scalars);
+    EXPECT_EQ(out.statsJson, reference.statsJson);
+    EXPECT_EQ(out.result.ticks, reference.result.ticks);
+    EXPECT_EQ(out.result.energyPj, reference.result.energyPj);
 
     std::filesystem::remove_all(dir);
 }

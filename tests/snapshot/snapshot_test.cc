@@ -13,8 +13,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "harness/experiment.hh"
 #include "harness/simulator.hh"
 #include "harness/sweep.hh"
@@ -274,6 +276,256 @@ TEST(SnapshotFormatTest, PreMulticoreSnapshotIsRejected)
         EXPECT_NE(std::string(e.what()).find("version"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+TEST(SnapshotChecksumTest, EveryWordAndTailByteMatters)
+{
+    // Word and tail steps are bijections of their lane, so changing
+    // any single word, or any single tail byte, changes the checksum.
+    // Lengths 0-40 cover both lanes, odd word counts and every tail.
+    Rng rng(3);
+    for (std::size_t len = 0; len <= 40; ++len) {
+        std::string bytes(len, '\0');
+        for (char &c : bytes)
+            c = static_cast<char>(rng.next());
+        const std::uint64_t base = snapshotChecksum(bytes);
+        for (std::size_t at = 0; at < len; ++at) {
+            for (const unsigned char mask : {0x01, 0x80, 0xff}) {
+                std::string changed = bytes;
+                changed[at] = static_cast<char>(changed[at] ^ mask);
+                EXPECT_NE(snapshotChecksum(changed), base)
+                    << "length " << len << ", byte " << at;
+            }
+        }
+        // A zero byte appended is a different payload too.
+        EXPECT_NE(snapshotChecksum(bytes + '\0'), base) << len;
+    }
+    // Known answer: the checksum is part of the on-disk format.
+    EXPECT_EQ(snapshotChecksum(""), 0xa2177fd99650f2a8ULL);
+    EXPECT_EQ(snapshotChecksum("snapshot checksum v3"), 0x34c1551288d138fcULL);
+}
+
+/** Where one section's fields sit in a snapshot's bytes. */
+struct SectionFrame
+{
+    std::string tag;
+    std::size_t start;       ///< the tag-length field
+    std::size_t sizeAt;      ///< the payload-size field
+    std::size_t payloadAt;
+    std::uint64_t size;
+    std::size_t checksumAt;
+    std::size_t end;         ///< one past the checksum
+};
+
+/** The sections of a well-formed snapshot, the "end" trailer last. */
+std::vector<SectionFrame>
+parseFrames(const std::string &bytes)
+{
+    std::uint32_t fp_len = 0;
+    std::memcpy(&fp_len, bytes.data() + 8, sizeof(fp_len));
+    std::vector<SectionFrame> frames;
+    std::size_t at = 12 + fp_len;
+    while (at < bytes.size()) {
+        SectionFrame f;
+        f.start = at;
+        std::uint32_t tag_len = 0;
+        std::memcpy(&tag_len, bytes.data() + at, sizeof(tag_len));
+        f.tag = bytes.substr(at + 4, tag_len);
+        f.sizeAt = at + 4 + tag_len;
+        std::memcpy(&f.size, bytes.data() + f.sizeAt, sizeof(f.size));
+        f.payloadAt = f.sizeAt + 8;
+        f.checksumAt = f.payloadAt + f.size;
+        f.end = f.checksumAt + 8;
+        frames.push_back(f);
+        at = f.end;
+    }
+    return frames;
+}
+
+/**
+ * Mutations of one real snapshot: a single-core gzip warmup with
+ * Time-Keeping, shrunk caches and predictor so each restore is cheap.
+ * Every mutation must end in a rejected restore - never a crash, a
+ * sanitizer report or an accepted snapshot.
+ */
+class SnapshotHostileInputTest : public testing::Test
+{
+  protected:
+    static SimulationOptions
+    options()
+    {
+        SimulationOptions o = makeOptions("gzip", true, 2000, 3000);
+        o.hierarchy.l1i.sizeBytes = 4 * 1024;
+        o.hierarchy.l1d.sizeBytes = 4 * 1024;
+        o.hierarchy.l2.sizeBytes = 32 * 1024;
+        o.branch.bimodalEntries = 512;
+        o.branch.gshareEntries = 512;
+        o.branch.chooserEntries = 512;
+        o.branch.historyBits = 9;
+        o.branch.btbEntries = 256;
+        return o;
+    }
+
+    static const std::string &
+    fingerprint()
+    {
+        static const std::string fp = warmupFingerprint(options());
+        return fp;
+    }
+
+    static const std::string &
+    snapshot()
+    {
+        static const std::string bytes = [] {
+            Simulator warmed(options());
+            warmed.warmup();
+            std::ostringstream os;
+            warmed.snapshotTo(os, fingerprint());
+            return os.str();
+        }();
+        return bytes;
+    }
+
+    static const std::vector<SectionFrame> &
+    frames()
+    {
+        static const std::vector<SectionFrame> parsed =
+            parseFrames(snapshot());
+        return parsed;
+    }
+
+    /** Restore `bytes` into a fresh simulator; true iff it was taken. */
+    static bool
+    restores(const std::string &bytes)
+    {
+        Simulator fresh(options());
+        std::istringstream is(bytes);
+        ScopedThrowingFatal guard;
+        try {
+            fresh.restoreFrom(is, fingerprint());
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "warmup snapshot unusable"),
+                      std::string::npos)
+                << e.what();
+            return false;
+        }
+        return true;
+    }
+
+    static std::string
+    withSize(const SectionFrame &f, std::uint64_t size)
+    {
+        std::string bytes = snapshot();
+        std::memcpy(bytes.data() + f.sizeAt, &size, sizeof(size));
+        return bytes;
+    }
+};
+
+TEST_F(SnapshotHostileInputTest, TheUnmutatedSnapshotRestores)
+{
+    ASSERT_TRUE(restores(snapshot()));
+    // Header, then sim, power, the hierarchy's sections, predictor,
+    // Time-Keeping, workload, ..., trailer.
+    ASSERT_GE(frames().size(), 8u);
+    EXPECT_EQ(frames().front().tag, "sim");
+    EXPECT_EQ(frames().back().tag, "end");
+    EXPECT_EQ(frames().back().end, snapshot().size());
+}
+
+TEST_F(SnapshotHostileInputTest, EveryFramingByteFlipIsRejected)
+{
+    std::vector<std::size_t> offsets;
+    for (std::size_t at = 0; at < frames().front().start; ++at)
+        offsets.push_back(at);  // magic, version, fingerprint
+    for (const SectionFrame &f : frames()) {
+        for (std::size_t at = f.start; at < f.payloadAt; ++at)
+            offsets.push_back(at);  // tag length, tag, size
+        for (std::size_t at = f.checksumAt; at < f.end; ++at)
+            offsets.push_back(at);
+    }
+    for (const std::size_t at : offsets) {
+        for (const unsigned char mask : {0x01, 0x80}) {
+            std::string bytes = snapshot();
+            bytes[at] = static_cast<char>(bytes[at] ^ mask);
+            EXPECT_FALSE(restores(bytes))
+                << "flip " << int(mask) << " at framing byte " << at;
+        }
+    }
+}
+
+TEST_F(SnapshotHostileInputTest, StridedPayloadFlipsAreRejected)
+{
+    for (const SectionFrame &f : frames()) {
+        // Up to 16 offsets per section, first and last byte included.
+        const std::uint64_t stride = std::max<std::uint64_t>(1, f.size / 15);
+        for (std::uint64_t off = 0; off < f.size; off += stride) {
+            for (const std::uint64_t at :
+                 {f.payloadAt + off, f.payloadAt + f.size - 1 - off}) {
+                std::string bytes = snapshot();
+                bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+                EXPECT_FALSE(restores(bytes))
+                    << "section '" << f.tag << "' payload byte " << at;
+            }
+        }
+    }
+}
+
+TEST_F(SnapshotHostileInputTest, TruncationAtEverySectionBoundaryIsRejected)
+{
+    std::vector<std::size_t> boundaries;
+    for (const SectionFrame &f : frames())
+        boundaries.push_back(f.start);
+    boundaries.push_back(snapshot().size());
+    for (const std::size_t boundary : boundaries) {
+        for (const std::size_t keep :
+             {boundary - 1, boundary, boundary + 1}) {
+            if (keep >= snapshot().size())
+                continue;  // past the end: not a truncation
+            EXPECT_FALSE(restores(snapshot().substr(0, keep)))
+                << "prefix of " << keep << " bytes";
+        }
+    }
+}
+
+TEST_F(SnapshotHostileInputTest, SectionSizesThatLieAreRejected)
+{
+    for (const SectionFrame &f : frames()) {
+        SCOPED_TRACE("section '" + f.tag + "'");
+        // The recorded size alone changes: the payload and checksum
+        // no longer line up with it.
+        for (const std::uint64_t lie :
+             {f.size + 1, f.size + 8, std::uint64_t{1} << 40,
+              ~std::uint64_t{0}}) {
+            EXPECT_FALSE(restores(withSize(f, lie))) << "size " << lie;
+        }
+        if (f.size > 0) {
+            EXPECT_FALSE(restores(withSize(f, f.size - 1)));
+        }
+
+        // A consistent lie: one byte dropped from or added to the
+        // payload, with size and checksum recomputed to match. The
+        // framing is valid, so the section's reader must notice.
+        const std::string &bytes = snapshot();
+        const std::string payload = bytes.substr(f.payloadAt, f.size);
+        for (const std::string &changed :
+             {payload.substr(0, payload.empty() ? 0 : payload.size() - 1),
+              payload + '\0'}) {
+            if (changed == payload)
+                continue;
+            std::string framed = bytes.substr(0, f.sizeAt);
+            const std::uint64_t size = changed.size();
+            const std::uint64_t checksum = snapshotChecksum(changed);
+            framed.append(reinterpret_cast<const char *>(&size),
+                          sizeof(size));
+            framed += changed;
+            framed.append(reinterpret_cast<const char *>(&checksum),
+                          sizeof(checksum));
+            framed += bytes.substr(f.end);
+            EXPECT_FALSE(restores(framed))
+                << "payload re-framed at " << changed.size() << " bytes";
+        }
     }
 }
 

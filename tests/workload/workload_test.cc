@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "harness/sweep.hh"
 #include "snapshot/snapshot.hh"
 #include "workload/workload.hh"
 
@@ -232,6 +233,18 @@ TEST(Spec2kTest, UnknownBenchmarkIsFatal)
     EXPECT_DEATH(spec2kProfile("doom3"), "unknown");
 }
 
+TEST(Spec2kTest, CodeFootprintUnderOneInstructionIsFatal)
+{
+    // The code loop has codeFootprint / 4 slots; with none, the first
+    // op's pc would be taken modulo zero.
+    for (const std::uint64_t bytes : {0u, 3u}) {
+        WorkloadProfile p = spec2kProfile("gzip");
+        p.codeFootprint = bytes;
+        EXPECT_DEATH(WorkloadGenerator{p},
+                     "gzip: codeFootprint " + std::to_string(bytes));
+    }
+}
+
 TEST(Spec2kTest, ProfilesAreDistinctStreams)
 {
     WorkloadGenerator mcf(spec2kProfile("mcf"));
@@ -244,6 +257,138 @@ TEST(Spec2kTest, ProfilesAreDistinctStreams)
             ++identical;
     }
     EXPECT_LT(identical, 100);
+}
+
+/** FNV-1a 64 over every MicroOp field of the next `count` ops. */
+std::uint64_t
+streamDigest(WorkloadGenerator &gen, std::uint64_t count)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    const auto mix = [&hash](std::uint64_t value, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            hash ^= (value >> (8 * i)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const MicroOp op = gen.next();
+        mix(static_cast<std::uint8_t>(op.cls), 1);
+        mix(static_cast<std::uint8_t>(op.brKind), 1);
+        mix(op.taken, 1);
+        mix(op.depDist1, 4);
+        mix(op.depDist2, 4);
+        mix(op.pc, 8);
+        mix(op.addr, 8);
+        mix(op.target, 8);
+    }
+    return hash;
+}
+
+/** Digests of the first 200k ops at run seeds 0 and 1. */
+struct PinnedStream
+{
+    const char *benchmark;
+    std::uint64_t seed0;
+    std::uint64_t seed1;
+};
+
+// Recorded from the generator before its per-op draws were table-
+// driven; any change to the stream of any profile fails here.
+constexpr PinnedStream pinnedStreams[] = {
+    {"ammp", 0x8c1840effc02a4c4ULL, 0xde83e5ceb60ba294ULL},
+    {"applu", 0x58050983b9574dcfULL, 0x94220d3cd0cf3ba1ULL},
+    {"apsi", 0xcae5f73f6466e16bULL, 0x6ed1405b8efdf1a7ULL},
+    {"art", 0x87494982940fa82dULL, 0x2dd4c0c6553ea808ULL},
+    {"bzip2", 0x6c5fc9f522e18f90ULL, 0xbfd7aa20d464541aULL},
+    {"crafty", 0xcdec592cfc714d6bULL, 0x9eb7e01a97b6eaf3ULL},
+    {"eon", 0xb79a1322284efd7eULL, 0xa4460cd187a8fdd5ULL},
+    {"equake", 0xf7d45febc89795b0ULL, 0x5298f0fdf518d9c8ULL},
+    {"facerec", 0x51f23414491f2808ULL, 0x4b93371f4e4998ffULL},
+    {"fma3d", 0x8ebe90156b275a04ULL, 0x940c99a2a9f54e44ULL},
+    {"galgel", 0xcf4b2f56d78e6103ULL, 0x9d2b1c9ba2f56953ULL},
+    {"gap", 0xf8363997b4f99eccULL, 0x0cf52f8a62ab72ddULL},
+    {"gcc", 0x666e19e2c1c0a6d6ULL, 0xbf94b389f98bca2aULL},
+    {"gzip", 0xce730da7292f980dULL, 0xd26353ee61983af9ULL},
+    {"lucas", 0xd54fbe5e5dfc09efULL, 0x5a955a187842beebULL},
+    {"mcf", 0x9fbdaa2bcb74a671ULL, 0xf09592be3e79cda1ULL},
+    {"mesa", 0xd65d2498c5005c3bULL, 0x37943baa1ae96182ULL},
+    {"mgrid", 0x96ab4d30c8b7bcfdULL, 0x179413fe5f17919eULL},
+    {"parser", 0x5cf9f31418733969ULL, 0x0509cedcfe201729ULL},
+    {"perlbmk", 0x7a450bf35edef7f6ULL, 0xf9c602ac5d4bff30ULL},
+    {"sixtrack", 0xf56cf734d6f03cf6ULL, 0xcf6d5e694dcaf702ULL},
+    {"swim", 0x5d83d328339e5075ULL, 0x6c7c856a354700caULL},
+    {"twolf", 0xf39e72ac97994106ULL, 0x234c1ca3d85eea9aULL},
+    {"vortex", 0xe0ed28313ea739fdULL, 0x94984cd9c52dc407ULL},
+    {"vpr", 0x6092508291b2616aULL, 0x439d6a0c58fcccdaULL},
+    {"wupwise", 0xaef16d2df73bc0e7ULL, 0x464d836b6557980fULL},
+};
+
+/** Names the parameter in test names (not its pointer's bytes). */
+void
+PrintTo(const PinnedStream &pin, std::ostream *os)
+{
+    *os << pin.benchmark;
+}
+
+class WorkloadStreamTest : public testing::TestWithParam<PinnedStream>
+{
+};
+
+TEST_P(WorkloadStreamTest, FirstOpsArePinned)
+{
+    const PinnedStream &pin = GetParam();
+    const std::uint64_t expected[] = {pin.seed0, pin.seed1};
+    for (const std::uint64_t seed : {0u, 1u}) {
+        WorkloadProfile profile = spec2kProfile(pin.benchmark);
+        profile.seed = mixSeed(seed, profile.seed);
+        WorkloadGenerator gen(profile);
+        const std::uint64_t digest = streamDigest(gen, 200000);
+        EXPECT_EQ(digest, expected[seed])
+            << std::hex << "{\"" << pin.benchmark << "\", 0x" << digest
+            << "ULL} at run seed " << seed;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Spec2k, WorkloadStreamTest, testing::ValuesIn(pinnedStreams),
+    [](const testing::TestParamInfo<PinnedStream> &info) {
+        return std::string(info.param.benchmark);
+    });
+
+TEST(WorkloadSnapshotTest, RestoreMidLoopResumesTheStream)
+{
+    // 10007 is prime, so the snapshot lands inside the code loop of
+    // every profile and the restored generator has to recompute its
+    // loop slot from the saved position.
+    constexpr std::uint64_t taken = 10007;
+    for (const std::string &name : spec2kBenchmarks()) {
+        SCOPED_TRACE(name);
+        const WorkloadProfile profile = spec2kProfile(name);
+        ASSERT_NE(taken % (profile.codeFootprint / 4), 0u);
+        WorkloadGenerator source(profile, 1);
+        for (std::uint64_t i = 0; i < taken; ++i)
+            source.next();
+        std::ostringstream os;
+        SnapshotWriter writer(os, "fp");
+        source.snapshot(writer);
+        writer.finish();
+
+        std::istringstream is(os.str());
+        SnapshotReader reader(is);
+        WorkloadGenerator restored(profile);
+        restored.restore(reader);
+        EXPECT_EQ(restored.generated(), taken);
+        for (int i = 0; i < 20000; ++i) {
+            const MicroOp want = source.next();
+            const MicroOp got = restored.next();
+            ASSERT_EQ(got.pc, want.pc) << "op " << i;
+            ASSERT_EQ(got.cls, want.cls) << "op " << i;
+            ASSERT_EQ(got.addr, want.addr) << "op " << i;
+            ASSERT_EQ(got.target, want.target) << "op " << i;
+            ASSERT_EQ(got.depDist1, want.depDist1) << "op " << i;
+            ASSERT_EQ(got.depDist2, want.depDist2) << "op " << i;
+        }
+    }
 }
 
 /** A stream-index field of the "workload" snapshot section. */
