@@ -18,9 +18,6 @@
  *   --up-threshold=N --up-period=N
  *   --clock-divider=N       pipeline clock divider at VDDL (default 2)
  *   --timekeeping           enable the Time-Keeping prefetcher
- *   --cores=N               cores sharing the L2/bus/DRAM (default 1)
- *   --rail-policy=per-core|shared   rail topology when --cores > 1
- *   --core-benchmarks=a,b   per-core multiprogrammed mix (N entries)
  *   --dcg=on|off            deterministic clock gating
  *   --vddl=V --slew=V_per_ns --ramp-energy-nj=N
  *   --leakage-fraction=F    model a leakier node (default 0)
@@ -178,16 +175,6 @@ main(int argc, char **argv)
                       << TextTable::num(
                              100.0 * result.lowModeFraction, 1)
                       << "% of wall time in the low-power path\n";
-            for (std::size_t c = 0; c < result.perCore.size(); ++c) {
-                const CoreRunResult &pc = result.perCore[c];
-                std::cout << "  core" << c << " (" << pc.benchmark
-                          << "): IPC " << TextTable::num(pc.ipc)
-                          << ", " << pc.downTransitions << " down / "
-                          << pc.upTransitions << " up, "
-                          << TextTable::num(
-                                 100.0 * pc.lowModeFraction, 1)
-                          << "% low\n";
-            }
         }
         if (want_stats) {
             std::cout << '\n' << outcome.statsText;

@@ -93,6 +93,18 @@ for l in $(grep -ohE '\]\([^)]+\)' $docs | sed 's/^](//; s/)$//' |
     fi
 done
 
+# 8. The reverse of rule 1: every flag the experiment harness or a
+#    bench binary reads (a config.get*("key") or config.has("key")
+#    site) must appear as --key in EXPERIMENTS.md, so a new knob
+#    cannot ship undocumented.
+for key in $(grep -ohE 'config\.(get[A-Za-z]*|has)\("[a-z0-9-]+"' \
+                 src/harness/experiment.cc bench/*.cc |
+             grep -oE '"[a-z0-9-]+"' | tr -d '"' | sort -u); do
+    if ! grep -qE -- "--$key([^a-z0-9-]|\$)" EXPERIMENTS.md; then
+        err "flag --$key is parsed but missing from EXPERIMENTS.md"
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2
     exit 1

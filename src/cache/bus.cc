@@ -15,8 +15,7 @@ MemoryBus::MemoryBus(const BusConfig &config)
 }
 
 Tick
-MemoryBus::reserve(Tick earliest, std::uint32_t bytes,
-                   std::uint32_t requestor)
+MemoryBus::reserve(Tick earliest, std::uint32_t bytes)
 {
     const std::uint32_t slots =
         bytes == 0 ? 1
@@ -31,22 +30,7 @@ MemoryBus::reserve(Tick earliest, std::uint32_t bytes,
 
     ++transactions;
     busyTicks += static_cast<double>(duration);
-    if (!perRequestor.empty()) {
-        VSV_ASSERT(requestor < perRequestor.size(),
-                   "bus requestor id out of range");
-        RequestorStats &rs = perRequestor[requestor];
-        ++rs.transactions;
-        rs.queueTicks += static_cast<double>(start - earliest);
-    }
     return busyUntil;
-}
-
-void
-MemoryBus::setRequestorCount(std::uint32_t count)
-{
-    VSV_ASSERT(count > 1, "per-requestor accounting needs > 1 cores");
-    VSV_ASSERT(perRequestor.empty(), "requestor count already set");
-    perRequestor.resize(count);
 }
 
 void
@@ -57,11 +41,8 @@ MemoryBus::snapshot(SnapshotWriter &writer) const
     writer.scalar(transactions);
     writer.scalar(busyTicks);
     writer.scalar(queueTicks);
-    writer.u32(static_cast<std::uint32_t>(perRequestor.size()));
-    for (const RequestorStats &rs : perRequestor) {
-        writer.scalar(rs.transactions);
-        writer.scalar(rs.queueTicks);
-    }
+    // Format 3 keeps the retired per-requestor table's length word.
+    writer.u32(0);
     writer.end();
 }
 
@@ -73,12 +54,8 @@ MemoryBus::restore(SnapshotReader &reader)
     reader.scalar(transactions);
     reader.scalar(busyTicks);
     reader.scalar(queueTicks);
-    reader.expectU32(static_cast<std::uint32_t>(perRequestor.size()),
-                     "bus requestor count");
-    for (RequestorStats &rs : perRequestor) {
-        reader.scalar(rs.transactions);
-        reader.scalar(rs.queueTicks);
-    }
+    // Format 3 keeps the retired per-requestor table's length word.
+    reader.expectU32(0, "bus requestor count");
     reader.end();
 }
 
@@ -91,16 +68,6 @@ MemoryBus::regStats(StatRegistry &registry, const std::string &prefix) const
                             "ticks the bus was occupied");
     registry.registerScalar(prefix + ".queueTicks", &queueTicks,
                             "ticks transactions waited for the bus");
-    for (std::size_t c = 0; c < perRequestor.size(); ++c) {
-        const std::string rp =
-            prefix + ".requestor" + std::to_string(c);
-        registry.registerScalar(rp + ".transactions",
-                                &perRequestor[c].transactions,
-                                "bus transactions from this core");
-        registry.registerScalar(rp + ".queueTicks",
-                                &perRequestor[c].queueTicks,
-                                "arbitration delay seen by this core");
-    }
 }
 
 } // namespace vsv

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "stats/stats.hh"
@@ -42,22 +41,10 @@ class MemoryBus
      * an address-only request packet, which still takes one slot).
      *
      * @param earliest first tick the requester could drive the bus
-     * @param requestor arbitration id (core id; writebacks and
-     *        single-core traffic use 0). Only meaningful after
-     *        setRequestorCount(n > 1); otherwise attribution is off.
      * @return the tick at which the transaction *completes* (i.e. the
      *         payload has fully transferred)
      */
-    Tick reserve(Tick earliest, std::uint32_t bytes,
-                 std::uint32_t requestor = 0);
-
-    /**
-     * Enable per-requestor arbitration accounting for `count` > 1
-     * requestors (per-core transaction and queue-delay scalars). Must
-     * be called before regStats()/snapshot(); single-core hierarchies
-     * skip it and keep the original stat and snapshot layout.
-     */
-    void setRequestorCount(std::uint32_t count);
+    Tick reserve(Tick earliest, std::uint32_t bytes);
 
     /** Tick at which the bus next becomes free. */
     Tick freeAt() const { return busyUntil; }
@@ -77,14 +64,6 @@ class MemoryBus
     Scalar transactions;
     Scalar busyTicks;
     Scalar queueTicks;  ///< ticks transactions spent waiting for the bus
-
-    /** Per-requestor arbitration accounting (empty unless enabled). */
-    struct RequestorStats
-    {
-        Scalar transactions;
-        Scalar queueTicks;
-    };
-    std::vector<RequestorStats> perRequestor;
 };
 
 } // namespace vsv

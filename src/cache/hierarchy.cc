@@ -6,37 +6,10 @@
 namespace vsv
 {
 
-namespace
-{
-
-/** Copy a cache config under a per-core name ("core1.l1d", ...). */
-CacheConfig
-namedCacheConfig(CacheConfig base, const std::string &name)
-{
-    base.name = name;
-    return base;
-}
-
-} // namespace
-
-MemoryHierarchy::CoreL1s::CoreL1s(const HierarchyConfig &config,
-                                  std::uint32_t core)
-    : l1i(namedCacheConfig(config.l1i,
-                           "core" + std::to_string(core) + ".l1i")),
-      l1d(namedCacheConfig(config.l1d,
-                           "core" + std::to_string(core) + ".l1d")),
-      l1iMshrs("core" + std::to_string(core) + ".l1i.mshr",
-               config.l1iMshrs),
-      l1dMshrs("core" + std::to_string(core) + ".l1d.mshr",
-               config.l1dMshrs)
-{
-}
-
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
-                                 PowerModel &power, std::uint32_t cores)
+                                 PowerModel &power)
     : config_(config),
       power(power),
-      coreCount(cores),
       l1i(config.l1i),
       l1d(config.l1d),
       l2(config.l2),
@@ -44,79 +17,12 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
       l1dMshrs("l1d.mshr", config.l1dMshrs),
       l2Mshrs("l2.mshr", config.l2Mshrs),
       bus(config.bus),
-      dram(config.dram),
-      listeners(cores, nullptr),
-      corePower(cores, &power)
+      dram(config.dram)
 {
-    VSV_ASSERT(cores >= 1, "hierarchy needs at least one core");
-    VSV_ASSERT(cores <= 64,
-               "demand-core tracking is a 64-bit mask");
     VSV_ASSERT(config.l2.blockBytes >= config.l1d.blockBytes,
                "L2 block must be at least the L1D block size");
     VSV_ASSERT(config.l2.blockBytes >= config.l1i.blockBytes,
                "L2 block must be at least the L1I block size");
-    for (std::uint32_t c = 1; c < cores; ++c)
-        extraCores.push_back(std::make_unique<CoreL1s>(config, c));
-    if (cores > 1)
-        bus.setRequestorCount(cores);
-}
-
-Cache &
-MemoryHierarchy::l1iOf(std::uint32_t core)
-{
-    return core == 0 ? l1i : extraCores[core - 1]->l1i;
-}
-
-Cache &
-MemoryHierarchy::l1dOf(std::uint32_t core)
-{
-    return core == 0 ? l1d : extraCores[core - 1]->l1d;
-}
-
-MshrFile &
-MemoryHierarchy::l1iMshrsOf(std::uint32_t core)
-{
-    return core == 0 ? l1iMshrs : extraCores[core - 1]->l1iMshrs;
-}
-
-MshrFile &
-MemoryHierarchy::l1dMshrsOf(std::uint32_t core)
-{
-    return core == 0 ? l1dMshrs : extraCores[core - 1]->l1dMshrs;
-}
-
-PowerModel &
-MemoryHierarchy::powerOf(std::uint32_t core)
-{
-    return *corePower[core];
-}
-
-const Cache &
-MemoryHierarchy::l1iCacheOf(std::uint32_t core) const
-{
-    return core == 0 ? l1i : extraCores[core - 1]->l1i;
-}
-
-const Cache &
-MemoryHierarchy::l1dCacheOf(std::uint32_t core) const
-{
-    return core == 0 ? l1d : extraCores[core - 1]->l1d;
-}
-
-void
-MemoryHierarchy::setCoreMissListener(std::uint32_t core,
-                                     MissListener *listener)
-{
-    VSV_ASSERT(core < coreCount, "core id out of range");
-    listeners[core] = listener;
-}
-
-void
-MemoryHierarchy::setCorePower(std::uint32_t core, PowerModel *model)
-{
-    VSV_ASSERT(core < coreCount, "core id out of range");
-    VSV_ASSERT(model != nullptr, "null per-core power model");
-    corePower[core] = model;
 }
 
 void
@@ -129,57 +35,52 @@ MemoryHierarchy::setPrefetcher(Prefetcher *engine)
 
 MemAccessOutcome
 MemoryHierarchy::dataAccess(Addr addr, bool is_write, bool is_prefetch,
-                            Tick now, MissTarget on_complete,
-                            std::uint32_t core)
+                            Tick now, MissTarget on_complete)
 {
-    PowerModel &pm = powerOf(core);
-    pm.recordAccess(PowerStructure::L1DCache);
-    pm.recordAccess(PowerStructure::LevelConverters);
+    power.recordAccess(PowerStructure::L1DCache);
+    power.recordAccess(PowerStructure::LevelConverters);
 
-    const bool hit = l1dOf(core).access(addr, is_write).hit;
-    if (core == 0 && prefetcher && !is_prefetch)
+    const bool hit = l1d.access(addr, is_write).hit;
+    if (prefetcher && !is_prefetch)
         prefetcher->notifyL1DAccess(addr, hit, now);
 
     if (hit)
         return {true, true, config_.l1d.hitLatency};
 
     return l1MissPath(Side::Data, addr, is_write, is_prefetch, now,
-                      std::move(on_complete), core);
+                      std::move(on_complete));
 }
 
 MemAccessOutcome
-MemoryHierarchy::instFetch(Addr pc, Tick now, MissTarget on_complete,
-                           std::uint32_t core)
+MemoryHierarchy::instFetch(Addr pc, Tick now, MissTarget on_complete)
 {
-    PowerModel &pm = powerOf(core);
-    pm.recordAccess(PowerStructure::L1ICache);
-    pm.recordAccess(PowerStructure::LevelConverters);
+    power.recordAccess(PowerStructure::L1ICache);
+    power.recordAccess(PowerStructure::LevelConverters);
 
-    if (l1iOf(core).access(pc, false).hit)
+    if (l1i.access(pc, false).hit)
         return {true, true, config_.l1i.hitLatency};
 
     return l1MissPath(Side::Inst, pc, false, false, now,
-                      std::move(on_complete), core);
+                      std::move(on_complete));
 }
 
 MemAccessOutcome
 MemoryHierarchy::l1MissPath(Side side, Addr addr, bool is_write,
                             bool is_prefetch, Tick now,
-                            MissTarget on_complete, std::uint32_t core)
+                            MissTarget on_complete)
 {
-    Cache &l1 = side == Side::Inst ? l1iOf(core) : l1dOf(core);
-    MshrFile &mshrs =
-        side == Side::Inst ? l1iMshrsOf(core) : l1dMshrsOf(core);
+    Cache &l1 = side == Side::Inst ? l1i : l1d;
+    MshrFile &mshrs = side == Side::Inst ? l1iMshrs : l1dMshrs;
     const Addr l1_block = l1.blockAlign(addr);
 
-    // The Time-Keeping prefetch buffer sits beside core 0's L1D and
-    // is probed on its L1D misses; a hit supplies the block at the
-    // buffer's (2-cycle) latency and promotes it into the L1D.
-    if (side == Side::Data && core == 0 && prefetcher) {
-        powerOf(core).recordAccess(PowerStructure::PrefetchBuffer);
+    // The Time-Keeping prefetch buffer sits beside the L1D and is
+    // probed on L1D misses; a hit supplies the block at the buffer's
+    // (2-cycle) latency and promotes it into the L1D.
+    if (side == Side::Data && prefetcher) {
+        power.recordAccess(PowerStructure::PrefetchBuffer);
         if (prefetcher->probeBuffer(addr, now)) {
             ++bufferHits;
-            fillL1(Side::Data, l1_block, is_write, now, core);
+            fillL1(Side::Data, l1_block, is_write, now);
             return {true, true, config_.prefetchBufferLatency};
         }
     }
@@ -201,7 +102,6 @@ MemoryHierarchy::l1MissPath(Side side, Addr addr, bool is_write,
     MshrEntry *entry = mshrs.allocate(l1_block, now);
     entry->isWrite = is_write;
     entry->demand = !is_prefetch;
-    entry->owner = core;
     if (on_complete)
         entry->targets.push_back(std::move(on_complete));
 
@@ -210,32 +110,28 @@ MemoryHierarchy::l1MissPath(Side side, Addr addr, bool is_write,
     const Tick l2_req_time = now + l1.config().hitLatency;
     requestFromL2(l2.blockAlign(addr), !is_prefetch, is_write,
                   l2_req_time,
-                  [this, side, l1_block, core](Tick when) {
-                      MshrFile &file = side == Side::Inst
-                                           ? l1iMshrsOf(core)
-                                           : l1dMshrsOf(core);
+                  [this, side, l1_block](Tick when) {
+                      MshrFile &file =
+                          side == Side::Inst ? l1iMshrs : l1dMshrs;
                       MshrEntry done = file.release(l1_block);
-                      fillL1(side, l1_block, done.isWrite, when, core);
+                      fillL1(side, l1_block, done.isWrite, when);
                       for (auto &target : done.targets)
                           target(when);
-                  },
-                  core);
+                  });
 
     return {true, false, 0};
 }
 
 void
-MemoryHierarchy::fillL1(Side side, Addr l1_block, bool dirty, Tick now,
-                        std::uint32_t core)
+MemoryHierarchy::fillL1(Side side, Addr l1_block, bool dirty, Tick now)
 {
-    Cache &l1 = side == Side::Inst ? l1iOf(core) : l1dOf(core);
+    Cache &l1 = side == Side::Inst ? l1i : l1d;
 
-    powerOf(core).recordAccess(side == Side::Inst
-                                   ? PowerStructure::L1ICache
-                                   : PowerStructure::L1DCache);
+    power.recordAccess(side == Side::Inst ? PowerStructure::L1ICache
+                                          : PowerStructure::L1DCache);
     const CacheVictim victim = l1.fill(l1_block, dirty);
 
-    if (side == Side::Data && core == 0 && prefetcher) {
+    if (side == Side::Data && prefetcher) {
         prefetcher->notifyL1DFill(
             l1_block, victim.valid ? victim.blockAddr : invalidAddr, now);
     }
@@ -251,7 +147,7 @@ MemoryHierarchy::fillL1(Side side, Addr l1_block, bool dirty, Tick now,
         if (!l2.access(l2_block, true).hit) {
             const CacheVictim l2_victim = l2.fill(l2_block, true);
             if (l2_victim.valid && l2_victim.dirty) {
-                bus.reserve(now, config_.l2.blockBytes, core);
+                bus.reserve(now, config_.l2.blockBytes);
                 ++writebacksToMemory;
             }
         }
@@ -260,21 +156,16 @@ MemoryHierarchy::fillL1(Side side, Addr l1_block, bool dirty, Tick now,
 
 void
 MemoryHierarchy::requestFromL2(Addr l2_block, bool demand, bool is_write,
-                               Tick now, MissTarget on_filled,
-                               std::uint32_t core)
+                               Tick now, MissTarget on_filled)
 {
     // In-flight request for the same block: merge. A demand access
     // merging into a prefetch-initiated entry escalates it, so its
     // eventual return is reported to the VSV controller (the data
     // genuinely unblocks demand work); the *detection* event is not
     // retroactively generated - the L2 access that missed was the
-    // prefetch (Section 4.2). With multiple cores the entry remembers
-    // every core with demand targets so each one gets its own return
-    // notification.
+    // prefetch (Section 4.2).
     if (MshrEntry *entry = l2Mshrs.find(l2_block)) {
         entry->demand = entry->demand || demand;
-        if (demand)
-            entry->demandCores |= std::uint64_t(1) << core;
         entry->isWrite = entry->isWrite || is_write;
         if (on_filled)
             entry->targets.push_back(std::move(on_filled));
@@ -299,20 +190,17 @@ MemoryHierarchy::requestFromL2(Addr l2_block, bool demand, bool is_write,
         // the meantime is found.
         l2Mshrs.noteFullStall();
         events.schedule(now + 4,
-                        [this, l2_block, demand, is_write, core,
+                        [this, l2_block, demand, is_write,
                          target = std::move(on_filled)](Tick when) mutable {
                             requestFromL2(l2_block, demand, is_write, when,
-                                          std::move(target), core);
+                                          std::move(target));
                         });
         return;
     }
 
     MshrEntry *entry = l2Mshrs.allocate(l2_block, now);
     entry->demand = demand;
-    if (demand)
-        entry->demandCores = std::uint64_t(1) << core;
     entry->isWrite = is_write;
-    entry->owner = core;
     if (on_filled)
         entry->targets.push_back(std::move(on_filled));
     if (trace) {
@@ -335,25 +223,20 @@ MemoryHierarchy::requestFromL2(Addr l2_block, bool demand, bool is_write,
                               config_.l2.hitLatency)
                    : config_.l2.hitLatency);
     if (demand &&
-        (listeners[core] ||
-         (trace && trace->wants(TraceCategory::L2Miss)))) {
-        events.schedule(detect_tick, [this, core](Tick when) {
+        (listener_ || (trace && trace->wants(TraceCategory::L2Miss)))) {
+        events.schedule(detect_tick, [this](Tick when) {
             // Report the authoritative in-flight count at detection
             // time, not allocation time: by the time the hit latency
             // has elapsed, further misses may have been allocated or
-            // returned. Each core sees only its own demand count -
-            // its controller reacts to its own stalls, not to a
-            // neighbour's traffic.
-            const std::uint32_t outstanding =
-                l2Mshrs.demandOutstanding(core);
+            // returned.
+            const std::uint32_t outstanding = l2Mshrs.demandOutstanding();
             if (trace) {
                 trace->record(TraceCategory::L2Miss,
                               TraceEventKind::MissDetect, when,
-                              outstanding, 0,
-                              static_cast<std::uint16_t>(core));
+                              outstanding);
             }
-            if (listeners[core])
-                listeners[core]->demandL2MissDetected(when, outstanding);
+            if (listener_)
+                listener_->demandL2MissDetected(when, outstanding);
         });
     }
     events.schedule(tags_done, [this, l2_block](Tick when) {
@@ -364,20 +247,13 @@ MemoryHierarchy::requestFromL2(Addr l2_block, bool demand, bool is_write,
 void
 MemoryHierarchy::startMemoryTrip(Addr l2_block, Tick when)
 {
-    // Bus arbitration is charged to the core that allocated the MSHR
-    // entry (later mergers ride along for free, as on a real bus).
-    const MshrEntry *pending = l2Mshrs.find(l2_block);
-    VSV_ASSERT(pending != nullptr, "memory trip without an MSHR entry");
-    const std::uint32_t owner = pending->owner;
-
     // Request packet: address-only, one bus slot.
-    const Tick req_done = bus.reserve(when, 0, owner);
-    events.schedule(req_done, [this, l2_block, owner](Tick arrived) {
+    const Tick req_done = bus.reserve(when, 0);
+    events.schedule(req_done, [this, l2_block](Tick arrived) {
         const Tick dram_ready = dram.access(arrived);
-        events.schedule(dram_ready, [this, l2_block, owner](Tick ready) {
-            const Tick resp_done =
-                bus.reserve(ready, config_.l2.blockBytes, owner);
-            events.schedule(resp_done, [this, l2_block, owner](Tick done) {
+        events.schedule(dram_ready, [this, l2_block](Tick ready) {
+            const Tick resp_done = bus.reserve(ready, config_.l2.blockBytes);
+            events.schedule(resp_done, [this, l2_block](Tick done) {
                 MshrEntry entry = l2Mshrs.release(l2_block);
                 if (trace) {
                     trace->record(TraceCategory::Mshr,
@@ -388,34 +264,26 @@ MemoryHierarchy::startMemoryTrip(Addr l2_block, Tick when)
                 power.recordAccess(PowerStructure::L2Cache);
                 const CacheVictim victim = l2.fill(l2_block, false);
                 if (victim.valid && victim.dirty) {
-                    bus.reserve(done, config_.l2.blockBytes, owner);
+                    bus.reserve(done, config_.l2.blockBytes);
                     ++writebacksToMemory;
                 }
 
                 for (auto &target : entry.targets)
                     target(done);
 
-                // Notify every core whose demand work this return
-                // unblocks, in ascending core order, each with its
-                // own post-return outstanding count.
-                for (std::uint64_t mask = entry.demandCores, c = 0;
-                     mask != 0; mask >>= 1, ++c) {
-                    if (!(mask & 1))
-                        continue;
-                    const std::uint32_t outstanding =
-                        l2Mshrs.demandOutstanding(
-                            static_cast<std::uint32_t>(c));
-                    if (trace) {
-                        trace->record(TraceCategory::L2Miss,
-                                      TraceEventKind::MissReturn, done,
-                                      outstanding, 0,
-                                      static_cast<std::uint16_t>(c));
-                    }
-                    if (listeners[c]) {
-                        listeners[c]->demandL2MissReturned(done,
-                                                           outstanding);
-                    }
+                // Only a return that unblocks demand work reaches the
+                // VSV controller (Section 4.2).
+                if (!entry.demand)
+                    return;
+                const std::uint32_t outstanding =
+                    l2Mshrs.demandOutstanding();
+                if (trace) {
+                    trace->record(TraceCategory::L2Miss,
+                                  TraceEventKind::MissReturn, done,
+                                  outstanding);
                 }
+                if (listener_)
+                    listener_->demandL2MissReturned(done, outstanding);
             });
         });
     });
@@ -446,37 +314,33 @@ MemoryHierarchy::issueHardwarePrefetch(Addr addr, Tick now)
                   [this, l1_block](Tick when) {
                       if (prefetcher)
                           prefetcher->fillBuffer(l1_block, when);
-                  },
-                  /*core=*/0);
+                  });
 }
 
 void
-MemoryHierarchy::warmupInstAccess(Addr pc, Tick now, std::uint32_t core)
+MemoryHierarchy::warmupInstAccess(Addr pc, Tick now)
 {
     (void)now;
-    Cache &il1 = l1iOf(core);
-    if (il1.access(pc, false).hit)
+    if (l1i.access(pc, false).hit)
         return;
     const Addr l2_block = l2.blockAlign(pc);
     if (!l2.access(l2_block, false).hit)
         l2.fill(l2_block, false);
-    il1.fill(il1.blockAlign(pc), false);
+    l1i.fill(l1i.blockAlign(pc), false);
 }
 
 void
-MemoryHierarchy::warmupDataAccess(Addr addr, bool is_write, Tick now,
-                                  std::uint32_t core)
+MemoryHierarchy::warmupDataAccess(Addr addr, bool is_write, Tick now)
 {
-    Cache &dl1 = l1dOf(core);
-    const bool hit = dl1.access(addr, is_write).hit;
-    if (core == 0 && prefetcher)
+    const bool hit = l1d.access(addr, is_write).hit;
+    if (prefetcher)
         prefetcher->notifyL1DAccess(addr, hit, now);
     if (hit)
         return;
 
-    const Addr l1_block = dl1.blockAlign(addr);
-    if (core == 0 && prefetcher && prefetcher->probeBuffer(addr, now)) {
-        fillL1(Side::Data, l1_block, is_write, now, core);
+    const Addr l1_block = l1d.blockAlign(addr);
+    if (prefetcher && prefetcher->probeBuffer(addr, now)) {
+        fillL1(Side::Data, l1_block, is_write, now);
         return;
     }
 
@@ -485,20 +349,14 @@ MemoryHierarchy::warmupDataAccess(Addr addr, bool is_write, Tick now,
         ++demandL2Misses;
         l2.fill(l2_block, false);
     }
-    fillL1(Side::Data, l1_block, is_write, now, core);
+    fillL1(Side::Data, l1_block, is_write, now);
 }
 
 bool
 MemoryHierarchy::quiescent() const
 {
-    if (!events.empty() || l1iMshrs.inUse() != 0 ||
-        l1dMshrs.inUse() != 0 || l2Mshrs.inUse() != 0)
-        return false;
-    for (const auto &core : extraCores) {
-        if (core->l1iMshrs.inUse() != 0 || core->l1dMshrs.inUse() != 0)
-            return false;
-    }
-    return true;
+    return events.empty() && l1iMshrs.inUse() == 0 &&
+           l1dMshrs.inUse() == 0 && l2Mshrs.inUse() == 0;
 }
 
 void
@@ -515,18 +373,9 @@ MemoryHierarchy::snapshot(SnapshotWriter &writer) const
     bus.snapshot(writer);
     dram.snapshot(writer);
 
-    // Extra cores' private L1s follow the shared structures; their
-    // section tags carry the per-core cache names ("core1.l1d", ...)
-    // so a topology mismatch fails the tag check, not a checksum.
-    for (const auto &core : extraCores) {
-        core->l1i.snapshot(writer);
-        core->l1d.snapshot(writer);
-        core->l1iMshrs.snapshot(writer);
-        core->l1dMshrs.snapshot(writer);
-    }
-
     writer.begin("hierarchy");
-    writer.u32(coreCount);
+    // Format 3 keeps the retired core-count word; it is always 1.
+    writer.u32(1);
     writer.scalar(demandL2Misses);
     writer.scalar(prefetchL2Misses);
     writer.scalar(bufferHits);
@@ -549,15 +398,9 @@ MemoryHierarchy::restore(SnapshotReader &reader)
     bus.restore(reader);
     dram.restore(reader);
 
-    for (const auto &core : extraCores) {
-        core->l1i.restore(reader);
-        core->l1d.restore(reader);
-        core->l1iMshrs.restore(reader);
-        core->l1dMshrs.restore(reader);
-    }
-
     reader.begin("hierarchy");
-    reader.expectU32(coreCount, "hierarchy core count");
+    // Format 3 keeps the retired core-count word; it is always 1.
+    reader.expectU32(1, "hierarchy core count");
     reader.scalar(demandL2Misses);
     reader.scalar(prefetchL2Misses);
     reader.scalar(bufferHits);
@@ -570,33 +413,10 @@ void
 MemoryHierarchy::regStats(StatRegistry &registry,
                           const std::string &prefix) const
 {
-    // Single-core layout: core 0's L1s and the shared structures
-    // under the same prefix, exactly the pre-multicore name set.
-    regStatsCore(0, registry, prefix);
-    regStatsShared(registry, prefix);
-}
-
-void
-MemoryHierarchy::regStatsCore(std::uint32_t core,
-                              StatRegistry &registry,
-                              const std::string &prefix) const
-{
-    const CoreL1s *extra = core == 0 ? nullptr
-                                     : extraCores[core - 1].get();
-    const Cache &il1 = core == 0 ? l1i : extra->l1i;
-    const Cache &dl1 = core == 0 ? l1d : extra->l1d;
-    const MshrFile &imshrs = core == 0 ? l1iMshrs : extra->l1iMshrs;
-    const MshrFile &dmshrs = core == 0 ? l1dMshrs : extra->l1dMshrs;
-    il1.regStats(registry, prefix + ".l1i");
-    dl1.regStats(registry, prefix + ".l1d");
-    imshrs.regStats(registry, prefix + ".l1i.mshr");
-    dmshrs.regStats(registry, prefix + ".l1d.mshr");
-}
-
-void
-MemoryHierarchy::regStatsShared(StatRegistry &registry,
-                                const std::string &prefix) const
-{
+    l1i.regStats(registry, prefix + ".l1i");
+    l1d.regStats(registry, prefix + ".l1d");
+    l1iMshrs.regStats(registry, prefix + ".l1i.mshr");
+    l1dMshrs.regStats(registry, prefix + ".l1d.mshr");
     l2.regStats(registry, prefix + ".l2");
     l2Mshrs.regStats(registry, prefix + ".l2.mshr");
     bus.regStats(registry, prefix + ".bus");

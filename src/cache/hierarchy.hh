@@ -28,9 +28,7 @@
 #define VSV_CACHE_HIERARCHY_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "cache/bus.hh"
 #include "cache/cache.hh"
@@ -151,43 +149,17 @@ struct MemAccessOutcome
     std::uint32_t latencyCycles = 0;
 };
 
-/**
- * The hierarchy itself.
- *
- * With `cores` > 1 each core owns private L1 I/D caches and L1 MSHR
- * files while the L2, its MSHR file, the memory bus and DRAM are
- * shared. Demand-miss detection/return events are delivered per core
- * (an L2 MSHR entry tracks which cores have demand targets merged
- * into it), and bus arbitration is accounted per requestor. The
- * single-core configuration is bit-identical to the pre-multicore
- * hierarchy: every shared structure sees the same access sequence and
- * every stat keeps its name.
- */
+/** The hierarchy itself. */
 class MemoryHierarchy : public PrefetchIssuer
 {
   public:
-    MemoryHierarchy(const HierarchyConfig &config, PowerModel &power,
-                    std::uint32_t cores = 1);
+    MemoryHierarchy(const HierarchyConfig &config, PowerModel &power);
 
-    /** Optional wiring (core 0; kept for single-core callers). */
-    void setMissListener(MissListener *listener)
-    {
-        listeners[0] = listener;
-    }
-    /** Wire the VSV trigger events of one core's controller. */
-    void setCoreMissListener(std::uint32_t core, MissListener *listener);
-    /**
-     * Charge core-private structures (L1s, level converters, prefetch
-     * buffer) of `core` to `model` instead of the constructor's
-     * model. The shared L2/bus/DRAM charges stay on the constructor's
-     * (uncore) model.
-     */
-    void setCorePower(std::uint32_t core, PowerModel *model);
+    /** Optional wiring of the VSV trigger events. */
+    void setMissListener(MissListener *listener) { listener_ = listener; }
     void setPrefetcher(Prefetcher *engine);
     /** Attach an event sink (nullptr = tracing off, the default). */
     void setTraceSink(TraceSink *sink) { trace = sink; }
-
-    std::uint32_t cores() const { return coreCount; }
 
     /**
      * Data-side access from the LSQ (or a software prefetch).
@@ -196,12 +168,10 @@ class MemoryHierarchy : public PrefetchIssuer
      *        non-immediate loads; may be empty for stores/prefetches
      */
     MemAccessOutcome dataAccess(Addr addr, bool is_write, bool is_prefetch,
-                                Tick now, MissTarget on_complete,
-                                std::uint32_t core = 0);
+                                Tick now, MissTarget on_complete);
 
     /** Instruction-side access from fetch. */
-    MemAccessOutcome instFetch(Addr pc, Tick now, MissTarget on_complete,
-                               std::uint32_t core = 0);
+    MemAccessOutcome instFetch(Addr pc, Tick now, MissTarget on_complete);
 
     /** PrefetchIssuer interface (Time-Keeping engine requests). */
     void issueHardwarePrefetch(Addr addr, Tick now) override;
@@ -214,9 +184,8 @@ class MemoryHierarchy : public PrefetchIssuer
      * While warmupMode() is on, hardware prefetches also complete
      * functionally.
      */
-    void warmupInstAccess(Addr pc, Tick now, std::uint32_t core = 0);
-    void warmupDataAccess(Addr addr, bool is_write, Tick now,
-                          std::uint32_t core = 0);
+    void warmupInstAccess(Addr pc, Tick now);
+    void warmupDataAccess(Addr addr, bool is_write, Tick now);
     void setWarmupMode(bool on) { warmupMode_ = on; }
     bool warmupMode() const { return warmupMode_; }
 
@@ -237,25 +206,10 @@ class MemoryHierarchy : public PrefetchIssuer
 
     const Cache &l1iCache() const { return l1i; }
     const Cache &l1dCache() const { return l1d; }
-    const Cache &l1iCacheOf(std::uint32_t core) const;
-    const Cache &l1dCacheOf(std::uint32_t core) const;
     const Cache &l2Cache() const { return l2; }
     const HierarchyConfig &config() const { return config_; }
 
-    /**
-     * Register everything under one prefix (the single-core layout:
-     * core 0's L1s plus the shared structures). Multi-core harnesses
-     * call regStatsCore() per core and regStatsShared() once instead.
-     */
     void regStats(StatRegistry &registry, const std::string &prefix) const;
-
-    /** Register core `core`'s private L1 structures under `prefix`. */
-    void regStatsCore(std::uint32_t core, StatRegistry &registry,
-                      const std::string &prefix) const;
-
-    /** Register the shared L2/bus/DRAM structures under `prefix`. */
-    void regStatsShared(StatRegistry &registry,
-                        const std::string &prefix) const;
 
     /**
      * Serialize every warmup-mutable piece of the hierarchy: all three
@@ -273,49 +227,28 @@ class MemoryHierarchy : public PrefetchIssuer
     /** Which L1 a request entered through. */
     enum class Side : std::uint8_t { Inst, Data };
 
-    /** Private L1 structures of cores 1..N-1 (core 0 lives inline). */
-    struct CoreL1s
-    {
-        CoreL1s(const HierarchyConfig &config, std::uint32_t core);
-
-        Cache l1i;
-        Cache l1d;
-        MshrFile l1iMshrs;
-        MshrFile l1dMshrs;
-    };
-
-    Cache &l1iOf(std::uint32_t core);
-    Cache &l1dOf(std::uint32_t core);
-    MshrFile &l1iMshrsOf(std::uint32_t core);
-    MshrFile &l1dMshrsOf(std::uint32_t core);
-    PowerModel &powerOf(std::uint32_t core);
-
     /**
-     * Request an L2 block on behalf of `core`. Handles MSHR merging,
-     * the demand-miss detection event, bus/DRAM scheduling and the L2
-     * fill; `on_filled` runs once the block is in the L2 (or
-     * immediately after the hit latency on an L2 hit).
+     * Request an L2 block. Handles MSHR merging, the demand-miss
+     * detection event, bus/DRAM scheduling and the L2 fill;
+     * `on_filled` runs once the block is in the L2 (or immediately
+     * after the hit latency on an L2 hit).
      */
     void requestFromL2(Addr l2_block, bool demand, bool is_write,
-                       Tick now, MissTarget on_filled,
-                       std::uint32_t core);
+                       Tick now, MissTarget on_filled);
 
     /** The memory trip for one L2 MSHR entry. */
     void startMemoryTrip(Addr l2_block, Tick when);
 
     /** Fill an L1 and handle its victim. */
-    void fillL1(Side side, Addr l1_block, bool dirty, Tick now,
-                std::uint32_t core);
+    void fillL1(Side side, Addr l1_block, bool dirty, Tick now);
 
     /** Handle a miss in an L1 (shared by inst/data paths). */
     MemAccessOutcome l1MissPath(Side side, Addr addr, bool is_write,
                                 bool is_prefetch, Tick now,
-                                MissTarget on_complete,
-                                std::uint32_t core);
+                                MissTarget on_complete);
 
     HierarchyConfig config_;
-    PowerModel &power; ///< uncore model (and core 0's default)
-    std::uint32_t coreCount;
+    PowerModel &power;
 
     Cache l1i;
     Cache l1d;
@@ -326,10 +259,8 @@ class MemoryHierarchy : public PrefetchIssuer
     MemoryBus bus;
     Dram dram;
     EventQueue events;
-    std::vector<std::unique_ptr<CoreL1s>> extraCores;
 
-    std::vector<MissListener *> listeners;
-    std::vector<PowerModel *> corePower;
+    MissListener *listener_ = nullptr;
     Prefetcher *prefetcher = nullptr;
     TraceSink *trace = nullptr;
     bool warmupMode_ = false;

@@ -41,8 +41,6 @@ MshrFile::allocate(Addr block_addr, Tick now)
             entry.blockAddr = block_addr;
             entry.isWrite = false;
             entry.demand = false;
-            entry.demandCores = 0;
-            entry.owner = 0;
             entry.allocated = now;
             entry.targets.clear();
             ++used;
@@ -71,18 +69,6 @@ MshrFile::demandOutstanding() const
     std::uint32_t n = 0;
     for (const auto &entry : entries) {
         if (entry.valid && entry.demand)
-            ++n;
-    }
-    return n;
-}
-
-std::uint32_t
-MshrFile::demandOutstanding(std::uint32_t core) const
-{
-    const std::uint64_t bit = std::uint64_t(1) << core;
-    std::uint32_t n = 0;
-    for (const auto &entry : entries) {
-        if (entry.valid && (entry.demandCores & bit))
             ++n;
     }
     return n;

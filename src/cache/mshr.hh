@@ -36,15 +36,6 @@ struct MshrEntry
     Addr blockAddr = 0;
     bool isWrite = false;       ///< any merged target is a store
     bool demand = false;        ///< any merged target is a demand access
-    /**
-     * Bitmask of cores with a demand target merged into this entry
-     * (bit c = core c). Always a subset-consistent refinement of
-     * `demand`: demand == (demandCores != 0). The shared L2 uses it
-     * to deliver per-core miss detect/return notifications.
-     */
-    std::uint64_t demandCores = 0;
-    /** Core that allocated the entry (bus arbitration requestor). */
-    std::uint32_t owner = 0;
     Tick allocated = 0;
     std::vector<MissTarget> targets;
 };
@@ -76,9 +67,6 @@ class MshrFile
 
     /** Number of valid entries holding at least one demand target. */
     std::uint32_t demandOutstanding() const;
-
-    /** Valid entries holding a demand target from core `core`. */
-    std::uint32_t demandOutstanding(std::uint32_t core) const;
 
     void regStats(StatRegistry &registry, const std::string &prefix) const;
 

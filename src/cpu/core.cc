@@ -193,7 +193,7 @@ Core::startMemoryAccess(RuuEntry &entry, Tick now)
     if (is_prefetch) {
         // Non-binding: complete regardless of the memory outcome; a
         // rejected prefetch is simply dropped.
-        memory.dataAccess(entry.op.addr, false, true, now, {}, coreId);
+        memory.dataAccess(entry.op.addr, false, true, now, {});
         entry.completeCycle = cycleNum + timing.latency;
         ++swPrefetchesExecuted;
         return true;
@@ -211,15 +211,13 @@ Core::startMemoryAccess(RuuEntry &entry, Tick now)
             power.recordAccess(PowerStructure::RuuCam);
             power.recordAccess(PowerStructure::RegFile);
             wakeConsumers(load);
-        },
-        coreId);
+        });
 
     if (!outcome.accepted) {
         ++memRetries;
         if (trace) {
             trace->record(TraceCategory::Core, TraceEventKind::MemRetry,
-                          now, seq, 0,
-                          static_cast<std::uint16_t>(coreId));
+                          now, seq);
         }
         return false;
     }
@@ -249,14 +247,13 @@ Core::commitStage(Tick now)
             if (dcachePortsUsed >= config.dcachePorts)
                 return;
             const MemAccessOutcome outcome = memory.dataAccess(
-                entry.op.addr, true, false, now, {}, coreId);
+                entry.op.addr, true, false, now, {});
             if (!outcome.accepted) {
                 ++memRetries;
                 if (trace) {
                     trace->record(TraceCategory::Core,
                                   TraceEventKind::MemRetry, now,
-                                  entry.seq, 0,
-                                  static_cast<std::uint16_t>(coreId));
+                                  entry.seq);
                 }
                 return;  // write buffer full; retry next cycle
             }
@@ -330,8 +327,7 @@ Core::completeStage(Tick now)
                 if (trace) {
                     trace->record(TraceCategory::Core,
                                   TraceEventKind::Mispredict, now,
-                                  entry.seq, 0,
-                                  static_cast<std::uint16_t>(coreId));
+                                  entry.seq);
                 }
             }
         }
@@ -471,8 +467,7 @@ Core::fetchStage(Tick now)
         if (!accessed_icache) {
             accessed_icache = true;
             const MemAccessOutcome outcome = memory.instFetch(
-                fo.op.pc, now, [this](Tick) { icacheStall = false; },
-                coreId);
+                fo.op.pc, now, [this](Tick) { icacheStall = false; });
             if (!outcome.accepted) {
                 // L1I MSHRs full; retry the whole fetch next cycle.
                 // The op is already drawn from the trace, so keep it.

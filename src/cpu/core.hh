@@ -131,13 +131,6 @@ class Core
     /** Attach an event sink (nullptr = tracing off, the default). */
     void setTraceSink(TraceSink *sink) { trace = sink; }
 
-    /**
-     * Which core of the hierarchy this pipeline drives (default 0).
-     * Routes cache accesses to the right private L1s and tags trace
-     * events with the originating core.
-     */
-    void setCoreId(std::uint32_t id) { coreId = id; }
-
   private:
     enum class EntryStatus : std::uint8_t
     {
@@ -298,7 +291,6 @@ class Core
     std::uint32_t dcachePortsUsed = 0;
 
     TraceSink *trace = nullptr;
-    std::uint32_t coreId = 0;  ///< hierarchy core this pipeline drives
 
     // Statistics.
     Scalar committed;

@@ -55,35 +55,6 @@ parseExperimentArgs(int argc, char **argv,
               "(drop --no-snapshot-cache)");
     }
     args.storeDir = args.config.getString("store-dir", "");
-
-    args.cores =
-        static_cast<std::uint32_t>(args.config.getUInt("cores", 1));
-    if (args.cores < 1 || args.cores > 64)
-        fatal("--cores must be in [1, 64]");
-    args.railPolicy =
-        parseRailPolicy(args.config.getString("rail-policy", "per-core"));
-    const std::string mix = args.config.getString("core-benchmarks", "");
-    if (!mix.empty()) {
-        std::stringstream ms(mix);
-        std::string item;
-        while (std::getline(ms, item, ',')) {
-            if (!item.empty() && !isSpec2kBenchmark(item)) {
-                fatal("--core-benchmarks=" + mix +
-                      ": unknown benchmark '" + item + "'");
-            }
-            args.coreBenchmarks.push_back(item);
-        }
-        // A trailing empty entry ("a,b,") is invisible to getline;
-        // pad rather than guess so the size check below still fires
-        // for genuinely short lists.
-        if (!mix.empty() && mix.back() == ',')
-            args.coreBenchmarks.emplace_back();
-        if (args.coreBenchmarks.size() != args.cores) {
-            fatal("--core-benchmarks names " +
-                  std::to_string(args.coreBenchmarks.size()) +
-                  " cores but --cores=" + std::to_string(args.cores));
-        }
-    }
     if (args.config.getBool("list-benchmarks", false)) {
         printBenchmarkList(std::cout);
         std::exit(0);
@@ -276,9 +247,6 @@ makeOptions(const ExperimentArgs &args, const std::string &benchmark,
         makeOptions(benchmark, timekeeping, args.instructions,
                     args.warmup);
     options.fastForward = args.fastForward;
-    options.cores = args.cores;
-    options.railPolicy = args.railPolicy;
-    options.coreBenchmarks = args.coreBenchmarks;
     options.trace.path = args.traceOut;
     options.trace.categories =
         TraceSink::parseCategories(args.traceCategories);

@@ -76,13 +76,6 @@ struct ExperimentArgs
      *  same directory re-runs only failed or changed runs. Empty = no
      *  store. */
     std::string storeDir;
-    /** --cores=N: cores per simulated chip (default 1; max 64). */
-    std::uint32_t cores = 1;
-    /** --rail-policy=per-core|shared (multi-core runs only). */
-    RailPolicy railPolicy = RailPolicy::PerCore;
-    /** --core-benchmarks=a,b,...: per-core multiprogrammed mix; must
-     *  name exactly --cores benchmarks (empty = homogeneous). */
-    std::vector<std::string> coreBenchmarks;
     /** Should this invocation read/write the result store? */
     bool storeEnabled() const { return !storeDir.empty(); }
 };

@@ -62,9 +62,8 @@ structuralFingerprint(const SimulationOptions &o)
       << o.core.dcachePorts << sep;
     appendBranchKnobs(s, o.branch);
     appendPrefetcherKnobs(s, o.tk, o.stride);
-    s << o.cores << sep << static_cast<int>(o.railPolicy) << sep;
-    for (const std::string &bench : o.coreBenchmarks)
-        s << bench << sep;
+    // The retired core count and rail policy; keeps keys stable.
+    s << "1|0|";
     return fnv1a64Hex(s.str());
 }
 
@@ -72,8 +71,6 @@ const char *
 lockstepIneligibleReason(const SweepJob &job)
 {
     const SimulationOptions &o = job.options;
-    if (o.cores != 1)
-        return "multi-core";
     if (!o.trace.path.empty())
         return "event-tracing";
     if (job.softTimeoutSeconds > 0.0)

@@ -54,8 +54,8 @@ std::string structuralFingerprint(const SimulationOptions &options);
 
 /**
  * Why a job cannot join a lockstep batch, or nullptr when it can.
- * The reasons are stable strings (manifest keys): "multi-core",
- * "event-tracing", "soft-timeout", "abort-hook".
+ * The reasons are stable strings (manifest keys): "event-tracing",
+ * "soft-timeout", "abort-hook".
  */
 const char *lockstepIneligibleReason(const SweepJob &job);
 

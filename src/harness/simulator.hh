@@ -1,34 +1,24 @@
 /**
  * @file
- * Top-level simulator: wires one or more cores, the shared memory
- * hierarchy, the power models and one VSV controller per core
- * together and runs one benchmark configuration end to end.
+ * Top-level simulator: wires the core, the memory hierarchy, the
+ * power model and the VSV controller together and runs one benchmark
+ * configuration end to end.
  *
  * A run has two phases, mirroring the paper's methodology (fast-
  * forward with cache warmup, then detailed simulation):
  *
- *  1. Functional warmup: each core's trace is streamed through the
- *     caches, branch predictor and the Time-Keeping engine with no
- *     pipeline timing. This stands in for the paper's
+ *  1. Functional warmup: the trace is streamed through the caches,
+ *     branch predictor and the Time-Keeping engine with no pipeline
+ *     timing. This stands in for the paper's
  *     two-billion-instruction fast-forward: it removes cold misses
  *     from the measured window and - critically for Time-Keeping -
  *     trains the address predictor's correlations before measurement
  *     starts.
- *  2. Measured execution: the global tick loop. Each tick the memory
- *     system's events are serviced, every core's VSV controller
- *     advances (and decides whether that core's pipeline clock has an
- *     edge), cores run one pipeline cycle on their edges, the issue
- *     counts feed the per-core FSMs, and the power models close the
- *     tick.
- *
- * Multi-core topology (`cores` > 1): private L1s, predictors and
- * workload streams per core; one shared L2 + bus + DRAM with real
- * contention and per-requestor arbitration accounting. The voltage
- * rails follow the configured RailPolicy - fully independent per-core
- * rails, or one shared rail that only drops when every core's down
- * trigger agrees (an all-cores-stalled vote) and rises as soon as any
- * core wants back up. The single-core configuration is bit-identical
- * to the pre-multicore simulator.
+ *  2. Measured execution: the tick loop. Each tick the memory
+ *     system's events are serviced, the VSV controller advances (and
+ *     decides whether the pipeline clock has an edge), the core runs
+ *     one pipeline cycle on an edge, the issue count feeds the FSMs,
+ *     and the power model closes the tick.
  *
  * Results are deltas across the measured window only.
  */
@@ -55,7 +45,6 @@
 #include "trace/interval.hh"
 #include "trace/sink.hh"
 #include "vsv/controller.hh"
-#include "vsv/rail_policy.hh"
 #include "workload/workload.hh"
 
 namespace vsv
@@ -97,29 +86,9 @@ struct SimulationOptions
     bool stridePrefetch = false;
     VsvConfig vsv{};           ///< vsv.enabled=false => baseline run
     /**
-     * Number of cores (1..64). Each core gets private L1s, a private
-     * branch predictor, its own workload stream in a disjoint
-     * address-space slice, and its own VSV controller + power model;
-     * the L2, memory bus and DRAM are shared. 1 = the original
-     * single-core simulator, bit-identical.
-     */
-    std::uint32_t cores = 1;
-    /** Rail topology for multi-core runs (ignored when cores == 1). */
-    RailPolicy railPolicy = RailPolicy::PerCore;
-    /**
-     * Per-core benchmark names (multiprogrammed mix). Empty = every
-     * core runs `profile` (with decorrelated seeds); otherwise must
-     * hold exactly `cores` entries, each a calibrated SPEC2K name (an
-     * empty entry falls back to `profile`).
-     */
-    std::vector<std::string> coreBenchmarks;
-    /**
-     * Idle-tick fast-forward: when every core is provably stalled and
+     * Idle-tick fast-forward: when the core is provably stalled and
      * no memory event is due, jump time forward and apply the skipped
-     * ticks' bookkeeping in bulk. With multiple cores the jump is
-     * capped at the nearest per-core progress horizon, so no core
-     * skips past a tick where it could transition or observe.
-     * Statistically invisible (results and stats are bit-identical
+     * ticks' bookkeeping in bulk. Statistically invisible (results and stats are bit-identical
      * either way; see DESIGN.md §5d); disable (--no-fast-forward) to
      * force the paranoid per-tick loop.
      */
@@ -149,20 +118,7 @@ struct SimulationOptions
     StridePrefetcherConfig stride{};
 };
 
-/** Per-core metrics of a multi-core run (measured window only). */
-struct CoreRunResult
-{
-    std::string benchmark;
-    std::uint64_t instructions = 0;
-    std::uint64_t pipelineCycles = 0;
-    double ipc = 0.0;            ///< instructions per full-speed cycle
-    double energyPj = 0.0;       ///< this core's private-model delta
-    std::uint64_t downTransitions = 0;
-    std::uint64_t upTransitions = 0;
-    double lowModeFraction = 0.0;
-};
-
-/** Whole-run metrics (measured window only; sums across cores). */
+/** Whole-run metrics (measured window only). */
 struct SimulationResult
 {
     std::string benchmark;
@@ -176,9 +132,6 @@ struct SimulationResult
     std::uint64_t downTransitions = 0;
     std::uint64_t upTransitions = 0;
     double lowModeFraction = 0.0;  ///< fraction of ticks at VDDL-ish
-
-    /** Per-core breakdown; populated only when cores > 1. */
-    std::vector<CoreRunResult> perCore;
 
     // Throughput observability (host-dependent; excluded from the
     // determinism contract - see DESIGN.md §5d).
@@ -221,7 +174,7 @@ class Simulator
      * warming up; a following run() starts measuring immediately and
      * produces bit-identical results to a fresh-warmup run. Any
      * structural problem (corruption, truncation, version skew,
-     * geometry/config/core-count mismatch, or - when
+     * geometry/config mismatch, or - when
      * `expected_fingerprint` is non-empty - a fingerprint mismatch)
      * is a fatal(): throwable inside a sweep worker, where the cache
      * treats it as a miss.
@@ -240,8 +193,7 @@ class Simulator
      * only a PowerModel + VsvController + rail state; the shared
      * front-end's recordAccess()/tick() calls and L2-miss events fan
      * out to every replica, and each replica drives its own pipeline
-     * VDD. Legal only for single-core runs, before warmup()/run(),
-     * and only for configs whose *timing* is identical to the
+     * VDD. Legal only before warmup()/run(), and only for configs whose *timing* is identical to the
      * leader's (same thresholds, divider, up-policy, circuit ticks
      * and derived ramp duration - see structuralFingerprint()); a
      * replica whose pipeline-edge schedule ever diverges from the
@@ -261,9 +213,8 @@ class Simulator
 
     /**
      * Replica r's stat registry: its own power/vsv scalars plus the
-     * shared front-end scalars, registered in the exact serial
-     * single-core order so stat dumps are bit-identical to a serial
-     * run of that config.
+     * shared front-end scalars, registered in the exact serial order
+     * so stat dumps are bit-identical to a serial run of that config.
      */
     const StatRegistry &replicaStats(std::size_t r) const
     {
@@ -273,48 +224,17 @@ class Simulator
     /** Access to the stat registry (valid after run()). */
     const StatRegistry &stats() const { return registry; }
 
-    std::uint32_t cores() const
-    {
-        return static_cast<std::uint32_t>(slices.size());
-    }
-
     /** Component access for tests and examples. */
-    const VsvController &controller(std::uint32_t c = 0) const
-    {
-        return *slices[c].vsvCtrl;
-    }
+    const VsvController &controller() const { return *vsvCtrl; }
     const MemoryHierarchy &memory() const { return *hierarchy; }
-    const PowerModel &powerModel(std::uint32_t c = 0) const
-    {
-        return *slices[c].power;
-    }
-    const Core &core(std::uint32_t c = 0) const { return *slices[c].cpu; }
+    const PowerModel &powerModel() const { return *power; }
+    const Core &core() const { return *cpu; }
 
     /** The event sink, or nullptr when tracing is off. */
     const TraceSink *trace() const { return traceSink.get(); }
 
   private:
-    /**
-     * Everything private to one core: its power model (= the uncore
-     * model too in single-core runs), branch predictor, workload
-     * stream (offset into a disjoint address-space slice for cores
-     * > 0), VSV controller and pipeline.
-     */
-    struct CoreSlice
-    {
-        WorkloadProfile profile;
-        std::unique_ptr<PowerModel> power;
-        std::unique_ptr<BranchPredictor> predictor;
-        std::unique_ptr<WorkloadGenerator> workload;
-        std::unique_ptr<TraceReader> traceReader;
-        std::unique_ptr<TraceSource> offsetSource;
-        TraceSource *source = nullptr;
-        std::unique_ptr<VsvController> vsvCtrl;
-        std::unique_ptr<Core> cpu;
-    };
-
     void functionalWarmup();
-    WorkloadProfile coreProfile(std::uint32_t c) const;
     /** Build replica state + fanout wiring; runs once, pre-warmup. */
     void materializeReplicas();
 
@@ -347,15 +267,16 @@ class Simulator
     SimulationOptions options;
     StatRegistry registry;
 
-    std::vector<CoreSlice> slices;
-    /** Separate shared-structure model when cores > 1 (otherwise the
-     *  uncore charges land on core 0's model, the original layout). */
-    std::unique_ptr<PowerModel> uncorePower_;
-    PowerModel *uncorePower = nullptr;
+    std::unique_ptr<PowerModel> power;
     std::unique_ptr<MemoryHierarchy> hierarchy;
     std::unique_ptr<TimekeepingPrefetcher> tk;
     std::unique_ptr<StridePrefetcher> stride;
-    std::unique_ptr<RailArbiter> arbiter;
+    std::unique_ptr<BranchPredictor> predictor;
+    std::unique_ptr<WorkloadGenerator> workload;
+    std::unique_ptr<TraceReader> traceReader;
+    TraceSource *source = nullptr;
+    std::unique_ptr<VsvController> vsvCtrl;
+    std::unique_ptr<Core> cpu;
     std::unique_ptr<TraceSink> traceSink;
     std::unique_ptr<IntervalStatsSampler> sampler;
 

@@ -515,13 +515,8 @@ configFingerprint(const SimulationOptions &o)
       << o.core.dcachePorts << sep;
     appendBranchKnobs(s, o.branch);
     appendPrefetcherKnobs(s, o.tk, o.stride);
-    // Multi-core topology: the core count, the rail policy and the
-    // per-core benchmark mix all change results. Benchmark names
-    // cannot contain the separator, so the list cannot collide with a
-    // differently-split assignment.
-    s << o.cores << sep << static_cast<int>(o.railPolicy) << sep;
-    for (const std::string &bench : o.coreBenchmarks)
-        s << bench << sep;
+    // The retired core count and rail policy; keeps store keys stable.
+    s << "1|0|";
     return fnv1a64Hex(s.str());
 }
 
@@ -552,14 +547,8 @@ warmupFingerprint(const SimulationOptions &o)
       << sep << o.hierarchy.bus.occupancy << sep;
     appendBranchKnobs(s, o.branch);
     appendPrefetcherKnobs(s, o.tk, o.stride);
-    // The core count and per-core benchmark mix pin every core's
-    // warmup stream (per-core profiles and seeds derive
-    // deterministically from these plus the base profile above). The
-    // rail policy is deliberately absent: warmup is functional, so
-    // both rail policies of a multi-core grid share one snapshot.
-    s << o.cores << sep;
-    for (const std::string &bench : o.coreBenchmarks)
-        s << bench << sep;
+    // The retired core count; keeps snapshot file names stable.
+    s << "1|";
     return fnv1a64Hex(s.str());
 }
 
@@ -582,27 +571,7 @@ writeSimulationResultJson(std::ostream &os, const SimulationResult &r)
        << ",\"avgPowerW\":" << jsonNumber(r.avgPowerW)
        << ",\"downTransitions\":" << r.downTransitions
        << ",\"upTransitions\":" << r.upTransitions
-       << ",\"lowModeFraction\":" << jsonNumber(r.lowModeFraction);
-    // Per-core breakdown; single-core runs keep the original schema.
-    if (!r.perCore.empty()) {
-        os << ",\"perCore\":[";
-        bool first = true;
-        for (const CoreRunResult &c : r.perCore) {
-            os << (first ? "" : ",") << "{\"benchmark\":\""
-               << jsonEscape(c.benchmark) << '"'
-               << ",\"instructions\":" << c.instructions
-               << ",\"pipelineCycles\":" << c.pipelineCycles
-               << ",\"ipc\":" << jsonNumber(c.ipc)
-               << ",\"energyPj\":" << jsonNumber(c.energyPj)
-               << ",\"downTransitions\":" << c.downTransitions
-               << ",\"upTransitions\":" << c.upTransitions
-               << ",\"lowModeFraction\":"
-               << jsonNumber(c.lowModeFraction) << '}';
-            first = false;
-        }
-        os << ']';
-    }
-    os
+       << ",\"lowModeFraction\":" << jsonNumber(r.lowModeFraction)
        // Host-dependent observability; excluded from the determinism
        // contract (fastForwardedTicks/ffTickFraction are reproducible
        // for a fixed fastForward setting, wall time never is).
@@ -730,25 +699,6 @@ parseSimulationResultJson(const minijson::Value &r)
     out.upTransitions =
         static_cast<std::uint64_t>(numberOrZero(r.at("upTransitions")));
     out.lowModeFraction = numberOrZero(r.at("lowModeFraction"));
-    if (r.has("perCore") && r.at("perCore").isArray()) {
-        for (const minijson::Value &c : r.at("perCore").array()) {
-            CoreRunResult core;
-            core.benchmark = c.at("benchmark").str();
-            core.instructions = static_cast<std::uint64_t>(
-                numberOrZero(c.at("instructions")));
-            core.pipelineCycles = static_cast<std::uint64_t>(
-                numberOrZero(c.at("pipelineCycles")));
-            core.ipc = numberOrZero(c.at("ipc"));
-            core.energyPj = numberOrZero(c.at("energyPj"));
-            core.downTransitions = static_cast<std::uint64_t>(
-                numberOrZero(c.at("downTransitions")));
-            core.upTransitions = static_cast<std::uint64_t>(
-                numberOrZero(c.at("upTransitions")));
-            core.lowModeFraction =
-                numberOrZero(c.at("lowModeFraction"));
-            out.perCore.push_back(std::move(core));
-        }
-    }
     if (r.has("throughput") && r.at("throughput").isObject()) {
         const minijson::Value &t = r.at("throughput");
         out.wallSeconds = numberOrZero(t.at("wallSeconds"));

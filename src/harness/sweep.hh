@@ -307,11 +307,9 @@ void appendPrefetcherKnobs(std::ostream &s, const TimekeepingConfig &tk,
  * profiles under default names), the trace source, the warmup window,
  * which prefetcher trains, the power config, cache/bus geometry, MSHR
  * capacities (the snapshot format guards them) and the predictor/
- * prefetcher table shapes, plus the core count and per-core benchmark
- * mix (they pin every core's warmup stream). Measurement-only knobs
- * (measure window, VSV policy, rail policy, core widths, DRAM
- * latency, fast-forward, tracing) are excluded, which is what lets
- * every VSV configuration - and both rail policies - of a benchmark
+ * prefetcher table shapes. Measurement-only knobs (measure window, VSV
+ * policy, core widths, DRAM latency, fast-forward, tracing) are
+ * excluded, which is what lets every VSV configuration of a benchmark
  * share one warmup. Keys the WarmupSnapshotCache and is embedded in
  * snapshot headers for provenance checks.
  */
@@ -359,8 +357,7 @@ void writeSimulationResultJson(std::ostream &os,
 
 /**
  * Inverse of writeSimulationResultJson, used by the store replay.
- * Missing optional blocks (perCore, throughput) leave their fields
- * default; numbers written as null (non-finite values) parse back as
+ * A missing throughput block leaves its fields default; numbers written as null (non-finite values) parse back as
  * 0.0.
  */
 SimulationResult parseSimulationResultJson(const minijson::Value &r);

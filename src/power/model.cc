@@ -80,8 +80,7 @@ PowerModel::addRampEnergy(Tick when)
     if (trace) {
         trace->record(TraceCategory::Power, TraceEventKind::RampEnergy,
                       when,
-                      std::bit_cast<std::uint64_t>(rampEnergy.value()), 0,
-                      traceCore);
+                      std::bit_cast<std::uint64_t>(rampEnergy.value()));
     }
 }
 

@@ -110,16 +110,8 @@ class PowerModel
      */
     void addRampEnergy(Tick when = 0);
 
-    /**
-     * Attach an event sink (nullptr = tracing off, the default).
-     * `core` tags this model's events so per-core models land on
-     * per-core trace tracks.
-     */
-    void setTraceSink(TraceSink *sink, std::uint16_t core = 0)
-    {
-        trace = sink;
-        traceCore = core;
-    }
+    /** Attach an event sink (nullptr = tracing off, the default). */
+    void setTraceSink(TraceSink *sink) { trace = sink; }
 
     /**
      * Lockstep fanout: mirror every recordAccess() and tick() into
@@ -183,16 +175,9 @@ class PowerModel
      * flush boundaries (a voltage change, an access-carrying tick, or
      * an energy read), so fast-forwarded and per-tick runs produce
      * bit-identical totals. Must not be called with accesses recorded
-     * and not yet closed by tick().
-     *
-     * Multi-core banking: each core banks idle ticks into its *own*
-     * model (per-core VDD differs under independent rails), and the
-     * shared-uncore model banks every fast-forwarded tick as an edge
-     * tick (the uncore clock never divides). The banked counters are
-     * serialized un-flushed by snapshot(), so a restore mid-bank
-     * replays the same flush-boundary schedule per model - this holds
-     * per core because each model's counters travel in its own
-     * snapshot section.
+     * and not yet closed by tick(). The banked counters are serialized
+     * un-flushed by snapshot(), so a restore mid-bank replays the same
+     * flush-boundary schedule.
      */
     void accrueIdleTicks(std::uint64_t edges, std::uint64_t no_edges);
 
@@ -280,7 +265,6 @@ class PowerModel
     double scaledVsq = 1.0;
     bool lowPowerPath = false;
     TraceSink *trace = nullptr;
-    std::uint16_t traceCore = 0;
     /** Lockstep follower models; see setFanout(). */
     PowerModel *const *fanout_ = nullptr;
     std::size_t fanoutCount_ = 0;

@@ -44,9 +44,9 @@ namespace vsv
 
 /** Bump when the snapshot layout changes; readers reject other
  *  versions outright (a snapshot is a cache entry, not an archive).
- *  v2: multi-core layout - the "sim" section carries a core count and
- *  per-core profile names, the hierarchy serializes per-core L1/MSHR
- *  sections, and the bus appends per-requestor counters.
+ *  v2: the "sim" and "hierarchy" sections carry a core count and the
+ *  bus a per-requestor table length, from a since-retired multi-core
+ *  layout; they are written and checked as 1, 1 and 0.
  *  v3: sections are checksummed with snapshotChecksum, a word-wise
  *  pass, instead of byte-serial FNV-1a 64. */
 constexpr std::uint32_t snapshotFormatVersion = 3;

@@ -234,111 +234,77 @@ TraceSink::writeChromeJson(std::ostream &os, Tick origin,
 {
     VSV_ASSERT(end_tick >= origin, "trace end before origin");
 
-    // Multi-core runs tag events with their core id; a pre-scan
-    // decides the track layout. Single-core traces keep the original
-    // five-track schema byte for byte.
-    std::uint16_t max_core = 0;
-    visit([&](const TraceEvent &ev) {
-        if (ev.core > max_core)
-            max_core = ev.core;
-    });
-    const std::uint32_t cores = max_core + 1u;
-    const bool multi = max_core > 0;
-
-    // Per-core tids: core c occupies the block [c*8+1, c*8+5].
-    const auto tid = [&](std::uint16_t core, int base) {
-        return static_cast<int>(core) * 8 + base;
-    };
-    // Counter names gain a "coreN." prefix in multi-core traces
-    // (Perfetto keys counter tracks by name, not tid).
-    const auto counterName = [&](std::uint16_t core,
-                                 std::string_view name) {
-        if (!multi)
-            return std::string(name);
-        return "core" + std::to_string(core) + "." +
-               std::string(name);
-    };
-
     os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
     EventWriter w(os);
 
     w.next() << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
              << "\"args\":{\"name\":\"vsv-sim\"}}";
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        const std::string p =
-            multi ? "core" + std::to_string(c) + " " : "";
-        const auto core16 = static_cast<std::uint16_t>(c);
-        emitThreadName(w, tid(core16, tidMode), p + "vsv mode");
-        emitThreadName(w, tid(core16, tidFsm), p + "issue-rate FSMs");
-        emitThreadName(w, tid(core16, tidL2Miss), p + "l2 miss");
-        emitThreadName(w, tid(core16, tidCore), p + "core");
-        emitThreadName(w, tid(core16, tidFastForward),
-                       p + "fast-forward");
-    }
+    emitThreadName(w, tidMode, "vsv mode");
+    emitThreadName(w, tidFsm, "issue-rate FSMs");
+    emitThreadName(w, tidL2Miss, "l2 miss");
+    emitThreadName(w, tidCore, "core");
+    emitThreadName(w, tidFastForward, "fast-forward");
 
-    // Per-core slice state threaded through the event scan.
+    // Slice state threaded through the event scan.
     struct OpenMode
     {
         Tick ts;
         std::uint32_t nameIndex;
     };
-    std::vector<std::optional<OpenMode>> openMode(cores);
+    std::optional<OpenMode> openMode;
     struct OpenFsm
     {
         Tick ts;
         std::uint64_t observations = 0;
     };
-    std::vector<std::array<std::optional<OpenFsm>, 2>> openFsm(cores);
+    std::array<std::optional<OpenFsm>, 2> openFsm;
 
     const Tick end = end_tick - origin;
 
-    auto closeFsm = [&](std::uint16_t core, std::uint64_t which,
-                        Tick ts, std::string_view outcome) {
-        const OpenFsm &open = *openFsm[core][which];
+    auto closeFsm = [&](std::uint64_t which, Tick ts,
+                        std::string_view outcome) {
+        const OpenFsm &open = *openFsm[which];
         std::string args = "\"observations\":" +
                            std::to_string(open.observations) +
                            ",\"outcome\":" + quoted(outcome);
         emitSlice(w, std::string(fsmTrackNames[which]) + " armed",
-                  open.ts, ts - open.ts, "fsm", tid(core, tidFsm),
-                  args);
-        openFsm[core][which].reset();
+                  open.ts, ts - open.ts, "fsm", tidFsm, args);
+        openFsm[which].reset();
     };
 
     visit([&](const TraceEvent &ev) {
         VSV_ASSERT(ev.ts >= origin, "trace event before origin");
         const Tick ts = ev.ts - origin;
-        const std::uint16_t core = ev.core;
         const std::string_view cat =
             categoryName(static_cast<TraceCategory>(1u << ev.cat));
         switch (static_cast<TraceEventKind>(ev.kind)) {
           case TraceEventKind::ModeEnter:
-            if (openMode[core]) {
-                emitSlice(w, internedString(openMode[core]->nameIndex),
-                          openMode[core]->ts, ts - openMode[core]->ts,
-                          cat, tid(core, tidMode), "");
+            if (openMode) {
+                emitSlice(w, internedString(openMode->nameIndex),
+                          openMode->ts, ts - openMode->ts, cat, tidMode,
+                          "");
             }
-            openMode[core] = OpenMode{
-                ts, static_cast<std::uint32_t>(ev.a)};
+            openMode = OpenMode{ts, static_cast<std::uint32_t>(ev.a)};
             break;
 
           case TraceEventKind::FsmArm:
-            if (openFsm[core][ev.a])
-                closeFsm(core, ev.a, ts, "rearmed");
-            openFsm[core][ev.a] = OpenFsm{ts, 0};
+            if (openFsm[ev.a])
+                closeFsm(ev.a, ts, "rearmed");
+            openFsm[ev.a] = OpenFsm{ts, 0};
             break;
 
           case TraceEventKind::FsmObserve: {
-            if (!openFsm[core][ev.a])
-                openFsm[core][ev.a] = OpenFsm{ts, 0};
-            ++openFsm[core][ev.a]->observations;
+            if (!openFsm[ev.a])
+                openFsm[ev.a] = OpenFsm{ts, 0};
+            ++openFsm[ev.a]->observations;
             const std::uint8_t outcome = ev.b & 0xff;
             if (outcome >= 2 && outcome <= 3) {
                 const std::string_view name = outcomeNames[outcome];
-                closeFsm(core, ev.a, ts, name);
+                closeFsm(ev.a, ts, name);
                 emitInstant(w,
                             std::string(fsmTrackNames[ev.a]) + " " +
                                 std::string(name),
-                            ts, cat, tid(core, tidFsm),
+                            ts, cat, tidFsm,
                             "\"issued\":" +
                                 std::to_string(ev.b >> 8));
             }
@@ -346,61 +312,56 @@ TraceSink::writeChromeJson(std::ostream &os, Tick origin,
           }
 
           case TraceEventKind::FsmDisarm:
-            if (openFsm[core][ev.a])
-                closeFsm(core, ev.a, ts, "disarmed");
+            if (openFsm[ev.a])
+                closeFsm(ev.a, ts, "disarmed");
             break;
 
           case TraceEventKind::MissDetect:
-            emitInstant(w, "missDetect", ts, cat,
-                        tid(core, tidL2Miss),
+            emitInstant(w, "missDetect", ts, cat, tidL2Miss,
                         "\"outstanding\":" + std::to_string(ev.a));
-            emitCounter(w, counterName(core, "demandOutstanding"),
-                        ts, cat, static_cast<double>(ev.a));
+            emitCounter(w, "demandOutstanding", ts, cat,
+                        static_cast<double>(ev.a));
             break;
 
           case TraceEventKind::MissReturn:
-            emitInstant(w, "missReturn", ts, cat,
-                        tid(core, tidL2Miss),
+            emitInstant(w, "missReturn", ts, cat, tidL2Miss,
                         "\"outstanding\":" + std::to_string(ev.a));
-            emitCounter(w, counterName(core, "demandOutstanding"),
-                        ts, cat, static_cast<double>(ev.a));
+            emitCounter(w, "demandOutstanding", ts, cat,
+                        static_cast<double>(ev.a));
             break;
 
           case TraceEventKind::MshrLevel:
-            // The L2 MSHR file is shared; one counter for all cores.
             emitCounter(w, "l2MshrInUse", ts, cat,
                         static_cast<double>(ev.a));
             break;
 
           case TraceEventKind::VddChange:
-            emitCounter(w, counterName(core, "pipelineVdd"), ts, cat,
+            emitCounter(w, "pipelineVdd", ts, cat,
                         std::bit_cast<double>(ev.a));
             break;
 
           case TraceEventKind::RampEnergy:
-            emitCounter(w, counterName(core, "rampEnergyPj"), ts, cat,
+            emitCounter(w, "rampEnergyPj", ts, cat,
                         std::bit_cast<double>(ev.a));
             break;
 
           case TraceEventKind::ClockDivider:
-            emitCounter(w, counterName(core, "clockDivider"), ts, cat,
+            emitCounter(w, "clockDivider", ts, cat,
                         static_cast<double>(ev.a));
             break;
 
           case TraceEventKind::Mispredict:
-            emitInstant(w, "mispredictRecovery", ts, cat,
-                        tid(core, tidCore),
+            emitInstant(w, "mispredictRecovery", ts, cat, tidCore,
                         "\"seq\":" + std::to_string(ev.a));
             break;
 
           case TraceEventKind::MemRetry:
-            emitInstant(w, "memRetry", ts, cat, tid(core, tidCore),
+            emitInstant(w, "memRetry", ts, cat, tidCore,
                         "\"seq\":" + std::to_string(ev.a));
             break;
 
           case TraceEventKind::IdleSpan:
-            emitSlice(w, "idle", ts, ev.a, cat,
-                      tid(core, tidFastForward),
+            emitSlice(w, "idle", ts, ev.a, cat, tidFastForward,
                       "\"ticks\":" + std::to_string(ev.a) +
                           ",\"edges\":" + std::to_string(ev.b));
             break;
@@ -418,17 +379,13 @@ TraceSink::writeChromeJson(std::ostream &os, Tick origin,
     });
 
     // Close anything still open at the end of the run.
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        const auto core16 = static_cast<std::uint16_t>(c);
-        if (openMode[c]) {
-            emitSlice(w, internedString(openMode[c]->nameIndex),
-                      openMode[c]->ts, end - openMode[c]->ts, "mode",
-                      tid(core16, tidMode), "");
-        }
-        for (std::uint64_t which = 0; which < 2; ++which) {
-            if (openFsm[c][which])
-                closeFsm(core16, which, end, "open");
-        }
+    if (openMode) {
+        emitSlice(w, internedString(openMode->nameIndex), openMode->ts,
+                  end - openMode->ts, "mode", tidMode, "");
+    }
+    for (std::uint64_t which = 0; which < 2; ++which) {
+        if (openFsm[which])
+            closeFsm(which, end, "open");
     }
 
     os << "\n]}\n";

@@ -98,7 +98,6 @@ struct TraceEvent
     std::uint64_t b;
     std::uint16_t kind; ///< TraceEventKind
     std::uint16_t cat;  ///< bit index of the TraceCategory
-    std::uint16_t core; ///< originating core (0 in single-core runs)
 };
 
 /**
@@ -133,15 +132,10 @@ class TraceSink
         return (mask_ & static_cast<std::uint32_t>(c)) != 0;
     }
 
-    /**
-     * Append one event; no-op when the category is masked off.
-     * `core` tags the originating core: exports group per-core events
-     * onto per-core tracks when any nonzero core id was recorded.
-     */
+    /** Append one event; no-op when the category is masked off. */
     void
     record(TraceCategory c, TraceEventKind k, Tick ts,
-           std::uint64_t a = 0, std::uint64_t b = 0,
-           std::uint16_t core = 0)
+           std::uint64_t a = 0, std::uint64_t b = 0)
     {
         if (!wants(c))
             return;
@@ -149,7 +143,7 @@ class TraceSink
             addSlab();
         *cursor_++ = TraceEvent{ts, a, b,
                                 static_cast<std::uint16_t>(k),
-                                categoryIndex(c), core};
+                                categoryIndex(c)};
     }
 
     /**

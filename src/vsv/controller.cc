@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "vsv/rail_policy.hh"
 
 namespace vsv
 {
@@ -63,62 +62,13 @@ VsvController::VsvController(const VsvConfig &config, PowerModel &power)
 }
 
 void
-VsvController::setRailArbiter(RailArbiter *arbiter_, std::uint32_t core)
-{
-    arbiter = arbiter_;
-    coreId = core;
-    if (arbiter)
-        arbiter->attach(core, this);
-}
-
-void
-VsvController::requestDownTransition(Tick now)
-{
-    // Shared rail: a down trigger is a vote, not a transition. The
-    // arbiter forces the whole group down (through
-    // forceDownTransition) once every core has voted.
-    if (arbiter) {
-        arbiter->voteDown(coreId, now);
-        return;
-    }
-    startDownTransition(now);
-}
-
-void
-VsvController::forceDownTransition(Tick now)
-{
-    VSV_ASSERT(state_ == VsvState::High,
-               "group down transition outside the high-power mode");
-    startDownTransition(now);
-}
-
-void
-VsvController::forceUpTransition(Tick now)
-{
-    switch (state_) {
-      case VsvState::Low:
-        startUpTransition(now);
-        break;
-      case VsvState::DownClockDist:
-      case VsvState::RampDown:
-        // Mid-down-transition: the rail must settle at VDDL before it
-        // can swing back (the same circuit constraint that defers a
-        // returning miss); replay the group trigger on entering Low.
-        pendingSharedUp = true;
-        break;
-      default:
-        break; // already High or heading there
-    }
-}
-
-void
 VsvController::startDownTransition(Tick now)
 {
     VSV_ASSERT(state_ == VsvState::High,
                "down transition outside the high-power mode");
     if (trace && downFsm.armed()) {
         trace->record(TraceCategory::Fsm, TraceEventKind::FsmDisarm,
-                      now, traceFsmDown, 0, traceCore);
+                      now, traceFsmDown);
     }
     downFsm.disarm();
     ++downCount;
@@ -132,15 +82,11 @@ VsvController::startUpTransition(Tick now)
                "up transition outside the low-power mode");
     if (trace && upFsm.armed()) {
         trace->record(TraceCategory::Fsm, TraceEventKind::FsmDisarm,
-                      now, traceFsmUp, 0, traceCore);
+                      now, traceFsmUp);
     }
     upFsm.disarm();
     ++upCount;
     enterState(VsvState::UpClockDist, now);
-    // A shared rail rises for everyone: drag the rest of the group up
-    // (the arbiter absorbs the echo from the cores it forces).
-    if (arbiter)
-        arbiter->noteUpTransition(coreId, now);
 }
 
 void
@@ -149,8 +95,7 @@ VsvController::enterState(VsvState next, Tick now)
     state_ = next;
     if (trace) {
         trace->record(TraceCategory::Mode, TraceEventKind::ModeEnter,
-                      now, trace->internString(vsvStateName(next)), 0,
-                      traceCore);
+                      now, trace->internString(vsvStateName(next)));
         // The pipeline sees full-speed edges until the divided clock
         // reaches the tree's leaves, so the effective divider changes
         // on RampDown entry (down) and High entry (up).
@@ -160,8 +105,7 @@ VsvController::enterState(VsvState next, Tick now)
                 : config.clockDivider;
         if (divider != tracedDivider) {
             trace->record(TraceCategory::Clock,
-                          TraceEventKind::ClockDivider, now, divider,
-                          0, traceCore);
+                          TraceEventKind::ClockDivider, now, divider);
             tracedDivider = divider;
         }
     }
@@ -174,8 +118,7 @@ VsvController::enterState(VsvState next, Tick now)
         break;
       case VsvState::RampDown:
         rail.rampTo(config.vddLow);
-        if (chargeRamp)
-            power.addRampEnergy(now);
+        power.addRampEnergy(now);
         stateEnd = now + rampTicks;
         nextEdge = now;  // first half-speed cycle starts immediately
         break;
@@ -188,8 +131,7 @@ VsvController::enterState(VsvState next, Tick now)
         break;
       case VsvState::RampUp:
         rail.rampTo(config.vddHigh);
-        if (chargeRamp)
-            power.addRampEnergy(now);
+        power.addRampEnergy(now);
         // The full-speed clock-tree distribution overlaps the last
         // 2 ns of the ramp (Section 3.4), so no extra time after it.
         stateEnd = now + rampTicks;
@@ -206,15 +148,6 @@ VsvController::enterState(VsvState next, Tick now)
 void
 VsvController::settleIntoLow(Tick now)
 {
-    if (pendingSharedUp) {
-        // The rail group was pulled up while this core was still
-        // heading down; honor the group decision the moment the rail
-        // settles at VDDL. Any return replay is subsumed.
-        pendingSharedUp = false;
-        pendingReturnReplay = false;
-        startUpTransition(now);
-        return;
-    }
     if (!pendingReturnReplay)
         return;
     // One or more demand misses returned while the down transition
@@ -248,12 +181,12 @@ VsvController::settleIntoHigh(Tick now)
     if (outstandingDemand == 0 || !config.enabled)
         return;
     if (config.down.threshold == 0) {
-        requestDownTransition(now);
+        startDownTransition(now);
     } else if (!downFsm.armed()) {
         downFsm.arm();
         if (trace) {
             trace->record(TraceCategory::Fsm, TraceEventKind::FsmArm,
-                          now, traceFsmDown, 0, traceCore);
+                          now, traceFsmDown);
         }
     }
 }
@@ -269,15 +202,14 @@ VsvController::armUpFsm(Tick now)
         return;
     if (trace) {
         trace->record(TraceCategory::Fsm, TraceEventKind::FsmArm, now,
-                      traceFsmUp, 0, traceCore);
+                      traceFsmUp);
     }
     if (upFsm.arm()) {
         // threshold == 0: fired on arm, with zero observations.
         if (trace) {
             trace->record(TraceCategory::Fsm, TraceEventKind::FsmObserve,
                           now, traceFsmUp,
-                          observePayload(0, MonitorOutcome::Fired),
-                          traceCore);
+                          observePayload(0, MonitorOutcome::Fired));
         }
         startUpTransition(now);
     }
@@ -320,8 +252,7 @@ VsvController::beginTick(Tick now)
         if (vdd != tracedVdd) {
             trace->record(TraceCategory::Power,
                           TraceEventKind::VddChange, now,
-                          std::bit_cast<std::uint64_t>(vdd), 0,
-                          traceCore);
+                          std::bit_cast<std::uint64_t>(vdd));
             tracedVdd = vdd;
         }
         if (tracedDivider == 0) {
@@ -332,11 +263,10 @@ VsvController::beginTick(Tick now)
             tracedDivider = lowPowerPath() ? config.clockDivider : 1;
             trace->record(TraceCategory::Clock,
                           TraceEventKind::ClockDivider, now,
-                          tracedDivider, 0, traceCore);
+                          tracedDivider);
             trace->record(TraceCategory::Mode,
                           TraceEventKind::ModeEnter, now,
-                          trace->internString(vsvStateName(state_)),
-                          0, traceCore);
+                          trace->internString(vsvStateName(state_)));
         }
     }
 
@@ -431,8 +361,7 @@ VsvController::advanceIdle(Tick now, Tick max_ticks, Tick max_edges)
                 trace->record(
                     TraceCategory::Fsm, TraceEventKind::FsmObserve,
                     first_edge + i * edge_step, which,
-                    observePayload(0, MonitorOutcome::Watching),
-                    traceCore);
+                    observePayload(0, MonitorOutcome::Watching));
             }
         }
         if (high)
@@ -455,16 +384,16 @@ VsvController::observeIssueRate(std::uint32_t issued)
         if (trace) {
             trace->record(TraceCategory::Fsm, TraceEventKind::FsmObserve,
                           lastTick, traceFsmDown,
-                          observePayload(issued, outcome), traceCore);
+                          observePayload(issued, outcome));
         }
         if (outcome == MonitorOutcome::Fired)
-            requestDownTransition(lastTick);
+            startDownTransition(lastTick);
     } else if (state_ == VsvState::Low && upFsm.armed()) {
         const MonitorOutcome outcome = upFsm.observe(issued);
         if (trace) {
             trace->record(TraceCategory::Fsm, TraceEventKind::FsmObserve,
                           lastTick, traceFsmUp,
-                          observePayload(issued, outcome), traceCore);
+                          observePayload(issued, outcome));
         }
         if (outcome == MonitorOutcome::Fired)
             startUpTransition(lastTick);
@@ -486,12 +415,12 @@ VsvController::demandL2MissDetected(Tick when, std::uint32_t outstanding)
     if (config.down.threshold == 0) {
         // No down-FSM: transition on every demand miss (the paper's
         // "without FSMs" configuration).
-        requestDownTransition(when);
+        startDownTransition(when);
     } else if (!downFsm.armed()) {
         downFsm.arm();
         if (trace) {
             trace->record(TraceCategory::Fsm, TraceEventKind::FsmArm,
-                          when, traceFsmDown, 0, traceCore);
+                          when, traceFsmDown);
         }
     }
 }
@@ -532,11 +461,6 @@ VsvController::demandL2MissReturned(Tick when, std::uint32_t outstanding)
         break;
 
       default:
-        // A shared-rail vote is only worth honoring while the demand
-        // miss behind it is still outstanding; once it drains in High
-        // the core no longer wants the rail down.
-        if (arbiter && outstanding == 0 && state_ == VsvState::High)
-            arbiter->retractDownVote(coreId);
         break;
     }
 }

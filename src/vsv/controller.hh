@@ -55,8 +55,6 @@
 namespace vsv
 {
 
-class RailArbiter;
-
 /** Low-to-high transition policies of Section 6.3. */
 enum class UpPolicy : std::uint8_t
 {
@@ -107,7 +105,7 @@ enum class VsvState : std::uint8_t
 
 std::string_view vsvStateName(VsvState state);
 
-/** The controller. One per core. */
+/** The controller. */
 class VsvController : public MissListener
 {
   public:
@@ -151,11 +149,11 @@ class VsvController : public MissListener
 
     /**
      * Side-effect-free preview of advanceIdle(): what a call with the
-     * same arguments would skip. Multi-core fast-forward plans every
-     * core's horizon first, takes the minimum, then commits each core
-     * with advanceIdle(now, min, max_edges) - which is guaranteed to
-     * skip exactly `min` ticks because a plan of >= min ticks implies
-     * the edge budget admits them.
+     * same arguments would skip. Lockstep fast-forward plans the
+     * leader's and every replica's horizon first, takes the minimum,
+     * then commits each with advanceIdle(now, min, max_edges) - which
+     * is guaranteed to skip exactly `min` ticks because a plan of
+     * >= min ticks implies the edge budget admits them.
      */
     IdleAdvance planIdleAdvance(Tick now, Tick max_ticks,
                                 Tick max_edges) const;
@@ -200,49 +198,16 @@ class VsvController : public MissListener
 
     /**
      * Attach an event sink (nullptr = tracing off, the default).
-     * Emits mode-residency, FSM, voltage and clock-divider events,
-     * tagged with `core` so multi-core traces land on per-core
-     * tracks; advanceIdle() synthesizes the per-edge FSM observations
-     * a per-tick run would have recorded, so traced fast-forward and
+     * Emits mode-residency, FSM, voltage and clock-divider events;
+     * advanceIdle() synthesizes the per-edge FSM observations a
+     * per-tick run would have recorded, so traced fast-forward and
      * --no-fast-forward runs produce equivalent event streams
      * (DESIGN.md 5e).
      */
-    void setTraceSink(TraceSink *sink, std::uint16_t core = 0)
-    {
-        trace = sink;
-        traceCore = core;
-    }
-
-    /**
-     * Join a shared-rail voting group (RailPolicy::SharedVote) as
-     * core `core`. Down triggers then cast votes with the arbiter
-     * instead of transitioning; up triggers drag the whole group.
-     */
-    void setRailArbiter(RailArbiter *arbiter_, std::uint32_t core);
-
-    /**
-     * Whether this controller charges the rail-swing energy on its
-     * own transitions (default true). Under a shared rail only one
-     * core represents the physical rail; the others transition in
-     * lockstep without double-charging the 66 nJ swing.
-     */
-    void setChargeRampEnergy(bool charge) { chargeRamp = charge; }
-
-    // RailArbiter callbacks (group transitions).
-    /** Start the down transition now; caller guarantees state High. */
-    void forceDownTransition(Tick now);
-    /**
-     * Pull this core up with the group: from Low starts the up
-     * transition immediately; mid-down-transition it is deferred and
-     * replayed the moment Low is reached; otherwise it is a no-op
-     * (already High or heading there).
-     */
-    void forceUpTransition(Tick now);
+    void setTraceSink(TraceSink *sink) { trace = sink; }
 
   private:
     void enterState(VsvState next, Tick now);
-    /** Route a down trigger: vote when rail-shared, else transition. */
-    void requestDownTransition(Tick now);
     void startDownTransition(Tick now);
     void startUpTransition(Tick now);
     /** Deferred-event replay when a stable state is (re)entered. */
@@ -274,16 +239,7 @@ class VsvController : public MissListener
     /** A return arrived mid-down-transition; replay on entering Low. */
     bool pendingReturnReplay = false;
 
-    /** Shared-rail wiring (null under independent per-core rails). */
-    RailArbiter *arbiter = nullptr;
-    std::uint32_t coreId = 0;
-    /** A group up arrived mid-down-transition; replay on entering Low. */
-    bool pendingSharedUp = false;
-    /** Charge the rail-swing energy on transitions (see setter). */
-    bool chargeRamp = true;
-
     TraceSink *trace = nullptr;
-    std::uint16_t traceCore = 0;
     /** Last values emitted on the vdd/divider counter tracks. */
     double tracedVdd = -1.0;
     std::uint64_t tracedDivider = 0;

@@ -37,12 +37,26 @@ encode(const MicroOp &op)
     return rec;
 }
 
+/**
+ * Decode one record; a field outside its enum's range means a corrupt
+ * or foreign file, reported against `path` and the record's index.
+ */
 MicroOp
-decode(const TraceRecord &rec)
+decode(const TraceRecord &rec, const std::string &path,
+       std::uint64_t index)
 {
+    const char *bad = nullptr;
+    if (rec.cls >= static_cast<std::uint8_t>(OpClass::NumOpClasses))
+        bad = "op class";
+    else if (rec.brKind > static_cast<std::uint8_t>(BranchKind::Return))
+        bad = "branch kind";
+    else if (rec.taken > 1)
+        bad = "taken flag";
+    if (bad) {
+        fatal("corrupt trace record " + std::to_string(index) + " (bad " +
+              bad + "): " + path);
+    }
     MicroOp op;
-    VSV_ASSERT(rec.cls < static_cast<std::uint8_t>(OpClass::NumOpClasses),
-               "trace record with bad op class");
     op.cls = static_cast<OpClass>(rec.cls);
     op.brKind = static_cast<BranchKind>(rec.brKind);
     op.taken = rec.taken != 0;
@@ -104,12 +118,12 @@ TraceWriter::close()
 TraceReader::TraceReader(const std::string &path, bool loop)
     : path(path), loop(loop)
 {
-    file = std::fopen(path.c_str(), "rb");
+    file.reset(std::fopen(path.c_str(), "rb"));
     if (!file)
         fatal("cannot open trace file: " + path);
 
     TraceHeader header{};
-    if (std::fread(&header, sizeof(header), 1, file) != 1)
+    if (std::fread(&header, sizeof(header), 1, file.get()) != 1)
         fatal("trace file too short: " + path);
     if (std::memcmp(header.magic, traceMagic, 4) != 0)
         fatal("not a VSV trace file: " + path);
@@ -119,20 +133,29 @@ TraceReader::TraceReader(const std::string &path, bool loop)
     }
     if (header.count == 0)
         fatal("empty trace file: " + path);
+    // The file must hold exactly the records its header counts: a
+    // short file would fail mid-run, a long one would be read in part.
+    std::fseek(file.get(), 0, SEEK_END);
+    const long size = std::ftell(file.get());
+    const std::uint64_t body =
+        size >= static_cast<long>(sizeof(TraceHeader))
+            ? static_cast<std::uint64_t>(size) - sizeof(TraceHeader)
+            : 0;
+    if (body % sizeof(TraceRecord) != 0 ||
+        body / sizeof(TraceRecord) != header.count) {
+        fatal("trace file size " + std::to_string(size) +
+              " does not match its header's " +
+              std::to_string(header.count) + " records: " + path);
+    }
+    std::fseek(file.get(), sizeof(TraceHeader), SEEK_SET);
     total = header.count;
     remaining = total;
-}
-
-TraceReader::~TraceReader()
-{
-    if (file)
-        std::fclose(file);
 }
 
 void
 TraceReader::rewindToFirstRecord()
 {
-    std::fseek(file, sizeof(TraceHeader), SEEK_SET);
+    std::fseek(file.get(), sizeof(TraceHeader), SEEK_SET);
     remaining = total;
 }
 
@@ -148,11 +171,12 @@ TraceReader::next()
         ++wraps_;
     }
     TraceRecord rec{};
-    if (std::fread(&rec, sizeof(rec), 1, file) != 1)
+    if (std::fread(&rec, sizeof(rec), 1, file.get()) != 1)
         fatal("trace read failed (truncated file?): " + path);
+    const std::uint64_t index = total - remaining;
     --remaining;
     ++consumed;
-    return decode(rec);
+    return decode(rec, path, index);
 }
 
 void
@@ -183,7 +207,7 @@ TraceReader::restore(SnapshotReader &reader)
     reader.end();
 
     // Re-seat the file position on the record the cursor names.
-    std::fseek(file,
+    std::fseek(file.get(),
                static_cast<long>(sizeof(TraceHeader) +
                                  (total - remaining) *
                                      sizeof(TraceRecord)),

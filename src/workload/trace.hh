@@ -84,7 +84,13 @@ class TraceWriter
     std::uint64_t count = 0;
 };
 
-/** Replays a trace file as a TraceSource. */
+/**
+ * Replays a trace file as a TraceSource. A file whose size disagrees
+ * with its header's record count, or a record with an out-of-range
+ * op class, branch kind or taken flag, is a fatal() naming the file
+ * (and the record index): throwable inside a sweep worker, never a
+ * crash or a silent mis-decode.
+ */
 class TraceReader : public TraceSource
 {
   public:
@@ -95,7 +101,6 @@ class TraceReader : public TraceSource
      *        false makes exhaustion fatal
      */
     explicit TraceReader(const std::string &path, bool loop = true);
-    ~TraceReader() override;
 
     TraceReader(const TraceReader &) = delete;
     TraceReader &operator=(const TraceReader &) = delete;
@@ -123,8 +128,14 @@ class TraceReader : public TraceSource
   private:
     void rewindToFirstRecord();
 
+    /** Closes the file, also when the constructor rejects it. */
+    struct FileCloser
+    {
+        void operator()(std::FILE *f) const { std::fclose(f); }
+    };
+
     std::string path;
-    std::FILE *file = nullptr;
+    std::unique_ptr<std::FILE, FileCloser> file;
     std::uint64_t total = 0;
     std::uint64_t remaining = 0;
     std::uint64_t consumed = 0;

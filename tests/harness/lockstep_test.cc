@@ -3,7 +3,7 @@
  * Batch-formation unit tests for the lockstep executor: the
  * structural fingerprint must key exactly the options that can change
  * cycle-level behaviour (same thresholds/divider grid batches;
- * differing cores/benchmark/prefetcher splits), eligibility must
+ * differing benchmark/prefetcher splits), eligibility must
  * reject runs the shared front-end cannot serve, and the planner must
  * group, chunk and count accordingly.
  */
@@ -86,11 +86,6 @@ TEST(StructuralFingerprintTest, SeparatesEveryTimingKnob)
         EXPECT_NE(structuralFingerprint(o), fp);
     }
     {
-        SimulationOptions o = base;  // core topology
-        o.cores = 2;
-        EXPECT_NE(structuralFingerprint(o), fp);
-    }
-    {
         // A different benchmark generates a different stream.
         const SimulationOptions o = fsmOptions("ammp");
         EXPECT_NE(structuralFingerprint(o), fp);
@@ -147,10 +142,6 @@ TEST(LockstepEligibilityTest, ReasonsAreReportedAndStable)
 {
     EXPECT_EQ(lockstepIneligibleReason({"ok", fsmOptions()}), nullptr);
 
-    SweepJob multi{"mc", fsmOptions()};
-    multi.options.cores = 2;
-    EXPECT_STREQ(lockstepIneligibleReason(multi), "multi-core");
-
     SweepJob traced{"tr", fsmOptions()};
     traced.options.trace.path = "/tmp/out.json";
     EXPECT_STREQ(lockstepIneligibleReason(traced), "event-tracing");
@@ -177,15 +168,15 @@ TEST(LockstepPlanTest, GroupsByStructureAndChunksToMaxReplicas)
     SweepJob other{"divider-4", fsmOptions()};
     other.options.vsv.clockDivider = 4;
     jobs.push_back(std::move(other));
-    SweepJob multi{"two-core", fsmOptions()};
-    multi.options.cores = 2;
-    jobs.push_back(std::move(multi));
+    SweepJob traced{"traced", fsmOptions()};
+    traced.options.trace.path = "/tmp/out.json";
+    jobs.push_back(std::move(traced));
 
     LockstepStats stats;
     const LockstepPlan plan = planLockstep(jobs, 2, stats);
 
     // 5 batchables at width 2 -> batches {0,1}, {2,3}, serial {4};
-    // the divider-4 group is a singleton; the 2-core job ineligible.
+    // the divider-4 group is a singleton; the traced job ineligible.
     ASSERT_EQ(plan.batches.size(), 2u);
     EXPECT_EQ(plan.batches[0].members,
               (std::vector<std::size_t>{0, 1}));
@@ -198,7 +189,7 @@ TEST(LockstepPlanTest, GroupsByStructureAndChunksToMaxReplicas)
     EXPECT_EQ(stats.serialRuns, 3u);
     EXPECT_EQ(stats.largestBatch, 2u);
     ASSERT_EQ(stats.ineligible.size(), 1u);
-    EXPECT_EQ(stats.ineligible.at("multi-core"), 1u);
+    EXPECT_EQ(stats.ineligible.at("event-tracing"), 1u);
 }
 
 TEST(LockstepPlanTest, WidthUnderTwoPlansEverythingSerial)

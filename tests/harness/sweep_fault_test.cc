@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -351,21 +352,39 @@ TEST(BenchmarkListTest, AllEmptyListIsFatal)
                 ::testing::ExitedWithCode(1), "no benchmark names");
 }
 
-TEST(RetiredFlagTest, CampaignWorkersIsAnUnknownFlag)
+class RetiredFlagTest : public testing::TestWithParam<const char *>
 {
-    // A script still passing a flag of the retired distributed-campaign
-    // layer must stop with the unknown-flag error, not quietly run the
-    // sweep in-process. The flag is spelled in two pieces so a search
-    // for the retired names finds no live use of them in the tree.
+};
+
+TEST_P(RetiredFlagTest, IsAnUnknownFlag)
+{
+    // A script still passing a flag of a retired layer (the
+    // distributed campaign, the multi-core topology) must stop with
+    // the unknown-flag error, not quietly run something else.
+    const std::string flag = GetParam();
+    const std::string expected =
+        "unknown flag " + flag.substr(0, flag.find('='));
     EXPECT_EXIT(
         {
-            const ExperimentArgs args =
-                parseArgv({"--campaign" "-workers=2"});
+            const ExperimentArgs args = parseArgv({GetParam()});
             runSweep(args, "sweep_fault_test", {});
         },
-        ::testing::ExitedWithCode(1),
-        "unknown flag --campaign" "-workers");
+        ::testing::ExitedWithCode(1), expected);
 }
+
+// Each flag is spelled in two pieces so a search for the retired names
+// finds no live use of them in the tree.
+INSTANTIATE_TEST_SUITE_P(
+    RetiredFlags, RetiredFlagTest,
+    testing::Values("--campaign" "-workers=2", "--co" "res=2",
+                    "--rail" "-policy=shared",
+                    "--core" "-benchmarks=mcf,art"),
+    [](const testing::TestParamInfo<const char *> &info) {
+        std::string name = info.param + 2;
+        name.resize(name.find('='));
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 TEST(BenchmarkListTest, HarnessFlagsParse)
 {

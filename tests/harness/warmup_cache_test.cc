@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hh"
 #include "harness/experiment.hh"
 #include "harness/simulator.hh"
 #include "harness/sweep.hh"
@@ -354,30 +355,35 @@ TEST(WarmupFingerprintTest, WarmupAffectingKnobsSplitTheFingerprint)
     EXPECT_NE(warmupFingerprint(traced), fp);
 }
 
-TEST(WarmupFingerprintTest, CoreTopologySplitsTheFingerprints)
+TEST(WarmupFingerprintTest, PersistedKeysAndSnapshotBytesArePinned)
 {
-    // A 2-core run warms two streams into a shared L2; letting it
-    // collide with the single-core fingerprint would restore the wrong
-    // cache contents (and resume the wrong results).
-    const SimulationOptions base = makeOptions("mcf", false, 5000, 3000);
+    // Snapshot file names, store keys and every --snapshot-dir already
+    // on disk depend on these values; a change here orphans them all.
+    const SimulationOptions mcf = makeOptions("mcf", false, 5000, 3000);
+    EXPECT_EQ(warmupFingerprint(mcf), "43341e3161763ae0");
+    EXPECT_EQ(warmupFingerprint(makeOptions("swim", true, 5000, 3000)),
+              "2e8b5c9a03773aa6");
+    SimulationOptions custom = mcf;
+    custom.profile.loadFrac += 0.01;
+    EXPECT_EQ(warmupFingerprint(custom), "e2dbe9ea6eefb529");
 
-    SimulationOptions two = base;
-    two.cores = 2;
-    EXPECT_NE(warmupFingerprint(two), warmupFingerprint(base));
-    EXPECT_NE(configFingerprint(two), configFingerprint(base));
-
-    // The rail policy is measurement-only: both policies of a 2-core
-    // run share one warmup snapshot but must not share results.
-    SimulationOptions shared_rail = two;
-    shared_rail.railPolicy = RailPolicy::SharedVote;
-    EXPECT_EQ(warmupFingerprint(shared_rail), warmupFingerprint(two));
-    EXPECT_NE(configFingerprint(shared_rail), configFingerprint(two));
-
-    // A multiprogrammed mix changes every core's warmup stream.
-    SimulationOptions mix = two;
-    mix.coreBenchmarks = {"mcf", "art"};
-    EXPECT_NE(warmupFingerprint(mix), warmupFingerprint(two));
-    EXPECT_NE(configFingerprint(mix), configFingerprint(two));
+    // The snapshot bytes of a small warmed-up simulator (shrunk caches
+    // and predictor, gzip with Time-Keeping), hashed with FNV-1a.
+    SimulationOptions small = makeOptions("gzip", true, 2000, 3000);
+    small.hierarchy.l1i.sizeBytes = 4 * 1024;
+    small.hierarchy.l1d.sizeBytes = 4 * 1024;
+    small.hierarchy.l2.sizeBytes = 32 * 1024;
+    small.branch.bimodalEntries = 512;
+    small.branch.gshareEntries = 512;
+    small.branch.chooserEntries = 512;
+    small.branch.historyBits = 9;
+    small.branch.btbEntries = 256;
+    Simulator warmed(small);
+    warmed.warmup();
+    std::ostringstream os;
+    warmed.snapshotTo(os, warmupFingerprint(small));
+    EXPECT_EQ(os.str().size(), 33279u);
+    EXPECT_EQ(fnv1a64(os.str()), 0x44759d295dafbd91ULL);
 }
 
 } // namespace

@@ -80,20 +80,6 @@ goldenGrid()
     jobs.push_back({"art/tk-fsm", tk});
 
     jobs.push_back({"swim/tk", makeOptions("swim", true, 20000, 60000)});
-
-    // One pinned multi-core point per rail policy: 2 cores of mcf
-    // sharing the L2 under the full VSV-FSM path, so per-core stats,
-    // bus arbitration and the rail policies all sit under the gate.
-    for (const RailPolicy policy :
-         {RailPolicy::PerCore, RailPolicy::SharedVote}) {
-        SimulationOptions two = makeOptions("mcf", false, 20000, 5000);
-        two.cores = 2;
-        two.railPolicy = policy;
-        two.vsv = fsmVsvConfig();
-        jobs.push_back({std::string("mcf-2c/") +
-                            std::string(railPolicyName(policy)) + "/fsm",
-                        two});
-    }
     return jobs;
 }
 
@@ -231,12 +217,11 @@ TEST(GoldenStatsTest, CachedWarmupGridMatchesGoldenFile)
 
     WarmupSnapshotCache cache;
     const std::map<std::string, ScalarMap> current = runGrid(&cache);
-    // One warmup each for mcf, ammp, applu, art+TK, swim+TK and
-    // 2-core mcf; the core geometry is not part of the warmup key, so
-    // the 130-entry RUU point restores mcf's snapshot, and both rail
-    // policies of the 2-core point restore the same one.
-    EXPECT_EQ(cache.stats().misses, 6u);
-    EXPECT_EQ(cache.stats().hits, 4u);
+    // One warmup each for mcf, ammp, applu, art+TK and swim+TK; the
+    // core geometry is not part of the warmup key, so the 130-entry
+    // RUU point restores mcf's snapshot.
+    EXPECT_EQ(cache.stats().misses, 5u);
+    EXPECT_EQ(cache.stats().hits, 3u);
     EXPECT_EQ(cache.stats().failures, 0u);
 
     for (const auto &[id, scalars] : current) {
@@ -254,11 +239,10 @@ TEST(GoldenStatsTest, LockstepGridMatchesGoldenFile)
 {
     // The lockstep batch executor must hold the same golden line. The
     // pinned grid alone never batches (its configs are structurally
-    // distinct), so run it alongside a "-dup" copy of each
-    // single-core job: every pair shares a structural fingerprint and
-    // forms a real 2-replica batch whose leader *and* replica outcome
-    // must both match the pinned scalars exactly. The 2-core jobs
-    // stay ineligible and take the serial path under the same runner.
+    // distinct), so run it alongside a "-dup" copy of each job: every
+    // pair shares a structural fingerprint and forms a real 2-replica
+    // batch whose leader *and* replica outcome must both match the
+    // pinned scalars exactly.
     if (update_golden)
         GTEST_SKIP() << "regeneration uses the uncached grid";
 
@@ -270,8 +254,6 @@ TEST(GoldenStatsTest, LockstepGridMatchesGoldenFile)
     std::vector<SweepJob> jobs = goldenGrid();
     const std::size_t pinned = jobs.size();
     for (std::size_t i = 0; i < pinned; ++i) {
-        if (jobs[i].options.cores != 1)
-            continue;
         SweepJob dup = jobs[i];
         dup.id += "-dup";
         jobs.push_back(std::move(dup));
@@ -284,10 +266,9 @@ TEST(GoldenStatsTest, LockstepGridMatchesGoldenFile)
     const LockstepStats &stats = runner.lockstepStats();
     EXPECT_EQ(stats.batches, 8u);
     EXPECT_EQ(stats.batchedRuns, 16u);
-    EXPECT_EQ(stats.serialRuns, 2u);
+    EXPECT_EQ(stats.serialRuns, 0u);
     EXPECT_EQ(stats.fallbacks, 0u);
-    ASSERT_EQ(stats.ineligible.size(), 1u);
-    EXPECT_EQ(stats.ineligible.at("multi-core"), 2u);
+    EXPECT_TRUE(stats.ineligible.empty());
 
     for (const SweepOutcome &outcome : outcomes) {
         EXPECT_EQ(outcome.status, SweepStatus::Ok) << outcome.error;

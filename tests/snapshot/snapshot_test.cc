@@ -531,18 +531,24 @@ TEST_F(SnapshotHostileInputTest, SectionSizesThatLieAreRejected)
 
 TEST(SnapshotRestoreTest, CoreCountSkewIsAFatal)
 {
-    SimulationOptions options = makeOptions("mcf", false, 5000, 3000);
-    options.cores = 2;
-    Simulator warmed(options);
-    warmed.warmup();
+    // Format 3 records a core count in the sim section and it is
+    // always 1; a file claiming any other count holds state this
+    // simulator cannot represent, so it must refuse outright.
+    const SimulationOptions options = makeOptions("mcf", false, 5000, 3000);
     std::ostringstream os;
-    warmed.snapshotTo(os, "fp");
+    SnapshotWriter writer(os, "fp");
+    writer.begin("sim");
+    writer.u32(2);
+    writer.str(options.profile.name);
+    writer.u64(options.warmupInstructions);
+    writer.u64(0);
+    writer.b(false);
+    writer.b(false);
+    writer.b(false);
+    writer.end();
+    writer.finish();
 
-    // A 2-core snapshot restored into a 1-core simulator (and vice
-    // versa) must refuse outright, not silently drop a core's state.
-    SimulationOptions fewer = options;
-    fewer.cores = 1;
-    Simulator fresh(fewer);
+    Simulator fresh(options);
     std::istringstream is(os.str());
     ScopedThrowingFatal guard;
     try {
@@ -558,15 +564,15 @@ TEST(SnapshotRestoreTest, CoreCountSkewIsAFatal)
 TEST(SnapshotRestoreTest, PerCoreSectionCorruptionIsAFatal)
 {
     SimulationOptions options = makeOptions("mcf", false, 5000, 3000);
-    options.cores = 2;
     Simulator warmed(options);
     warmed.warmup();
     std::ostringstream os;
     warmed.snapshotTo(os, "fp");
     std::string bytes = os.str();
 
-    // Flip one bit in the trailing per-core region (core 1's sections
-    // land after core 0's); the section checksums must catch it.
+    // Flip one bit in the trailing region, where the core's private
+    // workload-stream section lands; the section checksums must catch
+    // it.
     const std::size_t at = bytes.size() - 40;
     bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
 

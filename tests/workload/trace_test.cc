@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "stats/stats.hh"
 #include "workload/trace.hh"
 #include "workload/workload.hh"
@@ -168,6 +172,138 @@ TEST(TraceTest, GeneratorCaptureReplaysIdentically)
         ASSERT_EQ(a.cls, b.cls) << i;
         ASSERT_EQ(a.addr, b.addr) << i;
         ASSERT_EQ(a.depDist1, b.depDist1) << i;
+    }
+}
+
+/**
+ * Deterministic mutations of a real 1000-op capture. Every mutated
+ * file must be refused with a FatalError (throwable inside a sweep
+ * worker) - never a panic, a sanitizer report or a clean decode.
+ */
+class TraceMutationTest : public testing::Test
+{
+  protected:
+    static constexpr std::size_t headerBytes = 16;
+    static constexpr std::size_t recordBytes = sizeof(TraceRecord);
+    static constexpr std::size_t recordCount = 1000;
+
+    static const std::string &
+    capture()
+    {
+        static const std::string bytes = [] {
+            TempTrace tmp;
+            {
+                WorkloadGenerator gen(spec2kProfile("gzip"));
+                TraceWriter writer(tmp.path());
+                for (std::size_t i = 0; i < recordCount; ++i)
+                    writer.append(gen.next());
+            }
+            std::ifstream is(tmp.path(), std::ios::binary);
+            return std::string(std::istreambuf_iterator<char>(is), {});
+        }();
+        return bytes;
+    }
+
+    /**
+     * Write `bytes` to a file and replay every record it claims. Returns
+     * the FatalError message, or "" when the whole file decoded.
+     */
+    static std::string
+    replayError(const std::string &bytes)
+    {
+        TempTrace tmp;
+        {
+            std::ofstream os(tmp.path(), std::ios::binary);
+            os.write(bytes.data(),
+                     static_cast<std::streamsize>(bytes.size()));
+        }
+        ScopedThrowingFatal guard;
+        try {
+            TraceReader reader(tmp.path(), /*loop=*/false);
+            for (std::uint64_t i = 0; i < reader.records(); ++i)
+                reader.next();
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(tmp.path()),
+                      std::string::npos)
+                << e.what();
+            return e.what();
+        }
+        return "";
+    }
+
+    static std::string
+    withCount(std::uint64_t count)
+    {
+        std::string bytes = capture();
+        std::memcpy(bytes.data() + 8, &count, sizeof(count));
+        return bytes;
+    }
+};
+
+TEST_F(TraceMutationTest, TheUnmutatedCaptureDecodes)
+{
+    ASSERT_EQ(capture().size(), headerBytes + recordCount * recordBytes);
+    EXPECT_EQ(replayError(capture()), "");
+}
+
+TEST_F(TraceMutationTest, EveryHeaderBitFlipIsRejected)
+{
+    for (std::size_t at = 0; at < headerBytes; ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string bytes = capture();
+            bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+            EXPECT_NE(replayError(bytes), "")
+                << "byte " << at << ", bit " << bit;
+        }
+    }
+}
+
+TEST_F(TraceMutationTest, TruncationAtEveryRecordBoundaryIsRejected)
+{
+    const std::size_t full = capture().size();
+    for (std::size_t k = 0; k <= recordCount; ++k) {
+        const std::size_t boundary = headerBytes + k * recordBytes;
+        for (const std::size_t size :
+             {boundary - 1, boundary, boundary + 1}) {
+            if (size >= full)
+                continue;
+            EXPECT_NE(replayError(capture().substr(0, size)), "")
+                << "truncated to " << size << " bytes";
+        }
+    }
+}
+
+TEST_F(TraceMutationTest, HeaderCountsThatDisagreeWithTheFileAreRejected)
+{
+    for (const std::uint64_t count :
+         {std::uint64_t{recordCount + 1}, std::uint64_t{recordCount - 1},
+          std::uint64_t{1} << 61}) {
+        const std::string error = replayError(withCount(count));
+        EXPECT_NE(error.find("does not match"), std::string::npos)
+            << "count " << count << ": " << error;
+    }
+}
+
+TEST_F(TraceMutationTest, OutOfRangeFieldsAreRejectedWithTheRecordIndex)
+{
+    struct Field
+    {
+        std::size_t offset;
+        char value;
+    };
+    // cls, brKind and taken are the record's first three bytes.
+    for (const Field field : {Field{0, '\xff'}, Field{1, 9}, Field{2, 2}}) {
+        for (const std::size_t record :
+             {std::size_t{0}, recordCount / 2, recordCount - 1}) {
+            std::string bytes = capture();
+            bytes[headerBytes + record * recordBytes + field.offset] =
+                field.value;
+            const std::string error = replayError(bytes);
+            EXPECT_NE(error.find("record " + std::to_string(record) + " "),
+                      std::string::npos)
+                << "field " << field.offset << ", record " << record
+                << ": " << error;
+        }
     }
 }
 
