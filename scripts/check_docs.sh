@@ -39,7 +39,7 @@ for bin in $(grep -ohE '(bench|examples)/[a-z0-9_]+' $docs | sort -u); do
 done
 
 # 3. Repo paths under src/ tests/ scripts/ must exist. Tokens cut off
-#    at a glob (src/workload/trace.*) are accepted when the prefix
+#    at a glob (src/workload/workload.*) are accepted when the prefix
 #    matches something.
 for p in $(grep -ohE '(src|tests|scripts)/[A-Za-z0-9_./-]+' $docs |
            sed 's/[.,;:]*$//' | sort -u); do

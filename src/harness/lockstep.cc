@@ -41,9 +41,9 @@ structuralFingerprint(const SimulationOptions &o)
     const char sep = '|';
     s << "structural-v1" << sep;
     appendProfileIdentity(s, o.profile);
-    s << o.tracePath << sep << o.traceLoop << sep
-      << o.warmupInstructions << sep << o.measureInstructions << sep
-      << o.timekeeping << sep << o.stridePrefetch << sep;
+    // The retired trace path (empty) and loop flag; keeps keys stable.
+    s << "|1|" << o.warmupInstructions << sep << o.measureInstructions
+      << sep << o.timekeeping << sep << o.stridePrefetch << sep;
     s << o.vsv.enabled << sep << o.vsv.down.threshold << sep
       << o.vsv.down.period << sep << static_cast<int>(o.vsv.upPolicy)
       << sep << o.vsv.up.threshold << sep << o.vsv.up.period << sep

@@ -30,17 +30,10 @@ Simulator::Simulator(const SimulationOptions &options)
     }
 
     predictor = std::make_unique<BranchPredictor>(options.branch);
-    if (!options.tracePath.empty()) {
-        traceReader = std::make_unique<TraceReader>(options.tracePath,
-                                                    options.traceLoop);
-        source = traceReader.get();
-    } else {
-        workload = std::make_unique<WorkloadGenerator>(options.profile);
-        source = workload.get();
-    }
+    workload = std::make_unique<WorkloadGenerator>(options.profile);
     vsvCtrl = std::make_unique<VsvController>(options.vsv, *power);
     hierarchy->setMissListener(vsvCtrl.get());
-    cpu = std::make_unique<Core>(options.core, *source, *hierarchy,
+    cpu = std::make_unique<Core>(options.core, *workload, *hierarchy,
                                  *predictor, *power);
 
     if (!options.trace.path.empty()) {
@@ -60,8 +53,6 @@ Simulator::Simulator(const SimulationOptions &options)
         tk->regStats(registry, "tk");
     if (stride)
         stride->regStats(registry, "stride");
-    if (traceReader)
-        traceReader->regStats(registry, "trace");
 }
 
 Simulator::~Simulator() = default;
@@ -140,7 +131,7 @@ Simulator::functionalWarmup()
     // sees time pass at roughly the measured-phase rate.
     for (std::uint64_t i = 0; i < options.warmupInstructions; ++i) {
         poller.poll("warmup");
-        const MicroOp op = source->next();
+        const MicroOp op = workload->next();
         const Tick now = warmupTicks++;
 
         hierarchy->warmupInstAccess(op.pc, now);
@@ -213,8 +204,6 @@ Simulator::materializeReplicas()
             tk->regStats(reg, "tk");
         if (stride)
             stride->regStats(reg, "stride");
-        if (traceReader)
-            traceReader->regStats(reg, "trace");
     }
 }
 
@@ -245,7 +234,8 @@ Simulator::snapshotTo(std::ostream &os,
     writer.u64(warmupTicks);
     writer.b(options.timekeeping);
     writer.b(options.stridePrefetch);
-    writer.b(traceReader != nullptr);
+    // Format 3 keeps the retired trace-replay flag; it is always false.
+    writer.b(false);
     writer.end();
 
     power->snapshot(writer);
@@ -255,10 +245,7 @@ Simulator::snapshotTo(std::ostream &os,
         tk->snapshot(writer);
     if (stride)
         stride->snapshot(writer);
-    if (traceReader)
-        traceReader->snapshot(writer);
-    else
-        workload->snapshot(writer);
+    workload->snapshot(writer);
     writer.finish();
 }
 
@@ -294,11 +281,13 @@ Simulator::restoreFrom(std::istream &is,
         const Tick snapshot_warmup_ticks = reader.u64();
         const bool snap_tk = reader.b();
         const bool snap_stride = reader.b();
+        // Format 3 keeps the retired trace-replay flag; only false is
+        // valid.
         const bool snap_trace = reader.b();
         reader.end();
         if (snap_tk != options.timekeeping ||
             snap_stride != options.stridePrefetch ||
-            snap_trace != (traceReader != nullptr)) {
+            snap_trace) {
             throw SnapshotError(
                 "snapshot: prefetcher/source wiring mismatch");
         }
@@ -310,10 +299,7 @@ Simulator::restoreFrom(std::istream &is,
             tk->restore(reader);
         if (stride)
             stride->restore(reader);
-        if (traceReader)
-            traceReader->restore(reader);
-        else
-            workload->restore(reader);
+        workload->restore(reader);
         reader.expectEnd();
         warmupTicks = snapshot_warmup_ticks;
     } catch (const SnapshotError &e) {

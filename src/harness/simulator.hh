@@ -65,19 +65,6 @@ class SimulationAborted : public std::runtime_error
 struct SimulationOptions
 {
     WorkloadProfile profile;
-    /**
-     * When set, replay this binary trace file instead of generating
-     * the profile's synthetic stream; the profile is still used for
-     * region pre-warm footprints and reporting.
-     */
-    std::string tracePath;
-    /**
-     * Wrap to the trace's first record when it is exhausted (false
-     * makes exhaustion fatal). Every wrap is counted in the
-     * `trace.wraps` stat so silently re-played traces are visible in
-     * results.
-     */
-    bool traceLoop = true;
     std::uint64_t warmupInstructions = 300000;
     std::uint64_t measureInstructions = 1000000;
     bool timekeeping = false;  ///< enable the TK hardware prefetcher
@@ -273,8 +260,6 @@ class Simulator
     std::unique_ptr<StridePrefetcher> stride;
     std::unique_ptr<BranchPredictor> predictor;
     std::unique_ptr<WorkloadGenerator> workload;
-    std::unique_ptr<TraceReader> traceReader;
-    TraceSource *source = nullptr;
     std::unique_ptr<VsvController> vsvCtrl;
     std::unique_ptr<Core> cpu;
     std::unique_ptr<TraceSink> traceSink;

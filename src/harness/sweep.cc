@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -38,17 +39,14 @@ splitmix64(std::uint64_t x)
 std::optional<SweepOutcome>
 tryServeFromStore(store::ResultStore &resultStore, const SweepJob &job)
 {
-    const std::string fp = configFingerprint(job.options);
-    std::optional<store::StoreEntry> entry = resultStore.lookup(fp);
-    if (!entry)
-        return std::nullopt;
-    try {
-        return outcomeFromStoreEntry(job.id, *entry);
-    } catch (const std::exception &e) {
-        warn("result store entry for " + job.id + " (" + fp +
-             ") did not replay: " + e.what() + "; re-simulating");
-        return std::nullopt;
-    }
+    // Replaying inside lookup() makes an entry that does not decode
+    // exactly a quarantined miss, so the re-simulated run replaces it.
+    std::optional<SweepOutcome> outcome;
+    resultStore.lookup(configFingerprint(job.options),
+                       [&](const store::StoreEntry &entry) {
+                           outcome = outcomeFromStoreEntry(job.id, entry);
+                       });
+    return outcome;
 }
 
 store::StoreEntry
@@ -492,9 +490,9 @@ configFingerprint(const SimulationOptions &o)
     std::ostringstream s;
     const char sep = '|';
     appendProfileIdentity(s, o.profile);
-    s << o.tracePath << sep << o.traceLoop << sep
-      << o.warmupInstructions << sep << o.measureInstructions << sep
-      << o.timekeeping << sep << o.stridePrefetch << sep;
+    // The retired trace path (empty) and loop flag; keeps keys stable.
+    s << "|1|" << o.warmupInstructions << sep << o.measureInstructions
+      << sep << o.timekeeping << sep << o.stridePrefetch << sep;
     s << o.vsv.enabled << sep << o.vsv.down.threshold << sep
       << o.vsv.down.period << sep << static_cast<int>(o.vsv.upPolicy)
       << sep << o.vsv.up.threshold << sep << o.vsv.up.period << sep
@@ -537,8 +535,8 @@ warmupFingerprint(const SimulationOptions &o)
     const char sep = '|';
     s << "warmup-v2" << sep;
     appendProfileKnobs(s, o.profile);
-    s << o.tracePath << sep << o.traceLoop << sep
-      << o.warmupInstructions << sep << o.timekeeping << sep
+    // The retired trace path (empty) and loop flag; keeps keys stable.
+    s << "|1|" << o.warmupInstructions << sep << o.timekeeping << sep
       << o.stridePrefetch << sep;
     appendPowerKnobs(s, o.power);
     appendCacheKnobs(s, o.hierarchy);
@@ -672,10 +670,35 @@ writeSweepJson(std::ostream &os, const SweepManifest &manifest,
 namespace
 {
 
-double
-numberOrZero(const minijson::Value &v)
+/** Member `key` of `obj`: present, numeric, integral, in [0, 2^64). */
+std::uint64_t
+integerField(const minijson::Value &obj, const std::string &key)
 {
-    return v.isNumber() ? v.num() : 0.0;
+    const minijson::Value &v = obj.at(key);
+    // 2^64 is exact as a double, so the bound admits every value that
+    // converts to uint64_t without undefined behaviour.
+    constexpr double limit = 18446744073709551616.0;
+    if (!v.isNumber() || !(v.num() >= 0.0) || v.num() >= limit ||
+        std::trunc(v.num()) != v.num()) {
+        throw std::runtime_error("result field '" + key +
+                                 "' is not an unsigned 64-bit integer");
+    }
+    return static_cast<std::uint64_t>(v.num());
+}
+
+/** Member `key` of `obj`: a finite number, or null (jsonNumber's
+ *  encoding of a non-finite value), which reads as 0.0. */
+double
+doubleField(const minijson::Value &obj, const std::string &key)
+{
+    const minijson::Value &v = obj.at(key);
+    if (std::holds_alternative<std::nullptr_t>(v.v))
+        return 0.0;
+    if (!v.isNumber() || !std::isfinite(v.num())) {
+        throw std::runtime_error("result field '" + key +
+                                 "' is not a finite number or null");
+    }
+    return v.num();
 }
 
 } // namespace
@@ -685,28 +708,21 @@ parseSimulationResultJson(const minijson::Value &r)
 {
     SimulationResult out;
     out.benchmark = r.at("benchmark").str();
-    out.instructions =
-        static_cast<std::uint64_t>(numberOrZero(r.at("instructions")));
-    out.ticks = static_cast<Tick>(numberOrZero(r.at("ticks")));
-    out.pipelineCycles =
-        static_cast<std::uint64_t>(numberOrZero(r.at("pipelineCycles")));
-    out.ipc = numberOrZero(r.at("ipc"));
-    out.mr = numberOrZero(r.at("mr"));
-    out.energyPj = numberOrZero(r.at("energyPj"));
-    out.avgPowerW = numberOrZero(r.at("avgPowerW"));
-    out.downTransitions =
-        static_cast<std::uint64_t>(numberOrZero(r.at("downTransitions")));
-    out.upTransitions =
-        static_cast<std::uint64_t>(numberOrZero(r.at("upTransitions")));
-    out.lowModeFraction = numberOrZero(r.at("lowModeFraction"));
-    if (r.has("throughput") && r.at("throughput").isObject()) {
-        const minijson::Value &t = r.at("throughput");
-        out.wallSeconds = numberOrZero(t.at("wallSeconds"));
-        out.kinstPerSec = numberOrZero(t.at("kinstPerSec"));
-        out.fastForwardedTicks = static_cast<Tick>(
-            numberOrZero(t.at("fastForwardedTicks")));
-        out.ffTickFraction = numberOrZero(t.at("ffTickFraction"));
-    }
+    out.instructions = integerField(r, "instructions");
+    out.ticks = integerField(r, "ticks");
+    out.pipelineCycles = integerField(r, "pipelineCycles");
+    out.ipc = doubleField(r, "ipc");
+    out.mr = doubleField(r, "mr");
+    out.energyPj = doubleField(r, "energyPj");
+    out.avgPowerW = doubleField(r, "avgPowerW");
+    out.downTransitions = integerField(r, "downTransitions");
+    out.upTransitions = integerField(r, "upTransitions");
+    out.lowModeFraction = doubleField(r, "lowModeFraction");
+    const minijson::Value &t = r.at("throughput");
+    out.wallSeconds = doubleField(t, "wallSeconds");
+    out.kinstPerSec = doubleField(t, "kinstPerSec");
+    out.fastForwardedTicks = integerField(t, "fastForwardedTicks");
+    out.ffTickFraction = doubleField(t, "ffTickFraction");
     return out;
 }
 
@@ -717,7 +733,7 @@ parseScalarsFromStats(const minijson::Value &stats)
     if (!stats.has("scalars") || !stats.at("scalars").isObject())
         return scalars;
     for (const auto &[name, value] : stats.at("scalars").object())
-        scalars.emplace(name, numberOrZero(value));
+        scalars.emplace(name, value.isNumber() ? value.num() : 0.0);
     return scalars;
 }
 

@@ -242,8 +242,8 @@ store::StoreEntry storeEntryFromOutcome(const SweepOutcome &outcome);
 /**
  * Replay a stored entry as a status=ok outcome for run id `id`:
  * result/scalars parse back from the recorded documents, attempts and
- * the stats bytes carry over verbatim. Throws std::runtime_error when
- * the recorded documents do not parse (callers treat that as a miss).
+ * the stats bytes carry over verbatim. Throws when the recorded
+ * documents do not decode exactly (parseSimulationResultJson).
  */
 SweepOutcome outcomeFromStoreEntry(const std::string &id,
                                    const store::StoreEntry &entry);
@@ -251,8 +251,9 @@ SweepOutcome outcomeFromStoreEntry(const std::string &id,
 /**
  * SweepRunner's store probe: look up the job's configFingerprint and
  * replay the entry, or nullopt on a miss. An entry that does not
- * replay is a store bug, not a sweep failure: warn and report a miss
- * so the run simulates (and its fresh outcome re-inserts).
+ * replay is a store bug, not a sweep failure: the store quarantines
+ * it and counts it corrupt, so the run simulates and its fresh
+ * outcome re-inserts.
  */
 std::optional<SweepOutcome> tryServeFromStore(store::ResultStore &store,
                                               const SweepJob &job);
@@ -356,9 +357,11 @@ void writeSimulationResultJson(std::ostream &os,
                                const SimulationResult &r);
 
 /**
- * Inverse of writeSimulationResultJson, used by the store replay.
- * A missing throughput block leaves its fields default; numbers written as null (non-finite values) parse back as
- * 0.0.
+ * Inverse of writeSimulationResultJson, used by the store replay and
+ * the benchmark's manifest reader. Strict: every key must be present;
+ * integer fields must be integral and in [0, 2^64); double fields
+ * must be finite numbers or null (jsonNumber's encoding of a
+ * non-finite value, which parses back as 0.0). Anything else throws.
  */
 SimulationResult parseSimulationResultJson(const minijson::Value &r);
 

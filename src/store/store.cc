@@ -178,7 +178,8 @@ ResultStore::entryPath(const std::string &fingerprint) const
 }
 
 std::optional<StoreEntry>
-ResultStore::lookup(const std::string &fingerprint)
+ResultStore::lookup(const std::string &fingerprint,
+                    const std::function<void(const StoreEntry &)> &replay)
 {
     if (!validFingerprint(fingerprint)) {
         misses_.fetch_add(1, std::memory_order_relaxed);
@@ -193,6 +194,8 @@ ResultStore::lookup(const std::string &fingerprint)
     try {
         StoreEntry entry = detail::decodeEntryPayload(
             detail::decodeEnvelope(*bytes), fingerprint);
+        if (replay)
+            replay(entry);
         hits_.fetch_add(1, std::memory_order_relaxed);
         return entry;
     } catch (const std::exception &e) {

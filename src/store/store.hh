@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -114,9 +115,14 @@ class ResultStore
      * Fetch the entry for a fingerprint. nullopt on a miss - absent
      * file, malformed fingerprint, or a corrupt entry (which is
      * quarantined as `<entry>.bad` with a warn() naming the path, so
-     * it is read and rejected at most once).
+     * it is read and rejected at most once). `replay`, when given,
+     * decodes the entry's documents and throws on any it cannot
+     * decode exactly; such an entry is corrupt too, and only an entry
+     * that replays counts as a hit.
      */
-    std::optional<StoreEntry> lookup(const std::string &fingerprint);
+    std::optional<StoreEntry> lookup(
+        const std::string &fingerprint,
+        const std::function<void(const StoreEntry &)> &replay = {});
 
     /**
      * Persist an entry before returning. An entry whose fingerprint

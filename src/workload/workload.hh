@@ -49,13 +49,26 @@
 #include "common/random.hh"
 #include "common/types.hh"
 #include "isa/microop.hh"
-#include "workload/trace.hh"
 
 namespace vsv
 {
 
 class SnapshotReader;
 class SnapshotWriter;
+
+/**
+ * Anything that yields a dynamic micro-op stream: the core's input.
+ * WorkloadGenerator is the production source; tests and the
+ * micro-benchmarks substitute scripted streams.
+ */
+class TraceSource
+{
+  public:
+    virtual ~TraceSource() = default;
+
+    /** Produce the next dynamic micro-op. */
+    virtual MicroOp next() = 0;
+};
 
 /** Fixed base addresses of the synthetic regions. */
 struct WorkloadRegions

@@ -33,15 +33,19 @@ goodJob(const std::string &id, const char *bench, bool with_vsv)
 }
 
 /**
- * A job whose simulation cannot even construct: the trace file does
- * not exist, so the TraceReader fatal()s. Under fault isolation that
- * must surface as an Error outcome, not process death.
+ * A job whose measured window cannot start: it asks the interval-stats
+ * sampler for a statistic no component registers, so the sampler
+ * fatal()s at the start of run(), naming the statistic. Under fault
+ * isolation that must surface as an Error outcome, not process death.
  */
 SweepJob
 faultingJob(const std::string &id)
 {
     SweepJob job = goodJob(id, "mcf", false);
-    job.options.tracePath = "/nonexistent/vsv-sweep-fault-test.trc";
+    job.options.trace.path =
+        ::testing::TempDir() + "vsv-sweep-fault-test.json";
+    job.options.trace.intervalTicks = 1000;
+    job.options.trace.intervalScalars = {"vsv-sweep-fault-test.no.such.stat"};
     return job;
 }
 

@@ -349,10 +349,6 @@ TEST(WarmupFingerprintTest, WarmupAffectingKnobsSplitTheFingerprint)
     SimulationOptions custom = base;
     custom.profile.loadFrac += 0.01;
     EXPECT_NE(warmupFingerprint(custom), fp);
-
-    SimulationOptions traced = base;
-    traced.tracePath = "some.trace";
-    EXPECT_NE(warmupFingerprint(traced), fp);
 }
 
 TEST(WarmupFingerprintTest, PersistedKeysAndSnapshotBytesArePinned)

@@ -11,14 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "harness/warmup_cache.hh"
-#include "workload/trace.hh"
 #include "workload/workload.hh"
 
 namespace vsv
@@ -136,43 +134,6 @@ TEST(SnapshotEquivalenceTest, TimekeepingWarmupIsBitIdentical)
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.stats().hits, 2u);
     EXPECT_EQ(cache.stats().failures, 0u);
-}
-
-TEST(SnapshotEquivalenceTest, TraceReplayWarmupIsBitIdentical)
-{
-    // Trace-driven runs snapshot a replay cursor instead of generator
-    // RNG state; the restored run must resume mid-file exactly.
-    const std::string path =
-        testing::TempDir() + "vsv_snapshot_equiv.trace";
-    {
-        WorkloadGenerator gen(spec2kProfile("mcf"));
-        TraceWriter writer(path);
-        for (int i = 0; i < 12000; ++i)
-            writer.append(gen.next());
-    }
-
-    SimulationOptions base = makeOptions("mcf", false, 6000, 4000);
-    base.tracePath = path;
-    base.traceLoop = true;
-    std::vector<SweepJob> jobs;
-    jobs.push_back({"trace/base", base});
-    SimulationOptions with_fsm = base;
-    with_fsm.vsv = fsmVsvConfig();
-    jobs.push_back({"trace/fsm", with_fsm});
-
-    SweepRunner fresh_runner(2);
-    const std::vector<SweepOutcome> fresh = fresh_runner.run(jobs);
-
-    SweepRunner cached_runner(2);
-    WarmupSnapshotCache cache;
-    cached_runner.enableWarmupSnapshots(cache);
-    const std::vector<SweepOutcome> cached = cached_runner.run(jobs);
-
-    expectIdentical(fresh, cached);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -103,33 +103,6 @@ TEST(VsvBehaviorTest, StridePrefetcherCutsAmmpMissesEndToEnd)
     EXPECT_LT(with.mr, 0.3 * base.mr);
 }
 
-TEST(VsvBehaviorTest, TraceReplayMatchesGeneratorResults)
-{
-    // Capture vpr's stream, then run the same window from the trace:
-    // identical instruction-level behaviour implies identical timing.
-    const std::string path = "/tmp/vsv_behavior_trace.vsvt";
-    {
-        WorkloadGenerator gen(spec2kProfile("vpr"));
-        TraceWriter writer(path);
-        // Cover pre-warm consumption (warmup ops + measured window).
-        for (int i = 0; i < 220000; ++i)
-            writer.append(gen.next());
-    }
-
-    SimulationOptions from_gen = makeOptions("vpr", false, 60000, 120000);
-    const SimulationResult a = runOnce(from_gen);
-
-    SimulationOptions from_trace = makeOptions("vpr", false, 60000,
-                                               120000);
-    from_trace.tracePath = path;
-    const SimulationResult b = runOnce(from_trace);
-    std::remove(path.c_str());
-
-    EXPECT_EQ(a.ticks, b.ticks);
-    EXPECT_DOUBLE_EQ(a.mr, b.mr);
-    EXPECT_DOUBLE_EQ(a.energyPj, b.energyPj);
-}
-
 TEST(VsvBehaviorTest, LeakierNodeKeepsVsvEffective)
 {
     SimulationOptions base_opts = makeOptions("mcf", false, 50000,

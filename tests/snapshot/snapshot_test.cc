@@ -529,22 +529,43 @@ TEST_F(SnapshotHostileInputTest, SectionSizesThatLieAreRejected)
     }
 }
 
-TEST(SnapshotRestoreTest, CoreCountSkewIsAFatal)
+/** One retired word of a format-3 `sim` section, set to a bad value. */
+struct SimSectionSkew
 {
-    // Format 3 records a core count in the sim section and it is
-    // always 1; a file claiming any other count holds state this
-    // simulator cannot represent, so it must refuse outright.
+    const char *name;
+    std::uint32_t coreCount;
+    bool traceFlag;
+    const char *error;  ///< what the rejection must name
+};
+
+void
+PrintTo(const SimSectionSkew &skew, std::ostream *os)
+{
+    *os << skew.name;
+}
+
+class SimSectionSkewTest : public testing::TestWithParam<SimSectionSkew>
+{
+};
+
+TEST_P(SimSectionSkewTest, IsAFatal)
+{
+    // Format 3 keeps two retired words in the sim section: the core
+    // count, always 1, and the trace-replay flag, always false. A file
+    // with any other value holds state this simulator cannot
+    // represent, so it must refuse outright.
+    const SimSectionSkew &skew = GetParam();
     const SimulationOptions options = makeOptions("mcf", false, 5000, 3000);
     std::ostringstream os;
     SnapshotWriter writer(os, "fp");
     writer.begin("sim");
-    writer.u32(2);
+    writer.u32(skew.coreCount);
     writer.str(options.profile.name);
     writer.u64(options.warmupInstructions);
     writer.u64(0);
     writer.b(false);
     writer.b(false);
-    writer.b(false);
+    writer.b(skew.traceFlag);
     writer.end();
     writer.finish();
 
@@ -553,13 +574,21 @@ TEST(SnapshotRestoreTest, CoreCountSkewIsAFatal)
     ScopedThrowingFatal guard;
     try {
         fresh.restoreFrom(is, "fp");
-        FAIL() << "core-count skew restored";
+        FAIL() << skew.name << " skew restored";
     } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("core count"),
+        EXPECT_NE(std::string(e.what()).find(skew.error),
                   std::string::npos)
             << e.what();
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SnapshotRestoreTest, SimSectionSkewTest,
+    testing::Values(SimSectionSkew{"core_count", 2, false, "core count"},
+                    SimSectionSkew{"trace_flag", 1, true, "wiring"}),
+    [](const testing::TestParamInfo<SimSectionSkew> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(SnapshotRestoreTest, PerCoreSectionCorruptionIsAFatal)
 {

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -415,6 +416,99 @@ TEST(StoreSweepTest, AdaptersRoundTripAnOutcome)
     EXPECT_EQ(zeroed.result.avgPowerW, 0.0);
     EXPECT_EQ(zeroed.result.energyPj, outcome.result.energyPj);
 }
+
+/** One stored result document that passes the envelope check but
+ *  does not decode exactly. */
+struct BadResult
+{
+    const char *name;
+    const char *pattern;      ///< regex over the recorded resultJson
+    const char *replacement;  ///< applied to its first match
+};
+
+void
+PrintTo(const BadResult &bad, std::ostream *os)
+{
+    *os << bad.name;
+}
+
+class BadResultTest : public testing::TestWithParam<BadResult>
+{
+};
+
+TEST_P(BadResultTest, IsQuarantinedAndReplacedByTheRerun)
+{
+    const BadResult &bad = GetParam();
+    const std::string dir =
+        freshDir(std::string("vsv_store_bad_") + bad.name);
+    const std::vector<SweepJob> jobs = {
+        {"mcf/base", makeOptions("mcf", false, 5000, 3000)}};
+    const SweepOutcome fresh = SweepRunner::runOne(jobs[0]);
+
+    StoreEntry entry = storeEntryFromOutcome(fresh);
+    const std::string recorded = entry.resultJson;
+    entry.resultJson =
+        std::regex_replace(recorded, std::regex(bad.pattern),
+                           bad.replacement,
+                           std::regex_constants::format_first_only);
+    ASSERT_NE(entry.resultJson, recorded);
+    std::string path;
+    {
+        ResultStore store(dir);
+        path = store.entryPath(entry.fingerprint);
+    }
+    std::filesystem::create_directories(
+        std::filesystem::path(path).parent_path());
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << detail::encodeEnvelope(detail::encodeEntryPayload(entry));
+    }
+
+    // The first sweep quarantines the entry, counts it corrupt and a
+    // miss, simulates, and inserts the fresh result in its place.
+    {
+        ResultStore store(dir);
+        SweepRunner runner(1);
+        runner.enableResultStore(store);
+        const std::vector<SweepOutcome> first = runner.run(jobs);
+        EXPECT_EQ(store.stats().hits, 0u);
+        EXPECT_EQ(store.stats().misses, 1u);
+        EXPECT_EQ(store.stats().corrupt, 1u);
+        EXPECT_EQ(store.stats().inserts, 1u);
+        EXPECT_TRUE(std::filesystem::exists(path + ".bad"));
+        EXPECT_EQ(first[0].result.ticks, fresh.result.ticks);
+        EXPECT_EQ(first[0].statsJson, fresh.statsJson);
+    }
+
+    // The second sweep replays the re-inserted entry as a real hit.
+    ResultStore store(dir);
+    SweepRunner runner(1);
+    runner.enableResultStore(store);
+    const std::vector<SweepOutcome> second = runner.run(jobs);
+    EXPECT_EQ(store.stats().hits, 1u);
+    EXPECT_EQ(store.stats().misses, 0u);
+    EXPECT_EQ(store.stats().corrupt, 0u);
+    EXPECT_EQ(second[0].result.ticks, fresh.result.ticks);
+    EXPECT_EQ(second[0].statsJson, fresh.statsJson);
+    std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StoreSweepTest, BadResultTest,
+    testing::Values(
+        BadResult{"not_an_object", "^.*$", "[1]"},
+        BadResult{"string_ticks", "\"ticks\":\\d+", "\"ticks\":\"oops\""},
+        BadResult{"negative_ticks", "\"ticks\":\\d+", "\"ticks\":-5"},
+        BadResult{"fractional_ticks", "\"ticks\":\\d+", "\"ticks\":1.5"},
+        BadResult{"two_to_the_64_ticks", "\"ticks\":\\d+",
+                  "\"ticks\":18446744073709551616"},
+        BadResult{"huge_instructions", "\"instructions\":\\d+",
+                  "\"instructions\":1e300"},
+        BadResult{"missing_ticks", ",\"ticks\":\\d+", ""},
+        BadResult{"string_ipc", "\"ipc\":[^,]+", "\"ipc\":\"1\""}),
+    [](const testing::TestParamInfo<BadResult> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(StoreSweepTest, ManifestRecordsStoreCountersOnlyWhenEnabled)
 {
