@@ -364,6 +364,47 @@ BM_CoreStoreHeavyCycle(benchmark::State &state)
 BENCHMARK(BM_CoreStoreHeavyCycle);
 
 void
+BM_CorePipelineCycle(benchmark::State &state)
+{
+    // One pipeline cycle of the measured loop's core on mcf: a Core
+    // over a real MemoryHierarchy and PowerModel, fed by the
+    // generator after a functional warmup of its regions, with the
+    // memory events and power tick around each cycle. No controller
+    // and no fast-forward, so every cycle runs every stage. time/inst
+    // is the time per committed instruction (printed in ns).
+    PowerModel power;
+    MemoryHierarchy mem(HierarchyConfig{}, power);
+    BranchPredictor predictor;
+    WorkloadGenerator workload(spec2kProfile("mcf"));
+    Core core(CoreConfig{}, workload, mem, predictor, power);
+    const WorkloadProfile &profile = workload.profile();
+    mem.setWarmupMode(true);
+    Tick now = 0;
+    for (Addr off = 0; off < profile.codeFootprint; off += 32)
+        mem.warmupInstAccess(WorkloadRegions::code + off, now++);
+    for (Addr off = 0; off < profile.hotFootprint; off += 32)
+        mem.warmupDataAccess(WorkloadRegions::hot + off, false, now++);
+    for (Addr off = 0; off < profile.warmFootprint; off += 32)
+        mem.warmupDataAccess(WorkloadRegions::warm + off, false, now++);
+    mem.setWarmupMode(false);
+
+    const std::uint64_t committed0 = core.committedInstructions();
+    for (auto _ : state) {
+        mem.service(now);
+        benchmark::DoNotOptimize(core.cycle(now));
+        power.tick(true);
+        ++now;
+    }
+    const auto committed = static_cast<double>(
+        core.committedInstructions() - committed0);
+    state.counters["time/inst"] = benchmark::Counter(
+        committed,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.SetItemsProcessed(static_cast<std::int64_t>(committed));
+}
+BENCHMARK(BM_CorePipelineCycle);
+
+void
 BM_SimulatorThroughput(benchmark::State &state)
 {
     // Whole-stack simulation speed in instructions/second.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <limits>
 
 #include "common/logging.hh"
@@ -33,6 +32,26 @@ unitPowerStructure(OpClass cls)
     }
 }
 
+/**
+ * Wheel slots for a core over `memory`: a power of two above the
+ * longest latency an op can be scheduled with at issue, which is the
+ * slowest functional unit plus the slowest immediate memory hit (an
+ * L1D or prefetch-buffer hit; loads add it to their agen latency).
+ */
+std::uint32_t
+completionWheelSize(const HierarchyConfig &memory)
+{
+    std::uint32_t op_latency = 0;
+    for (std::size_t cls = 0;
+         cls < static_cast<std::size_t>(OpClass::NumOpClasses); ++cls) {
+        op_latency = std::max(
+            op_latency, opTiming(static_cast<OpClass>(cls)).latency);
+    }
+    const std::uint32_t hit_latency =
+        std::max(memory.l1d.hitLatency, memory.prefetchBufferLatency);
+    return std::bit_ceil(op_latency + hit_latency + 1);
+}
+
 } // namespace
 
 Core::Core(const CoreConfig &config, TraceSource &workload,
@@ -43,6 +62,7 @@ Core::Core(const CoreConfig &config, TraceSource &workload,
       memory(memory),
       predictor(predictor),
       power(power),
+      fetchRing(config.fetchQueueSize),
       ruu(config.ruuSize),
       readyBits((config.ruuSize + 63) / 64, 0),
       lsq(config.lsqSize)
@@ -52,7 +72,10 @@ Core::Core(const CoreConfig &config, TraceSource &workload,
     VSV_ASSERT(config.lsqSize <= std::numeric_limits<std::uint16_t>::max(),
                "LSQ too large for the store filter's counters");
     headSlot = tailSlot = static_cast<std::uint32_t>(headSeq % config.ruuSize);
-    calendar.reserve(config.ruuSize);
+    const std::uint32_t wheel_size = completionWheelSize(memory.config());
+    wheelMask = wheel_size - 1;
+    wheelHead.assign(wheel_size, noLink);
+    wheelBits.assign((wheel_size + 63) / 64, 0);
     dueScratch.reserve(config.ruuSize);
     unitFreeAt.resize(numFuPools);
     for (std::size_t pool = 0; pool < numFuPools; ++pool) {
@@ -61,10 +84,13 @@ Core::Core(const CoreConfig &config, TraceSource &workload,
     }
 }
 
-Core::RuuEntry &
-Core::slot(InstSeqNum seq)
+std::uint32_t
+Core::slotIndex(InstSeqNum seq) const
 {
-    return ruu[seq % config.ruuSize];
+    // The in-flight entries fill the ring from headSlot in sequence
+    // order, and fewer than ruuSize of them are in flight.
+    const auto idx = headSlot + static_cast<std::uint32_t>(seq - headSeq);
+    return idx >= config.ruuSize ? idx - config.ruuSize : idx;
 }
 
 void
@@ -112,6 +138,40 @@ Core::clearReady(std::uint32_t idx)
 {
     readyBits[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     --readyCount;
+}
+
+void
+Core::scheduleCompletion(std::uint32_t idx, Cycle when)
+{
+    VSV_ASSERT(when > cycleNum && when - cycleNum <= wheelMask,
+               "completion cycle beyond the completion wheel");
+    const auto s = static_cast<std::uint32_t>(when) & wheelMask;
+    ruu[idx].nextDue = wheelHead[s];
+    wheelHead[s] = idx;
+    wheelBits[s >> 6] |= std::uint64_t{1} << (s & 63);
+}
+
+Cycle
+Core::earliestCompletion() const
+{
+    // Scheduled cycles lie in (cycleNum, cycleNum + wheelMask], so
+    // the first non-empty slot met walking circularly from the slot of
+    // cycleNum + 1 holds the earliest. The start word is visited
+    // twice: first its bits from the start slot up, last those below.
+    const auto start = static_cast<std::uint32_t>(cycleNum + 1) & wheelMask;
+    const auto words = static_cast<std::uint32_t>(wheelBits.size());
+    std::uint32_t word = start >> 6;
+    std::uint64_t bits = wheelBits[word] & (~std::uint64_t{0} << (start & 63));
+    for (std::uint32_t n = 0; n <= words; ++n) {
+        if (bits != 0) {
+            const auto s = (word << 6) +
+                           static_cast<std::uint32_t>(std::countr_zero(bits));
+            return cycleNum + 1 + ((s - start) & wheelMask);
+        }
+        word = word + 1 == words ? 0 : word + 1;
+        bits = wheelBits[word];
+    }
+    return maxTick;
 }
 
 std::uint32_t
@@ -292,20 +352,24 @@ Core::commitStage(Tick now)
 void
 Core::completeStage(Tick now)
 {
+    const auto s = static_cast<std::uint32_t>(cycleNum) & wheelMask;
+    std::uint32_t idx = wheelHead[s];
+    if (idx == noLink)
+        return;
+    wheelHead[s] = noLink;
+    wheelBits[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
     dueScratch.clear();
-    while (!calendar.empty() && calendar.front().cycle <= cycleNum) {
-        std::pop_heap(calendar.begin(), calendar.end(), std::greater<>{});
-        dueScratch.push_back(calendar.back().seq);
-        calendar.pop_back();
-    }
+    for (; idx != noLink; idx = ruu[idx].nextDue)
+        dueScratch.push_back(ruu[idx].seq);
     // Power charges and predictor training happen in program order.
     std::sort(dueScratch.begin(), dueScratch.end());
 
     for (const InstSeqNum seq : dueScratch) {
         RuuEntry &entry = slot(seq);
         VSV_ASSERT(entry.seq == seq && entry.status == EntryStatus::Issued &&
-                       !entry.memPending,
-                   "calendar entry is not an issued op");
+                       !entry.memPending &&
+                       entry.completeCycle == cycleNum,
+                   "completion wheel entry is not an op due now");
         entry.status = EntryStatus::Completed;
         power.recordAccess(PowerStructure::ResultBus);
         power.recordAccess(PowerStructure::RuuCam);  // wakeup broadcast
@@ -363,11 +427,8 @@ Core::issueStage(Tick now)
             clearReady(idx);
             entry.status = EntryStatus::Issued;
             ++issued;
-            if (!entry.memPending) {
-                calendar.push_back({entry.completeCycle, entry.seq});
-                std::push_heap(calendar.begin(), calendar.end(),
-                               std::greater<>{});
-            }
+            if (!entry.memPending)
+                scheduleCompletion(idx, entry.completeCycle);
 
             power.recordAccess(unitPowerStructure(entry.op.cls));
             power.recordAccess(PowerStructure::RuuCam);  // select/payload
@@ -388,13 +449,13 @@ void
 Core::dispatchStage()
 {
     for (std::uint32_t n = 0; n < config.dispatchWidth; ++n) {
-        if (fetchQueue.empty())
+        if (fetchCount == 0)
             return;
         if (ruuOccupancy >= config.ruuSize) {
             ++ruuFullStalls;
             return;
         }
-        const FetchedOp &fo = fetchQueue.front();
+        const FetchedOp &fo = fetchRing[fetchHead];
         if (isMemOp(fo.op.cls) && lsqOccupancy >= config.lsqSize) {
             ++lsqFullStalls;
             return;
@@ -437,7 +498,9 @@ Core::dispatchStage()
         power.recordAccess(PowerStructure::RuuRam);
         power.recordAccess(PowerStructure::PipelineLatches);
 
-        fetchQueue.pop_front();
+        if (++fetchHead == config.fetchQueueSize)
+            fetchHead = 0;
+        --fetchCount;
         ++tailSeq;
         if (++tailSlot == config.ruuSize)
             tailSlot = 0;
@@ -452,17 +515,22 @@ Core::fetchStage(Tick now)
         return;
     if (blockingBranch != invalidSeqNum || cycleNum < fetchResumeCycle)
         return;
-    if (fetchQueue.size() >= config.fetchQueueSize)
+    if (fetchCount >= config.fetchQueueSize)
         return;
 
     bool accessed_icache = false;
     for (std::uint32_t n = 0; n < config.fetchWidth; ++n) {
-        if (fetchQueue.size() >= config.fetchQueueSize)
+        if (fetchCount >= config.fetchQueueSize)
             break;
 
-        FetchedOp fo;
+        std::uint32_t tail = fetchHead + fetchCount;
+        if (tail >= config.fetchQueueSize)
+            tail -= config.fetchQueueSize;
+        FetchedOp &fo = fetchRing[tail];
         fo.op = workload.next();
         fo.seq = nextFetchSeq++;
+        fo.pred = {};
+        fo.fetchMispredicted = false;
 
         if (!accessed_icache) {
             accessed_icache = true;
@@ -499,7 +567,7 @@ Core::fetchStage(Tick now)
             }
         }
 
-        fetchQueue.push_back(fo);
+        ++fetchCount;
         ++fetched;
         if (stop_fetch)
             break;
@@ -524,7 +592,7 @@ Core::cyclesUntilProgress() const
     // a full fetch queue drains only via dispatch (checked below).
     const bool fetch_blocked_indefinitely =
         icacheStall || blockingBranch != invalidSeqNum ||
-        fetchQueue.size() >= config.fetchQueueSize;
+        fetchCount >= config.fetchQueueSize;
     if (!fetch_blocked_indefinitely) {
         if (fetchResumeCycle <= cycleNum + 1)
             return 0;
@@ -534,23 +602,23 @@ Core::cyclesUntilProgress() const
     // Dispatch: only a full RUU (or a full LSQ for a memory op at the
     // queue head) stalls it; either stall bumps a per-cycle counter
     // that skipIdleCycles() replays.
-    if (!fetchQueue.empty()) {
+    if (fetchCount != 0) {
         const bool ruu_full = ruuOccupancy >= config.ruuSize;
-        const bool lsq_full = isMemOp(fetchQueue.front().op.cls) &&
+        const bool lsq_full = isMemOp(fetchRing[fetchHead].op.cls) &&
                               lsqOccupancy >= config.lsqSize;
         if (!ruu_full && !lsq_full)
             return 0;
     }
 
     // Window: a ready entry would issue (or charge the LSQ CAM /
-    // consume a unit while failing to); the calendar's earliest entry
+    // consume a unit while failing to); the wheel's earliest entry
     // completes on a known cycle. Entries waiting on in-flight
     // producers stay blocked until one of those completions (or a
     // memory event) lands.
     if (readyCount != 0)
         return 0;
-    if (!calendar.empty()) {
-        const Cycle next = calendar.front().cycle;
+    const Cycle next = earliestCompletion();
+    if (next != maxTick) {
         if (next <= cycleNum + 1)
             return 0;
         limit = std::min(limit, next - 1 - cycleNum);
@@ -565,10 +633,10 @@ Core::skipIdleCycles(Cycle edges)
     issueRateDist.sample(0, edges);
     zeroIssueCycles += static_cast<double>(edges);
     // issuedTotal += 0 per cycle is a bit-exact no-op.
-    if (!fetchQueue.empty()) {
+    if (fetchCount != 0) {
         if (ruuOccupancy >= config.ruuSize)
             ruuFullStalls += static_cast<double>(edges);
-        else if (isMemOp(fetchQueue.front().op.cls) &&
+        else if (isMemOp(fetchRing[fetchHead].op.cls) &&
                  lsqOccupancy >= config.lsqSize)
             lsqFullStalls += static_cast<double>(edges);
     }

@@ -11,14 +11,14 @@
  *              stores perform their D-cache write here (write-buffer
  *              semantics: commit only needs the access *accepted*)
  *   complete - ops whose completion cycle is due come off the
- *              completion calendar in sequence order and wake their
+ *              completion wheel in sequence order and wake their
  *              dependents; branches resolve (train the predictor,
  *              start the 8-cycle misprediction recovery clock)
  *   issue    - oldest-first select from the ready set onto free
  *              functional units (8/cycle); loads probe the LSQ for
  *              store forwarding, then access the D-cache through a
  *              limited number of ports; MSHR-full rejections retry
- *   dispatch - in-order move from the fetch queue into RUU + LSQ,
+ *   dispatch - in-order move from the fetch ring into RUU + LSQ,
  *              resolving producer distances to sequence numbers and
  *              linking each op to its in-flight producers
  *   fetch    - up to 8 ops/cycle from the trace through the L1I;
@@ -31,8 +31,16 @@
  * event queue: no stage scans the RUU. A bitset over RUU slots holds
  * exactly the Dispatched entries whose producers are done; an op with
  * an in-flight producer sits on that producer's intrusive consumer
- * list until the producer completes (from the calendar, or when its
- * load returns from memory) and counts its operands down to ready.
+ * list until the producer completes (from the completion wheel, or
+ * when its load returns from memory) and counts its operands down to
+ * ready.
+ *
+ * The completion wheel has one slot per pipeline cycle, a power of
+ * two sized at construction above the longest latency an issued op
+ * can be scheduled with (the slowest functional unit plus the slowest
+ * immediate memory hit), so every known completion cycle lands in its
+ * own slot and no completion overflows. A bitmask of non-empty slots
+ * gives cyclesUntilProgress() the earliest completion cycle.
  *
  * Memory disambiguation is optimistic (loads wait only for earlier
  * stores to the same 8-byte word; unknown store addresses are assumed
@@ -50,7 +58,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -159,22 +166,11 @@ class Core
          */
         std::uint32_t consumers = noLink;
         std::uint32_t nextConsumer[2] = {noLink, noLink};
+        /** Next entry in the same completion-wheel slot. */
+        std::uint32_t nextDue = noLink;
         std::uint32_t lsqSlot = 0;
         BranchPrediction pred;    ///< branches only
         bool fetchMispredicted = false;
-    };
-
-    /** A calendar entry: `seq` completes on pipeline cycle `cycle`. */
-    struct Completion
-    {
-        Cycle cycle;
-        InstSeqNum seq;
-
-        /** Heap order: std::greater puts the earliest at the front. */
-        friend bool operator>(const Completion &a, const Completion &b)
-        {
-            return a.cycle != b.cycle ? a.cycle > b.cycle : a.seq > b.seq;
-        }
     };
 
     /** One LSQ slot. */
@@ -203,7 +199,9 @@ class Core
     void dispatchStage();
     void fetchStage(Tick now);
 
-    RuuEntry &slot(InstSeqNum seq);
+    /** RUU slot of in-flight sequence number `seq` (>= headSeq). */
+    std::uint32_t slotIndex(InstSeqNum seq) const;
+    RuuEntry &slot(InstSeqNum seq) { return ruu[slotIndex(seq)]; }
 
     /** Put operand `operand` of the op in RUU slot `idx` on the
      *  consumer list of `producer` unless that producer is done
@@ -219,6 +217,12 @@ class Core
     void clearReady(std::uint32_t idx);
     /** First ready slot in [from, end), or end. */
     std::uint32_t nextReady(std::uint32_t from, std::uint32_t end) const;
+
+    /** Put the Issued op in RUU slot `idx` on the wheel slot of
+     *  pipeline cycle `when`. */
+    void scheduleCompletion(std::uint32_t idx, Cycle when);
+    /** Earliest cycle holding a scheduled completion, or maxTick. */
+    Cycle earliestCompletion() const;
 
     /** True if an older store to the same word can forward. */
     bool storeForwards(const RuuEntry &entry) const;
@@ -246,8 +250,11 @@ class Core
 
     Cycle cycleNum = 0;
 
-    // Fetch state.
-    std::deque<FetchedOp> fetchQueue;
+    // Fetch state: a ring of fetchQueueSize slots holding fetchCount
+    // ops from fetchHead on.
+    std::vector<FetchedOp> fetchRing;
+    std::uint32_t fetchHead = 0;
+    std::uint32_t fetchCount = 0;
     InstSeqNum nextFetchSeq = 1;
     InstSeqNum blockingBranch = invalidSeqNum;
     Cycle fetchResumeCycle = 0;
@@ -266,10 +273,17 @@ class Core
     std::vector<std::uint64_t> readyBits;
     std::uint32_t readyCount = 0;
 
-    /** Completion calendar: a min-heap on (cycle, seq) of the Issued
-     *  entries whose completion cycle is known (all but loads waiting
-     *  on memory). */
-    std::vector<Completion> calendar;
+    /**
+     * Completion wheel over the Issued entries whose completion cycle
+     * is known (all but loads waiting on memory): slot c & wheelMask
+     * heads an intrusive list, through RuuEntry::nextDue, of the
+     * entries completing on cycle c. A scheduled cycle is always in
+     * (cycleNum, cycleNum + wheelMask], so a slot never mixes cycles.
+     */
+    std::vector<std::uint32_t> wheelHead;
+    /** One bit per wheel slot, set exactly when its list is non-empty. */
+    std::vector<std::uint64_t> wheelBits;
+    std::uint32_t wheelMask = 0;
     std::vector<InstSeqNum> dueScratch;  ///< completeStage's due set
 
     std::vector<LsqEntry> lsq;

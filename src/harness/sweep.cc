@@ -77,10 +77,10 @@ outcomeFromStoreEntry(const std::string &id,
     // manifest built from this outcome matches the cold run's bytes.
     outcome.result =
         parseSimulationResultJson(minijson::parse(entry.resultJson));
-    if (!entry.statsJson.empty()) {
-        outcome.scalars =
-            parseScalarsFromStats(minijson::parse(entry.statsJson));
-    }
+    // Every stored run completed, so it carries a stats document; an
+    // empty one fails to parse like any other broken document.
+    outcome.scalars =
+        parseScalarsFromStats(minijson::parse(entry.statsJson));
     outcome.statsJson = entry.statsJson;
     outcome.statsText = entry.statsText;
     return outcome;
@@ -729,11 +729,22 @@ parseSimulationResultJson(const minijson::Value &r)
 std::map<std::string, double>
 parseScalarsFromStats(const minijson::Value &stats)
 {
+    if (!stats.has("scalars") || !stats.at("scalars").isObject()) {
+        throw std::runtime_error("stats document has no scalars object");
+    }
     std::map<std::string, double> scalars;
-    if (!stats.has("scalars") || !stats.at("scalars").isObject())
-        return scalars;
-    for (const auto &[name, value] : stats.at("scalars").object())
-        scalars.emplace(name, value.isNumber() ? value.num() : 0.0);
+    for (const auto &[name, value] : stats.at("scalars").object()) {
+        // null is jsonNumber's encoding of a non-finite value.
+        if (std::holds_alternative<std::nullptr_t>(value.v)) {
+            scalars.emplace(name, 0.0);
+            continue;
+        }
+        if (!value.isNumber()) {
+            throw std::runtime_error("stats scalar '" + name +
+                                     "' is not a number or null");
+        }
+        scalars.emplace(name, value.num());
+    }
     return scalars;
 }
 

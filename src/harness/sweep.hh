@@ -243,7 +243,8 @@ store::StoreEntry storeEntryFromOutcome(const SweepOutcome &outcome);
  * Replay a stored entry as a status=ok outcome for run id `id`:
  * result/scalars parse back from the recorded documents, attempts and
  * the stats bytes carry over verbatim. Throws when the recorded
- * documents do not decode exactly (parseSimulationResultJson).
+ * documents do not decode exactly (parseSimulationResultJson,
+ * parseScalarsFromStats), an empty stats document included.
  */
 SweepOutcome outcomeFromStoreEntry(const std::string &id,
                                    const store::StoreEntry &entry);
@@ -367,9 +368,11 @@ SimulationResult parseSimulationResultJson(const minijson::Value &r);
 
 /**
  * Rebuild an outcome's scalar map from its stats document (the
- * "scalars" object of StatRegistry::dumpJson output). Absent or
- * malformed scalars yield an empty map rather than an error - failed
- * runs legitimately carry no stats.
+ * "scalars" object of StatRegistry::dumpJson output). Each scalar must
+ * be a number or null (jsonNumber's encoding of a non-finite value,
+ * which reads as 0.0). A document that is not an object, lacks the
+ * "scalars" object or holds any other scalar value throws, so a
+ * stored entry that carries one fails replay and is re-simulated.
  */
 std::map<std::string, double> parseScalarsFromStats(
     const minijson::Value &stats);

@@ -21,7 +21,6 @@ PowerModel::PowerModel(const PowerModelConfig &config)
                "gating efficiency must be in [0,1]");
     VSV_ASSERT(config.leakageFraction >= 0.0,
                "leakage fraction must be non-negative");
-    refreshScaledVsq();
 
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
         const StructureParams &params =
@@ -57,6 +56,19 @@ PowerModel::PowerModel(const PowerModelConfig &config)
         }
         idleBasePj[i] = idle;
     }
+    refreshCharges();
+}
+
+void
+PowerModel::refreshCharges()
+{
+    scaledVsq = (pipelineVdd_ * pipelineVdd_) / vddHighSq;
+    for (std::size_t i = 0; i < numPowerStructures; ++i) {
+        const auto s = static_cast<PowerStructure>(i);
+        const double vsq = domainVoltageSq(structureParams(s).domain);
+        accessChargePj[i] = perAccessPj(s) * vsq;
+        idleChargePj[i] = idleBasePj[i] * vsq;
+    }
 }
 
 void
@@ -69,7 +81,7 @@ PowerModel::setPipelineVdd(double vdd)
         // Banked idle ticks were accumulated at the old voltage.
         flushIdle();
         pipelineVdd_ = vdd;
-        refreshScaledVsq();
+        refreshCharges();
     }
 }
 
@@ -178,16 +190,13 @@ PowerModel::chargeActiveTick(bool pipeline_edge)
 
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
         const auto s = static_cast<PowerStructure>(i);
-        const StructureParams &params = structureParams(s);
 
         // The global clock tree burns a full "cycle" of energy on
         // every pipeline clock edge; in the low-power mode edges come
         // at half rate, so clock power halves on top of the V^2 drop.
         if (s == PowerStructure::ClockTree) {
-            if (pipeline_edge) {
-                energyPj[i] += idleBasePj[i] *
-                               domainVoltageSq(params.domain);
-            }
+            if (pipeline_edge)
+                energyPj[i] += idleChargePj[i];
             continue;
         }
 
@@ -202,7 +211,7 @@ PowerModel::chargeActiveTick(bool pipeline_edge)
         if (!clocked)
             continue;
 
-        energyPj[i] += idleBasePj[i] * domainVoltageSq(params.domain);
+        energyPj[i] += idleChargePj[i];
     }
 }
 
@@ -306,8 +315,8 @@ PowerModel::restore(SnapshotReader &reader)
     reader.expectU32(static_cast<std::uint32_t>(numPowerStructures),
                      "power structure count");
     pipelineVdd_ = reader.f64();
-    refreshScaledVsq();
     lowPowerPath = reader.b();
+    refreshCharges();
     anyAccessThisTick = reader.b();
     for (double &accesses : accessesThisTick)
         accesses = reader.f64();

@@ -9,7 +9,8 @@
  *      the operating mode via setLowPowerPath().
  *   2. Components record activity with recordAccess(); the access
  *      energy is charged immediately at the structure's current
- *      domain voltage.
+ *      domain voltage, from a per-structure charge cached whenever
+ *      the voltage or the latch-path selection changes.
  *   3. The simulator calls tick(pipeline_edge) once, which charges
  *      clock-tree power (only on pipeline clock edges - half rate in
  *      the low-power mode) and residual idle power for unaccessed
@@ -102,7 +103,15 @@ class PowerModel
      * pipeline is in (or ramping through) the low-power path so the
      * level-converting latches are selected.
      */
-    void setLowPowerPath(bool low) { lowPowerPath = low; }
+    void
+    setLowPowerPath(bool low)
+    {
+        // Called every tick; only a change re-derives the charges.
+        if (low != lowPowerPath) {
+            lowPowerPath = low;
+            refreshCharges();
+        }
+    }
 
     /**
      * Charge one ramp's dual-rail network energy (66 nJ). `when` is
@@ -131,8 +140,14 @@ class PowerModel
     }
 
     /**
-     * Record `count` accesses to structure s during this tick. Inline:
-     * the core charges about sixteen accesses per instruction.
+     * Record `count` accesses to structure s during this tick, charged
+     * `count * per_access * vsq` evaluated left to right (per_access
+     * being accessPj times the latch factor, vsq the domain's V^2
+     * ratio). Inline: the core charges about sixteen accesses per
+     * instruction. A single access adds the cached
+     * `per_access * vsq`, which is that product with count 1 exactly;
+     * any other count multiplies out, because count * (per_access *
+     * vsq) rounds differently unless count is a power of two.
      */
     void
     recordAccess(PowerStructure s, double count = 1.0)
@@ -141,22 +156,15 @@ class PowerModel
             fanOutAccess(s, count);
 
         const auto idx = static_cast<std::size_t>(s);
-        const StructureParams &params = structureParams(s);
-
         accessesThisTick[idx] += count;
         anyAccessThisTick = true;
 
-        double per_access = params.accessPj;
-        // The VDDL->VDDH path latches: in the high-power mode the
-        // regular (cheaper) latch set is selected; in the low-power
-        // mode the level-converting set is. Only the selected set
-        // burns power.
-        if (s == PowerStructure::LevelConverters && !lowPowerPath)
-            per_access *= config_.converterHighModeFactor;
-
-        // Keep this product order: count * (per_access * vsq) rounds
-        // differently unless count is a power of two.
-        energyPj[idx] += count * per_access * domainVoltageSq(params.domain);
+        if (count == 1.0) {
+            energyPj[idx] += accessChargePj[idx];
+        } else {
+            energyPj[idx] += count * perAccessPj(s) *
+                             domainVoltageSq(structureParams(s).domain);
+        }
     }
 
     /**
@@ -242,12 +250,24 @@ class PowerModel
         return domain == VoltageDomain::Fixed ? 1.0 : scaledVsq;
     }
 
-    /** Recompute scaledVsq from pipelineVdd_; call on every change. */
-    void
-    refreshScaledVsq()
+    /**
+     * Energy of one access to s at VDDH. The VDDL->VDDH path latches:
+     * in the high-power mode the regular (cheaper) latch set is
+     * selected; in the low-power mode the level-converting set is.
+     * Only the selected set burns power.
+     */
+    double
+    perAccessPj(PowerStructure s) const
     {
-        scaledVsq = (pipelineVdd_ * pipelineVdd_) / vddHighSq;
+        const double pj = structureParams(s).accessPj;
+        return s == PowerStructure::LevelConverters && !lowPowerPath
+                   ? pj * config_.converterHighModeFactor
+                   : pj;
     }
+
+    /** Recompute scaledVsq and the cached charges from pipelineVdd_
+     *  and lowPowerPath; call on every change of either. */
+    void refreshCharges();
 
     /** Charge idle/clock/leakage energy for one access-carrying tick
      *  (the original per-tick loop). */
@@ -258,9 +278,8 @@ class PowerModel
     double vddHighSq;
     /**
      * The scaled domain's (V*V)/VDDH^2 at pipelineVdd_, refreshed by
-     * the constructor, setPipelineVdd() and restore(). Cached as this
-     * exact quotient, never folded into a per-structure constant, so
-     * every charge rounds as it would with the ratio recomputed.
+     * refreshCharges(). Cached as this exact quotient, so every charge
+     * rounds as it would with the ratio recomputed.
      */
     double scaledVsq = 1.0;
     bool lowPowerPath = false;
@@ -295,6 +314,16 @@ class PowerModel
      * cycle energy). Computed once in the constructor.
      */
     std::array<double, numPowerStructures> idleBasePj{};
+    /**
+     * Per-structure charges at the current pipelineVdd_ and latch
+     * path, refreshed by refreshCharges(): perAccessPj(s) * vsq for
+     * one access, and idleBasePj * vsq for one access-carrying tick on
+     * which the structure idles (the clock tree's: one edge). Each is
+     * the same product the uncached charge evaluates, so it rounds
+     * identically.
+     */
+    std::array<double, numPowerStructures> accessChargePj{};
+    std::array<double, numPowerStructures> idleChargePj{};
 };
 
 } // namespace vsv

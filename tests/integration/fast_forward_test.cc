@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "common/hash.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "workload/workload.hh"
@@ -132,6 +133,77 @@ TEST(FastForwardTest, TimekeepingRunsAreBitIdentical)
     EXPECT_EQ(a.result.ticks, b.result.ticks);
     EXPECT_DOUBLE_EQ(a.result.energyPj, b.result.energyPj);
 }
+
+/**
+ * A core geometry away from Table 1 that stresses one structure's
+ * sizing, with the FNV-1a 64 of its full stats dump, pinned so that
+ * any change to a simulated number in that geometry fails here.
+ */
+struct CoreGeometry
+{
+    const char *name;
+    SimulationOptions options;
+    std::uint64_t statsDigest;
+};
+
+void
+PrintTo(const CoreGeometry &geometry, std::ostream *os)
+{
+    *os << geometry.name;
+}
+
+/** An 80-cycle L1D hit (a 128-slot completion wheel) under an
+ *  IntDiv-heavy stream, with VSV and its FSMs on. */
+CoreGeometry
+slowL1dIntDiv()
+{
+    SimulationOptions options = makeOptions("gzip", false, 20000, 5000);
+    options.profile.intDivFrac = 0.3;
+    options.hierarchy.l1d.hitLatency = 80;
+    options.vsv = fsmVsvConfig();
+    return {"slow_l1d_intdiv", options, 0xc281201ba871dc57ULL};
+}
+
+/** A 5-slot fetch ring behind an 8-wide fetch, so fetch fills the
+ *  ring and its head and tail wrap at shifting slots, on a
+ *  stall-heavy VSV run. */
+CoreGeometry
+narrowFetchRing()
+{
+    SimulationOptions options = makeOptions("mcf", false, 20000, 5000);
+    options.core.fetchQueueSize = 5;
+    options.core.fetchWidth = 8;
+    options.vsv = fsmVsvConfig();
+    return {"narrow_fetch_ring", options, 0x363449c626b525beULL};
+}
+
+class CoreGeometryTest : public testing::TestWithParam<CoreGeometry>
+{
+};
+
+TEST_P(CoreGeometryTest, IsBitIdenticalAndPinned)
+{
+    SimulationOptions on = GetParam().options;
+    on.fastForward = true;
+    SimulationOptions off = on;
+    off.fastForward = false;
+    const SweepOutcome a = SweepRunner::runOne({GetParam().name, on});
+    const SweepOutcome b = SweepRunner::runOne({GetParam().name, off});
+    ASSERT_EQ(a.status, SweepStatus::Ok) << a.error;
+    ASSERT_EQ(b.status, SweepStatus::Ok) << b.error;
+    EXPECT_GT(a.result.fastForwardedTicks, 0u);
+    EXPECT_EQ(a.statsJson, b.statsJson);
+    EXPECT_EQ(a.result.ticks, b.result.ticks);
+    EXPECT_EQ(fnv1a64(a.statsJson), GetParam().statsDigest)
+        << std::hex << fnv1a64(a.statsJson);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FastForwardTest, CoreGeometryTest,
+    testing::Values(slowL1dIntDiv(), narrowFetchRing()),
+    [](const testing::TestParamInfo<CoreGeometry> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace vsv

@@ -408,5 +408,87 @@ TEST(PowerModelTest, AccessChargeKeepsItsProductOrder)
     EXPECT_EQ(cam.structureEnergyPj(PowerStructure::RuuCam), left_to_right);
 }
 
+/**
+ * Check `pm`'s per-structure charges at pipeline VDD `vdd` with the
+ * latch path `low`, against the uncached products: one access adds
+ * (1 * per_access) * vsq, and an access-carrying tick on which the
+ * structure idles adds idleBasePj * vsq (default config: DCG gating).
+ */
+void
+expectChargesAt(PowerModel &pm, double vdd, bool low)
+{
+    const PowerModelConfig &config = pm.config();
+    const double vsq = (vdd * vdd) / (config.vddHigh * config.vddHigh);
+    for (std::size_t i = 0; i < numPowerStructures; ++i) {
+        const auto s = static_cast<PowerStructure>(i);
+        const StructureParams &params = structureParams(s);
+        const double domain_vsq =
+            params.domain == VoltageDomain::Fixed ? 1.0 : vsq;
+        double per_access = params.accessPj;
+        if (s == PowerStructure::LevelConverters && !low)
+            per_access *= config.converterHighModeFactor;
+        double idle_base = params.maxCyclePj;
+        if (s != PowerStructure::ClockTree) {
+            idle_base *= config.idleFraction;
+            if (params.dcgGateable)
+                idle_base *= 1.0 - config.gatingEfficiency;
+        }
+
+        const double before_access = pm.structureEnergyPj(s);
+        pm.recordAccess(s, 1);
+        EXPECT_EQ(pm.structureEnergyPj(s),
+                  before_access + (1 * per_access) * domain_vsq)
+            << params.name << " at " << vdd << (low ? " low" : " high");
+        pm.tick(true);
+
+        // An active tick that accesses some other structure.
+        const double before_idle = pm.structureEnergyPj(s);
+        pm.recordAccess(s == PowerStructure::FetchLogic
+                            ? PowerStructure::RenameLogic
+                            : PowerStructure::FetchLogic);
+        pm.tick(true);
+        EXPECT_EQ(pm.structureEnergyPj(s),
+                  before_idle + idle_base * domain_vsq)
+            << params.name << " idle at " << vdd << (low ? " low" : " high");
+    }
+}
+
+TEST(PowerModelTest, CachedChargesFollowVddLatchPathAndRestore)
+{
+    // A full 1.8 V -> 1.2 V ramp in 24 steps of 25 mV, flipping the
+    // latch path along the way, with a snapshot/restore mid-ramp while
+    // the level-converting latches are selected. The restored model is
+    // checked before any setter could refresh its charges.
+    PowerModel live;
+    expectChargesAt(live, 1.8, false);
+    bool low = false;
+    for (int step = 1; step <= 24; ++step) {
+        const double vdd = 1.8 - 0.025 * step;
+        if (step % 5 == 1)
+            low = !low;
+        live.setLowPowerPath(low);
+        live.setPipelineVdd(vdd);
+        live.setLowPowerPath(low);  // repeated every tick: no change
+        expectChargesAt(live, vdd, low);
+
+        if (step == 12) {
+            ASSERT_TRUE(low);
+            std::ostringstream os;
+            SnapshotWriter writer(os, "power");
+            live.snapshot(writer);
+            writer.finish();
+            PowerModel restored;
+            std::istringstream is(os.str());
+            SnapshotReader reader(is);
+            restored.restore(reader);
+            expectChargesAt(restored, vdd, true);
+            restored.setPipelineVdd(vdd - 0.0125);
+            expectChargesAt(restored, vdd - 0.0125, true);
+            restored.setLowPowerPath(false);
+            expectChargesAt(restored, vdd - 0.0125, false);
+        }
+    }
+}
+
 } // namespace
 } // namespace vsv

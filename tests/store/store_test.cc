@@ -417,41 +417,46 @@ TEST(StoreSweepTest, AdaptersRoundTripAnOutcome)
     EXPECT_EQ(zeroed.result.energyPj, outcome.result.energyPj);
 }
 
-/** One stored result document that passes the envelope check but
- *  does not decode exactly. */
-struct BadResult
+/** One stored document that passes the envelope check but does not
+ *  decode exactly. */
+struct BadDocument
 {
     const char *name;
-    const char *pattern;      ///< regex over the recorded resultJson
+    const char *pattern;      ///< regex over the recorded document
     const char *replacement;  ///< applied to its first match
 };
 
 void
-PrintTo(const BadResult &bad, std::ostream *os)
+PrintTo(const BadDocument &bad, std::ostream *os)
 {
     *os << bad.name;
 }
 
-class BadResultTest : public testing::TestWithParam<BadResult>
+/** `recorded` with `bad`'s first match replaced; must differ. */
+std::string
+mutated(const std::string &recorded, const BadDocument &bad)
 {
-};
-
-TEST_P(BadResultTest, IsQuarantinedAndReplacedByTheRerun)
-{
-    const BadResult &bad = GetParam();
-    const std::string dir =
-        freshDir(std::string("vsv_store_bad_") + bad.name);
-    const std::vector<SweepJob> jobs = {
-        {"mcf/base", makeOptions("mcf", false, 5000, 3000)}};
-    const SweepOutcome fresh = SweepRunner::runOne(jobs[0]);
-
-    StoreEntry entry = storeEntryFromOutcome(fresh);
-    const std::string recorded = entry.resultJson;
-    entry.resultJson =
+    std::string out =
         std::regex_replace(recorded, std::regex(bad.pattern),
                            bad.replacement,
                            std::regex_constants::format_first_only);
-    ASSERT_NE(entry.resultJson, recorded);
+    EXPECT_NE(out, recorded);
+    return out;
+}
+
+/**
+ * Store `entry` (a mutation of `fresh`'s) under its fingerprint in a
+ * fresh directory, then sweep `job` twice: the first sweep must
+ * quarantine the entry and insert the re-simulated result in its
+ * place, the second must replay that result as a real hit.
+ */
+void
+expectQuarantinedAndReplaced(const std::string &name, const SweepJob &job,
+                             const SweepOutcome &fresh,
+                             const StoreEntry &entry)
+{
+    const std::string dir = freshDir("vsv_store_bad_" + name);
+    const std::vector<SweepJob> jobs = {job};
     std::string path;
     {
         ResultStore store(dir);
@@ -493,22 +498,87 @@ TEST_P(BadResultTest, IsQuarantinedAndReplacedByTheRerun)
     std::filesystem::remove_all(dir);
 }
 
+/** A bad stored resultJson. */
+class BadResultTest : public testing::TestWithParam<BadDocument>
+{
+};
+
+TEST_P(BadResultTest, IsQuarantinedAndReplacedByTheRerun)
+{
+    const BadDocument &bad = GetParam();
+    const SweepJob job{"mcf/base", makeOptions("mcf", false, 5000, 3000)};
+    const SweepOutcome fresh = SweepRunner::runOne(job);
+    StoreEntry entry = storeEntryFromOutcome(fresh);
+    entry.resultJson = mutated(entry.resultJson, bad);
+    expectQuarantinedAndReplaced(bad.name, job, fresh, entry);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     StoreSweepTest, BadResultTest,
     testing::Values(
-        BadResult{"not_an_object", "^.*$", "[1]"},
-        BadResult{"string_ticks", "\"ticks\":\\d+", "\"ticks\":\"oops\""},
-        BadResult{"negative_ticks", "\"ticks\":\\d+", "\"ticks\":-5"},
-        BadResult{"fractional_ticks", "\"ticks\":\\d+", "\"ticks\":1.5"},
-        BadResult{"two_to_the_64_ticks", "\"ticks\":\\d+",
-                  "\"ticks\":18446744073709551616"},
-        BadResult{"huge_instructions", "\"instructions\":\\d+",
-                  "\"instructions\":1e300"},
-        BadResult{"missing_ticks", ",\"ticks\":\\d+", ""},
-        BadResult{"string_ipc", "\"ipc\":[^,]+", "\"ipc\":\"1\""}),
-    [](const testing::TestParamInfo<BadResult> &info) {
+        BadDocument{"not_an_object", "^.*$", "[1]"},
+        BadDocument{"string_ticks", "\"ticks\":\\d+", "\"ticks\":\"oops\""},
+        BadDocument{"negative_ticks", "\"ticks\":\\d+", "\"ticks\":-5"},
+        BadDocument{"fractional_ticks", "\"ticks\":\\d+", "\"ticks\":1.5"},
+        BadDocument{"two_to_the_64_ticks", "\"ticks\":\\d+",
+                    "\"ticks\":18446744073709551616"},
+        BadDocument{"huge_instructions", "\"instructions\":\\d+",
+                    "\"instructions\":1e300"},
+        BadDocument{"missing_ticks", ",\"ticks\":\\d+", ""},
+        BadDocument{"string_ipc", "\"ipc\":[^,]+", "\"ipc\":\"1\""}),
+    [](const testing::TestParamInfo<BadDocument> &info) {
         return std::string(info.param.name);
     });
+
+/** A bad stored statsJson: replay rebuilds the scalar map from it. */
+class BadStatsTest : public testing::TestWithParam<BadDocument>
+{
+};
+
+TEST_P(BadStatsTest, IsQuarantinedAndReplacedByTheRerun)
+{
+    const BadDocument &bad = GetParam();
+    const SweepJob job{"mcf/base", makeOptions("mcf", false, 5000, 3000)};
+    const SweepOutcome fresh = SweepRunner::runOne(job);
+    StoreEntry entry = storeEntryFromOutcome(fresh);
+    entry.statsJson = mutated(entry.statsJson, bad);
+    expectQuarantinedAndReplaced(std::string("stats_") + bad.name, job,
+                                 fresh, entry);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StoreSweepTest, BadStatsTest,
+    testing::Values(
+        BadDocument{"empty_document", "^.*$", ""},
+        BadDocument{"missing_scalars", "^\\{\"scalars\":", "{\"scalarz\":"},
+        BadDocument{"scalars_array", "\"scalars\":\\{[^}]*\\}",
+                    "\"scalars\":[1]"},
+        BadDocument{"string_scalar", "(\"scalars\":\\{\"[^\"]+\":)[^,}]+",
+                    "$1\"oops\""},
+        BadDocument{"bool_scalar", "(\"scalars\":\\{\"[^\"]+\":)[^,}]+",
+                    "$1true"}),
+    [](const testing::TestParamInfo<BadDocument> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(StoreSweepTest, NullScalarReplaysAsZero)
+{
+    // jsonNumber writes a non-finite stat as null; replay reads it as
+    // 0.0 and keeps the stored document byte for byte.
+    const SweepOutcome outcome = SweepRunner::runOne(
+        {"mcf", makeOptions("mcf", false, 5000, 3000)});
+    ASSERT_EQ(outcome.status, SweepStatus::Ok);
+    StoreEntry entry = storeEntryFromOutcome(outcome);
+    const std::string name = outcome.scalars.begin()->first;
+    entry.statsJson = mutated(
+        entry.statsJson,
+        BadDocument{"null_scalar", "(\"scalars\":\\{\"[^\"]+\":)[^,}]+",
+                    "$1null"});
+    const SweepOutcome back = outcomeFromStoreEntry("mcf", entry);
+    EXPECT_EQ(back.scalars.at(name), 0.0);
+    EXPECT_EQ(back.scalars.size(), outcome.scalars.size());
+    EXPECT_EQ(back.statsJson, entry.statsJson);
+}
 
 TEST(StoreSweepTest, ManifestRecordsStoreCountersOnlyWhenEnabled)
 {
