@@ -17,6 +17,22 @@
 
 using namespace vsv;
 
+namespace
+{
+
+/** "(" + text + ")", as appends: GCC 12 flags the operator+ chain
+ *  with a false -Wrestrict in optimized builds. */
+std::string
+parenthesized(const std::string &text)
+{
+    std::string out = "(";
+    out += text;
+    out += ')';
+    return out;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -62,11 +78,11 @@ main(int argc, char **argv)
         const WorkloadProfile profile = spec2kProfile(name);
         table.addRow({name,
                       TextTable::num(base_result.ipc),
-                      "(" + TextTable::num(profile.targetIpc) + ")",
+                      parenthesized(TextTable::num(profile.targetIpc)),
                       TextTable::num(base_result.mr, 1),
-                      "(" + TextTable::num(profile.targetMrBase, 1) + ")",
+                      parenthesized(TextTable::num(profile.targetMrBase, 1)),
                       TextTable::num(tk_result.mr, 1),
-                      "(" + TextTable::num(profile.targetMrTk, 1) + ")"});
+                      parenthesized(TextTable::num(profile.targetMrTk, 1))});
         sum_ipc_err +=
             std::abs(base_result.ipc - profile.targetIpc) /
             profile.targetIpc;

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <thread>
 
@@ -254,59 +256,129 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     } else {
         serial = std::move(pending);
     }
-    const std::vector<std::vector<std::size_t>> tasks =
+    const std::size_t units = batches.size() + serial.size();
+    const std::vector<SweepTask> tasks =
         orderSweepTasks(jobs, batches, std::move(serial));
 
-    // Workers pull the next un-run task; each outcome lands in its
+    // The schedule: the static tasks in order, plus a ready queue of
+    // consumers whose owner's warmup has settled. Workers drain the
+    // queue before they start the next task, so a snapshot is
+    // restored soon after it is published and dropped after its last
+    // restore; a worker that finds neither waits for an owner in
+    // flight, never on a snapshot future. Each outcome lands in its
     // submission slot, so the result vector is schedule-independent.
-    std::atomic<std::size_t> next{0};
+    std::mutex scheduleMutex;
+    std::condition_variable scheduleCv;
+    std::size_t nextTask = 0;
+    std::deque<std::size_t> ready;
+    std::size_t held = 0;  // consumers not yet queued
+    std::vector<bool> queued(tasks.size(), false);
+    std::vector<const std::string *> warmupOf(jobs.size(), nullptr);
+    for (const SweepTask &task : tasks) {
+        held += task.consumers.size();
+        if (task.warmupFingerprint.empty())
+            continue;
+        warmupOf[task.members[0]] = &task.warmupFingerprint;
+        for (const std::size_t i : task.consumers)
+            warmupOf[i] = &task.warmupFingerprint;
+    }
+    // Idempotent: the cache calls it when the warmup settles, and the
+    // owner's worker again when the owner ends, however it ended.
+    const auto queueConsumers = [&](std::size_t t) {
+        std::lock_guard<std::mutex> lock(scheduleMutex);
+        if (queued[t])
+            return;
+        queued[t] = true;
+        ready.insert(ready.end(), tasks[t].consumers.begin(),
+                     tasks[t].consumers.end());
+        held -= tasks[t].consumers.size();
+        scheduleCv.notify_all();
+    };
+    if (snapshotCache_) {
+        for (std::size_t t = 0; t < tasks.size(); ++t) {
+            if (tasks[t].warmupFingerprint.empty())
+                continue;
+            snapshotCache_->declareUses(
+                tasks[t].warmupFingerprint, 1 + tasks[t].consumers.size(),
+                [&queueConsumers, t] { queueConsumers(t); });
+        }
+    }
+
     std::atomic<std::uint64_t> fallbacks{0};
-    auto worker = [this, &jobs, &tasks, &outcomes, &next, &fallbacks]() {
-        const auto finished = [&](std::size_t i) {
-            if (resultStore_ && outcomes[i].status == SweepStatus::Ok)
-                resultStore_->insert(storeEntryFromOutcome(outcomes[i]));
-        };
+    const auto finished = [&](std::size_t i) {
+        if (resultStore_ && outcomes[i].status == SweepStatus::Ok)
+            resultStore_->insert(storeEntryFromOutcome(outcomes[i]));
+    };
+    const auto runSerial = [&](std::size_t i) {
+        outcomes[i] = runWithRetries(jobs[i]);
+        if (snapshotCache_ && warmupOf[i])
+            snapshotCache_->releaseUse(*warmupOf[i]);
+        finished(i);
+    };
+    const auto runBatch = [&](const std::vector<std::size_t> &members) {
+        // A batch failure (including the simulator's lockstep
+        // divergence fatal()) is not a campaign failure: every member
+        // falls back to the normal isolated serial path, retries and
+        // all.
+        bool batched = false;
+        try {
+            ScopedThrowingFatal guard;
+            std::vector<SweepOutcome> batch =
+                runLockstepBatch(jobs, members);
+            for (std::size_t m = 0; m < members.size(); ++m)
+                outcomes[members[m]] = std::move(batch[m]);
+            batched = true;
+        } catch (const std::exception &e) {
+            warn("lockstep batch led by " + jobs[members[0]].id + " (" +
+                 std::to_string(members.size()) +
+                 " configs) failed: " + e.what() +
+                 "; re-running its members serially");
+        }
+        if (!batched) {
+            fallbacks.fetch_add(1, std::memory_order_relaxed);
+            for (const std::size_t i : members)
+                outcomes[i] = runWithRetries(jobs[i]);
+        }
+        for (const std::size_t i : members)
+            finished(i);
+    };
+    const auto worker = [&]() {
         for (;;) {
-            const std::size_t t =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (t >= tasks.size())
-                return;
-            const std::vector<std::size_t> &members = tasks[t];
-            if (members.size() == 1) {
-                outcomes[members[0]] = runWithRetries(jobs[members[0]]);
-                finished(members[0]);
+            std::optional<std::size_t> consumer;
+            std::size_t t = 0;
+            {
+                std::unique_lock<std::mutex> lock(scheduleMutex);
+                scheduleCv.wait(lock, [&] {
+                    return !ready.empty() || nextTask < tasks.size() ||
+                           held == 0;
+                });
+                if (!ready.empty()) {
+                    consumer = ready.front();
+                    ready.pop_front();
+                } else if (nextTask < tasks.size()) {
+                    t = nextTask++;
+                } else {
+                    return;
+                }
+            }
+            if (consumer) {
+                runSerial(*consumer);
                 continue;
             }
-            // A batch failure (including the simulator's lockstep
-            // divergence fatal()) is not a campaign failure: every
-            // member falls back to the normal isolated serial path,
-            // retries and all.
-            bool batched = false;
-            try {
-                ScopedThrowingFatal guard;
-                std::vector<SweepOutcome> batch =
-                    runLockstepBatch(jobs, members);
-                for (std::size_t m = 0; m < members.size(); ++m)
-                    outcomes[members[m]] = std::move(batch[m]);
-                batched = true;
-            } catch (const std::exception &e) {
-                warn("lockstep batch led by " + jobs[members[0]].id +
-                     " (" + std::to_string(members.size()) +
-                     " configs) failed: " + e.what() +
-                     "; re-running its members serially");
+            if (tasks[t].warmupFingerprint.empty()) {
+                runBatch(tasks[t].members);
+                continue;
             }
-            if (!batched) {
-                fallbacks.fetch_add(1, std::memory_order_relaxed);
-                for (const std::size_t i : members)
-                    outcomes[i] = runWithRetries(jobs[i]);
-            }
-            for (const std::size_t i : members)
-                finished(i);
+            // Without a cache the consumers have nothing to wait for.
+            if (!snapshotCache_)
+                queueConsumers(t);
+            runSerial(tasks[t].members[0]);
+            queueConsumers(t);
         }
     };
 
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(threads_, tasks.size()));
+    const unsigned workers =
+        static_cast<unsigned>(std::min<std::size_t>(threads_, units));
     if (workers <= 1) {
         worker();
     } else {
@@ -322,35 +394,39 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     return outcomes;
 }
 
-std::vector<std::vector<std::size_t>>
+std::vector<SweepTask>
 orderSweepTasks(const std::vector<SweepJob> &jobs,
                 const std::vector<std::vector<std::size_t>> &batches,
                 std::vector<std::size_t> serial)
 {
-    std::vector<std::vector<std::size_t>> tasks = batches;
+    std::vector<SweepTask> tasks;
     tasks.reserve(batches.size() + serial.size());
+    for (const std::vector<std::size_t> &members : batches)
+        tasks.push_back({members, {}, {}});
 
-    // Split the serial jobs, in submission order, into each warmup
-    // fingerprint's first job (its owner) and the rest.
+    // Group the serial jobs, in submission order, under each warmup
+    // fingerprint's first job (its owner).
     std::sort(serial.begin(), serial.end());
-    std::vector<std::size_t> owners;
-    std::vector<std::size_t> rest;
-    std::set<std::string> seen;
+    std::vector<SweepTask> owners;
+    std::map<std::string, std::size_t> ownerOf;
     for (const std::size_t i : serial) {
-        if (seen.insert(warmupFingerprint(jobs[i].options)).second)
-            owners.push_back(i);
+        std::string fingerprint = warmupFingerprint(jobs[i].options);
+        const auto [it, first] =
+            ownerOf.emplace(fingerprint, owners.size());
+        if (first)
+            owners.push_back({{i}, {}, std::move(fingerprint)});
         else
-            rest.push_back(i);
+            owners[it->second].consumers.push_back(i);
     }
     std::stable_sort(owners.begin(), owners.end(),
-                     [&jobs](std::size_t a, std::size_t b) {
-                         return jobs[a].options.warmupInstructions >
-                                jobs[b].options.warmupInstructions;
+                     [&jobs](const SweepTask &a, const SweepTask &b) {
+                         return jobs[a.members[0]]
+                                    .options.warmupInstructions >
+                                jobs[b.members[0]]
+                                    .options.warmupInstructions;
                      });
-    for (const std::size_t i : owners)
-        tasks.push_back({i});
-    for (const std::size_t i : rest)
-        tasks.push_back({i});
+    for (SweepTask &owner : owners)
+        tasks.push_back(std::move(owner));
     return tasks;
 }
 

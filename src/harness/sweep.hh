@@ -213,20 +213,41 @@ class SweepRunner
 };
 
 /**
- * The order a SweepRunner's pool takes its tasks in. A task is a list
- * of submission indices into `jobs`: the members of one lockstep batch
- * (`batches`, in plan order) or one serial job (`serial`, any order).
+ * One unit of a SweepRunner's static schedule: a lockstep batch, or
+ * the serial job that owns a warmup fingerprint together with the
+ * serial jobs that restore its snapshot.
+ */
+struct SweepTask
+{
+    /** Submission indices run together: a batch's members, or the
+     *  one owner job. */
+    std::vector<std::size_t> members;
+    /** The owner's consumers - the other serial jobs with its
+     *  warmupFingerprint, in submission order; empty for a batch. */
+    std::vector<std::size_t> consumers;
+    /** The owner's warmupFingerprint; empty for a batch. */
+    std::string warmupFingerprint;
+};
+
+/**
+ * The static order a SweepRunner's pool takes its tasks in, from the
+ * lockstep batches (`batches`, in plan order) and the serial jobs
+ * (`serial`, any order; submission indices into `jobs`).
  *
  * Batches come first and intact: they warm up fresh, outside the
- * warmup cache. Next comes the first serial task of each
- * warmupFingerprint - the one that computes that warmup for the rest -
- * longest warmupInstructions first, ties in submission order. The
- * remaining serial tasks follow in submission order. So the workers
- * start by computing distinct warmups side by side, and a task that
- * restores a snapshot seldom blocks on a warmup that is still running.
- * Every task appears exactly once.
+ * warmup cache. Then comes one task per warmupFingerprint, owned by
+ * its first serial job in submission order, longest
+ * warmupInstructions first, ties in submission order. The owner
+ * computes the warmup; its consumers are not tasks of their own. The
+ * runner queues them the moment the owner's warmup is published, and
+ * a worker drains that ready queue before it starts the next owner.
+ * So the workers start by computing distinct warmups side by side, no
+ * worker blocks on a warmup still running, and a snapshot's last
+ * restore follows its warmup closely: the cache holds at most one
+ * snapshot per worker. Every job appears exactly once, as a member or
+ * as a consumer.
  */
-std::vector<std::vector<std::size_t>>
+std::vector<SweepTask>
 orderSweepTasks(const std::vector<SweepJob> &jobs,
                 const std::vector<std::vector<std::size_t>> &batches,
                 std::vector<std::size_t> serial);

@@ -168,7 +168,12 @@ class EventWriter
 std::string
 quoted(std::string_view s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    // Appends: GCC 12 flags `"literal" + std::string` with a false
+    // -Wrestrict in optimized builds.
+    std::string out = "\"";
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 std::string

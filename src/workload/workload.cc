@@ -213,10 +213,9 @@ WorkloadGenerator::takeColdRef()
     return ref;
 }
 
-MicroOp
-WorkloadGenerator::makeLoad()
+void
+WorkloadGenerator::makeLoad(MicroOp &op)
 {
-    MicroOp op;
     op.cls = OpClass::Load;
     op.pc = currentPc();
 
@@ -251,13 +250,11 @@ WorkloadGenerator::makeLoad()
         op.addr = hotAddr();
         op.depDist1 = producerDistance();
     }
-    return op;
 }
 
-MicroOp
-WorkloadGenerator::makeStore()
+void
+WorkloadGenerator::makeStore(MicroOp &op)
 {
-    MicroOp op;
     op.cls = OpClass::Store;
     op.pc = currentPc();
 
@@ -273,13 +270,11 @@ WorkloadGenerator::makeStore()
     // Address source plus data source.
     op.depDist1 = producerDistance();
     op.depDist2 = producerDistance();
-    return op;
 }
 
-MicroOp
-WorkloadGenerator::makeBranch()
+void
+WorkloadGenerator::makeBranch(MicroOp &op)
 {
-    MicroOp op;
     op.cls = OpClass::Branch;
     op.pc = currentPc();
     op.depDist1 = producerDistance();
@@ -301,7 +296,7 @@ WorkloadGenerator::makeBranch()
         op.target = site_target;
         if (callStack.size() < 64)
             callStack.push_back(op.pc + 4);
-        return op;
+        return;
     }
     if (kind_draw < 2 * call_cut && !callStack.empty()) {
         op.brKind = BranchKind::Return;
@@ -309,7 +304,7 @@ WorkloadGenerator::makeBranch()
         // Matches what the RAS pushed at the call site.
         op.target = callStack.back();
         callStack.pop_back();
-        return op;
+        return;
     }
 
     op.brKind = BranchKind::Cond;
@@ -323,7 +318,6 @@ WorkloadGenerator::makeBranch()
     else
         op.taken = rng.chance(bias);
     op.target = site_target;
-    return op;
 }
 
 void
@@ -348,10 +342,9 @@ WorkloadGenerator::assignComputeDeps(MicroOp &op)
         op.depDist2 = producerDistance();
 }
 
-MicroOp
-WorkloadGenerator::makeCompute()
+void
+WorkloadGenerator::makeCompute(MicroOp &op)
 {
-    MicroOp op;
     op.pc = currentPc();
 
     if (rng.chance(profile_.fpFrac)) {
@@ -372,26 +365,27 @@ WorkloadGenerator::makeCompute()
             op.cls = OpClass::IntAlu;
     }
     assignComputeDeps(op);
-    return op;
 }
 
 MicroOp
 WorkloadGenerator::next()
 {
     if (opBufferPos == opBuffer.size()) {
-        opBuffer.clear();
+        // Generate straight into the buffer's slots: no per-op
+        // temporary to copy in.
+        opBuffer.resize(batch_);
         opBufferPos = 0;
-        if (opBuffer.capacity() < batch_)
-            opBuffer.reserve(batch_);
-        for (std::uint32_t i = 0; i < batch_; ++i)
-            opBuffer.push_back(generate());
+        for (MicroOp &op : opBuffer) {
+            op = MicroOp{};
+            generate(op);
+        }
     }
     ++delivered;
     return opBuffer[opBufferPos++];
 }
 
-MicroOp
-WorkloadGenerator::generate()
+void
+WorkloadGenerator::generate(MicroOp &op)
 {
     ++position;
     if (++loopSlot == loopInsts)
@@ -402,13 +396,12 @@ WorkloadGenerator::generate()
 
     // Pending software prefetches take priority so they stay timely.
     if (!pendingPrefetches.empty()) {
-        MicroOp op;
         op.cls = OpClass::Prefetch;
         op.pc = currentPc();
         op.addr = pendingPrefetches.front();
         pendingPrefetches.pop_front();
         op.depDist1 = producerDistance();
-        return op;
+        return;
     }
 
     // Branches live at *fixed slots* of the code loop (branchSlots)
@@ -416,20 +409,20 @@ WorkloadGenerator::generate()
     // without this, per-site predictor training would be
     // unrealistically sparse. The remaining slots draw their class
     // randomly, rescaled so the overall mix matches the profile.
-    if ((branchSlots[loopSlot / 64] >> (loopSlot % 64)) & 1)
-        return makeBranch();
+    if ((branchSlots[loopSlot / 64] >> (loopSlot % 64)) & 1) {
+        makeBranch(op);
+        return;
+    }
 
     const double r = rng.nextDouble();
-    MicroOp op;
     if (r < loadCut) {
-        op = makeLoad();
+        makeLoad(op);
         sinceLastLoad = 0;
     } else if (r < storeCut) {
-        op = makeStore();
+        makeStore(op);
     } else {
-        op = makeCompute();
+        makeCompute(op);
     }
-    return op;
 }
 
 namespace

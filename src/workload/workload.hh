@@ -236,13 +236,14 @@ class WorkloadGenerator : public TraceSource
         std::int32_t chainId;  ///< -1 for non-chain patterns
     };
 
-    /** Generate one op (the pre-batching next()). */
-    MicroOp generate();
+    /** Generate one op (the pre-batching next()) into `op`, a
+     *  default-constructed batch-buffer slot. */
+    void generate(MicroOp &op);
 
-    MicroOp makeLoad();
-    MicroOp makeStore();
-    MicroOp makeBranch();
-    MicroOp makeCompute();
+    void makeLoad(MicroOp &op);
+    void makeStore(MicroOp &op);
+    void makeBranch(MicroOp &op);
+    void makeCompute(MicroOp &op);
 
     Addr hotAddr();
     Addr warmAddr();

@@ -196,7 +196,8 @@ TEST(LockstepPlanTest, WidthUnderTwoPlansEverythingSerial)
 {
     std::vector<SweepJob> jobs;
     for (int i = 0; i < 3; ++i)
-        jobs.push_back({"j" + std::to_string(i), fsmOptions()});
+        jobs.push_back({std::string("j").append(std::to_string(i)),
+                        fsmOptions()});
 
     for (const unsigned width : {0u, 1u}) {
         LockstepStats stats;

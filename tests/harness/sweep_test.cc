@@ -52,7 +52,18 @@ TEST(SweepRunnerTest, ParallelMatchesSerialBitIdentically)
     }
 }
 
-TEST(SweepTaskOrderTest, BatchesThenLongestWarmupOwnersThenTheRest)
+/** A task's members and consumers, for comparing whole orders. */
+std::vector<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
+shape(const std::vector<SweepTask> &tasks)
+{
+    std::vector<std::pair<std::vector<std::size_t>,
+                          std::vector<std::size_t>>> out;
+    for (const SweepTask &task : tasks)
+        out.emplace_back(task.members, task.consumers);
+    return out;
+}
+
+TEST(SweepTaskOrderTest, BatchesThenLongestWarmupOwnersWithConsumers)
 {
     // Warmup fingerprints: {0, 1} mcf, {2, 4} art+TK, 3 ammp, 5
     // swim+TK. 6 and 7 form a lockstep batch; their warmup is the
@@ -76,15 +87,21 @@ TEST(SweepTaskOrderTest, BatchesThenLongestWarmupOwnersThenTheRest)
     add("gzip", false, 20000, false);
     add("gzip", false, 20000, true);
 
-    const std::vector<std::vector<std::size_t>> tasks =
+    const std::vector<SweepTask> tasks =
         orderSweepTasks(jobs, {{7, 6}}, {5, 3, 0, 4, 1, 2});
-    const std::vector<std::vector<std::size_t>> expected = {
-        {7, 6},          // the batch, first and intact
-        {2}, {5},        // 9000-instruction owners, submission order
-        {0}, {3},        // 3000-instruction owners
-        {1}, {4},        // restores, submission order
+    const decltype(shape(tasks)) expected = {
+        {{7, 6}, {}},    // the batch, first and intact
+        {{2}, {4}},      // 9000-instruction owners, submission order,
+        {{5}, {}},       // each with the jobs that restore its warmup
+        {{0}, {1}},      // 3000-instruction owners
+        {{3}, {}},
     };
-    EXPECT_EQ(tasks, expected);
+    EXPECT_EQ(shape(tasks), expected);
+    EXPECT_TRUE(tasks[0].warmupFingerprint.empty());
+    for (std::size_t t = 1; t < tasks.size(); ++t) {
+        EXPECT_EQ(tasks[t].warmupFingerprint,
+                  warmupFingerprint(jobs[tasks[t].members[0]].options));
+    }
 }
 
 TEST(SweepTaskOrderTest, EveryTaskAppearsExactlyOnce)
@@ -102,16 +119,38 @@ TEST(SweepTaskOrderTest, EveryTaskAppearsExactlyOnce)
     std::reverse(serial.begin(), serial.end());
     const std::vector<std::vector<std::size_t>> batches = {{2, 0},
                                                            {3, 1}};
-    const std::vector<std::vector<std::size_t>> tasks =
+    const std::vector<SweepTask> tasks =
         orderSweepTasks(jobs, batches, serial);
 
-    ASSERT_EQ(tasks.size(), batches.size() + serial.size());
-    EXPECT_EQ(tasks[0], batches[0]);
-    EXPECT_EQ(tasks[1], batches[1]);
+    ASSERT_GE(tasks.size(), batches.size());
+    EXPECT_EQ(tasks[0].members, batches[0]);
+    EXPECT_EQ(tasks[1].members, batches[1]);
     std::vector<std::size_t> seen;
-    for (const std::vector<std::size_t> &task : tasks)
-        seen.insert(seen.end(), task.begin(), task.end());
+    std::uint64_t longest = ~std::uint64_t{0};
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        const SweepTask &task = tasks[t];
+        seen.insert(seen.end(), task.members.begin(), task.members.end());
+        seen.insert(seen.end(), task.consumers.begin(),
+                    task.consumers.end());
+        if (t < batches.size())
+            continue;
+        // One owner per fingerprint, longest warmup first; its
+        // consumers share its fingerprint and follow it in submission
+        // order.
+        ASSERT_EQ(task.members.size(), 1u);
+        const SimulationOptions &owner = jobs[task.members[0]].options;
+        EXPECT_LE(owner.warmupInstructions, longest);
+        longest = owner.warmupInstructions;
+        std::size_t previous = task.members[0];
+        for (const std::size_t i : task.consumers) {
+            EXPECT_EQ(warmupFingerprint(jobs[i].options),
+                      task.warmupFingerprint);
+            EXPECT_GT(i, previous);
+            previous = i;
+        }
+    }
     std::sort(seen.begin(), seen.end());
+    ASSERT_EQ(seen.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(seen[i], i);
 }

@@ -84,8 +84,8 @@ TEST(SnapshotEquivalenceTest, Figure4GridIsBitIdentical)
     const std::vector<SweepJob> jobs = figure4Grid();
 
     // --jobs 8 on both sides: the cached sweep exercises the
-    // first-worker-computes path, with workers blocking on snapshots
-    // still being produced.
+    // first-worker-computes path, with restores queued the moment
+    // their snapshot is published and running beside other warmups.
     SweepRunner fresh_runner(8);
     const std::vector<SweepOutcome> fresh = fresh_runner.run(jobs);
 
