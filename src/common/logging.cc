@@ -1,6 +1,7 @@
 #include "logging.hh"
 
 #include <iostream>
+#include <string>
 
 namespace vsv
 {
@@ -8,7 +9,12 @@ namespace vsv
 void
 logMessage(std::string_view tag, const std::string &msg)
 {
-    std::cerr << tag << ": " << msg << std::endl;
+    // One insertion is one write to stderr, so lines from concurrent
+    // sweep workers never interleave.
+    std::string line;
+    line.reserve(tag.size() + 2 + msg.size() + 1);
+    line.append(tag).append(": ").append(msg).push_back('\n');
+    std::cerr << line;
 }
 
 void

@@ -218,13 +218,12 @@ Simulator::warmup()
     warmedUp_ = true;
 }
 
-void
-Simulator::snapshotTo(std::ostream &os,
-                      std::string_view fingerprint) const
+SnapshotBytes
+Simulator::snapshot(std::string_view fingerprint) const
 {
     VSV_ASSERT(warmedUp_ && !ran,
-               "snapshotTo() needs warmed-up, not-yet-run state");
-    SnapshotWriter writer(os, fingerprint);
+               "snapshot() needs warmed-up, not-yet-run state");
+    SnapshotWriter writer(fingerprint);
 
     writer.begin("sim");
     // Format 3 keeps the retired core-count word; it is always 1.
@@ -246,11 +245,11 @@ Simulator::snapshotTo(std::ostream &os,
     if (stride)
         stride->snapshot(writer);
     workload->snapshot(writer);
-    writer.finish();
+    return writer.finish();
 }
 
 void
-Simulator::restoreFrom(std::istream &is,
+Simulator::restoreFrom(std::string_view bytes,
                        std::string_view expected_fingerprint)
 {
     VSV_ASSERT(!warmedUp_ && !ran,
@@ -259,7 +258,7 @@ Simulator::restoreFrom(std::istream &is,
                "lockstep replicas always warm up fresh; restoring a "
                "snapshot into a batched simulator is unsupported");
     try {
-        SnapshotReader reader(is);
+        SnapshotReader reader(bytes);
         if (!expected_fingerprint.empty() &&
             reader.fingerprint() != expected_fingerprint) {
             throw SnapshotError(

@@ -27,7 +27,6 @@
 #define VSV_HARNESS_SIMULATOR_HH
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -41,6 +40,7 @@
 #include "power/model.hh"
 #include "prefetch/stride.hh"
 #include "prefetch/timekeeping.hh"
+#include "snapshot/bytes.hh"
 #include "stats/stats.hh"
 #include "trace/interval.hh"
 #include "trace/sink.hh"
@@ -141,7 +141,7 @@ class Simulator
     /**
      * Run the functional warmup now (idempotent; run() calls it
      * automatically when neither this nor restoreFrom() has run).
-     * Splitting it out lets a caller warm up once, snapshotTo() the
+     * Splitting it out lets a caller warm up once, snapshot() the
      * result, and hand the bytes to other runs of the same
      * warmup-affecting configuration.
      */
@@ -149,24 +149,24 @@ class Simulator
 
     /**
      * Serialize the post-warmup state of every warmup-mutable
-     * component into `os` (see src/snapshot/snapshot.hh for the
-     * format). Requires warmup() done and run() not yet called.
+     * component (see src/snapshot/snapshot.hh for the format) into one
+     * fresh buffer. Requires warmup() done and run() not yet called.
      * `fingerprint` is recorded in the header - pass
      * warmupFingerprint(options) so restores can verify provenance.
      */
-    void snapshotTo(std::ostream &os, std::string_view fingerprint) const;
+    SnapshotBytes snapshot(std::string_view fingerprint) const;
 
     /**
-     * Adopt post-warmup state from a snapshot stream instead of
-     * warming up; a following run() starts measuring immediately and
-     * produces bit-identical results to a fresh-warmup run. Any
-     * structural problem (corruption, truncation, version skew,
-     * geometry/config mismatch, or - when
+     * Adopt post-warmup state from snapshot bytes instead of warming
+     * up, reading them in place; a following run() starts measuring
+     * immediately and produces bit-identical results to a fresh-warmup
+     * run. Any structural problem (corruption, truncation, version
+     * skew, geometry/config mismatch, or - when
      * `expected_fingerprint` is non-empty - a fingerprint mismatch)
      * is a fatal(): throwable inside a sweep worker, where the cache
      * treats it as a miss.
      */
-    void restoreFrom(std::istream &is,
+    void restoreFrom(std::string_view bytes,
                      std::string_view expected_fingerprint = {});
 
     /** True once warmup state exists (warmed up or restored). */

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <istream>
 #include <optional>
-#include <sstream>
-#include <streambuf>
 #include <utility>
 
 #include "common/logging.hh"
@@ -18,24 +15,11 @@ namespace vsv
 namespace
 {
 
-/** Reads a string's bytes in place: restores copy nothing. */
-class ReadOnlyBuffer : public std::streambuf
-{
-  public:
-    explicit ReadOnlyBuffer(const std::string &bytes)
-    {
-        // The get area is never written through: std::streambuf only
-        // offers a mutable pointer type, and no putback is made.
-        char *data = const_cast<char *>(bytes.data());
-        setg(data, data, data + bytes.size());
-    }
-};
-
 /** Settled, with nothing to restore: callers warm up fresh. */
-std::shared_future<std::shared_ptr<const std::string>>
+std::shared_future<std::shared_ptr<const SnapshotBytes>>
 nullBytes()
 {
-    std::promise<std::shared_ptr<const std::string>> none;
+    std::promise<std::shared_ptr<const SnapshotBytes>> none;
     none.set_value(nullptr);
     return none.get_future().share();
 }
@@ -62,7 +46,7 @@ WarmupSnapshotCache::snapshotPath(const std::string &fingerprint) const
 }
 
 std::string
-WarmupSnapshotCache::tryRestore(Simulator &sim, const std::string &bytes,
+WarmupSnapshotCache::tryRestore(Simulator &sim, std::string_view bytes,
                                 const std::string &fingerprint)
 {
     try {
@@ -71,9 +55,7 @@ WarmupSnapshotCache::tryRestore(Simulator &sim, const std::string &bytes,
         // sweep worker's own) so a bad snapshot degrades to a fresh
         // warmup instead of failing the run.
         ScopedThrowingFatal guard;
-        ReadOnlyBuffer buffer(bytes);
-        std::istream is(&buffer);
-        sim.restoreFrom(is, fingerprint);
+        sim.restoreFrom(bytes, fingerprint);
         return {};
     } catch (const std::exception &e) {
         return e.what();
@@ -114,7 +96,8 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
             // entry may let go of the bytes now.
             countRestore(fingerprint);
             auto sim = std::make_unique<Simulator>(options);
-            const std::string why = tryRestore(*sim, *bytes, fingerprint);
+            const std::string why =
+                tryRestore(*sim, bytes->view(), fingerprint);
             if (why.empty()) {
                 hits_.fetch_add(1, std::memory_order_relaxed);
                 return sim;
@@ -136,10 +119,13 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
     try {
         if (!diskDir_.empty()) {
             const std::string path = snapshotPath(fingerprint);
-            if (std::optional<std::string> disk = store::readFile(path)) {
-                bytes = std::make_shared<const std::string>(std::move(*disk));
+            if (std::optional<SnapshotBytes> disk =
+                    store::readFile<SnapshotBytes>(path)) {
+                bytes =
+                    std::make_shared<const SnapshotBytes>(std::move(*disk));
                 sim = std::make_unique<Simulator>(options);
-                const std::string why = tryRestore(*sim, *bytes, fingerprint);
+                const std::string why =
+                    tryRestore(*sim, bytes->view(), fingerprint);
                 if (why.empty()) {
                     diskHits_.fetch_add(1, std::memory_order_relaxed);
                 } else {
@@ -159,17 +145,13 @@ WarmupSnapshotCache::acquire(const SimulationOptions &options)
             sim = std::make_unique<Simulator>(options);
             sim->warmup();
             if (keep || !diskDir_.empty()) {
-                std::ostringstream os;
-                sim->snapshotTo(os, fingerprint);
+                bytes = std::make_shared<const SnapshotBytes>(
+                    sim->snapshot(fingerprint));
                 encoded_.fetch_add(1, std::memory_order_relaxed);
-                // os.str() copies to the exact size; moving the
-                // stream's string out would keep its spare capacity
-                // in every entry.
-                bytes = std::make_shared<const std::string>(os.str());
                 // Disk trouble only costs persistence, never the run.
                 if (!diskDir_.empty())
                     store::writeFileAtomically(snapshotPath(fingerprint),
-                                               *bytes);
+                                               bytes->view());
             }
         }
     } catch (...) {

@@ -62,8 +62,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "harness/simulator.hh"
+#include "snapshot/bytes.hh"
 
 namespace vsv
 {
@@ -145,7 +147,7 @@ class WarmupSnapshotCache
 
   private:
     /** Published snapshot bytes; null marks a failed computation. */
-    using Bytes = std::shared_ptr<const std::string>;
+    using Bytes = std::shared_ptr<const SnapshotBytes>;
 
     std::string snapshotPath(const std::string &fingerprint) const;
 
@@ -154,8 +156,7 @@ class WarmupSnapshotCache
      * rejected, empty on success. A rejection leaves `sim` partially
      * restored - the caller must discard it and build a fresh one.
      */
-    static std::string tryRestore(Simulator &sim,
-                                  const std::string &bytes,
+    static std::string tryRestore(Simulator &sim, std::string_view bytes,
                                   const std::string &fingerprint);
 
     struct Entry

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <istream>
 #include <limits>
-#include <ostream>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -17,6 +16,10 @@ namespace
 
 constexpr char snapshotMagic[4] = {'V', 'S', 'V', 'S'};
 constexpr std::string_view endTag = "end";
+
+/** Room a writer reserves up front. A paper configuration's snapshot
+ *  is about 1.3 MB; pages the writer never reaches stay virtual. */
+constexpr std::size_t writerReserve = 4u << 20;
 
 /** Tags and fingerprints are short; anything longer is corruption. */
 constexpr std::uint32_t maxStringLength = 1u << 20;
@@ -62,29 +65,46 @@ snapshotChecksum(std::string_view bytes)
     return step(a ^ std::rotl(b, 32), bytes.size());
 }
 
-SnapshotWriter::SnapshotWriter(std::ostream &os_,
-                               std::string_view fingerprint)
-    : os(os_)
+SnapshotWriter::SnapshotWriter(std::string_view fingerprint)
 {
-    os.write(snapshotMagic, sizeof(snapshotMagic));
+    bytes.reserve(writerReserve);
+    bytes.append(snapshotMagic, sizeof(snapshotMagic));
     const std::uint32_t version = snapshotFormatVersion;
-    os.write(reinterpret_cast<const char *>(&version), sizeof(version));
+    bytes.append(&version, sizeof(version));
     const std::uint32_t len =
         static_cast<std::uint32_t>(fingerprint.size());
-    os.write(reinterpret_cast<const char *>(&len), sizeof(len));
-    os.write(fingerprint.data(),
-             static_cast<std::streamsize>(fingerprint.size()));
-    if (!os)
-        corrupt("write failed in header");
+    bytes.append(&len, sizeof(len));
+    bytes.append(fingerprint.data(), fingerprint.size());
 }
 
 void
-SnapshotWriter::begin(std::string_view tag_)
+SnapshotWriter::openFrame(std::string_view tag)
+{
+    const std::uint32_t tag_len = static_cast<std::uint32_t>(tag.size());
+    bytes.append(&tag_len, sizeof(tag_len));
+    bytes.append(tag.data(), tag.size());
+    const std::uint64_t size = 0;  // patched by closeFrame()
+    bytes.append(&size, sizeof(size));
+    payloadAt = bytes.size();
+}
+
+void
+SnapshotWriter::closeFrame()
+{
+    const std::uint64_t size = bytes.size() - payloadAt;
+    std::memcpy(bytes.data() + payloadAt - sizeof(size), &size,
+                sizeof(size));
+    const std::uint64_t checksum =
+        snapshotChecksum(bytes.view().substr(payloadAt));
+    bytes.append(&checksum, sizeof(checksum));
+}
+
+void
+SnapshotWriter::begin(std::string_view tag)
 {
     VSV_ASSERT(!inSection && !finished, "snapshot section nesting");
-    VSV_ASSERT(tag_ != endTag, "'end' is the reserved trailer tag");
-    tag = tag_;
-    buffer.clear();
+    VSV_ASSERT(tag != endTag, "'end' is the reserved trailer tag");
+    openFrame(tag);
     inSection = true;
 }
 
@@ -92,38 +112,19 @@ void
 SnapshotWriter::end()
 {
     VSV_ASSERT(inSection, "snapshot end() without begin()");
-    const std::uint32_t tag_len = static_cast<std::uint32_t>(tag.size());
-    os.write(reinterpret_cast<const char *>(&tag_len), sizeof(tag_len));
-    os.write(tag.data(), static_cast<std::streamsize>(tag.size()));
-    const std::uint64_t size = buffer.size();
-    os.write(reinterpret_cast<const char *>(&size), sizeof(size));
-    os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    const std::uint64_t checksum = snapshotChecksum(buffer);
-    os.write(reinterpret_cast<const char *>(&checksum),
-             sizeof(checksum));
-    if (!os)
-        corrupt("write failed in section '" + tag + "'");
+    closeFrame();
     inSection = false;
 }
 
-void
+SnapshotBytes
 SnapshotWriter::finish()
 {
     VSV_ASSERT(!inSection && !finished,
                "snapshot finish() inside a section");
-    const std::uint32_t tag_len =
-        static_cast<std::uint32_t>(endTag.size());
-    os.write(reinterpret_cast<const char *>(&tag_len), sizeof(tag_len));
-    os.write(endTag.data(), static_cast<std::streamsize>(endTag.size()));
-    const std::uint64_t size = 0;
-    os.write(reinterpret_cast<const char *>(&size), sizeof(size));
-    const std::uint64_t checksum = snapshotChecksum({});
-    os.write(reinterpret_cast<const char *>(&checksum),
-             sizeof(checksum));
-    os.flush();
-    if (!os)
-        corrupt("write failed in trailer");
+    openFrame(endTag);
+    closeFrame();
     finished = true;
+    return std::move(bytes);
 }
 
 void
@@ -134,16 +135,26 @@ SnapshotWriter::str(std::string_view s)
     put(s.data(), s.size());
 }
 
-SnapshotReader::SnapshotReader(std::istream &is_)
-    : is(is_)
+template <typename T>
+bool
+SnapshotReader::readField(T &v)
 {
-    char magic[4] = {};
-    is.read(magic, sizeof(magic));
-    if (!is || std::memcmp(magic, snapshotMagic, sizeof(magic)) != 0)
+    if (bytes.size() - at < sizeof(v))
+        return false;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    at += sizeof(v);
+    return true;
+}
+
+SnapshotReader::SnapshotReader(std::string_view bytes_)
+    : bytes(bytes_)
+{
+    if (bytes.size() < sizeof(snapshotMagic) ||
+        std::memcmp(bytes.data(), snapshotMagic, sizeof(snapshotMagic)) != 0)
         corrupt("not a VSV snapshot (bad magic)");
+    at = sizeof(snapshotMagic);
     std::uint32_t version = 0;
-    is.read(reinterpret_cast<char *>(&version), sizeof(version));
-    if (!is)
+    if (!readField(version))
         corrupt("truncated header");
     if (version != snapshotFormatVersion) {
         corrupt("unsupported format version " + std::to_string(version) +
@@ -151,58 +162,58 @@ SnapshotReader::SnapshotReader(std::istream &is_)
                 ")");
     }
     std::uint32_t len = 0;
-    is.read(reinterpret_cast<char *>(&len), sizeof(len));
-    if (!is || len >= maxStringLength)
+    if (!readField(len) || len >= maxStringLength)
         corrupt("truncated or corrupt fingerprint");
-    fingerprint_.resize(len);
-    is.read(fingerprint_.data(), len);
-    if (!is)
+    if (bytes.size() - at < len)
         corrupt("truncated fingerprint");
+    fingerprint_ = bytes.substr(at, len);
+    at += len;
+}
+
+void
+SnapshotReader::nextFrame(std::string_view expected)
+{
+    const auto want = [expected] {
+        return expected == endTag
+                   ? std::string("trailer")
+                   : "section '" + std::string(expected) + "'";
+    };
+    std::uint32_t tag_len = 0;
+    if (!readField(tag_len) || tag_len >= maxStringLength)
+        corrupt("truncated stream (expected " + want() + ")");
+    if (bytes.size() - at < tag_len)
+        corrupt("truncated header of " + want());
+    tag = bytes.substr(at, tag_len);
+    at += tag_len;
+    std::uint64_t size = 0;
+    if (!readField(size))
+        corrupt("truncated header of " + want());
+    if (tag != expected) {
+        corrupt("expected " + want() + ", found section '" +
+                std::string(tag) + "'");
+    }
+    // The size comes from the file: check it against what is left
+    // before using it, so a size that lies is a SnapshotError rather
+    // than a read past the bytes.
+    if (size > bytes.size() - at) {
+        corrupt("section '" + std::string(tag) + "' records " +
+                std::to_string(size) + " bytes but the stream ends first");
+    }
+    payload = bytes.substr(at, static_cast<std::size_t>(size));
+    at += payload.size();
+    std::uint64_t checksum = 0;
+    if (!readField(checksum))
+        corrupt("truncated section '" + std::string(tag) + "'");
+    if (checksum != snapshotChecksum(payload))
+        corrupt("checksum mismatch in " + want());
+    cursor = 0;
 }
 
 void
 SnapshotReader::begin(std::string_view expected_tag)
 {
     VSV_ASSERT(!inSection, "snapshot section nesting");
-    std::uint32_t tag_len = 0;
-    is.read(reinterpret_cast<char *>(&tag_len), sizeof(tag_len));
-    if (!is || tag_len >= maxStringLength)
-        corrupt("truncated stream (expected section '" +
-                std::string(expected_tag) + "')");
-    tag.resize(tag_len);
-    is.read(tag.data(), tag_len);
-    std::uint64_t size = 0;
-    is.read(reinterpret_cast<char *>(&size), sizeof(size));
-    if (!is)
-        corrupt("truncated section header");
-    if (tag != expected_tag) {
-        corrupt("expected section '" + std::string(expected_tag) +
-                "', found '" + tag + "'");
-    }
-    // The size comes from the file: grow the buffer only as bytes
-    // actually arrive, so a size that lies is a SnapshotError rather
-    // than a multi-gigabyte allocation.
-    constexpr std::uint64_t chunk = 1u << 20;
-    payload.clear();
-    while (payload.size() < size) {
-        const std::size_t at = payload.size();
-        const std::size_t n =
-            static_cast<std::size_t>(std::min(chunk, size - at));
-        payload.resize(at + n);
-        if (!is.read(payload.data() + at,
-                     static_cast<std::streamsize>(n))) {
-            corrupt("section '" + tag + "' records " +
-                    std::to_string(size) +
-                    " bytes but the stream ends first");
-        }
-    }
-    std::uint64_t checksum = 0;
-    is.read(reinterpret_cast<char *>(&checksum), sizeof(checksum));
-    if (!is)
-        corrupt("truncated section '" + tag + "'");
-    if (checksum != snapshotChecksum(payload))
-        corrupt("checksum mismatch in section '" + tag + "'");
-    cursor = 0;
+    nextFrame(expected_tag);
     inSection = true;
 }
 
@@ -211,7 +222,7 @@ SnapshotReader::end()
 {
     VSV_ASSERT(inSection, "snapshot end() without begin()");
     if (cursor != payload.size()) {
-        corrupt("section '" + tag + "' has " +
+        corrupt("section '" + std::string(tag) + "' has " +
                 std::to_string(payload.size() - cursor) +
                 " unread bytes (layout drift)");
     }
@@ -222,30 +233,17 @@ void
 SnapshotReader::expectEnd()
 {
     VSV_ASSERT(!inSection, "expectEnd() inside a section");
-    std::uint32_t tag_len = 0;
-    is.read(reinterpret_cast<char *>(&tag_len), sizeof(tag_len));
-    if (!is || tag_len >= maxStringLength)
-        corrupt("truncated stream (expected trailer)");
-    tag.resize(tag_len);
-    is.read(tag.data(), tag_len);
-    std::uint64_t size = 0;
-    is.read(reinterpret_cast<char *>(&size), sizeof(size));
-    std::uint64_t checksum = 0;
-    if (is)
-        is.read(reinterpret_cast<char *>(&checksum), sizeof(checksum));
-    if (!is)
-        corrupt("truncated trailer");
-    if (tag != endTag || size != 0)
-        corrupt("expected trailer, found section '" + tag + "'");
-    if (checksum != snapshotChecksum({}))
-        corrupt("checksum mismatch in trailer");
+    nextFrame(endTag);
+    if (!payload.empty())
+        corrupt("trailer records " + std::to_string(payload.size()) +
+                " payload bytes");
 }
 
 void
 SnapshotReader::takeFailed(std::size_t n) const
 {
     VSV_ASSERT(inSection, "snapshot read outside a section");
-    corrupt("section '" + tag + "' exhausted (" +
+    corrupt("section '" + std::string(tag) + "' exhausted (" +
             std::to_string(payload.size() - cursor) + " bytes left, " +
             std::to_string(n) + " needed)");
 }
@@ -253,7 +251,7 @@ SnapshotReader::takeFailed(std::size_t n) const
 void
 SnapshotReader::badBool() const
 {
-    corrupt("bool out of range in section '" + tag + "'");
+    corrupt("bool out of range in section '" + std::string(tag) + "'");
 }
 
 std::string
@@ -261,7 +259,7 @@ SnapshotReader::str()
 {
     const std::uint32_t len = u32();
     if (len >= maxStringLength)
-        corrupt("string too long in section '" + tag + "'");
+        corrupt("string too long in section '" + std::string(tag) + "'");
     const char *p = take(len);
     return std::string(p, len);
 }
@@ -279,8 +277,8 @@ SnapshotReader::expectU32(std::uint32_t expected, std::string_view what)
 {
     const std::uint32_t v = u32();
     if (v != expected) {
-        corrupt(std::string(what) + " mismatch in section '" + tag +
-                "': snapshot has " + std::to_string(v) +
+        corrupt(std::string(what) + " mismatch in section '" +
+                std::string(tag) + "': snapshot has " + std::to_string(v) +
                 ", simulator expects " + std::to_string(expected));
     }
 }
@@ -290,8 +288,8 @@ SnapshotReader::expectU64(std::uint64_t expected, std::string_view what)
 {
     const std::uint64_t v = u64();
     if (v != expected) {
-        corrupt(std::string(what) + " mismatch in section '" + tag +
-                "': snapshot has " + std::to_string(v) +
+        corrupt(std::string(what) + " mismatch in section '" +
+                std::string(tag) + "': snapshot has " + std::to_string(v) +
                 ", simulator expects " + std::to_string(expected));
     }
 }

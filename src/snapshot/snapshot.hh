@@ -20,8 +20,9 @@
  * Sections are written and read strictly in order; the tag + size +
  * checksum framing means any corruption, truncation or version skew
  * surfaces as a SnapshotError with a message naming the failure, never
- * as silently wrong state. Writers buffer each section in memory so
- * the target stream needs no seeking.
+ * as silently wrong state. The writer appends straight into one
+ * SnapshotBytes and back-patches each section's size; the reader
+ * works on a view of the bytes and copies nothing.
  */
 
 #ifndef VSV_SNAPSHOT_SNAPSHOT_HH
@@ -31,12 +32,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "common/logging.hh"
+#include "snapshot/bytes.hh"
 #include "stats/stats.hh"
 
 namespace vsv
@@ -75,20 +76,21 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Serializes sections into an output stream. */
+/** Serializes sections into one SnapshotBytes, in place. */
 class SnapshotWriter
 {
   public:
     /** Writes the header immediately; `fingerprint` is the warmup
      *  fingerprint of the options that produced this state. */
-    SnapshotWriter(std::ostream &os, std::string_view fingerprint);
+    explicit SnapshotWriter(std::string_view fingerprint);
 
     /** Open a section; every value lands in it until end(). */
     void begin(std::string_view tag);
-    /** Close the open section: writes tag, size, payload, checksum. */
+    /** Close the open section: patches its size, appends checksum. */
     void end();
-    /** Write the trailer; the writer is unusable afterwards. */
-    void finish();
+    /** Write the trailer and hand over the bytes; the writer is
+     *  unusable afterwards. */
+    SnapshotBytes finish();
 
     // The per-value writers are inline: a snapshot is ~10^5 values.
     void u8(std::uint8_t v) { put(&v, sizeof(v)); }
@@ -108,23 +110,31 @@ class SnapshotWriter
     put(const void *data, std::size_t n)
     {
         VSV_ASSERT(inSection, "snapshot value outside a section");
-        buffer.append(static_cast<const char *>(data), n);
+        bytes.append(data, n);
     }
 
-    std::ostream &os;
-    std::string buffer;      ///< payload of the open section
-    std::string tag;         ///< tag of the open section
+    /** Append the frame of a section: tag, then a size to patch. */
+    void openFrame(std::string_view tag);
+    /** Patch the open frame's size and append its checksum. */
+    void closeFrame();
+
+    SnapshotBytes bytes;
+    std::size_t payloadAt = 0;  ///< where the open section's bytes start
     bool inSection = false;
     bool finished = false;
 };
 
-/** Reads sections back, validating framing as it goes. */
+/**
+ * Reads sections back from a view, validating framing as it goes.
+ * The viewed bytes must outlive the reader; sections are sub-views of
+ * them, so nothing is copied.
+ */
 class SnapshotReader
 {
   public:
     /** Parses and validates the header; throws SnapshotError on bad
-     *  magic, unsupported version, or a truncated stream. */
-    explicit SnapshotReader(std::istream &is);
+     *  magic, unsupported version, or truncated bytes. */
+    explicit SnapshotReader(std::string_view bytes);
 
     /** The warmup fingerprint recorded at write time. */
     const std::string &fingerprint() const { return fingerprint_; }
@@ -186,15 +196,27 @@ class SnapshotReader
         return v;
     }
 
+    /** Read a framing field; false when the bytes end first. */
+    template <typename T>
+    bool readField(T &v);
+    /**
+     * Read the next frame's tag, size and checksum, every one checked
+     * against the bytes that remain before it is used, and make its
+     * payload current; throws on any mismatch. `expected` names the
+     * section wanted, for the error messages.
+     */
+    void nextFrame(std::string_view expected);
+
     /** take()'s failure: asserts outside a section, else throws. */
     [[noreturn]] void takeFailed(std::size_t n) const;
     [[noreturn]] void badBool() const;
 
-    std::istream &is;
+    std::string_view bytes;  ///< the whole snapshot
+    std::size_t at = 0;      ///< next framing byte
     std::string fingerprint_;
-    std::string payload;     ///< current section's bytes
+    std::string_view payload;  ///< current section's bytes
     std::size_t cursor = 0;
-    std::string tag;         ///< current section's tag
+    std::string_view tag;      ///< current section's tag
     bool inSection = false;
 };
 

@@ -1,11 +1,13 @@
 #include "atomic_file.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -15,19 +17,50 @@ namespace vsv
 namespace store
 {
 
-std::optional<std::string>
-readFile(const std::string &path)
+namespace
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::nullopt;
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    return buffer.str();
+
+/** Closes the descriptor it holds. */
+struct FileDescriptor
+{
+    explicit FileDescriptor(int fd_) : fd(fd_) {}
+    ~FileDescriptor()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+    FileDescriptor(const FileDescriptor &) = delete;
+    FileDescriptor &operator=(const FileDescriptor &) = delete;
+
+    const int fd;
+};
+
+} // namespace
+
+bool
+readFileInto(const std::string &path,
+             const std::function<char *(std::size_t)> &allocate)
+{
+    const FileDescriptor file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+    struct stat st = {};
+    if (file.fd < 0 || ::fstat(file.fd, &st) != 0 || !S_ISREG(st.st_mode))
+        return false;
+    const std::size_t size = static_cast<std::size_t>(st.st_size);
+    char *out = allocate(size);
+    std::size_t got = 0;
+    while (got < size) {
+        const ::ssize_t n = ::read(file.fd, out + got, size - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        got += static_cast<std::size_t>(n);
+    }
+    return true;
 }
 
 bool
-writeFileAtomically(const std::string &path, const std::string &bytes)
+writeFileAtomically(const std::string &path, std::string_view bytes)
 {
     static std::atomic<std::uint64_t> seq{0};
     const std::string tmp =

@@ -13,16 +13,42 @@
 #ifndef VSV_STORE_ATOMIC_FILE_HH
 #define VSV_STORE_ATOMIC_FILE_HH
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace vsv
 {
 namespace store
 {
 
-/** The whole contents of `path`; nullopt when it cannot be opened. */
-std::optional<std::string> readFile(const std::string &path);
+/**
+ * Read all of `path` with one read pass into the buffer `allocate(n)`
+ * returns, n being the file's size. False when the file cannot be
+ * opened, is not a regular file, or ends before n bytes.
+ */
+bool readFileInto(const std::string &path,
+                  const std::function<char *(std::size_t)> &allocate);
+
+/**
+ * The whole contents of `path` in a buffer of exactly the file's size:
+ * a std::string, or any byte buffer with resize() and data(); nullopt
+ * when readFileInto() fails.
+ */
+template <typename Bytes = std::string>
+std::optional<Bytes>
+readFile(const std::string &path)
+{
+    Bytes bytes;
+    if (!readFileInto(path, [&bytes](std::size_t n) {
+            bytes.resize(n);
+            return bytes.data();
+        }))
+        return std::nullopt;
+    return bytes;
+}
 
 /**
  * Write `bytes` to a temp name beside `path` - `<path>.tmp.<pid>.<n>`
@@ -32,7 +58,7 @@ std::optional<std::string> readFile(const std::string &path);
  * returned; `path` is then untouched.
  */
 bool writeFileAtomically(const std::string &path,
-                         const std::string &bytes);
+                         std::string_view bytes);
 
 /**
  * Rename a rejected file to `<path>.bad`, kept for a post-mortem and

@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
+#include <set>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/logging.hh"
 
 namespace vsv
@@ -39,6 +47,44 @@ TEST(LoggingTest, WarnAndInformDoNotTerminate)
     warn("just a warning");
     inform("just information");
     SUCCEED();
+}
+
+TEST(LoggingTest, ConcurrentWarningsComeOutAsWholeLines)
+{
+    // Sweep workers warn from several threads at once; each line must
+    // reach stderr in one piece.
+    constexpr int threads = 8;
+    constexpr int linesPerThread = 200;
+    const auto message = [](int t, int i) {
+        return "thread " + std::to_string(t) + " line " +
+               std::to_string(i) + " " + std::string(100, 'a' + t);
+    };
+    testing::internal::CaptureStderr();
+    std::atomic<bool> go{false};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            for (int i = 0; i < linesPerThread; ++i)
+                warn(message(t, i));
+        });
+    }
+    go = true;
+    for (std::thread &worker : workers)
+        worker.join();
+    const std::string captured = testing::internal::GetCapturedStderr();
+
+    std::set<std::string> expected;
+    for (int t = 0; t < threads; ++t)
+        for (int i = 0; i < linesPerThread; ++i)
+            expected.insert("warn: " + message(t, i));
+    std::istringstream lines(captured);
+    std::size_t count = 0;
+    for (std::string line; std::getline(lines, line); ++count)
+        EXPECT_EQ(expected.erase(line), 1u) << "torn line: " << line;
+    EXPECT_EQ(count, std::size_t{threads * linesPerThread});
+    EXPECT_TRUE(expected.empty());
 }
 
 TEST(LoggingTest, ScopedThrowingFatalTurnsFatalIntoException)

@@ -266,9 +266,7 @@ TEST(WarmupCacheTest, OldFormatDiskFileIsQuarantined)
 
     Simulator warmed(options);
     warmed.warmup();
-    std::ostringstream os;
-    warmed.snapshotTo(os, fp);
-    std::string bytes = os.str();
+    std::string bytes(warmed.snapshot(fp).view());
     const std::uint32_t old_version = 2;
     std::memcpy(bytes.data() + 4, &old_version, sizeof(old_version));
     std::filesystem::create_directories(dir);
@@ -376,10 +374,9 @@ TEST(WarmupFingerprintTest, PersistedKeysAndSnapshotBytesArePinned)
     small.branch.btbEntries = 256;
     Simulator warmed(small);
     warmed.warmup();
-    std::ostringstream os;
-    warmed.snapshotTo(os, warmupFingerprint(small));
-    EXPECT_EQ(os.str().size(), 33279u);
-    EXPECT_EQ(fnv1a64(os.str()), 0x44759d295dafbd91ULL);
+    const SnapshotBytes bytes = warmed.snapshot(warmupFingerprint(small));
+    EXPECT_EQ(bytes.size(), 33279u);
+    EXPECT_EQ(fnv1a64(bytes.view()), 0x44759d295dafbd91ULL);
 }
 
 } // namespace

@@ -4,7 +4,6 @@
  */
 
 #include <initializer_list>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -328,14 +327,12 @@ TEST(PowerModelTest, RestoreAtMidRampVddChargesBitIdentically)
     live.setPipelineVdd(1.53);
     live.recordAccess(PowerStructure::FetchLogic);
 
-    std::ostringstream os;
-    SnapshotWriter writer(os, "power");
+    SnapshotWriter writer("power");
     live.snapshot(writer);
-    writer.finish();
+    const SnapshotBytes bytes = writer.finish();
 
     PowerModel restored(config);
-    std::istringstream is(os.str());
-    SnapshotReader reader(is);
+    SnapshotReader reader(bytes.view());
     restored.restore(reader);
     EXPECT_EQ(restored.pipelineVdd(), 1.53);
 
@@ -473,13 +470,11 @@ TEST(PowerModelTest, CachedChargesFollowVddLatchPathAndRestore)
 
         if (step == 12) {
             ASSERT_TRUE(low);
-            std::ostringstream os;
-            SnapshotWriter writer(os, "power");
+            SnapshotWriter writer("power");
             live.snapshot(writer);
-            writer.finish();
+            const SnapshotBytes bytes = writer.finish();
             PowerModel restored;
-            std::istringstream is(os.str());
-            SnapshotReader reader(is);
+            SnapshotReader reader(bytes.view());
             restored.restore(reader);
             expectChargesAt(restored, vdd, true);
             restored.setPipelineVdd(vdd - 0.0125);

@@ -10,7 +10,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -507,12 +506,11 @@ TEST(TimekeepingDifferentialTest, DecaySweepMatchesBruteForce)
             const int steps = 40000;
             for (int step = 0; step < steps; ++step) {
                 if (step == steps / 2) {
-                    std::stringstream bytes;
-                    SnapshotWriter writer(bytes, "tk-differential");
+                    SnapshotWriter writer("tk-differential");
                     engine.tk.snapshot(writer);
-                    writer.finish();
+                    const SnapshotBytes bytes = writer.finish();
                     restored = std::make_unique<EngineUnderTest>(config, l1d);
-                    SnapshotReader reader(bytes);
+                    SnapshotReader reader(bytes.view());
                     restored->tk.restore(reader);
                     restored->issuer.issued = engine.issuer.issued;
                 }

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -28,6 +29,8 @@
 
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
+#include "snapshot/bytes.hh"
+#include "store/atomic_file.hh"
 #include "store/store.hh"
 
 namespace vsv
@@ -65,6 +68,35 @@ readFile(const std::string &path)
     std::ostringstream buffer;
     buffer << is.rdbuf();
     return buffer.str();
+}
+
+TEST(AtomicFileTest, ReadFileReturnsTheExactBytesOrNothing)
+{
+    const std::string dir = freshDir("vsv_atomic_file_read");
+    std::filesystem::create_directories(dir);
+    // Past SnapshotBytes' map threshold, with NULs and high bytes.
+    std::string bytes(200003, '\0');
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<char>(i * 131 + (i >> 9));
+    const std::string path = dir + "/file";
+    ASSERT_TRUE(writeFileAtomically(path, bytes));
+
+    const std::optional<std::string> text = store::readFile(path);
+    ASSERT_TRUE(text.has_value());
+    EXPECT_EQ(*text, bytes);
+    const std::optional<SnapshotBytes> mapped =
+        store::readFile<SnapshotBytes>(path);
+    ASSERT_TRUE(mapped.has_value());
+    EXPECT_EQ(mapped->view(), bytes);
+
+    ASSERT_TRUE(writeFileAtomically(dir + "/empty", ""));
+    const std::optional<std::string> empty = store::readFile(dir + "/empty");
+    ASSERT_TRUE(empty.has_value());
+    EXPECT_TRUE(empty->empty());
+    EXPECT_FALSE(store::readFile(dir + "/missing").has_value());
+    EXPECT_FALSE(store::readFile(dir).has_value());
+
+    std::filesystem::remove_all(dir);
 }
 
 TEST(EnvelopeTest, RoundTripsAndRejectsCorruption)

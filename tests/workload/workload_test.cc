@@ -7,8 +7,8 @@
 
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "harness/sweep.hh"
 #include "snapshot/snapshot.hh"
@@ -368,13 +368,11 @@ TEST(WorkloadSnapshotTest, RestoreMidLoopResumesTheStream)
         WorkloadGenerator source(profile, 1);
         for (std::uint64_t i = 0; i < taken; ++i)
             source.next();
-        std::ostringstream os;
-        SnapshotWriter writer(os, "fp");
+        SnapshotWriter writer("fp");
         source.snapshot(writer);
-        writer.finish();
+        const SnapshotBytes bytes = writer.finish();
 
-        std::istringstream is(os.str());
-        SnapshotReader reader(is);
+        SnapshotReader reader(bytes.view());
         WorkloadGenerator restored(profile);
         restored.restore(reader);
         EXPECT_EQ(restored.generated(), taken);
@@ -409,13 +407,11 @@ enum class IndexField
  * except the one index. Mirrors WorkloadGenerator::snapshot's layout.
  */
 std::string
-reframeWorkload(const std::string &bytes, IndexField field,
+reframeWorkload(std::string_view bytes, IndexField field,
                 std::uint64_t value)
 {
-    std::istringstream is(bytes);
-    SnapshotReader r(is);
-    std::ostringstream os;
-    SnapshotWriter w(os, r.fingerprint());
+    SnapshotReader r(bytes);
+    SnapshotWriter w(r.fingerprint());
     const auto u32 = [&](IndexField f) {
         const std::uint32_t v = r.u32();
         w.u32(f == field ? static_cast<std::uint32_t>(value) : v);
@@ -472,8 +468,7 @@ reframeWorkload(const std::string &bytes, IndexField field,
     }
     r.end();
     w.end();
-    w.finish();
-    return os.str();
+    return std::string(w.finish().view());
 }
 
 TEST(WorkloadSnapshotTest, OutOfRangeStreamIndicesAreRejected)
@@ -506,24 +501,22 @@ TEST(WorkloadSnapshotTest, OutOfRangeStreamIndicesAreRejected)
         WorkloadGenerator source(spec2kProfile(c.benchmark));
         for (int i = 0; i < 5000; ++i)
             source.next();
-        std::ostringstream os;
-        SnapshotWriter writer(os, "fp");
+        SnapshotWriter writer("fp");
         source.snapshot(writer);
-        writer.finish();
+        const SnapshotBytes bytes = writer.finish();
 
         // The unmutated copy restores: the re-framing itself is sound.
         {
             const std::string same = reframeWorkload(
-                os.str(), IndexField::None, 0);
-            std::istringstream is(same);
-            SnapshotReader reader(is);
+                bytes.view(), IndexField::None, 0);
+            SnapshotReader reader(same);
             WorkloadGenerator target(spec2kProfile(c.benchmark));
             EXPECT_NO_THROW(target.restore(reader));
         }
 
-        const std::string bad = reframeWorkload(os.str(), c.field, c.value);
-        std::istringstream is(bad);
-        SnapshotReader reader(is);
+        const std::string bad =
+            reframeWorkload(bytes.view(), c.field, c.value);
+        SnapshotReader reader(bad);
         WorkloadGenerator target(spec2kProfile(c.benchmark));
         try {
             target.restore(reader);
