@@ -100,6 +100,24 @@ TEST(StructuralFingerprintTest, SeparatesEveryTimingKnob)
         o.measureInstructions += 1;
         EXPECT_NE(structuralFingerprint(o), fp);
     }
+    {
+        SimulationOptions o = base;  // functional units pace issue
+        o.core.fuPools.count[3] = 1;
+        EXPECT_NE(structuralFingerprint(o), fp);
+        EXPECT_NE(configFingerprint(o), configFingerprint(base));
+    }
+    {
+        SimulationOptions o = base;  // TK's signature shapes training
+        o.tk.tagSigBits = 7;
+        EXPECT_NE(structuralFingerprint(o), fp);
+        EXPECT_NE(configFingerprint(o), configFingerprint(base));
+    }
+    {
+        SimulationOptions o = base;  // past the sixth digit
+        o.tk.deadMultiplier *= 1.0 + 1e-7;
+        EXPECT_NE(structuralFingerprint(o), fp);
+        EXPECT_NE(configFingerprint(o), configFingerprint(base));
+    }
 }
 
 TEST(StructuralFingerprintTest, ModifiedProfileNeverMatchesItsStockTwin)

@@ -312,6 +312,10 @@ TEST(WarmupFingerprintTest, MeasurementOnlyKnobsShareAFingerprint)
     SimulationOptions no_ff = base;
     no_ff.fastForward = false;
     EXPECT_EQ(warmupFingerprint(no_ff), fp);
+
+    SimulationOptions more_units = base;
+    more_units.core.fuPools.count[0] += 1;
+    EXPECT_EQ(warmupFingerprint(more_units), fp);
 }
 
 TEST(WarmupFingerprintTest, WarmupAffectingKnobsSplitTheFingerprint)
@@ -341,6 +345,21 @@ TEST(WarmupFingerprintTest, WarmupAffectingKnobsSplitTheFingerprint)
     SimulationOptions fewer_mshrs = base;
     fewer_mshrs.hierarchy.l2Mshrs /= 2;
     EXPECT_NE(warmupFingerprint(fewer_mshrs), fp);
+
+    // Time-Keeping trains during warmup: a snapshot taken under other
+    // signature bits or training knobs holds other predictor state,
+    // which the snapshot's table-size guard cannot see.
+    SimulationOptions other_index_bits = base;
+    other_index_bits.tk.indexSigBits += 1;
+    EXPECT_NE(warmupFingerprint(other_index_bits), fp);
+
+    SimulationOptions other_confidence = base;
+    other_confidence.tk.confidenceThreshold += 1;
+    EXPECT_NE(warmupFingerprint(other_confidence), fp);
+
+    SimulationOptions nudged_gating = base;
+    nudged_gating.power.gatingEfficiency *= 1.0 + 1e-7;
+    EXPECT_NE(warmupFingerprint(nudged_gating), fp);
 
     // A custom profile hiding under a stock benchmark's name must not
     // collide with the stock profile.

@@ -410,6 +410,37 @@ TEST(StoreSweepTest, SecondSweepServesEveryRunFromTheStore)
     std::filesystem::remove_all(dir);
 }
 
+TEST(StoreSweepTest, KnobPastTheSixthDigitMissesTheStore)
+{
+    // Two configurations that differ only past the sixth significant
+    // digit of one knob are two runs: the second must simulate, never
+    // replay the first one's result.
+    const std::string dir = freshDir("vsv_store_precision");
+    SimulationOptions options = makeOptions("mcf", false, 5000, 3000);
+    options.vsv = fsmVsvConfig();
+    options.power.gatingEfficiency = 0.92;
+    {
+        ResultStore store(dir);
+        SweepRunner runner(1);
+        runner.enableResultStore(store);
+        runner.run({{"mcf/dcg", options}});
+        EXPECT_EQ(store.stats().inserts, 1u);
+    }
+
+    options.power.gatingEfficiency = 0.92 * (1.0 + 1e-7);
+    ResultStore store(dir);
+    SweepRunner runner(1);
+    runner.enableResultStore(store);
+    const std::vector<SweepOutcome> outcomes =
+        runner.run({{"mcf/dcg-nudged", options}});
+    EXPECT_EQ(store.stats().hits, 0u);
+    EXPECT_EQ(store.stats().misses, 1u);
+    EXPECT_EQ(store.stats().inserts, 1u);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].fingerprint, configFingerprint(options));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(StoreSweepTest, AdaptersRoundTripAnOutcome)
 {
     const SweepOutcome outcome = SweepRunner::runOne(
