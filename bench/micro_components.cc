@@ -485,7 +485,7 @@ BM_LockstepReplicaStep(benchmark::State &state)
         options.vsv.enabled = true;
         Simulator sim(options);
         for (std::size_t r = 0; r < replicas; ++r)
-            sim.addReplica(options.power, options.vsv);
+            sim.addReplica(options);
         benchmark::DoNotOptimize(sim.run().ticks);
     }
     state.counters["allocs/iter"] = allocsPerIter(allocs0);

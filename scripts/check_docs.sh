@@ -105,6 +105,20 @@ for key in $(grep -ohE 'config\.(get[A-Za-z]*|has)\("[a-z0-9-]+"' \
     fi
 done
 
+# 9. Every backticked qualified name (`ns::name`, `Class::member()`)
+#    must name identifiers that exist: each `::`-separated part must
+#    appear as a word in src/ bench/ examples/, so a renamed or
+#    deleted symbol cannot linger in the prose.
+for sym in $(grep -ohE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' \
+                 $docs | tr -d '`' | sort -u); do
+    for part in $(echo "$sym" | tr ':' ' '); do
+        if ! grep -rqw -- "$part" src bench examples; then
+            err "symbol $sym is documented but $part exists nowhere in src/ bench/ examples/"
+            break
+        fi
+    done
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2
     exit 1

@@ -32,25 +32,12 @@
 #define VSV_HARNESS_LOCKSTEP_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "harness/sweep.hh"
 
 namespace vsv
 {
-
-/**
- * Stable 64-bit hex fingerprint of every option that can change
- * *cycle-level* behaviour: configFingerprint() minus the pure
- * energy-accounting knobs (PowerModelConfig and the VSV rail voltage
- * levels/slew), plus the derived ramp-duration those voltages imply
- * (it paces the RampDown/RampUp states, so it is timing). Two runs
- * with equal structural fingerprints consume identical micro-op
- * streams and identical per-tick front-end event sequences, which is
- * exactly what licenses lockstep batching.
- */
-std::string structuralFingerprint(const SimulationOptions &options);
 
 /**
  * Why a job cannot join a lockstep batch, or nullptr when it can.

@@ -149,11 +149,11 @@ Simulator::functionalWarmup()
 }
 
 void
-Simulator::addReplica(const PowerModelConfig &power, const VsvConfig &vsv)
+Simulator::addReplica(const SimulationOptions &replica)
 {
     VSV_ASSERT(!warmedUp_ && !ran,
                "addReplica() must precede warmup()/run()");
-    replicaConfigs.push_back({power, vsv});
+    replicaConfigs.push_back({replica.power, replica.vsv});
 }
 
 void

@@ -174,20 +174,19 @@ class Simulator
 
     /**
      * Lockstep replicas (config-parallel execution, DESIGN.md §5h):
-     * attach one extra VSV-config + power-config pair that rides the
-     * same decoded micro-op stream, front-end and memory hierarchy as
-     * this simulator's own ("leader") configuration. Each replica owns
-     * only a PowerModel + VsvController + rail state; the shared
-     * front-end's recordAccess()/tick() calls and L2-miss events fan
-     * out to every replica, and each replica drives its own pipeline
-     * VDD. Legal only before warmup()/run(), and only for configs whose *timing* is identical to the
-     * leader's (same thresholds, divider, up-policy, circuit ticks
-     * and derived ramp duration - see structuralFingerprint()); a
-     * replica whose pipeline-edge schedule ever diverges from the
-     * leader's is a fatal() (throwable inside a sweep worker, where
-     * the batch falls back to serial execution).
+     * attach `replica`'s VSV and power configs as one extra pair that
+     * rides the same decoded micro-op stream, front-end and memory
+     * hierarchy as this simulator's own ("leader") configuration.
+     * Each replica owns only a PowerModel + VsvController + rail
+     * state; the shared front-end's recordAccess()/tick() calls and
+     * L2-miss events fan out to every replica, and each replica drives
+     * its own pipeline VDD. Legal only before warmup()/run(), and only
+     * for configs whose *timing* is identical to the leader's (equal
+     * structuralFingerprint()); a replica whose pipeline-edge schedule
+     * ever diverges from the leader's is a fatal() (throwable inside a
+     * sweep worker, where the batch falls back to serial execution).
      */
-    void addReplica(const PowerModelConfig &power, const VsvConfig &vsv);
+    void addReplica(const SimulationOptions &replica);
 
     /** Number of attached replicas (leader not counted). */
     std::size_t replicaCount() const { return replicaConfigs.size(); }

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <thread>
 
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/minijson.hh"
 #include "harness/lockstep.hh"
@@ -66,6 +65,24 @@ storeEntryFromOutcome(const SweepOutcome &outcome)
 }
 
 SweepOutcome
+completedOutcome(const SweepJob &job, const SimulationResult &result,
+                 const StatRegistry &stats)
+{
+    SweepOutcome outcome;
+    outcome.id = job.id;
+    outcome.attempts = 1;
+    outcome.fingerprint = configFingerprint(job.options);
+    outcome.result = result;
+    outcome.scalars = stats.scalarMap();
+    std::ostringstream json, text;
+    stats.dumpJson(json);
+    stats.dump(text);
+    outcome.statsJson = json.str();
+    outcome.statsText = text.str();
+    return outcome;
+}
+
+SweepOutcome
 outcomeFromStoreEntry(const std::string &id,
                       const store::StoreEntry &entry)
 {
@@ -116,24 +133,11 @@ SweepRunner::runOne(const SweepJob &job, WarmupSnapshotCache *cache)
     // With a cache the simulator arrives already warmed (restored or
     // freshly warmed and published); run() skips straight to the
     // measured window either way.
-    std::unique_ptr<Simulator> owned =
+    std::unique_ptr<Simulator> sim =
         cache ? cache->acquire(job.options)
               : std::make_unique<Simulator>(job.options);
-    Simulator &sim = *owned;
-    SweepOutcome outcome;
-    outcome.id = job.id;
-    outcome.status = SweepStatus::Ok;
-    outcome.attempts = 1;
-    outcome.fingerprint = configFingerprint(job.options);
-    outcome.result = sim.run();
-    outcome.scalars = sim.stats().scalarMap();
-    std::ostringstream json;
-    sim.stats().dumpJson(json);
-    outcome.statsJson = json.str();
-    std::ostringstream text;
-    sim.stats().dump(text);
-    outcome.statsText = text.str();
-    return outcome;
+    const SimulationResult result = sim->run();
+    return completedOutcome(job, result, sim->stats());
 }
 
 SweepOutcome
@@ -155,33 +159,27 @@ SweepRunner::runOneIsolated(const SweepJob &job,
         };
     }
 
+    SweepOutcome failed;
     try {
         // fatal() throws (instead of exiting) for the duration of the
         // run, so one bad configuration cannot kill the campaign.
         ScopedThrowingFatal guard;
         return runOne(timed, cache);
     } catch (const SimulationAborted &e) {
-        SweepOutcome outcome;
-        outcome.id = job.id;
-        outcome.fingerprint = configFingerprint(job.options);
-        outcome.status = SweepStatus::Timeout;
-        outcome.attempts = 1;
-        outcome.error = e.what();
+        failed.status = SweepStatus::Timeout;
+        failed.error = e.what();
         if (job.softTimeoutSeconds > 0.0) {
-            outcome.error += " (soft timeout " +
-                             std::to_string(job.softTimeoutSeconds) +
-                             "s)";
+            failed.error += " (soft timeout " +
+                            std::to_string(job.softTimeoutSeconds) + "s)";
         }
-        return outcome;
     } catch (const std::exception &e) {
-        SweepOutcome outcome;
-        outcome.id = job.id;
-        outcome.fingerprint = configFingerprint(job.options);
-        outcome.status = SweepStatus::Error;
-        outcome.attempts = 1;
-        outcome.error = e.what();
-        return outcome;
+        failed.status = SweepStatus::Error;
+        failed.error = e.what();
     }
+    failed.id = job.id;
+    failed.fingerprint = configFingerprint(job.options);
+    failed.attempts = 1;
+    return failed;
 }
 
 SweepOutcome
@@ -442,188 +440,6 @@ void
 applyRunSeed(SimulationOptions &options, std::uint64_t sweepSeed)
 {
     options.profile.seed = mixSeed(sweepSeed, options.profile.seed);
-}
-
-namespace
-{
-
-/**
- * Every workload-generation knob (the Table 2 calibration targets are
- * reporting-only and deliberately absent). Warmup snapshots key on all
- * of them; configFingerprint and structuralFingerprint add them only
- * for non-stock profiles (appendProfileIdentity).
- */
-void
-appendProfileKnobs(std::ostream &s, const WorkloadProfile &p)
-{
-    const char sep = '|';
-    s << p.name << sep << p.seed << sep << p.loadFrac << sep
-      << p.storeFrac << sep << p.branchFrac << sep << p.fpFrac << sep
-      << p.intMulFrac << sep << p.intDivFrac << sep << p.fpMulFrac
-      << sep << p.fpDivFrac << sep << p.meanDepDist << sep
-      << p.secondSrcProb << sep << p.loadConsumerProb << sep
-      << p.coldConsumerProb << sep << p.coldFrac << sep << p.coldBurst
-      << sep << p.warmFrac << sep << p.hotFootprint << sep
-      << p.warmFootprint << sep << p.coldFootprint << sep
-      << static_cast<int>(p.coldPattern) << sep << p.coldStride << sep
-      << p.scanStreams << sep << p.scanJitterProb << sep
-      << p.chainCount << sep << p.chainMutateProb << sep
-      << p.coldRegularFrac << sep << p.regularFootprint << sep
-      << p.storeColdScale << sep << p.branchNoise << sep
-      << p.codeFootprint << sep << p.callFrac << sep
-      << p.swPrefetchCoverage << sep << p.swPrefetchLookahead << sep
-      << p.tkWarmupInstructions << sep;
-}
-
-/** appendProfileKnobs at full double precision, as a string. */
-std::string
-profileKnobText(const WorkloadProfile &p)
-{
-    std::ostringstream s;
-    s.precision(17);
-    appendProfileKnobs(s, p);
-    return s.str();
-}
-
-} // namespace
-
-// Append helpers shared by configFingerprint (everything that can
-// change results), warmupFingerprint (the subset that can change
-// post-warmup state) and structuralFingerprint (the subset that can
-// change cycle-level behaviour; lockstep.cc).
-
-namespace fingerprint_detail
-{
-
-void
-appendProfileIdentity(std::ostream &s, const WorkloadProfile &p)
-{
-    const char sep = '|';
-    s << p.name << sep << p.seed << sep;
-    const std::string knobs = profileKnobText(p);
-    if (isSpec2kBenchmark(p.name)) {
-        WorkloadProfile stock = spec2kProfile(p.name);
-        stock.seed = p.seed;
-        if (knobs == profileKnobText(stock))
-            return;
-    }
-    s << "profile" << sep << knobs;
-}
-
-void
-appendPowerKnobs(std::ostream &s, const PowerModelConfig &p)
-{
-    const char sep = '|';
-    s << static_cast<int>(p.gating) << sep << p.vddHigh << sep
-      << p.vddLow << sep << p.gatingEfficiency << sep << p.idleFraction
-      << sep << p.rampEnergyPj << sep << p.leakageFraction << sep
-      << p.converterHighModeFactor << sep;
-}
-
-void
-appendCacheKnobs(std::ostream &s, const HierarchyConfig &h)
-{
-    const char sep = '|';
-    for (const CacheConfig *c : {&h.l1i, &h.l1d, &h.l2}) {
-        s << c->sizeBytes << sep << c->assoc << sep << c->blockBytes
-          << sep << c->hitLatency << sep;
-    }
-}
-
-void
-appendBranchKnobs(std::ostream &s, const BranchPredictorConfig &b)
-{
-    const char sep = '|';
-    s << b.bimodalEntries << sep << b.gshareEntries << sep
-      << b.chooserEntries << sep << b.historyBits << sep
-      << b.btbEntries << sep << b.btbAssoc << sep << b.rasEntries
-      << sep;
-}
-
-void
-appendPrefetcherKnobs(std::ostream &s, const TimekeepingConfig &tk,
-                      const StridePrefetcherConfig &stride)
-{
-    const char sep = '|';
-    s << tk.bufferEntries << sep << tk.decayResolution << sep
-      << tk.deadMultiplier << sep << tk.predictorEntries << sep
-      << stride.streams << sep << stride.degree << sep
-      << stride.maxStrideBytes << sep;
-}
-
-} // namespace fingerprint_detail
-
-using namespace fingerprint_detail;
-
-std::string
-configFingerprint(const SimulationOptions &o)
-{
-    // Serialize every result-determining knob, then FNV-1a the text.
-    // A stock profile is pinned by its name and seed; a modified one
-    // adds its knobs (appendProfileIdentity). Tracing and fast-forward
-    // are deliberately absent (bit-identical by contract, see
-    // DESIGN.md 5d/5e).
-    std::ostringstream s;
-    const char sep = '|';
-    appendProfileIdentity(s, o.profile);
-    // The retired trace path (empty) and loop flag; keeps keys stable.
-    s << "|1|" << o.warmupInstructions << sep << o.measureInstructions
-      << sep << o.timekeeping << sep << o.stridePrefetch << sep;
-    s << o.vsv.enabled << sep << o.vsv.down.threshold << sep
-      << o.vsv.down.period << sep << static_cast<int>(o.vsv.upPolicy)
-      << sep << o.vsv.up.threshold << sep << o.vsv.up.period << sep
-      << o.vsv.ctrlDistTicks << sep << o.vsv.clockTreeTicks << sep
-      << o.vsv.clockDivider << sep << o.vsv.vddHigh << sep
-      << o.vsv.vddLow << sep << o.vsv.slewVoltsPerTick << sep;
-    appendPowerKnobs(s, o.power);
-    appendCacheKnobs(s, o.hierarchy);
-    s << o.hierarchy.l1iMshrs << sep << o.hierarchy.l1dMshrs << sep
-      << o.hierarchy.l2Mshrs << sep << o.hierarchy.prefetchBufferLatency
-      << sep << o.hierarchy.l2MissDetectTicks << sep
-      << o.hierarchy.bus.widthBytes << sep << o.hierarchy.bus.occupancy
-      << sep << o.hierarchy.dram.latency << sep;
-    s << o.core.fetchWidth << sep << o.core.dispatchWidth << sep
-      << o.core.issueWidth << sep << o.core.commitWidth << sep
-      << o.core.ruuSize << sep << o.core.lsqSize << sep
-      << o.core.fetchQueueSize << sep << o.core.mispredictPenalty << sep
-      << o.core.dcachePorts << sep;
-    appendBranchKnobs(s, o.branch);
-    appendPrefetcherKnobs(s, o.tk, o.stride);
-    // The retired core count and rail policy; keeps store keys stable.
-    s << "1|0|";
-    return fnv1a64Hex(s.str());
-}
-
-std::string
-warmupFingerprint(const SimulationOptions &o)
-{
-    // Only knobs that can influence post-warmup state participate, so
-    // every measurement variation of a benchmark (the VSV policy grid,
-    // the measure window, core widths, DRAM latency) shares one
-    // warmup. MSHR capacities and table geometries are included even
-    // though warmup leaves them empty: the snapshot format guards
-    // them, and a guard mismatch must mean corruption, never a
-    // same-fingerprint restore. Full precision on doubles - a
-    // fingerprint collision here silently reuses the wrong state,
-    // where configFingerprint's worst case is only a spurious re-run.
-    std::ostringstream s;
-    s.precision(17);
-    const char sep = '|';
-    s << "warmup-v2" << sep;
-    appendProfileKnobs(s, o.profile);
-    // The retired trace path (empty) and loop flag; keeps keys stable.
-    s << "|1|" << o.warmupInstructions << sep << o.timekeeping << sep
-      << o.stridePrefetch << sep;
-    appendPowerKnobs(s, o.power);
-    appendCacheKnobs(s, o.hierarchy);
-    s << o.hierarchy.l1iMshrs << sep << o.hierarchy.l1dMshrs << sep
-      << o.hierarchy.l2Mshrs << sep << o.hierarchy.bus.widthBytes
-      << sep << o.hierarchy.bus.occupancy << sep;
-    appendBranchKnobs(s, o.branch);
-    appendPrefetcherKnobs(s, o.tk, o.stride);
-    // The retired core count; keeps snapshot file names stable.
-    s << "1|";
-    return fnv1a64Hex(s.str());
 }
 
 std::string_view

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/minijson.hh"
+#include "harness/fingerprint.hh"
 #include "harness/simulator.hh"
 #include "harness/warmup_cache.hh"
 #include "store/store.hh"
@@ -252,6 +253,12 @@ orderSweepTasks(const std::vector<SweepJob> &jobs,
                 const std::vector<std::vector<std::size_t>> &batches,
                 std::vector<std::size_t> serial);
 
+/** A completed run's outcome: `result` plus every scalar and both
+ *  dumps of `stats`. Serial runs and lockstep batches share it. */
+SweepOutcome completedOutcome(const SweepJob &job,
+                              const SimulationResult &result,
+                              const StatRegistry &stats);
+
 /**
  * Package a completed (status=ok) outcome as a store entry: the result
  * re-serializes through writeSimulationResultJson so the stored bytes
@@ -290,53 +297,6 @@ std::uint64_t mixSeed(std::uint64_t sweepSeed, std::uint64_t profileSeed);
 
 /** Apply mixSeed to a run's workload profile (no-op when seed is 0). */
 void applyRunSeed(SimulationOptions &options, std::uint64_t sweepSeed);
-
-/**
- * Stable 64-bit hex fingerprint of the options fields that determine
- * a run's simulated results (workload, window, VSV policy, circuit
- * constants, machine geometry). Observability settings (tracing,
- * fast-forward) are excluded: they are proven not to change stats, so
- * a re-sweep may vary them and still replay stored runs.
- */
-std::string configFingerprint(const SimulationOptions &options);
-
-namespace fingerprint_detail
-{
-// Knob-serialization helpers shared by configFingerprint /
-// warmupFingerprint (sweep.cc) and structuralFingerprint
-// (lockstep.cc), so the three fingerprints cannot silently drift
-// apart on the knobs they share. Each appends a trailing separator.
-
-/**
- * The workload profile's name and seed, plus every generation knob
- * when the profile differs (seed aside) from spec2kProfile(name). A
- * stock profile is a pure function of its name, so every stock
- * fingerprint stays name+seed; a modified one (baseline_techniques'
- * software-prefetch-off variants, hand-built test profiles) can never
- * share a fingerprint with its stock twin.
- */
-void appendProfileIdentity(std::ostream &s, const WorkloadProfile &p);
-void appendPowerKnobs(std::ostream &s, const PowerModelConfig &p);
-void appendCacheKnobs(std::ostream &s, const HierarchyConfig &h);
-void appendBranchKnobs(std::ostream &s, const BranchPredictorConfig &b);
-void appendPrefetcherKnobs(std::ostream &s, const TimekeepingConfig &tk,
-                           const StridePrefetcherConfig &stride);
-} // namespace fingerprint_detail
-
-/**
- * Stable 64-bit hex fingerprint of exactly the options that can
- * influence post-warmup simulator state: the full workload profile
- * (every generation knob plus name and seed - tests run custom
- * profiles under default names), the trace source, the warmup window,
- * which prefetcher trains, the power config, cache/bus geometry, MSHR
- * capacities (the snapshot format guards them) and the predictor/
- * prefetcher table shapes. Measurement-only knobs (measure window, VSV
- * policy, core widths, DRAM latency, fast-forward, tracing) are
- * excluded, which is what lets every VSV configuration of a benchmark
- * share one warmup. Keys the WarmupSnapshotCache and is embedded in
- * snapshot headers for provenance checks.
- */
-std::string warmupFingerprint(const SimulationOptions &options);
 
 /** What the sweep JSON records about the campaign itself. */
 struct SweepManifest

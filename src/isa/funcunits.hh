@@ -84,6 +84,8 @@ struct FuPoolSizes
     {
         return count[static_cast<std::size_t>(pool)];
     }
+
+    bool operator==(const FuPoolSizes &) const = default;
 };
 
 } // namespace vsv
