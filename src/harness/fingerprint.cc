@@ -265,7 +265,19 @@ warmupFingerprint(const SimulationOptions &options)
 std::string
 structuralFingerprint(const SimulationOptions &options)
 {
-    return fingerprint(Structural, options);
+    if (options.vsv.enabled)
+        return fingerprint(Structural, options);
+    // With VSV off the controller never leaves High: it never ramps,
+    // never divides the clock and never consults an FSM, and the
+    // miss-detect event only refreshes its mirrored miss count. So the
+    // VSV knobs and the detect latency key as their defaults. Each
+    // batch member still builds its own controller from its own knobs.
+    SimulationOptions timing = options;
+    timing.vsv = VsvConfig{};
+    timing.vsv.enabled = false;
+    timing.hierarchy.l2MissDetectTicks =
+        HierarchyConfig{}.l2MissDetectTicks;
+    return fingerprint(Structural, timing);
 }
 
 } // namespace vsv

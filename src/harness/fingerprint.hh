@@ -27,8 +27,10 @@ std::string warmupFingerprint(const SimulationOptions &options);
 
 /** Groups the runs lockstep may batch: configFingerprint's fields
  *  minus the energy-accounting ones (power model, VSV rail voltages
- *  and slew), plus the ramp length those voltages round to. Equal keys
- *  mean identical micro-op streams and front-end event sequences. */
+ *  and slew), plus the ramp length those voltages round to. A VSV-off
+ *  run keys every VSV knob and the L2 miss-detect latency as their
+ *  defaults, since none of them acts while VSV is off. Equal keys mean
+ *  identical micro-op streams and front-end event sequences. */
 std::string structuralFingerprint(const SimulationOptions &options);
 
 } // namespace vsv

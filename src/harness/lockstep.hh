@@ -11,10 +11,13 @@
  * energy *accounting*, never cycle-level behaviour - the whole
  * PowerModelConfig, plus the VSV rail voltages and slew rate as long
  * as the derived ramp duration (swing / slew, rounded) is unchanged.
- * Everything else - workload, windows, prefetchers, machine geometry,
- * VSV thresholds/divider/policy/circuit ticks, core topology - is
- * timing-relevant and lives in the structural fingerprint, so configs
- * differing there land in separate batches. Note the conservatism is
+ * With VSV off, every VSV knob and the L2 miss-detect latency are
+ * dead (the controller never leaves High), so baselines batch across
+ * them too. Everything else - workload, windows, prefetchers, machine
+ * geometry, and with VSV on its thresholds/periods/divider/policy/
+ * circuit ticks and the detect latency - is timing-relevant and lives
+ * in the structural fingerprint, so configs differing there land in
+ * separate batches. Note the conservatism is
  * real, not theoretical: VSV *does* change cache-hit counts between
  * baseline and FSM runs (the half-clock schedule shifts which tick a
  * miss is issued on), so the Figure-4 base/no-fsm/fsm axis can never

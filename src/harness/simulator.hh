@@ -182,9 +182,11 @@ class Simulator
      * L2-miss events fan out to every replica, and each replica drives
      * its own pipeline VDD. Legal only before warmup()/run(), and only
      * for configs whose *timing* is identical to the leader's (equal
-     * structuralFingerprint()); a replica whose pipeline-edge schedule
-     * ever diverges from the leader's is a fatal() (throwable inside a
-     * sweep worker, where the batch falls back to serial execution).
+     * structuralFingerprint(); with VSV off that ignores the VSV knobs
+     * and the L2 miss-detect latency, which never act). A replica
+     * whose pipeline-edge schedule ever diverges from the leader's is
+     * a fatal() (throwable inside a sweep worker, where the batch
+     * falls back to serial execution).
      */
     void addReplica(const SimulationOptions &replica);
 

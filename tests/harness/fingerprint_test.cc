@@ -269,7 +269,8 @@ expectPinned(const PinnedRun &pin, const SimulationOptions &o)
 TEST(FingerprintPinTest, AblationVsvKeysAreUnchanged)
 {
     // bench/ablation_vsv's ten variants, each as its matching
-    // baseline and FSM run.
+    // baseline and FSM run. Every baseline keys v0's structural key:
+    // no VSV knob, and not the miss-detect latency, acts with VSV off.
     const std::vector<std::function<void(SimulationOptions &)>> variants =
         {
             [](SimulationOptions &) {},
@@ -302,11 +303,11 @@ TEST(FingerprintPinTest, AblationVsvKeysAreUnchanged)
         {"mcf/v0/vsv", "093a0d512f2f44fc",
          "2420af2cbc1d12ec", ""},
         {"mcf/v1/base", "dd5171a561c69ef7",
-         "c8b568c4298c2f6c", ""},
+         "65c6d1c1b3fcb143", ""},
         {"mcf/v1/vsv", "67f006b402fbca7c",
          "b40612f6181aa0c9", ""},
         {"mcf/v2/base", "051d4d7a7588c219",
-         "16365b5b98f8b1c0", ""},
+         "65c6d1c1b3fcb143", ""},
         {"mcf/v2/vsv", "49e5a4e5cfdef202",
          "d9f368f473683dd3", ""},
         {"mcf/v3/base", "ecc38092ceca45c5",
@@ -318,19 +319,19 @@ TEST(FingerprintPinTest, AblationVsvKeysAreUnchanged)
         {"mcf/v4/vsv", "f39b25f352e448ae",
          "2420af2cbc1d12ec", "b46fd0521310e02c"},
         {"mcf/v5/base", "4761b68030da2c97",
-         "c8b568c4298c2f6c", "68e1dcee2bd1cc0b"},
+         "65c6d1c1b3fcb143", "68e1dcee2bd1cc0b"},
         {"mcf/v5/vsv", "0b5b5d0796b0ee72",
          "b40612f6181aa0c9", "68e1dcee2bd1cc0b"},
         {"mcf/v6/base", "3ac1106fd5d2fb01",
-         "2ffcf9ee7e19d34f", ""},
+         "65c6d1c1b3fcb143", ""},
         {"mcf/v6/vsv", "5349636e0bd87910",
          "c3538b485821cd5c", ""},
         {"mcf/v7/base", "da2634fd58ae015b",
-         "c87989ddda84df25", ""},
+         "65c6d1c1b3fcb143", ""},
         {"mcf/v7/vsv", "7b0a9491d7646606",
          "afcc02ad4f34293e", ""},
         {"mcf/v8/base", "539b530ec32f21f5",
-         "407bbd02aaba2b1f", ""},
+         "65c6d1c1b3fcb143", ""},
         {"mcf/v8/vsv", "4d47a56075e96e60",
          "e3144a8179271750", ""},
         {"mcf/v9/base", "c0c3939f81e23d90",

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -81,6 +83,36 @@ TEST(StructuralFingerprintTest, SeparatesEveryTimingKnob)
         EXPECT_NE(structuralFingerprint(o), fp);
     }
     {
+        SimulationOptions o = base;  // FSM monitoring windows
+        o.vsv.down.period = 5;
+        EXPECT_NE(structuralFingerprint(o), fp);
+    }
+    {
+        SimulationOptions o = base;
+        o.vsv.up.period = 20;
+        EXPECT_NE(structuralFingerprint(o), fp);
+    }
+    {
+        SimulationOptions o = base;  // the low-to-high policy
+        o.vsv.upPolicy = UpPolicy::LastR;
+        EXPECT_NE(structuralFingerprint(o), fp);
+    }
+    {
+        SimulationOptions o = base;  // circuit timings pace transitions
+        o.vsv.ctrlDistTicks = 3;
+        EXPECT_NE(structuralFingerprint(o), fp);
+    }
+    {
+        SimulationOptions o = base;
+        o.vsv.clockTreeTicks = 3;
+        EXPECT_NE(structuralFingerprint(o), fp);
+    }
+    {
+        SimulationOptions o = base;  // early detection arms the FSM sooner
+        o.hierarchy.l2MissDetectTicks = 4;
+        EXPECT_NE(structuralFingerprint(o), fp);
+    }
+    {
         SimulationOptions o = base;  // baseline vs VSV
         o.vsv.enabled = false;
         EXPECT_NE(structuralFingerprint(o), fp);
@@ -118,6 +150,56 @@ TEST(StructuralFingerprintTest, SeparatesEveryTimingKnob)
         EXPECT_NE(structuralFingerprint(o), fp);
         EXPECT_NE(configFingerprint(o), configFingerprint(base));
     }
+}
+
+TEST(StructuralFingerprintTest, VsvOffIgnoresEveryVsvKnob)
+{
+    // The baseline processor never leaves VDDH and never divides its
+    // clock, so no VSV knob, and not the miss-detect latency that only
+    // feeds the controller, can change a VSV-off run's timing.
+    const SimulationOptions base = makeOptions("mcf", false, 20000, 5000);
+    ASSERT_FALSE(base.vsv.enabled);
+    const std::string fp = structuralFingerprint(base);
+
+    const std::vector<std::pair<const char *,
+                                std::function<void(SimulationOptions &)>>>
+        knobs = {
+            {"vsv.down.threshold",
+             [](SimulationOptions &o) { o.vsv.down.threshold = 0; }},
+            {"vsv.down.period",
+             [](SimulationOptions &o) { o.vsv.down.period = 5; }},
+            {"vsv.up.threshold",
+             [](SimulationOptions &o) { o.vsv.up.threshold = 5; }},
+            {"vsv.up.period",
+             [](SimulationOptions &o) { o.vsv.up.period = 20; }},
+            {"vsv.upPolicy",
+             [](SimulationOptions &o) { o.vsv.upPolicy = UpPolicy::LastR; }},
+            {"vsv.ctrlDistTicks",
+             [](SimulationOptions &o) { o.vsv.ctrlDistTicks = 3; }},
+            {"vsv.clockTreeTicks",
+             [](SimulationOptions &o) { o.vsv.clockTreeTicks = 3; }},
+            {"vsv.clockDivider",
+             [](SimulationOptions &o) { o.vsv.clockDivider = 4; }},
+            {"vsv.slewVoltsPerTick",
+             [](SimulationOptions &o) { o.vsv.slewVoltsPerTick = 0.025; }},
+            {"vsv.vddLow", [](SimulationOptions &o) { o.vsv.vddLow = 1.5; }},
+            {"vsv.vddHigh",
+             [](SimulationOptions &o) { o.vsv.vddHigh = 2.0; }},
+            {"hierarchy.l2MissDetectTicks",
+             [](SimulationOptions &o) { o.hierarchy.l2MissDetectTicks = 4; }},
+        };
+    for (const auto &[name, change] : knobs) {
+        SimulationOptions o = base;
+        change(o);
+        EXPECT_EQ(structuralFingerprint(o), fp) << name;
+        // The result store still tells every one of them apart.
+        EXPECT_NE(configFingerprint(o), configFingerprint(base)) << name;
+    }
+
+    // Everything else still splits a VSV-off run's key.
+    SimulationOptions o = base;
+    o.hierarchy.dram.latency += 1;
+    EXPECT_NE(structuralFingerprint(o), fp);
 }
 
 TEST(StructuralFingerprintTest, ModifiedProfileNeverMatchesItsStockTwin)

@@ -7,13 +7,18 @@
  * divergent, so the planner must route every run serially) and over a
  * power-characterization grid that genuinely batches (one front-end
  * feeding many PowerModel/VsvController replicas, including an
- * equal-rampTicks rail-voltage variant), and over baseline_techniques'
+ * equal-rampTicks rail-voltage variant), over baseline_techniques'
  * grid, whose modified workload profiles must not batch with their
- * stock twins.
+ * stock twins, and over ablation_vsv's grid, whose VSV-off baselines
+ * batch across every VSV knob.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -136,6 +141,64 @@ baselineTechniquesGrid(const std::string &bench)
 
             SimulationOptions vsv = base;
             vsv.vsv = fsmVsvConfig();
+            jobs.push_back({stem + "/vsv", vsv});
+        }
+    }
+    return jobs;
+}
+
+/**
+ * bench/ablation_vsv's grid for `benches` at test scale: ten variants,
+ * each as a VSV-off baseline and an FSM run. No VSV knob and not the
+ * miss-detect latency acts while VSV is off, so all ten baselines of a
+ * benchmark share one front-end.
+ */
+std::vector<SweepJob>
+ablationVsvGrid(const std::vector<std::string> &benches)
+{
+    const std::vector<std::function<void(SimulationOptions &)>> variants =
+        {
+            [](SimulationOptions &) {},
+            [](SimulationOptions &o) { o.vsv.slewVoltsPerTick = 0.10; },
+            [](SimulationOptions &o) { o.vsv.slewVoltsPerTick = 0.025; },
+            [](SimulationOptions &o) { o.power.rampEnergyPj = 0.0; },
+            [](SimulationOptions &o) { o.power.rampEnergyPj = 660000.0; },
+            [](SimulationOptions &o) {
+                o.vsv.vddLow = 1.5;
+                o.power.vddLow = 1.5;
+            },
+            [](SimulationOptions &o) {
+                o.vsv.down.period = 5;
+                o.vsv.up.period = 5;
+            },
+            [](SimulationOptions &o) {
+                o.vsv.down.period = 20;
+                o.vsv.up.period = 20;
+            },
+            [](SimulationOptions &o) {
+                o.hierarchy.l2MissDetectTicks = 4;
+            },
+            [](SimulationOptions &o) {
+                o.power.gating = GatingStyle::Simple;
+            },
+        };
+    std::vector<SweepJob> jobs;
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        for (const std::string &bench : benches) {
+            SimulationOptions base = makeOptions(bench, false, 20000, 5000);
+            variants[v](base);
+            base.vsv.enabled = false;
+            const std::string stem = bench + "/v" + std::to_string(v);
+            jobs.push_back({stem + "/base", base});
+
+            SimulationOptions vsv = base;
+            const VsvConfig fsm = fsmVsvConfig();
+            vsv.vsv.enabled = true;
+            vsv.vsv.down = fsm.down;
+            vsv.vsv.up = fsm.up;
+            vsv.vsv.upPolicy = fsm.upPolicy;
+            variants[v](vsv);
+            vsv.vsv.enabled = true;
             jobs.push_back({stem + "/vsv", vsv});
         }
     }
@@ -276,6 +339,72 @@ TEST(LockstepEquivalenceTest, BaselineTechniquesGridIsBitIdentical)
     EXPECT_EQ(lockstep.lockstepStats().batches, 4u);
     EXPECT_EQ(lockstep.lockstepStats().largestBatch, 2u);
     EXPECT_EQ(lockstep.lockstepStats().batchedRuns, jobs.size());
+    expectBitIdentical(got, want);
+}
+
+TEST(LockstepEquivalenceTest, AblationVsvGridBatchesAndIsBitIdentical)
+{
+    const std::vector<std::string> benches = {"mcf", "applu"};
+    const std::vector<SweepJob> jobs = ablationVsvGrid(benches);
+
+    // The plan, by run id: all ten baselines of a benchmark behind one
+    // front-end; the FSM runs batch where only accounting differs
+    // (v3, v4, v9 against v0) or the ramp length agrees (v1's fast
+    // slew and v5's shallow VDDL both ramp 6 ticks).
+    LockstepStats planned;
+    const LockstepPlan plan = planLockstep(jobs, 16, planned);
+    std::vector<std::vector<std::string>> batches;
+    for (const LockstepBatch &b : plan.batches) {
+        std::vector<std::string> ids;
+        for (const std::size_t m : b.members)
+            ids.push_back(jobs[m].id);
+        batches.push_back(std::move(ids));
+    }
+    std::vector<std::string> serialIds;
+    for (const std::size_t i : plan.serial)
+        serialIds.push_back(jobs[i].id);
+
+    const auto runs = [](const std::string &bench,
+                         std::initializer_list<int> variants,
+                         const char *kind) {
+        std::vector<std::string> ids;
+        for (const int v : variants)
+            ids.push_back(bench + "/v" + std::to_string(v) + "/" + kind);
+        return ids;
+    };
+    for (const std::string &bench : benches) {
+        SCOPED_TRACE(bench);
+        const std::vector<std::string> want[] = {
+            runs(bench, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, "base"),
+            runs(bench, {0, 3, 4, 9}, "vsv"),
+            runs(bench, {1, 5}, "vsv"),
+        };
+        for (const std::vector<std::string> &batch : want) {
+            EXPECT_EQ(std::count(batches.begin(), batches.end(), batch), 1)
+                << batch.front();
+        }
+        for (const std::string &id : runs(bench, {2, 6, 7, 8}, "vsv")) {
+            EXPECT_EQ(std::count(serialIds.begin(), serialIds.end(), id), 1)
+                << id;
+        }
+    }
+    EXPECT_EQ(batches.size(), 3 * benches.size());
+    EXPECT_EQ(serialIds.size(), 4 * benches.size());
+
+    SweepRunner serial(2);
+    const std::vector<SweepOutcome> want = serial.run(jobs);
+
+    SweepRunner lockstep(2);
+    lockstep.enableLockstep(16);
+    const std::vector<SweepOutcome> got = lockstep.run(jobs);
+
+    const LockstepStats &stats = lockstep.lockstepStats();
+    EXPECT_EQ(stats.batches, 3 * benches.size());
+    EXPECT_EQ(stats.batchedRuns, 16 * benches.size());
+    EXPECT_EQ(stats.serialRuns, 4 * benches.size());
+    EXPECT_EQ(stats.largestBatch, 10u);
+    EXPECT_EQ(stats.fallbacks, 0u);
+
     expectBitIdentical(got, want);
 }
 
