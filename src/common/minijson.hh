@@ -87,10 +87,11 @@ struct Value
  * The recursive-descent parser behind parse(). Accepts exactly one
  * RFC 8259 value followed by optional whitespace; anything else -
  * trailing content, comments, unquoted keys, leading '+', NaN/Inf
- * literals, raw control characters, non-ASCII \\u escapes, arrays and
- * objects nested deeper than maxDepth - throws std::runtime_error
- * naming the byte offset. Construct with the text (kept by reference;
- * must outlive the Parser) and call parse() once.
+ * literals, numbers beyond the range of a double, raw control
+ * characters, non-ASCII \\u escapes, arrays and objects nested deeper
+ * than maxDepth - throws std::runtime_error naming the byte offset.
+ * Construct with the text (kept by reference; must outlive the
+ * Parser) and call parse() once.
  */
 class Parser
 {
@@ -328,7 +329,14 @@ class Parser
                    std::isdigit(static_cast<unsigned char>(text[pos])))
                 ++pos;
         }
-        return std::strtod(text.c_str() + begin, nullptr);
+        const double value = std::strtod(text.c_str() + begin, nullptr);
+        // RFC 8259 lets a parser limit the range; write() could only
+        // echo an overflow back as null.
+        if (!std::isfinite(value)) {
+            pos = begin;
+            fail("number out of range");
+        }
+        return value;
     }
 
     const std::string &text;

@@ -3,16 +3,21 @@
  * Unit tests for the public minijson API (common/minijson.hh): the
  * strict RFC 8259 parse() contract and its nesting limit, the write()
  * serializer, the round-trip guarantees the sweep manifest and the
- * result store depend on, and the non-finite-number -> null rule.
+ * result store depend on, the non-finite-number -> null rule, and
+ * mutated real sweep manifests: every truncation and a seeded sample
+ * of single-bit flips either parse or are rejected with an offset.
  */
 
 #include <cmath>
 #include <limits>
+#include <random>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "common/minijson.hh"
+#include "harness/experiment.hh"
+#include "harness/sweep.hh"
 
 using namespace vsv;
 
@@ -47,6 +52,52 @@ repeat(const std::string &unit, std::size_t n)
     for (std::size_t i = 0; i < n; ++i)
         out += unit;
     return out;
+}
+
+/** A real one-run sweep document, as the bench binaries write it,
+ *  with the host-dependent timings zeroed so its bytes are stable. */
+std::string
+smallManifest()
+{
+    SweepOutcome outcome =
+        SweepRunner::runOne({"mcf/base", makeOptions("mcf", false, 2000,
+                                                     1000)});
+    outcome.result.wallSeconds = 0.0;
+    outcome.result.kinstPerSec = 0.0;
+    SweepManifest manifest;
+    manifest.tool = "minijson_test";
+    manifest.config = {{"instructions", "2000"}};
+    std::ostringstream os;
+    writeSweepJson(os, manifest, {outcome});
+    return os.str();
+}
+
+/**
+ * parse(text) must either yield a whole value, whose canonical form
+ * is then a fixed point of write(parse()), or throw minijson's error
+ * naming a byte offset inside the input. Returns whether it parsed.
+ */
+bool
+parsesOrRejects(const std::string &text, const std::string &what)
+{
+    std::string error;
+    try {
+        const std::string once = rewrite(minijson::parse(text));
+        EXPECT_EQ(rewrite(minijson::parse(once)), once) << what;
+        return true;
+    } catch (const std::runtime_error &e) {
+        error = e.what();
+    }
+    const std::string marker = " at byte ";
+    const std::size_t at = error.rfind(marker);
+    EXPECT_EQ(error.rfind("minijson: ", 0), 0u) << what << ": " << error;
+    EXPECT_NE(at, std::string::npos) << what << ": " << error;
+    if (at != std::string::npos) {
+        EXPECT_LE(std::stoull(error.substr(at + marker.size())),
+                  text.size())
+            << what << ": " << error;
+    }
+    return false;
 }
 
 } // namespace
@@ -88,6 +139,8 @@ TEST(MinijsonParse, RejectsNonRfc8259)
     EXPECT_THROW(minijson::parse("1."), std::runtime_error);
     EXPECT_THROW(minijson::parse("NaN"), std::runtime_error);
     EXPECT_THROW(minijson::parse("Infinity"), std::runtime_error);
+    EXPECT_THROW(minijson::parse("1e999"), std::runtime_error);
+    EXPECT_THROW(minijson::parse("[0,-1e400]"), std::runtime_error);
     EXPECT_THROW(minijson::parse("\"unterminated"), std::runtime_error);
     EXPECT_THROW(minijson::parse("\"bad \\x escape\""),
                  std::runtime_error);
@@ -206,4 +259,42 @@ TEST(MinijsonRoundTrip, WriteParseWriteIsStable)
     const std::string once = rewrite(minijson::parse(text));
     const std::string twice = rewrite(minijson::parse(once));
     EXPECT_EQ(once, twice);
+}
+
+TEST(MinijsonMutation, TruncatedManifestsAreRejectedAtEveryLength)
+{
+    const std::string doc = smallManifest();
+    const std::string canonical = rewrite(minijson::parse(doc));
+
+    // A prefix that cuts into the document never decodes to part of
+    // it; one that only drops trailing whitespace is the whole value.
+    const std::size_t end = doc.find_last_not_of(" \t\r\n") + 1;
+    for (std::size_t len = 0; len < doc.size(); ++len) {
+        const std::string prefix = doc.substr(0, len);
+        const std::string what = "truncated to " + std::to_string(len);
+        EXPECT_EQ(parsesOrRejects(prefix, what), len >= end) << what;
+        if (len >= end) {
+            EXPECT_EQ(rewrite(minijson::parse(prefix)), canonical);
+        }
+    }
+}
+
+TEST(MinijsonMutation, BitFlippedManifestsParseOrRejectWithAnOffset)
+{
+    const std::string doc = smallManifest();
+    std::mt19937_64 rng(20031203);
+    std::size_t rejected = 0;
+    constexpr std::size_t flips = 1000;
+    for (std::size_t i = 0; i < flips; ++i) {
+        const std::size_t bit = rng() % (doc.size() * 8);
+        std::string mutated = doc;
+        mutated[bit / 8] =
+            static_cast<char>(mutated[bit / 8] ^ (1u << (bit % 8)));
+        if (!parsesOrRejects(mutated, "bit " + std::to_string(bit)))
+            ++rejected;
+    }
+    // Flips inside string bodies and digits still parse; most others
+    // break the syntax.
+    EXPECT_GT(rejected, flips / 4);
+    EXPECT_LT(rejected, flips);
 }
