@@ -13,6 +13,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hh"
@@ -739,14 +740,39 @@ TEST(SnapshotBytesTest, LargeBuffersLiveOutsideTheMallocHeap)
 /** A run's options warmed up briefly and encoded, as a sweep would. */
 std::string
 encodedSnapshot(const std::string &benchmark, bool timekeeping,
-                std::uint64_t run_seed)
+                std::uint64_t run_seed, std::uint64_t warmup)
 {
     SimulationOptions options = makeOptions(benchmark, timekeeping,
-                                            5000, 3000);
+                                            5000, warmup);
     applyRunSeed(options, run_seed);
     Simulator warmed(options);
     warmed.warmup();
     return std::string(warmed.snapshot(warmupFingerprint(options)).view());
+}
+
+/** The cold-window length and the pending-prefetch count that an
+ *  encoded simulator snapshot's "workload" section records (see
+ *  WorkloadGenerator::snapshot for the layout). */
+std::pair<std::uint64_t, std::uint64_t>
+workloadQueueLengths(std::string_view bytes)
+{
+    // The section frame: tag length, tag, payload size.
+    const std::string_view tag("\x08\0\0\0workload", 12);
+    const std::size_t frame = bytes.rfind(tag);
+    if (frame == std::string_view::npos)
+        return {0, 0};
+    std::size_t at = frame + tag.size() + 8;
+    const auto take = [&](std::size_t n) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, bytes.data() + at, n);
+        at += n;
+        return v;
+    };
+    at += take(4);              // profile name
+    at += 8 * (1 + 4 + 4 + 4);  // seed, two RNGs, counters
+    const std::uint64_t window = take(8);
+    at += window * (8 + 4) + 4;  // window refs, coldBurstRemaining
+    return {window, take(8)};
 }
 
 TEST(SnapshotBytesPinTest, EncodedBytesAreUnchanged)
@@ -759,23 +785,42 @@ TEST(SnapshotBytesPinTest, EncodedBytesAreUnchanged)
         const char *benchmark;
         bool timekeeping;
         std::uint64_t runSeed;
+        std::uint64_t warmup;
         std::size_t size;
         std::uint64_t digest;
+        /** The generator holds a software prefetch it has not yet
+         *  emitted when the snapshot is taken. */
+        bool prefetchQueued;
     };
     const Pin pins[] = {
-        {"mcf", false, 0, 1280151, 0x903fb8923a35919fULL},
-        {"mcf", false, 1, 1280151, 0x068b8d0e85143d87ULL},
-        {"ammp", true, 0, 945363, 0xfaae8127c104f5b4ULL},
-        {"ammp", true, 1, 945363, 0x1cc14d7c4b74ab72ULL},
+        {"mcf", false, 0, 3000, 1280151, 0x903fb8923a35919fULL, false},
+        {"mcf", false, 1, 3000, 1280151, 0x068b8d0e85143d87ULL, false},
+        {"ammp", true, 0, 3000, 945363, 0xfaae8127c104f5b4ULL, false},
+        {"ammp", true, 1, 3000, 945363, 0x1cc14d7c4b74ab72ULL, false},
+        // art: jittered Scan with software prefetch and cold stores.
+        // Each warmup stops 13 ops short of a batch whose last op
+        // queued a prefetch, so the snapshot holds a cold window, a
+        // pending prefetch and an undelivered batch tail.
+        {"art", true, 0, 22451, 945540, 0x30082d2de53dcf31ULL, true},
+        {"art", true, 1, 11379, 945524, 0x4a338e35dedf5b64ULL, true},
+        // vpr: Random, no software prefetch, no Time-Keeping.
+        {"vpr", false, 0, 3000, 886899, 0x7b77e22d9194b5e8ULL, false},
+        {"vpr", false, 1, 3000, 886899, 0x2a22b35ece6df9e5ULL, false},
     };
     for (const Pin &pin : pins) {
-        const std::string bytes =
-            encodedSnapshot(pin.benchmark, pin.timekeeping, pin.runSeed);
+        const std::string bytes = encodedSnapshot(
+            pin.benchmark, pin.timekeeping, pin.runSeed, pin.warmup);
         EXPECT_EQ(bytes.size(), pin.size)
             << pin.benchmark << " seed " << pin.runSeed;
         EXPECT_EQ(fnv1a64(bytes), pin.digest)
             << pin.benchmark << " seed " << pin.runSeed << std::hex
             << " digest 0x" << fnv1a64(bytes);
+        const auto [window, prefetches] = workloadQueueLengths(bytes);
+        EXPECT_GT(window, 0u) << pin.benchmark << " seed " << pin.runSeed;
+        if (pin.prefetchQueued) {
+            EXPECT_GT(prefetches, 0u)
+                << pin.benchmark << " seed " << pin.runSeed;
+        }
     }
 }
 

@@ -284,43 +284,73 @@ streamDigest(WorkloadGenerator &gen, std::uint64_t count)
     return hash;
 }
 
-/** Digests of the first 200k ops at run seeds 0 and 1. */
+/** Digests of a profile's stream at run seeds 0 and 1: of its first
+ *  200k ops, and of its first 2M (longer than any warmup). */
 struct PinnedStream
 {
     const char *benchmark;
     std::uint64_t seed0;
     std::uint64_t seed1;
+    std::uint64_t long0;
+    std::uint64_t long1;
 };
 
-// Recorded from the generator before its per-op draws were table-
-// driven; any change to the stream of any profile fails here.
+// The 200k digests were recorded from the generator before its per-op
+// draws were table-driven, the 2M digests before its draws were made
+// branch-free; any change to the stream of any profile fails here.
 constexpr PinnedStream pinnedStreams[] = {
-    {"ammp", 0x8c1840effc02a4c4ULL, 0xde83e5ceb60ba294ULL},
-    {"applu", 0x58050983b9574dcfULL, 0x94220d3cd0cf3ba1ULL},
-    {"apsi", 0xcae5f73f6466e16bULL, 0x6ed1405b8efdf1a7ULL},
-    {"art", 0x87494982940fa82dULL, 0x2dd4c0c6553ea808ULL},
-    {"bzip2", 0x6c5fc9f522e18f90ULL, 0xbfd7aa20d464541aULL},
-    {"crafty", 0xcdec592cfc714d6bULL, 0x9eb7e01a97b6eaf3ULL},
-    {"eon", 0xb79a1322284efd7eULL, 0xa4460cd187a8fdd5ULL},
-    {"equake", 0xf7d45febc89795b0ULL, 0x5298f0fdf518d9c8ULL},
-    {"facerec", 0x51f23414491f2808ULL, 0x4b93371f4e4998ffULL},
-    {"fma3d", 0x8ebe90156b275a04ULL, 0x940c99a2a9f54e44ULL},
-    {"galgel", 0xcf4b2f56d78e6103ULL, 0x9d2b1c9ba2f56953ULL},
-    {"gap", 0xf8363997b4f99eccULL, 0x0cf52f8a62ab72ddULL},
-    {"gcc", 0x666e19e2c1c0a6d6ULL, 0xbf94b389f98bca2aULL},
-    {"gzip", 0xce730da7292f980dULL, 0xd26353ee61983af9ULL},
-    {"lucas", 0xd54fbe5e5dfc09efULL, 0x5a955a187842beebULL},
-    {"mcf", 0x9fbdaa2bcb74a671ULL, 0xf09592be3e79cda1ULL},
-    {"mesa", 0xd65d2498c5005c3bULL, 0x37943baa1ae96182ULL},
-    {"mgrid", 0x96ab4d30c8b7bcfdULL, 0x179413fe5f17919eULL},
-    {"parser", 0x5cf9f31418733969ULL, 0x0509cedcfe201729ULL},
-    {"perlbmk", 0x7a450bf35edef7f6ULL, 0xf9c602ac5d4bff30ULL},
-    {"sixtrack", 0xf56cf734d6f03cf6ULL, 0xcf6d5e694dcaf702ULL},
-    {"swim", 0x5d83d328339e5075ULL, 0x6c7c856a354700caULL},
-    {"twolf", 0xf39e72ac97994106ULL, 0x234c1ca3d85eea9aULL},
-    {"vortex", 0xe0ed28313ea739fdULL, 0x94984cd9c52dc407ULL},
-    {"vpr", 0x6092508291b2616aULL, 0x439d6a0c58fcccdaULL},
-    {"wupwise", 0xaef16d2df73bc0e7ULL, 0x464d836b6557980fULL},
+    {"ammp", 0x8c1840effc02a4c4ULL, 0xde83e5ceb60ba294ULL,
+     0x298824ee94697e05ULL, 0xcbf5cc14e3ebb40eULL},
+    {"applu", 0x58050983b9574dcfULL, 0x94220d3cd0cf3ba1ULL,
+     0x5799cc4808a8ea1bULL, 0xb0584873b8f2b551ULL},
+    {"apsi", 0xcae5f73f6466e16bULL, 0x6ed1405b8efdf1a7ULL,
+     0x09cd373203411915ULL, 0x2cee9eea4847699cULL},
+    {"art", 0x87494982940fa82dULL, 0x2dd4c0c6553ea808ULL,
+     0x49ef1fcee41c20d9ULL, 0x227fb1ec1c3b5482ULL},
+    {"bzip2", 0x6c5fc9f522e18f90ULL, 0xbfd7aa20d464541aULL,
+     0xba65d290cf486e65ULL, 0x2e618a35e398285aULL},
+    {"crafty", 0xcdec592cfc714d6bULL, 0x9eb7e01a97b6eaf3ULL,
+     0x49dcc7d6f544df04ULL, 0x94733b1232db9b0cULL},
+    {"eon", 0xb79a1322284efd7eULL, 0xa4460cd187a8fdd5ULL,
+     0xecfc211b18ba35c3ULL, 0x92d0d1a5d26b941dULL},
+    {"equake", 0xf7d45febc89795b0ULL, 0x5298f0fdf518d9c8ULL,
+     0x10ab8104a7c136bfULL, 0xe4f07e7f414399c3ULL},
+    {"facerec", 0x51f23414491f2808ULL, 0x4b93371f4e4998ffULL,
+     0xbdff6b9e4e0bc183ULL, 0xfe7c3e0911d71037ULL},
+    {"fma3d", 0x8ebe90156b275a04ULL, 0x940c99a2a9f54e44ULL,
+     0x71de0465c80ffc4fULL, 0xd58300ef0d042318ULL},
+    {"galgel", 0xcf4b2f56d78e6103ULL, 0x9d2b1c9ba2f56953ULL,
+     0x3e3d6ec6e4753003ULL, 0x60cfe16815052de7ULL},
+    {"gap", 0xf8363997b4f99eccULL, 0x0cf52f8a62ab72ddULL,
+     0xa7391902122a1be2ULL, 0xa7209255909795daULL},
+    {"gcc", 0x666e19e2c1c0a6d6ULL, 0xbf94b389f98bca2aULL,
+     0xdfa22ed1bf8c23e9ULL, 0xc632235454140b5aULL},
+    {"gzip", 0xce730da7292f980dULL, 0xd26353ee61983af9ULL,
+     0xda16af4d4138cf22ULL, 0x65782d747ec74276ULL},
+    {"lucas", 0xd54fbe5e5dfc09efULL, 0x5a955a187842beebULL,
+     0x56aa99212da7c9f6ULL, 0xf3099251d1f2bea7ULL},
+    {"mcf", 0x9fbdaa2bcb74a671ULL, 0xf09592be3e79cda1ULL,
+     0x0d55436ec281b21eULL, 0x21b01084caeb84a4ULL},
+    {"mesa", 0xd65d2498c5005c3bULL, 0x37943baa1ae96182ULL,
+     0x7b1b412f09bedec0ULL, 0xcdfa8a168c5decb8ULL},
+    {"mgrid", 0x96ab4d30c8b7bcfdULL, 0x179413fe5f17919eULL,
+     0x416ddd8e5a5aee42ULL, 0x107d1ac2164a8aeeULL},
+    {"parser", 0x5cf9f31418733969ULL, 0x0509cedcfe201729ULL,
+     0x1fd91c006da07434ULL, 0x360571bce7a96e33ULL},
+    {"perlbmk", 0x7a450bf35edef7f6ULL, 0xf9c602ac5d4bff30ULL,
+     0xb621b2aaae87ee00ULL, 0x9e633d75836bd021ULL},
+    {"sixtrack", 0xf56cf734d6f03cf6ULL, 0xcf6d5e694dcaf702ULL,
+     0x05865a11f557e3cfULL, 0xab3005b4575a86bfULL},
+    {"swim", 0x5d83d328339e5075ULL, 0x6c7c856a354700caULL,
+     0xe503d6a8eb3a031dULL, 0x9ed3933baff59983ULL},
+    {"twolf", 0xf39e72ac97994106ULL, 0x234c1ca3d85eea9aULL,
+     0xde40dc75a7dda216ULL, 0xf34eabdacea1cc00ULL},
+    {"vortex", 0xe0ed28313ea739fdULL, 0x94984cd9c52dc407ULL,
+     0x64cc6b6934b6ce54ULL, 0x7b50a35a8c37053cULL},
+    {"vpr", 0x6092508291b2616aULL, 0x439d6a0c58fcccdaULL,
+     0x13ea0baabee3d20cULL, 0xe723dcf49fec91c2ULL},
+    {"wupwise", 0xaef16d2df73bc0e7ULL, 0x464d836b6557980fULL,
+     0x85abe5a26c0b2f53ULL, 0xb334b5d4e171e49eULL},
 };
 
 /** Names the parameter in test names (not its pointer's bytes). */
@@ -346,6 +376,24 @@ TEST_P(WorkloadStreamTest, FirstOpsArePinned)
         EXPECT_EQ(digest, expected[seed])
             << std::hex << "{\"" << pin.benchmark << "\", 0x" << digest
             << "ULL} at run seed " << seed;
+    }
+}
+
+TEST_P(WorkloadStreamTest, FirstTwoMillionOpsArePinned)
+{
+    // A benchmark-scale Time-Keeping warmup streams 500k ops, and the
+    // generator's rarer paths (chain rewires, scan jitter, prefetch
+    // bursts) must match over all of them.
+    const PinnedStream &pin = GetParam();
+    const std::uint64_t expected[] = {pin.long0, pin.long1};
+    for (const std::uint64_t seed : {0u, 1u}) {
+        WorkloadProfile profile = spec2kProfile(pin.benchmark);
+        profile.seed = mixSeed(seed, profile.seed);
+        WorkloadGenerator gen(profile);
+        const std::uint64_t digest = streamDigest(gen, 2000000);
+        EXPECT_EQ(digest, expected[seed])
+            << std::hex << "2M ops of " << pin.benchmark << ": 0x"
+            << digest << "ULL at run seed " << seed;
     }
 }
 
