@@ -225,6 +225,39 @@ BENCHMARK(BM_WorkloadGeneration)
     ->Arg(1)
     ->Arg(WorkloadGenerator::defaultBatchOps);
 
+void
+BM_FunctionalWarmup(benchmark::State &state)
+{
+    // One functional warmup of mcf at the default geometry, range(0)
+    // toggling Time-Keeping: the region pre-touch plus the streamed
+    // instructions through the caches, the branch predictor and (when
+    // on) the prefetcher. Building and destroying the simulator are
+    // left out of the timing; time/inst is the time per warmup
+    // instruction.
+    constexpr std::uint64_t instructions = 200000;
+    SimulationOptions options;
+    options.profile = spec2kProfile("mcf");
+    options.warmupInstructions = instructions;
+    options.timekeeping = state.range(0) != 0;
+    std::unique_ptr<Simulator> sim;
+    for (auto _ : state) {
+        state.PauseTiming();
+        sim = std::make_unique<Simulator>(options);
+        state.ResumeTiming();
+        sim->warmup();
+        state.PauseTiming();
+        sim.reset();
+        state.ResumeTiming();
+    }
+    const auto warmed = static_cast<double>(state.iterations() *
+                                            instructions);
+    state.counters["time/inst"] = benchmark::Counter(
+        warmed, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.SetItemsProcessed(static_cast<std::int64_t>(warmed));
+}
+BENCHMARK(BM_FunctionalWarmup)->Arg(0)->Arg(1)->Unit(
+    benchmark::kMillisecond);
+
 /** A warmed mcf simulator at the default geometry: its snapshot is
  *  about 1.3 MB, L2 tags and mcf's chain links dominating. */
 SimulationOptions
