@@ -25,43 +25,6 @@ Cache::Cache(const CacheConfig &config)
     lines.resize(static_cast<std::size_t>(numSets_) * config.assoc);
 }
 
-Cache::Line *
-Cache::findLine(Addr addr)
-{
-    const Addr tag = addr >> blockShift;
-    Line *base = &lines[static_cast<std::size_t>(setIndex(addr)) *
-                        config_.assoc];
-    for (std::uint32_t way = 0; way < config_.assoc; ++way) {
-        if (base[way].valid && base[way].tag == tag)
-            return &base[way];
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
-}
-
-CacheAccessResult
-Cache::access(Addr addr, bool is_write)
-{
-    Line *line = findLine(addr);
-    if (line) {
-        line->lruStamp = ++stamp;
-        if (is_write) {
-            if (!line->dirty)
-                ++writebackSets;
-            line->dirty = true;
-        }
-        ++hits_;
-        return {true};
-    }
-    ++misses_;
-    return {false};
-}
-
 bool
 Cache::probe(Addr addr) const
 {

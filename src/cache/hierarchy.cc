@@ -318,11 +318,9 @@ MemoryHierarchy::issueHardwarePrefetch(Addr addr, Tick now)
 }
 
 void
-MemoryHierarchy::warmupInstAccess(Addr pc, Tick now)
+MemoryHierarchy::warmupInstMiss(Addr pc, Tick now)
 {
     (void)now;
-    if (l1i.access(pc, false).hit)
-        return;
     const Addr l2_block = l2.blockAlign(pc);
     if (!l2.access(l2_block, false).hit)
         l2.fill(l2_block, false);
@@ -330,14 +328,8 @@ MemoryHierarchy::warmupInstAccess(Addr pc, Tick now)
 }
 
 void
-MemoryHierarchy::warmupDataAccess(Addr addr, bool is_write, Tick now)
+MemoryHierarchy::warmupDataMiss(Addr addr, bool is_write, Tick now)
 {
-    const bool hit = l1d.access(addr, is_write).hit;
-    if (prefetcher)
-        prefetcher->notifyL1DAccess(addr, hit, now);
-    if (hit)
-        return;
-
     const Addr l1_block = l1d.blockAlign(addr);
     if (prefetcher && prefetcher->probeBuffer(addr, now)) {
         fillL1(Side::Data, l1_block, is_write, now);
