@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/hash.hh"
 #include "harness/experiment.hh"
+#include "harness/simulator.hh"
 #include "harness/sweep.hh"
 #include "workload/workload.hh"
 
@@ -107,6 +111,52 @@ TEST(FastForwardTest, EngagesInLowPowerSteadyState)
     const SweepOutcome out = SweepRunner::runOne({"mcf-fsm", options});
     EXPECT_GT(out.result.downTransitions, 0u);
     EXPECT_GT(out.result.fastForwardedTicks, 0u);
+}
+
+TEST(FastForwardTest, VsvOffRunIgnoresTheMissDetectLatency)
+{
+    // With VSV off no controller reads a miss detection, so none is
+    // scheduled: the detection latency can move neither the stats,
+    // the interval stats nor how far idle ticks fast-forward.
+    struct Run
+    {
+        std::string stats;
+        std::vector<TraceEvent> intervals;
+        double ffTickFraction;
+    };
+    const auto run = [](std::uint32_t detect_ticks) {
+        SimulationOptions options = makeOptions("mcf", false, 20000, 5000);
+        options.hierarchy.l2MissDetectTicks = detect_ticks;
+        const std::string path = testing::TempDir() + "vsv_ff_detect_" +
+                                 std::to_string(detect_ticks) + ".json";
+        options.trace.path = path;
+        options.trace.categories =
+            static_cast<std::uint32_t>(TraceCategory::Interval);
+        options.trace.intervalTicks = 2000;
+        Simulator sim(options);
+        Run out;
+        out.ffTickFraction = sim.run().ffTickFraction;
+        std::ostringstream stats;
+        sim.stats().dumpJson(stats);
+        out.stats = stats.str();
+        sim.trace()->visit(
+            [&](const TraceEvent &ev) { out.intervals.push_back(ev); });
+        std::remove(path.c_str());
+        return out;
+    };
+    const Run early = run(4);
+    const Run late = run(0);  // the default: the L2 hit latency
+    EXPECT_GT(early.ffTickFraction, 0.0);
+    EXPECT_EQ(early.ffTickFraction, late.ffTickFraction);
+    EXPECT_EQ(early.stats, late.stats);
+    ASSERT_FALSE(early.intervals.empty());
+    ASSERT_EQ(early.intervals.size(), late.intervals.size());
+    for (std::size_t i = 0; i < early.intervals.size(); ++i) {
+        EXPECT_EQ(early.intervals[i].ts, late.intervals[i].ts) << i;
+        EXPECT_EQ(early.intervals[i].kind, late.intervals[i].kind) << i;
+        EXPECT_EQ(early.intervals[i].a, late.intervals[i].a) << i;
+        EXPECT_EQ(early.intervals[i].b, late.intervals[i].b) << i;
+    }
 }
 
 TEST(FastForwardTest, DisabledModeReportsNoSkippedTicks)
