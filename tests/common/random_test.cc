@@ -224,5 +224,34 @@ TEST(GeometricParamTest, TableDrawEqualsTheFormula)
     EXPECT_GT(checked, std::uint64_t{1000000});
 }
 
+TEST(MantissaCutTest, IntegerTestEqualsTheDoubleTest)
+{
+    // m < mantissaCut(p) must hold exactly when nextDouble() < p would
+    // for the draw with mantissa m: at the cut, on either side of it,
+    // at the ends of the range, and for thresholds outside (0, 1).
+    constexpr std::uint64_t limit = std::uint64_t{1} << 53;
+    const auto asDouble = [](std::uint64_t m) {
+        return static_cast<double>(m) * 0x1.0p-53;
+    };
+    std::vector<double> ps = {0.5,  0.3,   0.1,    0.02,  0.999,
+                              1e-9, 1e-300, 4.9e-324, 0.0, -0.25,
+                              1.0,  1.5,   std::nan("")};
+    Rng pick(11);
+    for (int i = 0; i < 2000; ++i)
+        ps.push_back(pick.nextDouble());
+    for (const double p : ps) {
+        const std::uint64_t cut = mantissaCut(p);
+        ASSERT_LE(cut, limit) << p;
+        for (const std::uint64_t m :
+             {std::uint64_t{0}, std::uint64_t{1}, cut - 1, cut, cut + 1,
+              limit - 1}) {
+            if (m >= limit)
+                continue;
+            EXPECT_EQ(m < cut, asDouble(m) < p) << "p = " << p << ", m = "
+                                                << m;
+        }
+    }
+}
+
 } // namespace
 } // namespace vsv
