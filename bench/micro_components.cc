@@ -27,7 +27,7 @@
 
 // Bench-local global-allocation tally so benchmarks can report heap
 // allocations per iteration: the event slab pool and the lockstep
-// replica arenas are supposed to amortize to zero (respectively
+// rail arrays are supposed to amortize to zero (respectively
 // setup-only) heap traffic, and a counter makes a regression visible
 // in the bench output instead of only in a profiler.
 //
@@ -328,22 +328,18 @@ BM_PowerRecordAccess(benchmark::State &state)
         RegFile,         LevelConverters, RuuRam,          PipelineLatches};
     const auto n = static_cast<std::size_t>(state.range(0));
     std::vector<PowerModel> followers(n);
-    std::vector<PowerModel *> fanout;
-    for (PowerModel &follower : followers) {
-        follower.setPipelineVdd(1.2 + 0.03 * static_cast<double>(
-                                                 fanout.size()));
-        fanout.push_back(&follower);
-    }
+    for (std::size_t f = 0; f < n; ++f)
+        followers[f].setPipelineVdd(1.2 + 0.03 * static_cast<double>(f));
     PowerModel leader;
     leader.setPipelineVdd(1.53);
-    leader.setFanout(fanout.data(), n);
+    leader.setFanout(followers);
     for (auto _ : state) {
         for (const PowerStructure s : mix)
             leader.recordAccess(s);
         leader.tick(true);
         benchmark::ClobberMemory();
     }
-    leader.setFanout(nullptr, 0);
+    leader.setFanout({});
     benchmark::DoNotOptimize(leader.totalEnergyPj());
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * std::size(mix) * (n + 1)));
@@ -501,12 +497,12 @@ void
 BM_LockstepReplicaStep(benchmark::State &state)
 {
     // Lockstep batch throughput: one front-end stepping range(0)
-    // replica accountants alongside the leader. Items processed
-    // counts every config's instructions, so the per-item rate shows
-    // how cheap an extra replica is next to a full re-simulation.
-    // The replica arenas reserve exactly once at materialization;
-    // allocs/iter is the whole build+warmup+run cost and must grow
-    // only O(replicas) per iteration, never O(replicas x ticks).
+    // replica rails alongside the leader. Items processed counts
+    // every config's instructions, so the per-item rate shows how
+    // cheap an extra rail is next to a full re-simulation. The rail
+    // arrays are sized once, at construction; allocs/iter is the
+    // whole build+warmup+run cost and must grow only O(replicas) per
+    // iteration, never O(replicas x ticks).
     const auto replicas = static_cast<std::size_t>(state.range(0));
     constexpr std::uint64_t instructions = 20000;
     const std::uint64_t allocs0 = benchAllocCount();
@@ -516,9 +512,8 @@ BM_LockstepReplicaStep(benchmark::State &state)
         options.warmupInstructions = 5000;
         options.measureInstructions = instructions;
         options.vsv.enabled = true;
-        Simulator sim(options);
-        for (std::size_t r = 0; r < replicas; ++r)
-            sim.addReplica(options);
+        const std::vector<SimulationOptions> rails(replicas + 1, options);
+        Simulator sim(rails);
         benchmark::DoNotOptimize(sim.run().ticks);
     }
     state.counters["allocs/iter"] = allocsPerIter(allocs0);

@@ -16,7 +16,7 @@ err() {
 
 # 1. Every documented --flag must be parsed somewhere: its key string
 #    appears quoted in src/ bench/ examples/ tests/ — either bare
-#    ("retries", the Config::get* sites) or with its dashes
+#    ("timeout", the Config::get* sites) or with its dashes
 #    ("--update-golden", flags a test main strips itself).
 #    Allowlisted: meta placeholders and flags belonging to other tools
 #    (cmake --build, ctest --test-dir, git describe --always --dirty).
@@ -93,16 +93,23 @@ for l in $(grep -ohE '\]\([^)]+\)' $docs | sed 's/^](//; s/)$//' |
     fi
 done
 
-# 8. The reverse of rule 1: every flag the experiment harness or a
-#    bench binary reads (a config.get*("key") or config.has("key")
-#    site) must appear as --key in EXPERIMENTS.md, so a new knob
-#    cannot ship undocumented.
-for key in $(grep -ohE 'config\.(get[A-Za-z]*|has)\("[a-z0-9-]+"' \
-                 src/harness/experiment.cc bench/*.cc |
-             grep -oE '"[a-z0-9-]+"' | tr -d '"' | sort -u); do
-    if ! grep -qE -- "--$key([^a-z0-9-]|\$)" EXPERIMENTS.md; then
-        err "flag --$key is parsed but missing from EXPERIMENTS.md"
-    fi
+# 8. The reverse of rule 1, held to the one flag table: the
+#    "| `--key" rows of EXPERIMENTS.md list exactly the keys the
+#    experiment harness and the bench binaries read (every
+#    config.get*("key") or config.has("key") site in
+#    src/harness/experiment.cc and bench/*.cc, a call split across
+#    lines included), so neither an added nor a removed knob can leave
+#    the table stale. A mention elsewhere in the file does not count.
+read_keys=$(cat src/harness/experiment.cc bench/*.cc | tr '\n' ' ' |
+            grep -oE 'config\.(get[A-Za-z]*|has)\( *"[a-z0-9-]+"' |
+            grep -oE '"[a-z0-9-]+"' | tr -d '"' | sort -u)
+table_keys=$(grep -oE '^\| `--[a-z0-9-]+' EXPERIMENTS.md |
+             sed 's/^| `--//' | sort -u)
+for key in $(comm -23 <(echo "$read_keys") <(echo "$table_keys")); do
+    err "flag --$key is parsed but has no row in EXPERIMENTS.md's flag table"
+done
+for key in $(comm -13 <(echo "$read_keys") <(echo "$table_keys")); do
+    err "EXPERIMENTS.md's flag table has a row for --$key, which no harness or bench code reads"
 done
 
 # 9. Every backticked qualified name (`ns::name`, `Class::member()`)

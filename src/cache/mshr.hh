@@ -5,7 +5,7 @@
  * One MSHR entry tracks one outstanding block miss; subsequent misses
  * to the same block merge as extra targets instead of issuing another
  * request downstream. A full MSHR file back-pressures the requester
- * (the LSQ retries, fetch stalls). Sizes follow Table 1: 32 for each
+ * (the LSQ re-issues, fetch stalls). Sizes follow Table 1: 32 for each
  * L1 and 64 for the L2.
  */
 

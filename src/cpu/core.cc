@@ -577,7 +577,7 @@ Core::fetchStage(Tick now)
 Cycle
 Core::cyclesUntilProgress() const
 {
-    // Commit: a Completed head retires (or retries a store write,
+    // Commit: a Completed head retires (or re-attempts a store write,
     // touching the write buffer) on the very next cycle.
     if (headSeq < tailSeq &&
         ruu[headSlot].status == EntryStatus::Completed) {

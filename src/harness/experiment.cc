@@ -30,14 +30,8 @@ parseExperimentArgs(int argc, char **argv,
     args.jobs =
         static_cast<unsigned>(args.config.getUInt("jobs", 0));
     // Valueless "--no-lockstep" parses as no-lockstep=true.
-    const bool no_lockstep = args.config.getBool("no-lockstep", false);
-    args.lockstep =
-        static_cast<unsigned>(args.config.getUInt("lockstep", 16));
-    if (no_lockstep) {
-        if (args.config.has("lockstep"))
-            fatal("--lockstep conflicts with --no-lockstep");
+    if (args.config.getBool("no-lockstep", false))
         args.lockstep = 0;
-    }
     args.jsonPath = args.config.getString("json", "");
     args.seed = args.config.getUInt("seed", 0);
     // Valueless "--no-fast-forward" parses as no-fast-forward=true.
@@ -45,8 +39,6 @@ parseExperimentArgs(int argc, char **argv,
     args.traceOut = args.config.getString("trace-out", "");
     args.traceCategories = args.config.getString("trace-categories", "");
     args.intervalStats = args.config.getUInt("interval-stats", 0);
-    args.retries =
-        static_cast<unsigned>(args.config.getUInt("retries", 0));
     args.timeoutSeconds = args.config.getDouble("timeout", 0.0);
     args.snapshotCache = !args.config.getBool("no-snapshot-cache", false);
     args.snapshotDir = args.config.getString("snapshot-dir", "");
@@ -145,11 +137,11 @@ runSweep(const ExperimentArgs &args, const std::string &tool,
     // simulation, not after.
     args.config.rejectUnknown(tool);
 
-    SweepRunner runner(args.jobs, args.retries);
+    SweepRunner runner(args.jobs);
     // Lockstep batching: structurally identical configs share one
-    // front-end (default on; --no-lockstep opts out, --lockstep=M
-    // caps the batch width). Bit-identical to serial execution, with
-    // automatic per-member serial fallback on any batch failure.
+    // front-end (default on, up to 16 per batch; --no-lockstep opts
+    // out). Bit-identical to serial execution, with automatic
+    // per-member serial fallback on any batch failure.
     runner.enableLockstep(args.lockstep);
 
     // Warmup deduplication: on by default; every run whose warmup
@@ -315,24 +307,6 @@ makeComparison(const SimulationResult &base, const SimulationResult &vsv)
     cmp.powerSavingsPct =
         100.0 * (base.avgPowerW - vsv.avgPowerW) / base.avgPowerW;
     return cmp;
-}
-
-VsvComparison
-compareVsv(const SimulationOptions &base_options,
-           const VsvConfig &vsv_config)
-{
-    SimulationOptions base_opts = base_options;
-    base_opts.vsv.enabled = false;
-    Simulator base_sim(base_opts);
-    const SimulationResult base = base_sim.run();
-
-    SimulationOptions vsv_opts = base_options;
-    vsv_opts.vsv = vsv_config;
-    vsv_opts.vsv.enabled = true;
-    Simulator vsv_sim(vsv_opts);
-    const SimulationResult vsv = vsv_sim.run();
-
-    return makeComparison(base, vsv);
 }
 
 TextTable::TextTable(std::vector<std::string> headers)

@@ -3,7 +3,7 @@
  * Experiment plumbing shared by the per-figure benchmark binaries:
  * the common command-line parser (--instructions/--warmup/
  * --benchmarks/--jobs/--json/--seed), option construction,
- * baseline-vs-VSV comparison, sweep execution, and fixed-width table
+ * baseline-vs-VSV deltas, sweep execution, and fixed-width table
  * output matching the rows the paper reports.
  */
 
@@ -36,9 +36,8 @@ struct ExperimentArgs
      *  SweepRunner and reported in the manifest's `threads`; an
      *  explicit --jobs=N is used as given). */
     unsigned jobs = 0;
-    /** --lockstep=M: batch up to M structurally identical configs
-     *  into one lockstep simulator sharing a front-end (default 16,
-     *  on for eligible grids; see lockstep.hh); --no-lockstep (= 0)
+    /** Lockstep batch width: up to 16 structurally identical configs
+     *  share one front-end (lockstep.hh); --no-lockstep sets 0 and
      *  forces every run serial. Results are bit-identical either
      *  way. */
     unsigned lockstep = 16;
@@ -58,8 +57,6 @@ struct ExperimentArgs
     std::string traceCategories;
     /** --interval-stats=N: interval-stats epoch length in ticks. */
     std::uint64_t intervalStats = 0;
-    /** --retries=N: extra executions of a failed run (default 0). */
-    unsigned retries = 0;
     /** --timeout=SECONDS: per-run soft timeout (0 = none). */
     double timeoutSeconds = 0.0;
     /** Deduplicate warmup across the sweep's runs through a
@@ -100,7 +97,7 @@ void printBenchmarkList(std::ostream &os);
 
 /**
  * Execute the grid on a SweepRunner sized by args.jobs (honouring
- * --retries/--timeout) and, when --json was given, write the
+ * --timeout) and, when --json was given, write the
  * machine-readable sweep document (manifest + per-run results and
  * stats). With --store-dir, runs the store already holds replay
  * instead of re-executing. Rejects any command-line flag no code path
@@ -157,10 +154,6 @@ SimulationOptions makeOptions(const ExperimentArgs &args,
  */
 std::string traceOutPathForRun(const std::string &base,
                                const std::string &run_id);
-
-/** Run the baseline and the given VSV configuration; compute deltas. */
-VsvComparison compareVsv(const SimulationOptions &base_options,
-                         const VsvConfig &vsv_config);
 
 /** Derive degradation/savings from two already-run results. */
 VsvComparison makeComparison(const SimulationResult &base,

@@ -86,19 +86,18 @@ runLockstepBatch(const std::vector<SweepJob> &jobs,
     VSV_ASSERT(members.size() >= 2,
                "a lockstep batch needs a leader and at least one "
                "replica");
-    const SweepJob &lead = jobs[members[0]];
-    Simulator sim(lead.options);
-    for (std::size_t m = 1; m < members.size(); ++m)
-        sim.addReplica(jobs[members[m]].options);
-    const SimulationResult leadResult = sim.run();
+    std::vector<SimulationOptions> rails;
+    rails.reserve(members.size());
+    for (const std::size_t m : members)
+        rails.push_back(jobs[m].options);
+    Simulator sim(rails);
+    sim.run();
 
     std::vector<SweepOutcome> outcomes;
     outcomes.reserve(members.size());
-    outcomes.push_back(completedOutcome(lead, leadResult, sim.stats()));
-    for (std::size_t r = 0; r + 1 < members.size(); ++r) {
-        outcomes.push_back(completedOutcome(jobs[members[r + 1]],
-                                            sim.replicaResult(r),
-                                            sim.replicaStats(r)));
+    for (std::size_t r = 0; r < members.size(); ++r) {
+        outcomes.push_back(completedOutcome(jobs[members[r]],
+                                            sim.result(r), sim.stats(r)));
     }
     return outcomes;
 }

@@ -11,54 +11,76 @@
 namespace vsv
 {
 
-Simulator::Simulator(const SimulationOptions &options)
-    : options(options)
+Simulator::Simulator(std::span<const SimulationOptions> rails)
+    : options(rails.front())
 {
     VSV_ASSERT(!(options.timekeeping && options.stridePrefetch),
                "pick one hardware prefetcher");
 
-    power = std::make_unique<PowerModel>(options.power);
-    hierarchy = std::make_unique<MemoryHierarchy>(options.hierarchy, *power);
+    const std::size_t n = rails.size();
+    power.reserve(n);
+    for (const SimulationOptions &rail : rails)
+        power.emplace_back(rail.power);
+    // The shared front-end charges the leader's model, which mirrors
+    // every access and tick into the other rails' models, each at its
+    // own voltage. Installed before warmup, so the prefetcher tables'
+    // warmup-phase charges land on every rail exactly as a serial run
+    // of its config would charge them.
+    power[0].setFanout(std::span(power).subspan(1));
+    hierarchy = std::make_unique<MemoryHierarchy>(options.hierarchy,
+                                                  power[0]);
 
     if (options.timekeeping) {
         tk = std::make_unique<TimekeepingPrefetcher>(
-            options.tk, options.hierarchy.l1d, *power);
+            options.tk, options.hierarchy.l1d, power[0]);
         hierarchy->setPrefetcher(tk.get());
     } else if (options.stridePrefetch) {
         stride = std::make_unique<StridePrefetcher>(
-            options.stride, options.hierarchy.l1d, *power);
+            options.stride, options.hierarchy.l1d, power[0]);
         hierarchy->setPrefetcher(stride.get());
     }
 
     predictor = std::make_unique<BranchPredictor>(options.branch);
     workload = std::make_unique<WorkloadGenerator>(options.profile);
-    vsvCtrl = std::make_unique<VsvController>(options.vsv, *power);
+    cpu = std::make_unique<Core>(options.core, *workload, *hierarchy,
+                                 *predictor, power[0]);
+
+    // One controller per rail, each driving its own model, and one
+    // registry per rail that mirrors the serial layout name for name
+    // and in the same insertion order.
+    vsvCtrl.reserve(n);
+    registry.resize(n);
+    results.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        VSV_ASSERT(rails[r].vsv.enabled == options.vsv.enabled,
+                   "lockstep rails must agree on vsv.enabled");
+        vsvCtrl.emplace_back(rails[r].vsv, power[r]);
+        StatRegistry &reg = registry[r];
+        power[r].regStats(reg, "power");
+        hierarchy->regStats(reg, "mem");
+        predictor->regStats(reg, "bpred");
+        vsvCtrl[r].regStats(reg, "vsv");
+        cpu->regStats(reg, "cpu");
+        if (tk)
+            tk->regStats(reg, "tk");
+        if (stride)
+            stride->regStats(reg, "stride");
+    }
     // A disabled controller only mirrors the outstanding-miss count,
     // which it never reads: with VSV off the hierarchy reports to no
     // one, and schedules no miss-detect events for it (those events
     // also shorten idle fast-forwards).
+    missFanout.rails = vsvCtrl;
     if (options.vsv.enabled)
-        hierarchy->setMissListener(vsvCtrl.get());
-    cpu = std::make_unique<Core>(options.core, *workload, *hierarchy,
-                                 *predictor, *power);
+        hierarchy->setMissListener(&missFanout);
 
     if (!options.trace.path.empty()) {
         traceSink = std::make_unique<TraceSink>(options.trace.categories);
-        power->setTraceSink(traceSink.get());
-        vsvCtrl->setTraceSink(traceSink.get());
+        power[0].setTraceSink(traceSink.get());
+        vsvCtrl[0].setTraceSink(traceSink.get());
         cpu->setTraceSink(traceSink.get());
         hierarchy->setTraceSink(traceSink.get());
     }
-
-    power->regStats(registry, "power");
-    hierarchy->regStats(registry, "mem");
-    predictor->regStats(registry, "bpred");
-    vsvCtrl->regStats(registry, "vsv");
-    cpu->regStats(registry, "cpu");
-    if (tk)
-        tk->regStats(registry, "tk");
-    if (stride)
-        stride->regStats(registry, "stride");
 }
 
 Simulator::~Simulator() = default;
@@ -181,76 +203,11 @@ Simulator::functionalWarmup()
 }
 
 void
-Simulator::addReplica(const SimulationOptions &replica)
-{
-    VSV_ASSERT(!warmedUp_ && !ran,
-               "addReplica() must precede warmup()/run()");
-    replicaConfigs.push_back({replica.power, replica.vsv});
-}
-
-void
-Simulator::materializeReplicas()
-{
-    if (replicaConfigs.empty() || !replicaPower.empty())
-        return;
-
-    const std::size_t m = replicaConfigs.size();
-    // Exact reserve: VsvController holds a PowerModel&, so the arena
-    // vectors must never reallocate once a reference is taken.
-    replicaPower.reserve(m);
-    replicaCtrl.reserve(m);
-    replicaPowerPtrs.reserve(m);
-    replicaRegistries.resize(m);
-    for (const ReplicaConfig &rc : replicaConfigs)
-        replicaPower.emplace_back(rc.power);
-    for (std::size_t r = 0; r < m; ++r) {
-        replicaCtrl.emplace_back(replicaConfigs[r].vsv, replicaPower[r]);
-        replicaPowerPtrs.push_back(&replicaPower[r]);
-    }
-
-    // Fan the shared front-end's power activity out to every replica
-    // model (each charges at its own voltage), and the hierarchy's
-    // L2-miss events out to every replica controller after the
-    // leader's - installed *before* warmup so warmup-phase charges
-    // (the prefetcher tables train during warmup) land on every
-    // replica exactly as a serial run of that config would charge
-    // them.
-    power->setFanout(replicaPowerPtrs.data(), m);
-    missFanout = std::make_unique<MissFanout>();
-    missFanout->targets.push_back(vsvCtrl.get());
-    bool any_enabled = options.vsv.enabled;
-    for (std::size_t r = 0; r < m; ++r) {
-        missFanout->targets.push_back(&replicaCtrl[r]);
-        any_enabled = any_enabled || replicaConfigs[r].vsv.enabled;
-    }
-    // As for the leader alone: only an enabled controller needs the
-    // events (the disabled ones still receive them then).
-    hierarchy->setMissListener(any_enabled ? missFanout.get() : nullptr);
-
-    // Per-replica registries mirror the serial layout name for name
-    // and in the same insertion order, substituting the replica's own
-    // power model and controller for the leader's.
-    for (std::size_t r = 0; r < m; ++r) {
-        StatRegistry &reg = replicaRegistries[r];
-        replicaPower[r].regStats(reg, "power");
-        hierarchy->regStats(reg, "mem");
-        predictor->regStats(reg, "bpred");
-        replicaCtrl[r].regStats(reg, "vsv");
-        cpu->regStats(reg, "cpu");
-        if (tk)
-            tk->regStats(reg, "tk");
-        if (stride)
-            stride->regStats(reg, "stride");
-    }
-}
-
-void
 Simulator::warmup()
 {
     if (warmedUp_)
         return;
     VSV_ASSERT(!ran, "Simulator::warmup() after run()");
-    materializeReplicas();
     functionalWarmup();
     warmedUp_ = true;
 }
@@ -274,7 +231,7 @@ Simulator::snapshot(std::string_view fingerprint) const
     writer.b(false);
     writer.end();
 
-    power->snapshot(writer);
+    power[0].snapshot(writer);
     hierarchy->snapshot(writer);
     predictor->snapshot(writer);
     if (tk)
@@ -291,8 +248,8 @@ Simulator::restoreFrom(std::string_view bytes,
 {
     VSV_ASSERT(!warmedUp_ && !ran,
                "restoreFrom() needs a freshly constructed simulator");
-    VSV_ASSERT(replicaConfigs.empty(),
-               "lockstep replicas always warm up fresh; restoring a "
+    VSV_ASSERT(railCount() == 1,
+               "lockstep rails always warm up fresh; restoring a "
                "snapshot into a batched simulator is unsupported");
     try {
         SnapshotReader reader(bytes);
@@ -328,7 +285,7 @@ Simulator::restoreFrom(std::string_view bytes,
                 "snapshot: prefetcher/source wiring mismatch");
         }
 
-        power->restore(reader);
+        power[0].restore(reader);
         hierarchy->restore(reader);
         predictor->restore(reader);
         if (tk)
@@ -353,10 +310,10 @@ Simulator::run()
     ran = true;
 
     // Snapshot the warmup's contribution so results are pure deltas.
-    const double energy0 = power->totalEnergyPj();
-    std::vector<double> replicaEnergy0(replicaPower.size());
-    for (std::size_t r = 0; r < replicaPower.size(); ++r)
-        replicaEnergy0[r] = replicaPower[r].totalEnergyPj();
+    const std::size_t rails = railCount();
+    std::vector<double> energy0(rails);
+    for (std::size_t r = 0; r < rails; ++r)
+        energy0[r] = power[r].totalEnergyPj();
     const std::uint64_t misses0 = hierarchy->demandL2MissCount();
 
     const std::uint64_t target = options.measureInstructions;
@@ -384,10 +341,10 @@ Simulator::run()
                        options.trace.intervalScalars.begin(),
                        options.trace.intervalScalars.end());
         sampler = std::make_unique<IntervalStatsSampler>(
-            *traceSink, registry, options.trace.intervalTicks, scalars,
+            *traceSink, registry[0], options.trace.intervalTicks, scalars,
             start);
         sampler->setEnergyProbe(
-            [this] { return power->peekTotalEnergyPj(); });
+            [this] { return power[0].peekTotalEnergyPj(); });
     }
 
     const auto wallStart = std::chrono::steady_clock::now();
@@ -398,75 +355,63 @@ Simulator::run()
         if (sampler && now >= sampler->nextSampleAt())
             sampler->sample(now);
 
-        // Idle-tick fast-forward: with every controller in a steady
-        // state, no memory event due, and the core provably unable to
-        // make progress, the upcoming ticks are pure bookkeeping -
-        // apply it in bulk and jump. Exact by construction (DESIGN.md
-        // §5d); `--no-fast-forward` runs the loop below for every
-        // tick instead.
+        // Idle-tick fast-forward: with every rail's controller in a
+        // steady state, no memory event due, and the core provably
+        // unable to make progress, the upcoming ticks are pure
+        // bookkeeping - apply it in bulk and jump. Exact by
+        // construction (DESIGN.md §5d); `--no-fast-forward` runs the
+        // loop below for every tick instead.
         if (options.fastForward) {
-            bool idle = lastIssued == 0 && vsvCtrl->inSteadyState();
-            // Lockstep replicas gate fast-forward too: every replica
-            // must be in a steady state, or the bulk replay could
-            // skip a tick where a replica's FSM settles.
-            for (std::size_t r = 0; r < replicaCtrl.size() && idle; ++r)
-                idle = replicaCtrl[r].inSteadyState();
+            bool idle = lastIssued == 0;
+            for (std::size_t r = 0; r < rails && idle; ++r)
+                idle = vsvCtrl[r].inSteadyState();
             const Tick nextEv = idle ? hierarchy->nextEventTick() : Tick{0};
             const Cycle ffBudget =
                 idle && nextEv > now ? cpu->cyclesUntilProgress() : 0;
             if (ffBudget > 0) {
-                Tick horizon = std::min(nextEv - now, limit - now);
+                Tick jump = std::min(nextEv - now, limit - now);
                 if (tk) {
                     // tk->tick() is a strict no-op before its next
                     // decay sweep; never skip across one.
                     const Tick sweep = tk->nextSweepAt();
-                    horizon = std::min(
-                        horizon, sweep > now ? sweep - now : Tick{0});
+                    jump = std::min(jump,
+                                    sweep > now ? sweep - now : Tick{0});
                 }
                 if (sampler) {
                     // Epoch boundaries land on exact ticks whether or
                     // not fast-forward is on (DESIGN.md §5e).
-                    horizon =
-                        std::min(horizon, sampler->nextSampleAt() - now);
+                    jump = std::min(jump, sampler->nextSampleAt() - now);
                 }
-                Tick jump =
-                    vsvCtrl->planIdleAdvance(now, horizon, ffBudget).ticks;
-                // The jump is the minimum across leader *and* replicas
-                // (replicas share the leader's stall bound: the
-                // pipeline they pace is the shared one).
-                for (std::size_t r = 0; r < replicaCtrl.size() && jump > 0;
-                     ++r) {
+                // The jump is the minimum across the rails, which all
+                // share the one stall bound: the pipeline they pace is
+                // the shared one.
+                for (std::size_t r = 0; r < rails && jump > 0; ++r) {
                     jump = std::min(
                         jump,
-                        replicaCtrl[r].planIdleAdvance(now, jump, ffBudget)
+                        vsvCtrl[r].planIdleAdvance(now, jump, ffBudget)
                             .ticks);
                 }
                 if (jump > 0) {
-                    const VsvController::IdleAdvance adv =
-                        vsvCtrl->advanceIdle(now, jump, ffBudget);
-                    VSV_ASSERT(adv.ticks == jump,
-                               "idle commit shorter than plan");
-                    if (traceSink) {
-                        traceSink->record(TraceCategory::FastForward,
-                                          TraceEventKind::IdleSpan, now,
-                                          adv.ticks, adv.edges);
-                    }
-                    cpu->skipIdleCycles(adv.edges);
-                    power->accrueIdleTicks(adv.edges,
-                                           adv.ticks - adv.edges);
-                    for (std::size_t r = 0; r < replicaCtrl.size(); ++r) {
-                        // Each replica replays its own bulk idle
-                        // bookkeeping (edge split and idle-tick banking
-                        // are per-config; fanout only mirrors the
-                        // per-tick entry points).
-                        const VsvController::IdleAdvance radv =
-                            replicaCtrl[r].advanceIdle(now, jump,
-                                                       ffBudget);
-                        VSV_ASSERT(radv.ticks == jump,
-                                   "replica idle commit shorter than "
-                                   "plan");
-                        replicaPower[r].accrueIdleTicks(
-                            radv.edges, radv.ticks - radv.edges);
+                    // Each rail replays its own bulk idle bookkeeping:
+                    // the edge split and idle-tick banking are per
+                    // config, and the fanout only mirrors the per-tick
+                    // entry points.
+                    for (std::size_t r = 0; r < rails; ++r) {
+                        const VsvController::IdleAdvance adv =
+                            vsvCtrl[r].advanceIdle(now, jump, ffBudget);
+                        VSV_ASSERT(adv.ticks == jump,
+                                   "idle commit shorter than plan");
+                        if (r == 0) {
+                            if (traceSink) {
+                                traceSink->record(
+                                    TraceCategory::FastForward,
+                                    TraceEventKind::IdleSpan, now,
+                                    adv.ticks, adv.edges);
+                            }
+                            cpu->skipIdleCycles(adv.edges);
+                        }
+                        power[r].accrueIdleTicks(adv.edges,
+                                                 adv.ticks - adv.edges);
                     }
                     ffTicks += jump;
                     now += jump;
@@ -476,31 +421,32 @@ Simulator::run()
         }
 
         hierarchy->service(now);
-        const bool edge = vsvCtrl->beginTick(now);
-        // Lockstep replicas advance their clocks and voltages *before*
-        // the shared pipeline cycle runs, so the cycle's access energy
-        // fans out at each replica's tick-correct VDD. A replica whose
+        // Every rail advances its clock and voltage *before* the
+        // shared pipeline cycle runs, so the cycle's access energy
+        // fans out at each rail's tick-correct VDD. A rail whose
         // pipeline-edge schedule diverges from the leader's would need
         // the shared stream at a different rate - batch formation
         // should have prevented that, so it is a fatal() (throwable
         // inside a sweep worker, where the batch is re-run serially).
-        for (VsvController &rc : replicaCtrl) {
-            if (rc.beginTick(now) != edge) {
+        bool edge = false;
+        for (std::size_t r = 0; r < rails; ++r) {
+            const bool railEdge = vsvCtrl[r].beginTick(now);
+            if (r != 0 && railEdge != edge) {
                 fatal("lockstep replica edge schedule diverged from the "
                       "leader at tick " +
                       std::to_string(now));
             }
+            edge = railEdge;
         }
         if (edge) {
             const std::uint32_t issued = cpu->cycle(now);
-            vsvCtrl->observeIssueRate(issued);
-            for (VsvController &rc : replicaCtrl)
-                rc.observeIssueRate(issued);
+            for (VsvController &c : vsvCtrl)
+                c.observeIssueRate(issued);
             lastIssued = issued;
         }
         if (tk)
             tk->tick(now);
-        power->tick(edge);
+        power[0].tick(edge);
         ++now;
         if (now >= limit) {
             panic("simulation deadlock: " +
@@ -518,52 +464,44 @@ Simulator::run()
 
     // Convert any idle ticks still banked in the power models so the
     // registered Scalars (read directly by stats dumps) are final.
-    power->flushIdle();
-    for (const PowerModel &rp : replicaPower)
-        rp.flushIdle();
+    for (const PowerModel &p : power)
+        p.flushIdle();
 
-    SimulationResult result;
-    result.benchmark = options.profile.name;
-    result.ticks = now - start;
-    const auto ticks_d = static_cast<double>(result.ticks);
+    // The front-end and timing fields are shared by every rail (that
+    // sharing is exactly what batch formation proved legal); only the
+    // power/VSV accounting is per rail.
+    SimulationResult shared;
+    shared.benchmark = options.profile.name;
+    shared.ticks = now - start;
+    const auto ticks_d = static_cast<double>(shared.ticks);
 
-    result.instructions = cpu->committedInstructions();
-    result.pipelineCycles = cpu->pipelineCycles();
-    result.downTransitions = vsvCtrl->downTransitions();
-    result.upTransitions = vsvCtrl->upTransitions();
-    result.ipc = static_cast<double>(result.instructions) / ticks_d;
-    result.mr = 1000.0 *
+    shared.instructions = cpu->committedInstructions();
+    shared.pipelineCycles = cpu->pipelineCycles();
+    shared.ipc = static_cast<double>(shared.instructions) / ticks_d;
+    shared.mr = 1000.0 *
                 static_cast<double>(hierarchy->demandL2MissCount() -
                                     misses0) /
-                static_cast<double>(result.instructions);
-    result.energyPj = power->totalEnergyPj() - energy0;
-    result.avgPowerW = result.energyPj / ticks_d * 1e-3;
-    result.lowModeFraction = lowModeTicks(*vsvCtrl) / ticks_d;
+                static_cast<double>(shared.instructions);
 
-    result.wallSeconds =
+    shared.wallSeconds =
         std::chrono::duration<double>(wallEnd - wallStart).count();
-    result.kinstPerSec =
-        result.wallSeconds > 0.0
-            ? static_cast<double>(result.instructions) /
-                  result.wallSeconds / 1e3
+    shared.kinstPerSec =
+        shared.wallSeconds > 0.0
+            ? static_cast<double>(shared.instructions) /
+                  shared.wallSeconds / 1e3
             : 0.0;
-    result.fastForwardedTicks = ffTicks;
-    result.ffTickFraction = static_cast<double>(ffTicks) /
-                            static_cast<double>(result.ticks);
+    shared.fastForwardedTicks = ffTicks;
+    shared.ffTickFraction = static_cast<double>(ffTicks) /
+                            static_cast<double>(shared.ticks);
 
-    // Replica results share every front-end/timing field with the
-    // leader (that sharing is exactly what batch formation proved
-    // legal); only the power/VSV accounting is per replica.
-    replicaResults_.reserve(replicaCtrl.size());
-    for (std::size_t r = 0; r < replicaCtrl.size(); ++r) {
-        SimulationResult rr = result;
-        rr.downTransitions = replicaCtrl[r].downTransitions();
-        rr.upTransitions = replicaCtrl[r].upTransitions();
-        rr.energyPj =
-            replicaPower[r].totalEnergyPj() - replicaEnergy0[r];
-        rr.avgPowerW = rr.energyPj / ticks_d * 1e-3;
-        rr.lowModeFraction = lowModeTicks(replicaCtrl[r]) / ticks_d;
-        replicaResults_.push_back(std::move(rr));
+    for (std::size_t r = 0; r < rails; ++r) {
+        SimulationResult &result = results[r];
+        result = shared;
+        result.downTransitions = vsvCtrl[r].downTransitions();
+        result.upTransitions = vsvCtrl[r].upTransitions();
+        result.energyPj = power[r].totalEnergyPj() - energy0[r];
+        result.avgPowerW = result.energyPj / ticks_d * 1e-3;
+        result.lowModeFraction = lowModeTicks(vsvCtrl[r]) / ticks_d;
     }
 
     if (traceSink) {
@@ -580,7 +518,7 @@ Simulator::run()
                   options.trace.path);
         }
     }
-    return result;
+    return results[0];
 }
 
 } // namespace vsv

@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -128,14 +129,40 @@ struct SimulationResult
     double ffTickFraction = 0.0;   ///< fastForwardedTicks / ticks
 };
 
-/** One wired-up simulation instance. */
+/**
+ * One wired-up simulation instance: a shared front-end (workload,
+ * core, predictor, caches) driving one or more rails. A rail is one
+ * configuration's pipeline supply - a VsvController plus the
+ * PowerModel it drives - with its own stat registry and results. Rail
+ * 0 is the leader, whose options build the front-end; further rails
+ * are lockstep replicas (DESIGN.md §5h).
+ */
 class Simulator
 {
   public:
-    explicit Simulator(const SimulationOptions &options);
+    explicit Simulator(const SimulationOptions &options)
+        : Simulator(std::span(&options, 1))
+    {
+    }
+
+    /**
+     * Lockstep: one rail per entry of `rails`, all riding the same
+     * decoded micro-op stream, front-end and memory hierarchy. The
+     * shared front-end is built from rails[0]; the other entries are
+     * read only for their `power` and `vsv` configs. Legal only for
+     * configs whose *timing* is identical to the leader's (equal
+     * structuralFingerprint(); with VSV off that ignores the VSV knobs
+     * and the L2 miss-detect latency, which never act), so every rail
+     * has the leader's `vsv.enabled`. A rail whose pipeline-edge
+     * schedule ever diverges from the leader's is a fatal()
+     * (throwable inside a sweep worker, where the batch falls back to
+     * serial execution).
+     */
+    explicit Simulator(std::span<const SimulationOptions> rails);
     ~Simulator();
 
-    /** Run warmup + measurement; may be called once. */
+    /** Run warmup + measurement; may be called once. Returns the
+     *  leader's results; result(r) holds every rail's. */
     SimulationResult run();
 
     /**
@@ -164,7 +191,7 @@ class Simulator
      * skew, geometry/config mismatch, or - when
      * `expected_fingerprint` is non-empty - a fingerprint mismatch)
      * is a fatal(): throwable inside a sweep worker, where the cache
-     * treats it as a miss.
+     * treats it as a miss. Single-rail simulators only.
      */
     void restoreFrom(std::string_view bytes,
                      std::string_view expected_fingerprint = {});
@@ -172,50 +199,30 @@ class Simulator
     /** True once warmup state exists (warmed up or restored). */
     bool warmedUp() const { return warmedUp_; }
 
-    /**
-     * Lockstep replicas (config-parallel execution, DESIGN.md §5h):
-     * attach `replica`'s VSV and power configs as one extra pair that
-     * rides the same decoded micro-op stream, front-end and memory
-     * hierarchy as this simulator's own ("leader") configuration.
-     * Each replica owns only a PowerModel + VsvController + rail
-     * state; the shared front-end's recordAccess()/tick() calls and
-     * L2-miss events fan out to every replica, and each replica drives
-     * its own pipeline VDD. Legal only before warmup()/run(), and only
-     * for configs whose *timing* is identical to the leader's (equal
-     * structuralFingerprint(); with VSV off that ignores the VSV knobs
-     * and the L2 miss-detect latency, which never act). A replica
-     * whose pipeline-edge schedule ever diverges from the leader's is
-     * a fatal() (throwable inside a sweep worker, where the batch
-     * falls back to serial execution).
-     */
-    void addReplica(const SimulationOptions &replica);
+    /** Number of rails, the leader included. */
+    std::size_t railCount() const { return power.size(); }
 
-    /** Number of attached replicas (leader not counted). */
-    std::size_t replicaCount() const { return replicaConfigs.size(); }
-
-    /** Replica r's measured-window results (valid after run()). */
-    const SimulationResult &replicaResult(std::size_t r) const
+    /** Rail r's measured-window results (valid after run()). */
+    const SimulationResult &result(std::size_t rail) const
     {
-        return replicaResults_.at(r);
+        return results.at(rail);
     }
 
     /**
-     * Replica r's stat registry: its own power/vsv scalars plus the
-     * shared front-end scalars, registered in the exact serial order
-     * so stat dumps are bit-identical to a serial run of that config.
+     * Rail r's stat registry (valid after run()): its own power/vsv
+     * scalars plus the shared front-end scalars, registered in the
+     * exact serial order so stat dumps are bit-identical to a serial
+     * run of that config.
      */
-    const StatRegistry &replicaStats(std::size_t r) const
+    const StatRegistry &stats(std::size_t rail = 0) const
     {
-        return replicaRegistries.at(r);
+        return registry.at(rail);
     }
 
-    /** Access to the stat registry (valid after run()). */
-    const StatRegistry &stats() const { return registry; }
-
-    /** Component access for tests and examples. */
-    const VsvController &controller() const { return *vsvCtrl; }
+    /** Component access for tests and examples (the leader's rail). */
+    const VsvController &controller() const { return vsvCtrl[0]; }
     const MemoryHierarchy &memory() const { return *hierarchy; }
-    const PowerModel &powerModel() const { return *power; }
+    const PowerModel &powerModel() const { return power[0]; }
     const Core &core() const { return *cpu; }
 
     /** The event sink, or nullptr when tracing is off. */
@@ -223,61 +230,46 @@ class Simulator
 
   private:
     void functionalWarmup();
-    /** Build replica state + fanout wiring; runs once, pre-warmup. */
-    void materializeReplicas();
 
-    /** Forwards hierarchy L2-miss events to the leader controller and
-     *  every replica controller, in attach order. */
-    struct MissFanout : MissListener
+    /** Forwards hierarchy L2-miss events to every rail's controller,
+     *  in rail order. */
+    struct MissFanout final : MissListener
     {
-        std::vector<MissListener *> targets;
+        std::span<VsvController> rails;
         void
         demandL2MissDetected(Tick when, std::uint32_t outstanding) override
         {
-            for (MissListener *t : targets)
-                t->demandL2MissDetected(when, outstanding);
+            for (VsvController &c : rails)
+                c.demandL2MissDetected(when, outstanding);
         }
         void
         demandL2MissReturned(Tick when, std::uint32_t outstanding) override
         {
-            for (MissListener *t : targets)
-                t->demandL2MissReturned(when, outstanding);
+            for (VsvController &c : rails)
+                c.demandL2MissReturned(when, outstanding);
         }
     };
 
-    /** Deferred replica configs (materialized just before warmup). */
-    struct ReplicaConfig
-    {
-        PowerModelConfig power;
-        VsvConfig vsv;
-    };
+    SimulationOptions options;  ///< the leader's
 
-    SimulationOptions options;
-    StatRegistry registry;
+    // The rails, structure of arrays with index 0 the leader. Sized
+    // exactly once, in the constructor: components hold their rail's
+    // PowerModel& and the fanouts hold spans, so these vectors never
+    // reallocate.
+    std::vector<PowerModel> power;
+    std::vector<VsvController> vsvCtrl;
+    std::vector<StatRegistry> registry;
+    std::vector<SimulationResult> results;
+    MissFanout missFanout;
 
-    std::unique_ptr<PowerModel> power;
     std::unique_ptr<MemoryHierarchy> hierarchy;
     std::unique_ptr<TimekeepingPrefetcher> tk;
     std::unique_ptr<StridePrefetcher> stride;
     std::unique_ptr<BranchPredictor> predictor;
     std::unique_ptr<WorkloadGenerator> workload;
-    std::unique_ptr<VsvController> vsvCtrl;
     std::unique_ptr<Core> cpu;
     std::unique_ptr<TraceSink> traceSink;
     std::unique_ptr<IntervalStatsSampler> sampler;
-
-    // Lockstep replica state, SoA: one exact-reserve()d arena vector
-    // per component kind (PowerModel, VsvController), so the hot
-    // per-tick loop walks contiguous memory and the PowerModel&
-    // references held by the controllers can never be invalidated by
-    // reallocation. Empty in ordinary (serial) runs.
-    std::vector<ReplicaConfig> replicaConfigs;
-    std::vector<PowerModel> replicaPower;
-    std::vector<VsvController> replicaCtrl;
-    std::vector<PowerModel *> replicaPowerPtrs;
-    std::vector<StatRegistry> replicaRegistries;
-    std::vector<SimulationResult> replicaResults_;
-    std::unique_ptr<MissFanout> missFanout;
 
     Tick warmupTicks = 0;
     bool warmedUp_ = false;

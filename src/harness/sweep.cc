@@ -116,8 +116,8 @@ sweepStatusName(SweepStatus status)
     return "unknown";
 }
 
-SweepRunner::SweepRunner(unsigned jobs, unsigned retries)
-    : threads_(jobs), retries_(retries)
+SweepRunner::SweepRunner(unsigned jobs)
+    : threads_(jobs)
 {
     if (threads_ == 0) {
         // Auto-sizing (the --jobs default) clamps to a sane ceiling;
@@ -180,25 +180,6 @@ SweepRunner::runOneIsolated(const SweepJob &job,
     failed.fingerprint = configFingerprint(job.options);
     failed.attempts = 1;
     return failed;
-}
-
-SweepOutcome
-SweepRunner::runWithRetries(const SweepJob &job) const
-{
-    SweepOutcome outcome;
-    for (unsigned attempt = 1; attempt <= retries_ + 1; ++attempt) {
-        outcome = runOneIsolated(job, snapshotCache_);
-        outcome.attempts = attempt;
-        if (outcome.status == SweepStatus::Ok)
-            break;
-        if (attempt <= retries_) {
-            warn("run " + job.id + " failed (attempt " +
-                 std::to_string(attempt) + "/" +
-                 std::to_string(retries_ + 1) + "): " + outcome.error +
-                 "; retrying");
-        }
-    }
-    return outcome;
 }
 
 std::vector<SweepOutcome>
@@ -308,7 +289,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
             resultStore_->insert(storeEntryFromOutcome(outcomes[i]));
     };
     const auto runSerial = [&](std::size_t i) {
-        outcomes[i] = runWithRetries(jobs[i]);
+        outcomes[i] = runOneIsolated(jobs[i], snapshotCache_);
         if (snapshotCache_ && warmupOf[i])
             snapshotCache_->releaseUse(*warmupOf[i]);
         finished(i);
@@ -316,8 +297,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     const auto runBatch = [&](const std::vector<std::size_t> &members) {
         // A batch failure (including the simulator's lockstep
         // divergence fatal()) is not a campaign failure: every member
-        // falls back to the normal isolated serial path, retries and
-        // all.
+        // falls back to the normal isolated serial path.
         bool batched = false;
         try {
             ScopedThrowingFatal guard;
@@ -335,7 +315,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
         if (!batched) {
             fallbacks.fetch_add(1, std::memory_order_relaxed);
             for (const std::size_t i : members)
-                outcomes[i] = runWithRetries(jobs[i]);
+                outcomes[i] = runOneIsolated(jobs[i], snapshotCache_);
         }
         for (const std::size_t i : members)
             finished(i);

@@ -15,9 +15,10 @@
  * exception or fatal() inside one simulation becomes a structured
  * error record in that run's SweepOutcome instead of taking down the
  * campaign. A per-run soft timeout (SweepJob::softTimeoutSeconds)
- * aborts runaway runs via the Simulator's abort hook, and a retry
- * policy (`--retries`) re-runs failed jobs. The exported JSON records
- * per-run status/error/attempts plus a configuration fingerprint, and
+ * aborts runaway runs via the Simulator's abort hook. A failed run is
+ * never re-executed: by the determinism contract it would fail the
+ * same way again. The exported JSON records per-run
+ * status/error/attempts plus a configuration fingerprint, and
  * the result store (`--store-dir`) replays every run already completed
  * with the same fingerprint, so re-sweeping a grid re-runs only what
  * failed or changed.
@@ -81,7 +82,7 @@ struct SweepOutcome
     SweepStatus status = SweepStatus::Ok;
     /** What went wrong; empty when status is Ok. */
     std::string error;
-    /** Executions (includes retries); a store replay reports those of
+    /** Executions: 1 for a fresh run; a store replay reports those of
      *  the run that was recorded. */
     unsigned attempts = 0;
     /** configFingerprint() of the options that produced this run. */
@@ -105,7 +106,7 @@ struct SweepOutcome
 struct LockstepStats
 {
     bool enabled = false;
-    unsigned maxReplicas = 0;       ///< --lockstep cap (configs/batch)
+    unsigned maxReplicas = 0;       ///< batch width cap (configs/batch)
     std::uint64_t batches = 0;      ///< batches formed (>= 2 members)
     std::uint64_t batchedRuns = 0;  ///< jobs executed as batch members
     std::uint64_t serialRuns = 0;   ///< jobs executed serially
@@ -120,22 +121,18 @@ struct LockstepStats
 class SweepRunner
 {
   public:
-    /**
-     * @param jobs worker threads; 0 picks the hardware concurrency
-     * @param retries extra executions of a failed job (--retries)
-     */
-    explicit SweepRunner(unsigned jobs, unsigned retries = 0);
+    /** @param jobs worker threads; 0 picks the hardware concurrency */
+    explicit SweepRunner(unsigned jobs);
 
     /**
      * Run every job with per-run fault isolation; blocks until all
-     * are done. Failed runs (after retries) surface as Error/Timeout
-     * outcomes; the process is never torn down by one bad run.
+     * are done. Failed runs surface as Error/Timeout outcomes; the
+     * process is never torn down by one bad run.
      * @return outcomes in submission order, independent of schedule
      */
     std::vector<SweepOutcome> run(const std::vector<SweepJob> &jobs);
 
     unsigned threads() const { return threads_; }
-    unsigned retries() const { return retries_; }
 
     /**
      * Deduplicate functional warmup across this runner's jobs through
@@ -203,10 +200,7 @@ class SweepRunner
                                            nullptr);
 
   private:
-    SweepOutcome runWithRetries(const SweepJob &job) const;
-
     unsigned threads_;
-    unsigned retries_;
     WarmupSnapshotCache *snapshotCache_ = nullptr;
     unsigned lockstepMax_ = 0;
     LockstepStats lockstepStats_;

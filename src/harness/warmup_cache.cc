@@ -194,8 +194,8 @@ WarmupSnapshotCache::countRestore(const std::string &fingerprint)
         return;
     Entry &entry = it->second;
     if (--entry.restores == 0 && entry.holdsBytes) {
-        // The last declared restore has its own reference; later
-        // acquires (a retried run) find null and warm up fresh.
+        // The last declared restore has its own reference; acquires
+        // beyond the declared uses find null and warm up fresh.
         entry.bytes = nullBytes();
         entry.holdsBytes = false;
         --live_;

@@ -33,11 +33,11 @@
  * single use is never serialized unless it goes to disk. SweepRunner
  * queues a fingerprint's restoring runs from the callback, so none of
  * them waits on a future and a sweep holds at most one snapshot per
- * worker instead of one per fingerprint. A retried run that finds its
- * fingerprint's bytes already dropped warms up fresh. Callers that
- * declare nothing (single runs, the benchmark's serial replay,
- * lockstep-fallback members) keep what they publish until the cache is
- * destroyed, shared with every later acquire().
+ * worker instead of one per fingerprint. An acquire beyond the
+ * declared uses finds the bytes already dropped and warms up fresh.
+ * Callers that declare nothing (single runs, the benchmark's serial
+ * replay, lockstep-fallback members) keep what they publish until the
+ * cache is destroyed, shared with every later acquire().
  *
  * Persistence: with a non-empty disk directory (--snapshot-dir),
  * every computed snapshot, single-use ones included, is also written

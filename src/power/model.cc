@@ -99,15 +99,15 @@ PowerModel::addRampEnergy(Tick when)
 void
 PowerModel::fanOutAccess(PowerStructure s, double count)
 {
-    for (std::size_t f = 0; f < fanoutCount_; ++f)
-        fanout_[f]->recordAccess(s, count);
+    for (PowerModel &follower : fanout_)
+        follower.recordAccess(s, count);
 }
 
 void
 PowerModel::tick(bool pipeline_edge)
 {
-    for (std::size_t f = 0; f < fanoutCount_; ++f)
-        fanout_[f]->tick(pipeline_edge);
+    for (PowerModel &follower : fanout_)
+        follower.tick(pipeline_edge);
 
     ++ticks;
     if (pipeline_edge)

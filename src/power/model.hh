@@ -34,6 +34,7 @@
 #define VSV_POWER_MODEL_HH
 
 #include <array>
+#include <span>
 #include <string>
 
 #include "common/types.hh"
@@ -124,19 +125,18 @@ class PowerModel
 
     /**
      * Lockstep fanout: mirror every recordAccess() and tick() into
-     * `n` follower models (each charging at its *own* pipeline VDD /
-     * latch-path selection, as pushed by its replica's controller).
+     * `followers` (each charging at its *own* pipeline VDD /
+     * latch-path selection, as pushed by its rail's controller).
      * Only those two methods forward - controller-driven calls
      * (setPipelineVdd, setLowPowerPath, addRampEnergy) and the idle
-     * banking entry point accrueIdleTicks() are made per replica by
-     * the lockstep executor, so each follower replays exactly the
-     * call sequence a serial run of its config would see. Followers
-     * must outlive the fanout window; pass (nullptr, 0) to detach.
+     * banking entry point accrueIdleTicks() are made per rail by
+     * the simulator, so each follower replays exactly the call
+     * sequence a serial run of its config would see. Followers must
+     * outlive the fanout window; pass an empty span to detach.
      */
-    void setFanout(PowerModel *const *followers, std::size_t n)
+    void setFanout(std::span<PowerModel> followers)
     {
-        fanout_ = n ? followers : nullptr;
-        fanoutCount_ = n;
+        fanout_ = followers;
     }
 
     /**
@@ -152,7 +152,7 @@ class PowerModel
     void
     recordAccess(PowerStructure s, double count = 1.0)
     {
-        if (fanoutCount_ != 0)
+        if (!fanout_.empty())
             fanOutAccess(s, count);
 
         const auto idx = static_cast<std::size_t>(s);
@@ -285,8 +285,7 @@ class PowerModel
     bool lowPowerPath = false;
     TraceSink *trace = nullptr;
     /** Lockstep follower models; see setFanout(). */
-    PowerModel *const *fanout_ = nullptr;
-    std::size_t fanoutCount_ = 0;
+    std::span<PowerModel> fanout_;
 
     std::array<double, numPowerStructures> accessesThisTick{};
     /** O(1) test for "no structure accessed this tick". */

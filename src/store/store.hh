@@ -64,7 +64,7 @@ struct StoreEntry
 {
     /** configFingerprint() of the options that produced the run. */
     std::string fingerprint;
-    /** Executions the recorded campaign needed (includes retries). */
+    /** Executions of the recorded run (1 for a fresh run). */
     unsigned attempts = 1;
     /** writeSimulationResultJson bytes (includes the original run's
      *  host-dependent throughput block - stripped by consumers that

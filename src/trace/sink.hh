@@ -52,7 +52,7 @@ enum class TraceCategory : std::uint32_t
     Mshr = 1u << 3,      ///< L2 MSHR occupancy counter
     Power = 1u << 4,     ///< pipeline VDD + ramp-energy counters
     Clock = 1u << 5,     ///< effective clock-divider counter
-    Core = 1u << 6,      ///< mispredict recoveries, memory retries
+    Core = 1u << 6,      ///< mispredict recoveries, memory-port retry events
     Interval = 1u << 7,  ///< interval-stats counter tracks
     FastForward = 1u << 8, ///< synthesized idle-span slices
 };

@@ -95,20 +95,6 @@ TEST(SweepFaultTest, IsolatedRunReportsStatusInsteadOfThrowing)
     EXPECT_FALSE(outcome.fingerprint.empty());
 }
 
-TEST(SweepFaultTest, RetriesReExecuteFailedRunsOnly)
-{
-    // Deterministic failures fail every attempt; the outcome records
-    // how many were made.
-    SweepRunner runner(1, 2);
-    EXPECT_EQ(runner.retries(), 2u);
-    const std::vector<SweepOutcome> outcomes = runner.run(
-        {faultingJob("broken"), goodJob("mcf/base", "mcf", false)});
-    EXPECT_EQ(outcomes[0].status, SweepStatus::Error);
-    EXPECT_EQ(outcomes[0].attempts, 3u);  // 1 try + 2 retries
-    EXPECT_EQ(outcomes[1].status, SweepStatus::Ok);
-    EXPECT_EQ(outcomes[1].attempts, 1u);
-}
-
 TEST(SweepFaultTest, SoftTimeoutSurfacesAsTimeoutStatus)
 {
     // An effectively-infinite run with an already-expired deadline
@@ -362,9 +348,10 @@ class RetiredFlagTest : public testing::TestWithParam<const char *>
 
 TEST_P(RetiredFlagTest, IsAnUnknownFlag)
 {
-    // A script still passing a flag of a retired layer (the
-    // distributed campaign, the multi-core topology) must stop with
-    // the unknown-flag error, not quietly run something else.
+    // A script still passing a retired flag (the distributed
+    // campaign, the multi-core topology, the retry count, the lockstep
+    // batch width) must stop with the unknown-flag error, not quietly
+    // run something else.
     const std::string flag = GetParam();
     const std::string expected =
         "unknown flag " + flag.substr(0, flag.find('='));
@@ -382,7 +369,8 @@ INSTANTIATE_TEST_SUITE_P(
     RetiredFlags, RetiredFlagTest,
     testing::Values("--campaign" "-workers=2", "--co" "res=2",
                     "--rail" "-policy=shared",
-                    "--core" "-benchmarks=mcf,art"),
+                    "--core" "-benchmarks=mcf,art", "--re" "tries=2",
+                    "--lock" "step=8"),
     [](const testing::TestParamInfo<const char *> &info) {
         std::string name = info.param + 2;
         name.resize(name.find('='));
@@ -392,9 +380,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BenchmarkListTest, HarnessFlagsParse)
 {
-    const ExperimentArgs args =
-        parseArgv({"--retries=2", "--timeout=1.5"});
-    EXPECT_EQ(args.retries, 2u);
+    const ExperimentArgs args = parseArgv({"--timeout=1.5"});
     EXPECT_DOUBLE_EQ(args.timeoutSeconds, 1.5);
 }
 

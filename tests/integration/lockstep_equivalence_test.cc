@@ -410,7 +410,7 @@ TEST(LockstepEquivalenceTest, AblationVsvGridBatchesAndIsBitIdentical)
 
 TEST(LockstepEquivalenceTest, ReplicaCapChunksWideGrids)
 {
-    // 7 batchable jobs at --lockstep=3 -> batches of 3+3 and one
+    // 7 batchable jobs at a batch width of 3 -> batches of 3+3 and one
     // serial remainder; results must still match serial execution.
     const std::vector<SweepJob> jobs =
         powerCharacterizationGrid("mcf", false);

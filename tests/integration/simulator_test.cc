@@ -20,6 +20,16 @@ smallOptions(const std::string &bench, bool tk = false)
     return options;
 }
 
+/** A baseline run and an FSM-VSV run of `bench`, as deltas. */
+VsvComparison
+compareFsmVsv(const std::string &bench)
+{
+    const SimulationOptions base = smallOptions(bench);
+    SimulationOptions vsv = base;
+    vsv.vsv = fsmVsvConfig();
+    return makeComparison(Simulator(base).run(), Simulator(vsv).run());
+}
+
 TEST(SimulatorTest, BaselineRunsToCompletion)
 {
     Simulator sim(smallOptions("gzip"));
@@ -53,16 +63,14 @@ TEST(SimulatorTest, VsvEntersLowPowerModeOnMissyWorkload)
 
 TEST(SimulatorTest, VsvSavesPowerOnMcf)
 {
-    const VsvComparison cmp =
-        compareVsv(smallOptions("mcf"), fsmVsvConfig());
+    const VsvComparison cmp = compareFsmVsv("mcf");
     EXPECT_GT(cmp.powerSavingsPct, 5.0);
     EXPECT_LT(cmp.perfDegradationPct, 15.0);
 }
 
 TEST(SimulatorTest, VsvDoesNothingOnCacheResidentWorkload)
 {
-    const VsvComparison cmp =
-        compareVsv(smallOptions("crafty"), fsmVsvConfig());
+    const VsvComparison cmp = compareFsmVsv("crafty");
     EXPECT_NEAR(cmp.powerSavingsPct, 0.0, 1.0);
     EXPECT_NEAR(cmp.perfDegradationPct, 0.0, 1.0);
 }

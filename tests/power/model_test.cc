@@ -3,7 +3,8 @@
  * Tests of the voltage-aware power model.
  */
 
-#include <initializer_list>
+#include <array>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -284,8 +285,7 @@ TEST(PowerModelTest, IdleBankFlushesBeforeActiveTick)
  * to bank alongside it, as the lockstep executor does.
  */
 void
-chargeSequence(PowerModel &pm,
-               std::initializer_list<PowerModel *> followers = {})
+chargeSequence(PowerModel &pm, std::span<PowerModel> followers = {})
 {
     pm.recordAccess(PowerStructure::IntAlu);
     pm.recordAccess(PowerStructure::RuuCam, 3.0);
@@ -294,8 +294,8 @@ chargeSequence(PowerModel &pm,
     pm.tick(true);
     pm.tick(false);
     pm.accrueIdleTicks(7, 5);
-    for (PowerModel *follower : followers)
-        follower->accrueIdleTicks(7, 5);
+    for (PowerModel &follower : followers)
+        follower.accrueIdleTicks(7, 5);
     pm.recordAccess(PowerStructure::LsqCam);
     pm.recordAccess(PowerStructure::PipelineLatches);
     pm.tick(true);
@@ -351,10 +351,10 @@ TEST(PowerModelTest, LockstepFollowersChargeAtTheirOwnVdd)
     // A leader fans accesses out to two followers; each follower must
     // land on the doubles of a serial model run at its own VDD.
     PowerModel leader;
-    PowerModel follower_a;
-    PowerModel follower_b;
-    PowerModel *const followers[] = {&follower_a, &follower_b};
-    leader.setFanout(followers, 2);
+    std::array<PowerModel, 2> followers;
+    PowerModel &follower_a = followers[0];
+    PowerModel &follower_b = followers[1];
+    leader.setFanout(followers);
 
     PowerModel serial_leader;
     PowerModel serial_a;
@@ -370,12 +370,12 @@ TEST(PowerModelTest, LockstepFollowersChargeAtTheirOwnVdd)
         serial_a.setPipelineVdd(v[1]);
         serial_b.setPipelineVdd(v[2]);
 
-        chargeSequence(leader, {&follower_a, &follower_b});
+        chargeSequence(leader, followers);
         chargeSequence(serial_leader);
         chargeSequence(serial_a);
         chargeSequence(serial_b);
     }
-    leader.setFanout(nullptr, 0);
+    leader.setFanout({});
 
     expectSameEnergy(leader, serial_leader);
     expectSameEnergy(follower_a, serial_a);
