@@ -17,6 +17,7 @@
 
 #include "branch/predictor.hh"
 #include "cache/cache.hh"
+#include "cache/mshr.hh"
 #include "common/eventq.hh"
 #include "common/random.hh"
 #include "cpu/core.hh"
@@ -140,6 +141,42 @@ BM_CacheAccessHit(benchmark::State &state)
         benchmark::DoNotOptimize(cache.access(0x1000, false).hit);
 }
 BENCHMARK(BM_CacheAccessHit);
+
+void
+BM_CacheAccessHitL2(benchmark::State &state)
+{
+    // The L2 geometry: every way of one 8-way set holds a block, and
+    // the lookups rotate through them.
+    const CacheConfig config{"l2", 2 * 1024 * 1024, 8, 64, 12};
+    Cache cache(config);
+    const Addr set_stride = Addr{cache.numSets()} * config.blockBytes;
+    for (Addr way = 0; way < config.assoc; ++way)
+        cache.fill(0x1000 + way * set_stride, false);
+    Addr way = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            cache.access(0x1000 + way * set_stride, false).hit);
+        way = (way + 1) & (config.assoc - 1);
+    }
+}
+BENCHMARK(BM_CacheAccessHitL2);
+
+void
+BM_MshrFind(benchmark::State &state)
+{
+    // A full file of state.range(0) entries; the lookups rotate
+    // through their blocks.
+    const auto entries = static_cast<std::uint32_t>(state.range(0));
+    MshrFile mshrs("l2.mshr", entries);
+    for (Addr i = 0; i < entries; ++i)
+        mshrs.allocate(0x40000000 + i * 64, 0);
+    Addr i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(mshrs.find(0x40000000 + i * 64));
+        i = i + 1 == entries ? 0 : i + 1;
+    }
+}
+BENCHMARK(BM_MshrFind)->Arg(64);
 
 void
 BM_CacheFillEvictChurn(benchmark::State &state)

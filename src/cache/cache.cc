@@ -10,8 +10,10 @@ namespace vsv
 Cache::Cache(const CacheConfig &config)
     : config_(config)
 {
-    VSV_ASSERT(config.blockBytes > 0 && isPowerOf2(config.blockBytes),
-               config.name + ": block size must be a power of two");
+    // An invalid line's tag is invalidAddr, which a tag (an address
+    // shifted right by at least one bit) can never equal.
+    VSV_ASSERT(config.blockBytes > 1 && isPowerOf2(config.blockBytes),
+               config.name + ": block size must be a power of two above 1");
     VSV_ASSERT(config.assoc > 0, config.name + ": zero associativity");
     VSV_ASSERT(config.sizeBytes % (config.blockBytes * config.assoc) == 0,
                config.name + ": size not divisible by assoc*block");
@@ -22,63 +24,63 @@ Cache::Cache(const CacheConfig &config)
     blockMask = config.blockBytes - 1;
     blockShift = floorLog2(config.blockBytes);
     setMask = numSets_ - 1;
-    lines.resize(static_cast<std::size_t>(numSets_) * config.assoc);
+    const std::size_t lines =
+        static_cast<std::size_t>(numSets_) * config.assoc;
+    tags.assign(lines, invalidAddr);
+    stamps.assign(lines, 0);
+    dirty.assign(lines, 0);
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    return findLine(addr) != nullptr;
+    return findLine(addr) != noLine;
 }
 
 CacheVictim
-Cache::fill(Addr addr, bool dirty)
+Cache::fill(Addr addr, bool is_dirty)
 {
-    const Addr tag = addr >> blockShift;
-    Line *base = &lines[static_cast<std::size_t>(setIndex(addr)) *
-                        config_.assoc];
-
     // Refill of a resident block (e.g. racing fills) just refreshes it.
-    if (Line *line = findLine(addr)) {
-        line->lruStamp = ++stamp;
-        line->dirty = line->dirty || dirty;
+    if (const std::size_t line = findLine(addr); line != noLine) {
+        stamps[line] = ++stamp;
+        dirty[line] = dirty[line] || is_dirty;
         return {};
     }
 
     // Branch-free victim scan: invalid lines carry stamp 0, below any
     // valid line's, so one strict-< min pass selects the first invalid
     // way when there is one and the true-LRU way otherwise.
-    Line *victim = &base[0];
-    for (std::uint32_t way = 1; way < config_.assoc; ++way) {
-        if (base[way].lruStamp < victim->lruStamp)
-            victim = &base[way];
+    const std::size_t base =
+        static_cast<std::size_t>(setIndex(addr)) * config_.assoc;
+    std::size_t victim = base;
+    for (std::size_t line = base + 1; line < base + config_.assoc; ++line) {
+        if (stamps[line] < stamps[victim])
+            victim = line;
     }
 
     CacheVictim evicted;
-    if (victim->valid) {
+    if (tags[victim] != invalidAddr) {
         evicted.valid = true;
-        evicted.blockAddr = victim->tag << blockShift;
-        evicted.dirty = victim->dirty;
+        evicted.blockAddr = tags[victim] << blockShift;
+        evicted.dirty = dirty[victim] != 0;
         ++evictions;
-        if (victim->dirty)
+        if (evicted.dirty)
             ++dirtyEvictions;
     }
 
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = dirty;
-    victim->lruStamp = ++stamp;
+    tags[victim] = addr >> blockShift;
+    dirty[victim] = is_dirty;
+    stamps[victim] = ++stamp;
     return evicted;
 }
 
 void
 Cache::invalidate(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
-        line->valid = false;
-        line->dirty = false;
-        line->tag = invalidAddr;
-        line->lruStamp = 0;  // invalid lines must lose the victim scan
+    if (const std::size_t line = findLine(addr); line != noLine) {
+        tags[line] = invalidAddr;
+        dirty[line] = false;
+        stamps[line] = 0;  // invalid lines must lose the victim scan
     }
 }
 
@@ -105,11 +107,11 @@ Cache::snapshot(SnapshotWriter &writer) const
     writer.u32(config_.assoc);
     writer.u32(config_.blockBytes);
     writer.u64(stamp);
-    for (const Line &line : lines) {
-        writer.u64(line.tag);
-        writer.b(line.valid);
-        writer.b(line.dirty);
-        writer.u64(line.lruStamp);
+    for (std::size_t line = 0; line < tags.size(); ++line) {
+        writer.u64(tags[line]);
+        writer.b(tags[line] != invalidAddr);
+        writer.b(dirty[line] != 0);
+        writer.u64(stamps[line]);
     }
     writer.scalar(hits_);
     writer.scalar(misses_);
@@ -127,11 +129,39 @@ Cache::restore(SnapshotReader &reader)
     reader.expectU32(config_.assoc, "associativity");
     reader.expectU32(config_.blockBytes, "block size");
     stamp = reader.u64();
-    for (Line &line : lines) {
-        line.tag = reader.u64();
-        line.valid = reader.b();
-        line.dirty = reader.b();
-        line.lruStamp = reader.u64();
+    // Every line must be one that fill() and invalidate() can leave
+    // behind; anything else would break the lookup (a tag in the wrong
+    // set, or twice in one) or the victim scan (stamps out of range).
+    const auto bad = [this](std::size_t line, const char *what) {
+        throw SnapshotError("snapshot: " + config_.name + " line " +
+                            std::to_string(line) + " " + what);
+    };
+    const Addr max_tag = invalidAddr >> blockShift;
+    for (std::size_t line = 0; line < tags.size(); ++line) {
+        const Addr tag = reader.u64();
+        const bool valid = reader.b();
+        const bool is_dirty = reader.b();
+        const std::uint64_t line_stamp = reader.u64();
+        if (valid != (tag != invalidAddr))
+            bad(line, "has a valid flag that disagrees with its tag");
+        if (!valid) {
+            if (is_dirty || line_stamp != 0)
+                bad(line, "is invalid but dirty or stamped");
+        } else {
+            if (line_stamp == 0 || line_stamp > stamp)
+                bad(line, "has an LRU stamp outside [1, cache stamp]");
+            const std::size_t set = line / config_.assoc;
+            if (tag > max_tag || (tag & setMask) != set)
+                bad(line, "holds a tag of another set");
+            for (std::size_t other = set * config_.assoc; other < line;
+                 ++other) {
+                if (tags[other] == tag)
+                    bad(line, "repeats a tag of its set");
+            }
+        }
+        tags[line] = tag;
+        dirty[line] = is_dirty;
+        stamps[line] = line_stamp;
     }
     reader.scalar(hits_);
     reader.scalar(misses_);

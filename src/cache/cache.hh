@@ -59,13 +59,13 @@ class Cache
     CacheAccessResult
     access(Addr addr, bool is_write)
     {
-        Line *line = findLine(addr);
-        if (line) {
-            line->lruStamp = ++stamp;
+        const std::size_t line = findLine(addr);
+        if (line != noLine) {
+            stamps[line] = ++stamp;
             if (is_write) {
-                if (!line->dirty)
+                if (!dirty[line])
                     ++writebackSets;
-                line->dirty = true;
+                dirty[line] = true;
             }
             ++hits_;
             return {true};
@@ -83,10 +83,10 @@ class Cache
     CacheAccessResult
     readRepeated(Addr addr, std::uint64_t count)
     {
-        Line *line = findLine(addr);
-        if (line) {
+        const std::size_t line = findLine(addr);
+        if (line != noLine) {
             stamp += count;
-            line->lruStamp = stamp;
+            stamps[line] = stamp;
             hits_ += static_cast<double>(count);
             return {true};
         }
@@ -99,9 +99,9 @@ class Cache
 
     /**
      * Install the block holding addr, evicting the LRU way if needed.
-     * @param dirty install in dirty state (write-allocate store fill)
+     * @param is_dirty install in dirty state (write-allocate store fill)
      */
-    CacheVictim fill(Addr addr, bool dirty);
+    CacheVictim fill(Addr addr, bool is_dirty);
 
     /** Invalidate the block holding addr, if present. */
     void invalidate(Addr addr);
@@ -124,7 +124,14 @@ class Cache
     /** Serialize tags, LRU state, dirty bits and stats. */
     void snapshot(SnapshotWriter &writer) const;
 
-    /** Restore state saved by snapshot(); the geometry must match. */
+    /**
+     * Restore state saved by snapshot(); the geometry must match.
+     * Throws SnapshotError on a line fill() and invalidate() could not
+     * have left: a valid flag that disagrees with the tag, an invalid
+     * line that is dirty or stamped, a valid line stamped outside
+     * [1, cache stamp] or tagged for another set, or a tag twice in
+     * one set.
+     */
     void restore(SnapshotReader &reader);
 
     std::uint64_t hits() const
@@ -137,40 +144,25 @@ class Cache
     }
 
   private:
-    struct Line
-    {
-        /** Block address pre-shifted by blockShift (whole upper
-         *  address, so no separate index check is needed). */
-        Addr tag = invalidAddr;
-        bool valid = false;
-        bool dirty = false;
-        /** 0 for invalid lines (valid stamps start at 1), making the
-         *  victim scan a branch-free min over the set. */
-        std::uint64_t lruStamp = 0;
-    };
+    /** findLine()'s "no such line". */
+    static constexpr std::size_t noLine = ~std::size_t{0};
 
-    Line *
-    findLine(Addr addr)
+    /** Index of the line holding addr's block, or noLine. */
+    std::size_t
+    findLine(Addr addr) const
     {
         // Which way holds a block is data, not a pattern a branch
         // predictor learns: visit every way, selecting rather than
         // branching, from the last to the first so that the first
-        // match wins.
+        // match wins. An invalid line's tag is invalidAddr, which no
+        // shifted address equals, so one compare per way suffices.
         const Addr tag = addr >> blockShift;
-        Line *base = &lines[static_cast<std::size_t>(setIndex(addr)) *
-                            config_.assoc];
-        Line *found = nullptr;
-        for (std::uint32_t way = config_.assoc; way-- > 0;) {
-            const bool match = base[way].valid && base[way].tag == tag;
-            found = match ? &base[way] : found;
-        }
+        const std::size_t base =
+            static_cast<std::size_t>(setIndex(addr)) * config_.assoc;
+        std::size_t found = noLine;
+        for (std::uint32_t way = config_.assoc; way-- > 0;)
+            found = tags[base + way] == tag ? base + way : found;
         return found;
-    }
-
-    const Line *
-    findLine(Addr addr) const
-    {
-        return const_cast<Cache *>(this)->findLine(addr);
     }
 
     CacheConfig config_;
@@ -178,7 +170,21 @@ class Cache
     Addr blockMask;
     std::uint32_t blockShift;  ///< log2(blockBytes)
     Addr setMask;              ///< numSets - 1
-    std::vector<Line> lines;
+    /**
+     * Line state in three parallel arrays, indexed set * assoc + way,
+     * so a lookup reads only the set's tags: an 8-way set of 8-byte
+     * tags fills one 64-byte host line.
+     *
+     * tags: block address pre-shifted by blockShift (the whole upper
+     * address, so no separate index check is needed); invalidAddr for
+     * an invalid line.
+     * stamps: LRU stamp; 0 for invalid lines (valid stamps start at
+     * 1), making the victim scan a branch-free min over the set.
+     * dirty: nonzero for a dirty line; invalid lines are clean.
+     */
+    std::vector<Addr> tags;
+    std::vector<std::uint64_t> stamps;
+    std::vector<std::uint8_t> dirty;
     std::uint64_t stamp = 0;
 
     Scalar hits_;

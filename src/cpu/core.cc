@@ -77,14 +77,14 @@ Core::Core(const CoreConfig &config, TraceSource &workload,
     wheelHead.assign(wheel_size, noLink);
     wheelBits.assign((wheel_size + 63) / 64, 0);
     dueScratch.reserve(config.ruuSize);
-    unitFreeAt.resize(numFuPools);
     for (std::size_t pool = 0; pool < numFuPools; ++pool) {
-        unitFreeAt[pool].assign(
-            config.fuPools.count[pool], 0);
+        poolFirstUnit[pool + 1] =
+            poolFirstUnit[pool] + config.fuPools.count[pool];
     }
+    unitFreeAt.assign(poolFirstUnit[numFuPools], 0);
 }
 
-std::uint32_t
+inline std::uint32_t
 Core::slotIndex(InstSeqNum seq) const
 {
     // The in-flight entries fill the ring from headSlot in sequence
@@ -93,7 +93,7 @@ Core::slotIndex(InstSeqNum seq) const
     return idx >= config.ruuSize ? idx - config.ruuSize : idx;
 }
 
-void
+inline void
 Core::linkProducer(std::uint32_t idx, unsigned operand,
                    InstSeqNum producer)
 {
@@ -109,7 +109,7 @@ Core::linkProducer(std::uint32_t idx, unsigned operand,
     ++consumer.pendingSrcs;
 }
 
-void
+inline void
 Core::wakeConsumers(RuuEntry &producer)
 {
     std::uint32_t link = producer.consumers;
@@ -126,21 +126,21 @@ Core::wakeConsumers(RuuEntry &producer)
     }
 }
 
-void
+inline void
 Core::markReady(std::uint32_t idx)
 {
     readyBits[idx >> 6] |= std::uint64_t{1} << (idx & 63);
     ++readyCount;
 }
 
-void
+inline void
 Core::clearReady(std::uint32_t idx)
 {
     readyBits[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     --readyCount;
 }
 
-void
+inline void
 Core::scheduleCompletion(std::uint32_t idx, Cycle when)
 {
     VSV_ASSERT(when > cycleNum && when - cycleNum <= wheelMask,
@@ -174,7 +174,7 @@ Core::earliestCompletion() const
     return maxTick;
 }
 
-std::uint32_t
+inline std::uint32_t
 Core::nextReady(std::uint32_t from, std::uint32_t end) const
 {
     while (from < end) {
@@ -204,20 +204,6 @@ Core::storeForwards(const RuuEntry &entry) const
         }
         // Stores with unresolved addresses are optimistically assumed
         // not to alias (perfect disambiguation).
-    }
-    return false;
-}
-
-bool
-Core::acquireUnit(OpClass cls)
-{
-    const OpTiming timing = opTiming(cls);
-    auto &units = unitFreeAt[static_cast<std::size_t>(timing.pool)];
-    for (Cycle &free_at : units) {
-        if (free_at <= cycleNum) {
-            free_at = cycleNum + (timing.pipelined ? 1 : timing.latency);
-            return true;
-        }
     }
     return false;
 }
@@ -358,13 +344,23 @@ Core::completeStage(Tick now)
         return;
     wheelHead[s] = noLink;
     wheelBits[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
-    dueScratch.clear();
-    for (; idx != noLink; idx = ruu[idx].nextDue)
-        dueScratch.push_back(ruu[idx].seq);
     // Power charges and predictor training happen in program order.
-    std::sort(dueScratch.begin(), dueScratch.end());
+    // Each issue pushes onto the head of its slot's list, oldest op
+    // first, so the list runs mostly in descending sequence order:
+    // inserting into a descending array costs about one compare per
+    // entry, and the array is then walked from its end.
+    dueScratch.clear();
+    for (; idx != noLink; idx = ruu[idx].nextDue) {
+        const InstSeqNum seq = ruu[idx].seq;
+        std::size_t at = dueScratch.size();
+        dueScratch.push_back(seq);
+        for (; at > 0 && dueScratch[at - 1] < seq; --at)
+            dueScratch[at] = dueScratch[at - 1];
+        dueScratch[at] = seq;
+    }
 
-    for (const InstSeqNum seq : dueScratch) {
+    for (auto due = dueScratch.rbegin(); due != dueScratch.rend(); ++due) {
+        const InstSeqNum seq = *due;
         RuuEntry &entry = slot(seq);
         VSV_ASSERT(entry.seq == seq && entry.status == EntryStatus::Issued &&
                        !entry.memPending &&
@@ -527,7 +523,10 @@ Core::fetchStage(Tick now)
         if (tail >= config.fetchQueueSize)
             tail -= config.fetchQueueSize;
         FetchedOp &fo = fetchRing[tail];
-        fo.op = workload.next();
+        if (traceOps.empty())
+            traceOps = workload.nextBatch(~std::uint64_t{0});
+        fo.op = traceOps.front();
+        traceOps = traceOps.subspan(1);
         fo.seq = nextFetchSeq++;
         fo.pred = {};
         fo.fetchMispredicted = false;

@@ -58,6 +58,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -240,7 +241,21 @@ class Core
     bool startMemoryAccess(RuuEntry &entry, Tick now);
 
     /** Acquire a functional unit for cls at this cycle. */
-    bool acquireUnit(OpClass cls);
+    bool
+    acquireUnit(OpClass cls)
+    {
+        const OpTiming timing = opTiming(cls);
+        const auto pool = static_cast<std::size_t>(timing.pool);
+        for (std::uint32_t u = poolFirstUnit[pool];
+             u < poolFirstUnit[pool + 1]; ++u) {
+            if (unitFreeAt[u] <= cycleNum) {
+                unitFreeAt[u] =
+                    cycleNum + (timing.pipelined ? 1 : timing.latency);
+                return true;
+            }
+        }
+        return false;
+    }
 
     CoreConfig config;
     TraceSource &workload;
@@ -256,6 +271,8 @@ class Core
     std::uint32_t fetchHead = 0;
     std::uint32_t fetchCount = 0;
     InstSeqNum nextFetchSeq = 1;
+    /** Ops drawn from the trace but not yet fetched, read in place. */
+    std::span<const MicroOp> traceOps;
     InstSeqNum blockingBranch = invalidSeqNum;
     Cycle fetchResumeCycle = 0;
     bool icacheStall = false;
@@ -284,7 +301,8 @@ class Core
     /** One bit per wheel slot, set exactly when its list is non-empty. */
     std::vector<std::uint64_t> wheelBits;
     std::uint32_t wheelMask = 0;
-    std::vector<InstSeqNum> dueScratch;  ///< completeStage's due set
+    /** completeStage's due set, kept in descending sequence order. */
+    std::vector<InstSeqNum> dueScratch;
 
     std::vector<LsqEntry> lsq;
     std::uint32_t lsqHead = 0;
@@ -300,8 +318,10 @@ class Core
      */
     std::array<std::uint16_t, storeFilterBuckets> readyStores{};
 
-    /** Per-pool unit free times (pipeline cycles). */
-    std::vector<std::vector<Cycle>> unitFreeAt;
+    /** Unit free times (pipeline cycles), pool by pool: pool p's
+     *  units are [poolFirstUnit[p], poolFirstUnit[p + 1]). */
+    std::vector<Cycle> unitFreeAt;
+    std::array<std::uint32_t, numFuPools + 1> poolFirstUnit{};
     std::uint32_t dcachePortsUsed = 0;
 
     TraceSink *trace = nullptr;

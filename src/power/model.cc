@@ -72,17 +72,15 @@ PowerModel::refreshCharges()
 }
 
 void
-PowerModel::setPipelineVdd(double vdd)
+PowerModel::changePipelineVdd(double vdd)
 {
     VSV_ASSERT(vdd >= config_.vddLow - 1e-9 &&
                vdd <= config_.vddHigh + 1e-9,
                "pipeline VDD outside [VDDL, VDDH]");
-    if (vdd != pipelineVdd_) {
-        // Banked idle ticks were accumulated at the old voltage.
-        flushIdle();
-        pipelineVdd_ = vdd;
-        refreshCharges();
-    }
+    // Banked idle ticks were accumulated at the old voltage.
+    flushIdle();
+    pipelineVdd_ = vdd;
+    refreshCharges();
 }
 
 void
@@ -97,43 +95,32 @@ PowerModel::addRampEnergy(Tick when)
 }
 
 void
-PowerModel::fanOutAccess(PowerStructure s, double count)
+PowerModel::fanOutAccess(PowerStructure s, std::uint32_t count)
 {
     for (PowerModel &follower : fanout_)
         follower.recordAccess(s, count);
 }
 
 void
-PowerModel::tick(bool pipeline_edge)
+PowerModel::fanOutTick(bool pipeline_edge)
 {
     for (PowerModel &follower : fanout_)
         follower.tick(pipeline_edge);
+}
 
-    ++ticks;
-    if (pipeline_edge)
-        ++pipelineEdges;
-
-    if (!anyAccessThisTick) {
-        // Pure idle tick: just bank it. The voltage cannot change
-        // without a flush (setPipelineVdd flushes on a value change),
-        // so the conversion to energy can happen later, in bulk.
-        if (pipeline_edge)
-            ++pendingIdleEdges;
-        else
-            ++pendingIdleNoEdges;
-        return;
-    }
-
+void
+PowerModel::closeActiveTick(bool pipeline_edge)
+{
     flushIdle();
-    chargeActiveTick(pipeline_edge);
-    accessesThisTick.fill(0.0);
-    anyAccessThisTick = false;
+    chargeActiveTick(pipeline_edge, accessedMask);
+    accessesThisTick.fill(0);
+    accessedMask = 0;
 }
 
 void
 PowerModel::accrueIdleTicks(std::uint64_t edges, std::uint64_t no_edges)
 {
-    VSV_ASSERT(!anyAccessThisTick,
+    VSV_ASSERT(accessedMask == 0,
                "accrueIdleTicks with accesses not yet closed by tick()");
     ticks += static_cast<double>(edges + no_edges);
     pipelineEdges += static_cast<double>(edges);
@@ -142,10 +129,8 @@ PowerModel::accrueIdleTicks(std::uint64_t edges, std::uint64_t no_edges)
 }
 
 void
-PowerModel::flushIdle() const
+PowerModel::flushPendingIdle() const
 {
-    if (pendingIdleEdges == 0 && pendingIdleNoEdges == 0)
-        return;
     auto *self = const_cast<PowerModel *>(this);
     const std::uint64_t edges = pendingIdleEdges;
     const std::uint64_t all = pendingIdleEdges + pendingIdleNoEdges;
@@ -177,7 +162,7 @@ PowerModel::flushIdle() const
 }
 
 void
-PowerModel::chargeActiveTick(bool pipeline_edge)
+PowerModel::chargeActiveTick(bool pipeline_edge, std::uint32_t accessed)
 {
     // Leakage accrues every tick, ungateable; the scaled domain's
     // share falls with roughly VDD^3 (subthreshold DIBL), the paper's
@@ -188,29 +173,25 @@ PowerModel::chargeActiveTick(bool pipeline_edge)
                          scaledLeakPerTick * vratio * vratio * vratio;
     }
 
-    for (std::size_t i = 0; i < numPowerStructures; ++i) {
-        const auto s = static_cast<PowerStructure>(i);
+    // The global clock tree burns a full "cycle" of energy on every
+    // pipeline clock edge; in the low-power mode edges come at half
+    // rate, so clock power halves on top of the V^2 drop.
+    if (pipeline_edge) {
+        const auto clock =
+            static_cast<std::size_t>(PowerStructure::ClockTree);
+        energyPj[clock] += idleChargePj[clock];
+    }
 
-        // The global clock tree burns a full "cycle" of energy on
-        // every pipeline clock edge; in the low-power mode edges come
-        // at half rate, so clock power halves on top of the V^2 drop.
-        if (s == PowerStructure::ClockTree) {
-            if (pipeline_edge)
-                energyPj[i] += idleChargePj[i];
-            continue;
-        }
-
-        if (accessesThisTick[i] > 0.0)
-            continue;  // active structures already paid access energy
-
-        // Idle (clock-load) power. The L2 runs on the full-speed
-        // clock; everything else - including the VDDH L1s and the
-        // register file - is clocked with the pipeline.
-        const bool clocked =
-            s == PowerStructure::L2Cache ? true : pipeline_edge;
-        if (!clocked)
-            continue;
-
+    // Idle (clock-load) power for the clocked structures that recorded
+    // no access (active ones already paid access energy). The L2 runs
+    // on the full-speed clock; everything else - including the VDDH
+    // L1s and the register file - is clocked with the pipeline. Each
+    // structure takes at most one addition here, into its own
+    // accumulator, so walking the bits changes no sum.
+    for (std::uint32_t idle =
+             (pipeline_edge ? idleOnEdge : idleOnEveryTick) & ~accessed;
+         idle != 0; idle &= idle - 1) {
+        const auto i = static_cast<std::size_t>(std::countr_zero(idle));
         energyPj[i] += idleChargePj[i];
     }
 }
@@ -294,9 +275,9 @@ PowerModel::snapshot(SnapshotWriter &writer) const
     writer.u32(static_cast<std::uint32_t>(numPowerStructures));
     writer.f64(pipelineVdd_);
     writer.b(lowPowerPath);
-    writer.b(anyAccessThisTick);
-    for (const double accesses : accessesThisTick)
-        writer.f64(accesses);
+    writer.b(accessedMask != 0);
+    for (const std::uint64_t accesses : accessesThisTick)
+        writer.f64(static_cast<double>(accesses));
     for (const Scalar &energy : energyPj)
         writer.scalar(energy);
     writer.scalar(rampEnergy);
@@ -317,9 +298,25 @@ PowerModel::restore(SnapshotReader &reader)
     pipelineVdd_ = reader.f64();
     lowPowerPath = reader.b();
     refreshCharges();
-    anyAccessThisTick = reader.b();
-    for (double &accesses : accessesThisTick)
-        accesses = reader.f64();
+    const bool any_access = reader.b();
+    accessedMask = 0;
+    for (std::size_t i = 0; i < numPowerStructures; ++i) {
+        // Counts are whole numbers, exact as doubles below 2^53.
+        const double accesses = reader.f64();
+        if (!(accesses >= 0.0 && accesses < 0x1p53) ||
+            accesses != static_cast<double>(
+                             static_cast<std::uint64_t>(accesses))) {
+            throw SnapshotError("snapshot: power access count is not a "
+                                "whole number below 2^53");
+        }
+        accessesThisTick[i] = static_cast<std::uint64_t>(accesses);
+        if (accessesThisTick[i] != 0)
+            accessedMask |= std::uint32_t{1} << i;
+    }
+    if (any_access != (accessedMask != 0)) {
+        throw SnapshotError(
+            "snapshot: power activity flag disagrees with its counts");
+    }
     for (Scalar &energy : energyPj)
         reader.scalar(energy);
     reader.scalar(rampEnergy);

@@ -34,6 +34,7 @@
 #define VSV_POWER_MODEL_HH
 
 #include <array>
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -95,8 +96,17 @@ class PowerModel
   public:
     explicit PowerModel(const PowerModelConfig &config = {});
 
-    /** Pipeline-domain supply for the current tick (volts). */
-    void setPipelineVdd(double vdd);
+    /**
+     * Pipeline-domain supply for the current tick (volts). Called
+     * every tick; only a change flushes the banked idle ticks and
+     * re-derives the charges.
+     */
+    void
+    setPipelineVdd(double vdd)
+    {
+        if (vdd != pipelineVdd_)
+            changePipelineVdd(vdd);
+    }
     double pipelineVdd() const { return pipelineVdd_; }
 
     /**
@@ -140,29 +150,31 @@ class PowerModel
     }
 
     /**
-     * Record `count` accesses to structure s during this tick, charged
-     * `count * per_access * vsq` evaluated left to right (per_access
-     * being accessPj times the latch factor, vsq the domain's V^2
-     * ratio). Inline: the core charges about sixteen accesses per
-     * instruction. A single access adds the cached
-     * `per_access * vsq`, which is that product with count 1 exactly;
-     * any other count multiplies out, because count * (per_access *
-     * vsq) rounds differently unless count is a power of two.
+     * Record `count` (>= 1) accesses to structure s during this tick,
+     * charged `count * per_access * vsq` evaluated left to right
+     * (per_access being accessPj times the latch factor, vsq the
+     * domain's V^2 ratio). Inline: the core charges about sixteen accesses per
+     * instruction. A power-of-two count (1, or the core's 2) adds
+     * count times the cached `per_access * vsq`: scaling by a power
+     * of two is exact, so that is the left-to-right product to the
+     * bit. Any other count multiplies out, because count *
+     * (per_access * vsq) rounds differently from it.
      */
     void
-    recordAccess(PowerStructure s, double count = 1.0)
+    recordAccess(PowerStructure s, std::uint32_t count = 1)
     {
         if (!fanout_.empty())
             fanOutAccess(s, count);
 
         const auto idx = static_cast<std::size_t>(s);
         accessesThisTick[idx] += count;
-        anyAccessThisTick = true;
+        accessedMask |= std::uint32_t{1} << idx;
 
-        if (count == 1.0) {
-            energyPj[idx] += accessChargePj[idx];
+        if ((count & (count - 1)) == 0) {
+            energyPj[idx] +=
+                static_cast<double>(count) * accessChargePj[idx];
         } else {
-            energyPj[idx] += count * perAccessPj(s) *
+            energyPj[idx] += static_cast<double>(count) * perAccessPj(s) *
                              domainVoltageSq(structureParams(s).domain);
         }
     }
@@ -172,7 +184,29 @@ class PowerModel
      * @param pipeline_edge true when the pipeline clock (and the
      *        half-clocked L1/regfile) saw an edge this tick
      */
-    void tick(bool pipeline_edge);
+    void
+    tick(bool pipeline_edge)
+    {
+        if (!fanout_.empty())
+            fanOutTick(pipeline_edge);
+
+        ++ticks;
+        if (pipeline_edge)
+            ++pipelineEdges;
+
+        if (accessedMask == 0) {
+            // Pure idle tick: just bank it. The voltage cannot change
+            // without a flush (setPipelineVdd flushes on a value
+            // change), so the conversion to energy can happen later,
+            // in bulk.
+            if (pipeline_edge)
+                ++pendingIdleEdges;
+            else
+                ++pendingIdleNoEdges;
+            return;
+        }
+        closeActiveTick(pipeline_edge);
+    }
 
     /**
      * Account `edges + no_edges` consecutive *idle* global ticks in
@@ -194,7 +228,12 @@ class PowerModel
      * by every energy getter; call explicitly before reading the
      * registered Scalars directly (e.g. a registry dump).
      */
-    void flushIdle() const;
+    void
+    flushIdle() const
+    {
+        if ((pendingIdleEdges | pendingIdleNoEdges) != 0)
+            flushPendingIdle();
+    }
 
     /** Cumulative energy in picojoules (dynamic + ramp + leakage). */
     double totalEnergyPj() const;
@@ -240,7 +279,19 @@ class PowerModel
   private:
     /** recordAccess() on every lockstep follower; out of line so the
      *  inlined charge stays small. */
-    void fanOutAccess(PowerStructure s, double count);
+    void fanOutAccess(PowerStructure s, std::uint32_t count);
+    /** tick() on every lockstep follower. */
+    void fanOutTick(bool pipeline_edge);
+
+    /** setPipelineVdd() with a new value: flush, then re-derive. */
+    void changePipelineVdd(double vdd);
+
+    /** flushIdle() with idle ticks banked. */
+    void flushPendingIdle() const;
+
+    /** tick() with accesses recorded: flush the banked idle ticks,
+     *  charge this tick's idle structures and clear its activity. */
+    void closeActiveTick(bool pipeline_edge);
 
     /** (V/VDDH)^2 of a domain's current supply: 1 for the fixed
      *  domain, whose energies are specified at VDDH. */
@@ -269,9 +320,23 @@ class PowerModel
      *  and lowPowerPath; call on every change of either. */
     void refreshCharges();
 
-    /** Charge idle/clock/leakage energy for one access-carrying tick
-     *  (the original per-tick loop). */
-    void chargeActiveTick(bool pipeline_edge);
+    /** Charge idle/clock/leakage energy for one access-carrying tick:
+     *  the clock tree on an edge, then each clocked structure whose
+     *  bit in `accessed` is clear. */
+    void chargeActiveTick(bool pipeline_edge, std::uint32_t accessed);
+
+    static_assert(numPowerStructures <= 32,
+                  "a tick's accessed mask holds one bit per structure");
+    /** Structures that idle on a pipeline edge (the clock tree is
+     *  charged on its own). */
+    static constexpr std::uint32_t idleOnEdge =
+        ((std::uint32_t{1} << numPowerStructures) - 1) &
+        ~(std::uint32_t{1}
+          << static_cast<unsigned>(PowerStructure::ClockTree));
+    /** Structures that idle on every tick: the L2 runs on the
+     *  full-speed clock. */
+    static constexpr std::uint32_t idleOnEveryTick =
+        std::uint32_t{1} << static_cast<unsigned>(PowerStructure::L2Cache);
 
     PowerModelConfig config_;
     double pipelineVdd_;
@@ -287,9 +352,15 @@ class PowerModel
     /** Lockstep follower models; see setFanout(). */
     std::span<PowerModel> fanout_;
 
-    std::array<double, numPowerStructures> accessesThisTick{};
-    /** O(1) test for "no structure accessed this tick". */
-    bool anyAccessThisTick = false;
+    /**
+     * Accesses recorded per structure since the last tick() closed
+     * (warmup, which runs no ticks, leaves its counts open). Integer
+     * counts are exact; a snapshot stores them as the doubles they
+     * convert to exactly below 2^53.
+     */
+    std::array<std::uint64_t, numPowerStructures> accessesThisTick{};
+    /** One bit per structure with accesses recorded this tick. */
+    std::uint32_t accessedMask = 0;
     std::array<Scalar, numPowerStructures> energyPj;
     Scalar rampEnergy;
     Scalar leakageEnergy;

@@ -55,20 +55,6 @@ Distribution::Distribution(std::uint64_t min, std::uint64_t max,
 }
 
 void
-Distribution::sample(std::uint64_t value, std::uint64_t count)
-{
-    samples_ += count;
-    sum += static_cast<double>(value) * static_cast<double>(count);
-    if (value < min) {
-        underflow_ += count;
-    } else if (value > max) {
-        overflow_ += count;
-    } else {
-        buckets_[(value - min) / bucketSize] += count;
-    }
-}
-
-void
 Distribution::reset()
 {
     std::fill(buckets_.begin(), buckets_.end(), 0);

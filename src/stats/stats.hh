@@ -62,8 +62,21 @@ class Distribution
     Distribution(std::uint64_t min, std::uint64_t max,
                  std::uint64_t bucket_size);
 
-    /** Record one sample. */
-    void sample(std::uint64_t value, std::uint64_t count = 1);
+    /** Record `count` samples of `value`. Inline: the core samples
+     *  its issue rate every pipeline cycle. */
+    void
+    sample(std::uint64_t value, std::uint64_t count = 1)
+    {
+        samples_ += count;
+        sum += static_cast<double>(value) * static_cast<double>(count);
+        if (value < min) {
+            underflow_ += count;
+        } else if (value > max) {
+            overflow_ += count;
+        } else {
+            buckets_[(value - min) / bucketSize] += count;
+        }
+    }
 
     void reset();
 

@@ -69,6 +69,23 @@ class TraceSource
 
     /** Produce the next dynamic micro-op. */
     virtual MicroOp next() = 0;
+
+    /**
+     * Deliver the next 1..max micro-ops (max >= 1) in place: the same
+     * ops, in the same order, as that many next() calls. The view
+     * stays valid until the next call into the source. By default one
+     * op, through next().
+     */
+    virtual std::span<const MicroOp>
+    nextBatch(std::uint64_t max)
+    {
+        (void)max;
+        single = next();
+        return {&single, 1};
+    }
+
+  private:
+    MicroOp single;  ///< the default nextBatch()'s one-op view
 };
 
 /** Fixed base addresses of the synthetic regions. */
@@ -232,7 +249,7 @@ class WorkloadGenerator final : public TraceSource
      * view stays valid until the next call into the generator.
      */
     std::span<const MicroOp>
-    nextBatch(std::uint64_t max)
+    nextBatch(std::uint64_t max) override
     {
         if (opBufferPos == opBuffer.size())
             refill();

@@ -388,6 +388,14 @@ class SnapshotHostileInputTest : public testing::Test
     static bool
     restores(const std::string &bytes)
     {
+        return rejection(bytes).empty();
+    }
+
+    /** Restore `bytes` into a fresh simulator: "" when it was taken,
+     *  else the fatal's message. */
+    static std::string
+    rejection(const std::string &bytes)
+    {
         Simulator fresh(options());
         ScopedThrowingFatal guard;
         try {
@@ -397,9 +405,116 @@ class SnapshotHostileInputTest : public testing::Test
                           "warmup snapshot unusable"),
                       std::string::npos)
                 << e.what();
-            return false;
+            return e.what();
         }
-        return true;
+        return "";
+    }
+
+    /** The snapshot with section `f`'s payload replaced, its size and
+     *  checksum recomputed to match. */
+    static std::string
+    withPayload(const SectionFrame &f, const std::string &payload)
+    {
+        const std::string &bytes = snapshot();
+        std::string framed = bytes.substr(0, f.sizeAt);
+        const std::uint64_t size = payload.size();
+        const std::uint64_t checksum = snapshotChecksum(payload);
+        framed.append(reinterpret_cast<const char *>(&size), sizeof(size));
+        framed += payload;
+        framed.append(reinterpret_cast<const char *>(&checksum),
+                      sizeof(checksum));
+        framed += bytes.substr(f.end);
+        return framed;
+    }
+
+    /** One tag-array line as a `cache:*` section stores it. */
+    struct CacheLine
+    {
+        Addr tag;
+        bool valid;
+        bool dirty;
+        std::uint64_t stamp;
+    };
+
+    /** Where a cache section's fields sit in its payload. */
+    static constexpr std::size_t cacheStampAt = 12;  ///< after 3 u32s
+    static constexpr std::size_t cacheLinesAt = 20;
+    static constexpr std::size_t cacheLineBytes = 18;
+
+    static const SectionFrame &
+    frameOf(const std::string &tag)
+    {
+        for (const SectionFrame &f : frames()) {
+            if (f.tag == tag)
+                return f;
+        }
+        ADD_FAILURE() << "no section " << tag;
+        return frames().front();
+    }
+
+    /** The lines of cache section `tag`, and its cache-wide stamp. */
+    static std::vector<CacheLine>
+    cacheLines(const std::string &tag, std::uint64_t *cache_stamp)
+    {
+        const SectionFrame &f = frameOf(tag);
+        const char *payload = snapshot().data() + f.payloadAt;
+        std::memcpy(cache_stamp, payload + cacheStampAt,
+                    sizeof(*cache_stamp));
+        std::vector<CacheLine> lines(
+            (f.size - cacheLinesAt) / cacheLineBytes);
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            const char *at = payload + cacheLinesAt + i * cacheLineBytes;
+            std::memcpy(&lines[i].tag, at, 8);
+            lines[i].valid = at[8] != 0;
+            lines[i].dirty = at[9] != 0;
+            std::memcpy(&lines[i].stamp, at + 10, 8);
+        }
+        return lines;
+    }
+
+    /** The snapshot with line `index` of cache section `tag` set to
+     *  `line`. */
+    static std::string
+    withCacheLine(const std::string &tag, std::size_t index,
+                  const CacheLine &line)
+    {
+        const SectionFrame &f = frameOf(tag);
+        std::string payload = snapshot().substr(f.payloadAt, f.size);
+        char *at = payload.data() + cacheLinesAt + index * cacheLineBytes;
+        std::memcpy(at, &line.tag, 8);
+        at[8] = line.valid ? 1 : 0;
+        at[9] = line.dirty ? 1 : 0;
+        std::memcpy(at + 10, &line.stamp, 8);
+        return withPayload(f, payload);
+    }
+
+    /** The three tag arrays' sections. */
+    static std::vector<std::string>
+    cacheSections()
+    {
+        return {"cache:l1i", "cache:l1d", "cache:l2"};
+    }
+
+    /** Index of the first valid line of `lines`. */
+    static std::size_t
+    firstValid(const std::vector<CacheLine> &lines)
+    {
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            if (lines[i].valid)
+                return i;
+        }
+        ADD_FAILURE() << "no valid line";
+        return 0;
+    }
+
+    /** Expect `bytes` rejected with a message naming `rule`. */
+    static void
+    expectRejected(const std::string &bytes, const std::string &rule)
+    {
+        const std::string error = rejection(bytes);
+        EXPECT_NE(error.find(rule), std::string::npos)
+            << "expected a rejection naming '" << rule << "', got '"
+            << error << "'";
     }
 
     static std::string
@@ -515,6 +630,138 @@ TEST_F(SnapshotHostileInputTest, SectionSizesThatLieAreRejected)
                 << "payload re-framed at " << changed.size() << " bytes";
         }
     }
+}
+
+TEST_F(SnapshotHostileInputTest, TagArraysAreWellFormedInTheGenuineSnapshot)
+{
+    // The positive control for the tag-array cases below: a line made
+    // invalid the way invalidate() leaves one still restores.
+    for (const std::string &tag : cacheSections()) {
+        SCOPED_TRACE(tag);
+        std::uint64_t stamp = 0;
+        const std::vector<CacheLine> lines = cacheLines(tag, &stamp);
+        ASSERT_GT(lines.size(), 0u);
+        const std::size_t valid = firstValid(lines);
+        EXPECT_TRUE(restores(withCacheLine(
+            tag, valid, CacheLine{invalidAddr, false, false, 0})));
+    }
+}
+
+TEST_F(SnapshotHostileInputTest, TagArrayValidFlagMustAgreeWithTag)
+{
+    for (const std::string &tag : cacheSections()) {
+        SCOPED_TRACE(tag);
+        std::uint64_t stamp = 0;
+        const std::vector<CacheLine> lines = cacheLines(tag, &stamp);
+        const std::size_t valid = firstValid(lines);
+        CacheLine cleared = lines[valid];
+        cleared.valid = false;
+        expectRejected(withCacheLine(tag, valid, cleared),
+                       "valid flag that disagrees with its tag");
+        expectRejected(withCacheLine(
+                           tag, valid, CacheLine{invalidAddr, true, false, 1}),
+                       "valid flag that disagrees with its tag");
+    }
+}
+
+TEST_F(SnapshotHostileInputTest, TagArrayInvalidLineMustBeCleanAndUnstamped)
+{
+    for (const std::string &tag : cacheSections()) {
+        SCOPED_TRACE(tag);
+        std::uint64_t stamp = 0;
+        const std::size_t valid = firstValid(cacheLines(tag, &stamp));
+        expectRejected(withCacheLine(
+                           tag, valid, CacheLine{invalidAddr, false, true, 0}),
+                       "invalid but dirty or stamped");
+        expectRejected(withCacheLine(
+                           tag, valid, CacheLine{invalidAddr, false, false, 1}),
+                       "invalid but dirty or stamped");
+    }
+}
+
+TEST_F(SnapshotHostileInputTest, TagArrayStampMustLieWithinTheCacheStamp)
+{
+    for (const std::string &tag : cacheSections()) {
+        SCOPED_TRACE(tag);
+        std::uint64_t stamp = 0;
+        const std::vector<CacheLine> lines = cacheLines(tag, &stamp);
+        const std::size_t valid = firstValid(lines);
+        for (const std::uint64_t bad : {std::uint64_t{0}, stamp + 1,
+                                        ~std::uint64_t{0}}) {
+            CacheLine line = lines[valid];
+            line.stamp = bad;
+            expectRejected(withCacheLine(tag, valid, line),
+                           "LRU stamp outside [1, cache stamp]");
+        }
+        // The edge itself is fine.
+        CacheLine line = lines[valid];
+        line.stamp = stamp;
+        EXPECT_TRUE(restores(withCacheLine(tag, valid, line)));
+    }
+}
+
+TEST_F(SnapshotHostileInputTest, TagArrayTagMustMapToItsSet)
+{
+    for (const std::string &tag : cacheSections()) {
+        SCOPED_TRACE(tag);
+        std::uint64_t stamp = 0;
+        const std::vector<CacheLine> lines = cacheLines(tag, &stamp);
+        const std::size_t valid = firstValid(lines);
+        // The low tag bit is the set index's lowest; the top bit is
+        // one no shifted address has.
+        for (const Addr flip : {Addr{1}, Addr{1} << 63}) {
+            CacheLine line = lines[valid];
+            line.tag ^= flip;
+            expectRejected(withCacheLine(tag, valid, line),
+                           "holds a tag of another set");
+        }
+    }
+}
+
+TEST_F(SnapshotHostileInputTest, TagArrayTagMustNotRepeatInASet)
+{
+    const std::vector<std::pair<std::string, std::size_t>> arrays = {
+        {"cache:l1i", 2}, {"cache:l1d", 2}, {"cache:l2", 8}};
+    for (const auto &[tag, assoc] : arrays) {
+        SCOPED_TRACE(tag);
+        std::uint64_t stamp = 0;
+        const std::vector<CacheLine> lines = cacheLines(tag, &stamp);
+        // Copy a valid way's tag onto another way of its set.
+        std::size_t from = 0;
+        while (from < lines.size() && !lines[from].valid)
+            ++from;
+        ASSERT_LT(from, lines.size());
+        const std::size_t set_first = from - from % assoc;
+        const std::size_t to =
+            from == set_first ? set_first + 1 : set_first;
+        CacheLine line = lines[from];
+        line.stamp = lines[to].valid ? lines[to].stamp : 1;
+        expectRejected(withCacheLine(tag, to, line),
+                       "repeats a tag of its set");
+    }
+}
+
+TEST_F(SnapshotHostileInputTest, PowerAccessCountsMustBeWholeAndMatchTheFlag)
+{
+    // The power section opens with the structure count (u32), the
+    // pipeline VDD (f64), the latch-path and activity flags (u8 each),
+    // then one f64 access count per structure. Warmup charges
+    // Time-Keeping accesses without closing a tick, so the activity
+    // flag is set and some count is nonzero.
+    const SectionFrame &f = frameOf("power");
+    const std::string payload = snapshot().substr(f.payloadAt, f.size);
+    constexpr std::size_t flagAt = 4 + 8 + 1;
+    constexpr std::size_t countsAt = flagAt + 1;
+    ASSERT_EQ(payload[flagAt], 1);
+    for (const double bad : {0.5, -1.0, 0x1p53, std::nan("")}) {
+        std::string changed = payload;
+        std::memcpy(changed.data() + countsAt, &bad, sizeof(bad));
+        expectRejected(withPayload(f, changed), "whole number below 2^53");
+    }
+    std::string unflagged = payload;
+    unflagged[flagAt] = 0;
+    expectRejected(withPayload(f, unflagged),
+                   "activity flag disagrees with its counts");
 }
 
 /** One retired word of a format-3 `sim` section, set to a bad value. */

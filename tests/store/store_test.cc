@@ -18,7 +18,6 @@
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -480,13 +479,24 @@ TEST(StoreSweepTest, AdaptersRoundTripAnOutcome)
     EXPECT_EQ(zeroed.result.energyPj, outcome.result.energyPj);
 }
 
+/** Where a BadDocument edits the recorded document. */
+enum class Edit : std::uint8_t
+{
+    Whole,        ///< the whole document becomes `text`
+    Value,        ///< `key`'s value becomes `text`
+    FirstMember,  ///< the first member value of `key`'s object does
+    Key,          ///< `key` itself becomes `text`
+    Drop          ///< `key`'s member goes, with its leading comma
+};
+
 /** One stored document that passes the envelope check but does not
  *  decode exactly. */
 struct BadDocument
 {
     const char *name;
-    const char *pattern;      ///< regex over the recorded document
-    const char *replacement;  ///< applied to its first match
+    Edit edit;
+    const char *key;   ///< its first occurrence is edited (not Whole)
+    const char *text;  ///< the replacement
 };
 
 void
@@ -495,14 +505,65 @@ PrintTo(const BadDocument &bad, std::ostream *os)
     *os << bad.name;
 }
 
-/** `recorded` with `bad`'s first match replaced; must differ. */
+/**
+ * One past the end of the JSON value starting at `at`: a string; an
+ * object or array, matched by depth (no string in the recorded
+ * documents holds a bracket); or a bare number or literal, which runs
+ * to the next ',', '}' or ']'.
+ */
+std::size_t
+valueEnd(const std::string &doc, std::size_t at)
+{
+    if (doc[at] == '"')
+        return doc.find('"', at + 1) + 1;
+    if (doc[at] != '{' && doc[at] != '[')
+        return doc.find_first_of(",}]", at);
+    int depth = 0;
+    for (std::size_t i = at; i < doc.size(); ++i) {
+        if (doc[i] == '{' || doc[i] == '[')
+            ++depth;
+        else if ((doc[i] == '}' || doc[i] == ']') && --depth == 0)
+            return i + 1;
+    }
+    return doc.size();
+}
+
+/** `recorded` with `bad`'s edit applied; must differ. */
 std::string
 mutated(const std::string &recorded, const BadDocument &bad)
 {
-    std::string out =
-        std::regex_replace(recorded, std::regex(bad.pattern),
-                           bad.replacement,
-                           std::regex_constants::format_first_only);
+    std::string out = recorded;
+    if (bad.edit == Edit::Whole) {
+        out = bad.text;
+    } else {
+        const std::string member = std::string("\"") + bad.key + "\":";
+        const std::size_t key_at = recorded.find(member);
+        if (key_at == std::string::npos) {
+            ADD_FAILURE() << "no member " << member << " in " << recorded;
+            return out;
+        }
+        std::size_t value_at = key_at + member.size();
+        if (bad.edit == Edit::FirstMember) {
+            // Past the object's '{', its first key and the colon.
+            value_at = valueEnd(recorded, value_at + 1) + 1;
+        }
+        const std::size_t value_end = valueEnd(recorded, value_at);
+        switch (bad.edit) {
+          case Edit::Value:
+          case Edit::FirstMember:
+            out.replace(value_at, value_end - value_at, bad.text);
+            break;
+          case Edit::Key:
+            out.replace(key_at, member.size(),
+                        std::string("\"") + bad.text + "\":");
+            break;
+          case Edit::Drop:
+            out.erase(key_at - 1, value_end - (key_at - 1));
+            break;
+          case Edit::Whole:
+            break;
+        }
+    }
     EXPECT_NE(out, recorded);
     return out;
 }
@@ -579,16 +640,16 @@ TEST_P(BadResultTest, IsQuarantinedAndReplacedByTheRerun)
 INSTANTIATE_TEST_SUITE_P(
     StoreSweepTest, BadResultTest,
     testing::Values(
-        BadDocument{"not_an_object", "^.*$", "[1]"},
-        BadDocument{"string_ticks", "\"ticks\":\\d+", "\"ticks\":\"oops\""},
-        BadDocument{"negative_ticks", "\"ticks\":\\d+", "\"ticks\":-5"},
-        BadDocument{"fractional_ticks", "\"ticks\":\\d+", "\"ticks\":1.5"},
-        BadDocument{"two_to_the_64_ticks", "\"ticks\":\\d+",
-                    "\"ticks\":18446744073709551616"},
-        BadDocument{"huge_instructions", "\"instructions\":\\d+",
-                    "\"instructions\":1e300"},
-        BadDocument{"missing_ticks", ",\"ticks\":\\d+", ""},
-        BadDocument{"string_ipc", "\"ipc\":[^,]+", "\"ipc\":\"1\""}),
+        BadDocument{"not_an_object", Edit::Whole, "", "[1]"},
+        BadDocument{"string_ticks", Edit::Value, "ticks", "\"oops\""},
+        BadDocument{"negative_ticks", Edit::Value, "ticks", "-5"},
+        BadDocument{"fractional_ticks", Edit::Value, "ticks", "1.5"},
+        BadDocument{"two_to_the_64_ticks", Edit::Value, "ticks",
+                    "18446744073709551616"},
+        BadDocument{"huge_instructions", Edit::Value, "instructions",
+                    "1e300"},
+        BadDocument{"missing_ticks", Edit::Drop, "ticks", ""},
+        BadDocument{"string_ipc", Edit::Value, "ipc", "\"1\""}),
     [](const testing::TestParamInfo<BadDocument> &info) {
         return std::string(info.param.name);
     });
@@ -612,14 +673,12 @@ TEST_P(BadStatsTest, IsQuarantinedAndReplacedByTheRerun)
 INSTANTIATE_TEST_SUITE_P(
     StoreSweepTest, BadStatsTest,
     testing::Values(
-        BadDocument{"empty_document", "^.*$", ""},
-        BadDocument{"missing_scalars", "^\\{\"scalars\":", "{\"scalarz\":"},
-        BadDocument{"scalars_array", "\"scalars\":\\{[^}]*\\}",
-                    "\"scalars\":[1]"},
-        BadDocument{"string_scalar", "(\"scalars\":\\{\"[^\"]+\":)[^,}]+",
-                    "$1\"oops\""},
-        BadDocument{"bool_scalar", "(\"scalars\":\\{\"[^\"]+\":)[^,}]+",
-                    "$1true"}),
+        BadDocument{"empty_document", Edit::Whole, "", ""},
+        BadDocument{"missing_scalars", Edit::Key, "scalars", "scalarz"},
+        BadDocument{"scalars_array", Edit::Value, "scalars", "[1]"},
+        BadDocument{"string_scalar", Edit::FirstMember, "scalars",
+                    "\"oops\""},
+        BadDocument{"bool_scalar", Edit::FirstMember, "scalars", "true"}),
     [](const testing::TestParamInfo<BadDocument> &info) {
         return std::string(info.param.name);
     });
@@ -635,8 +694,7 @@ TEST(StoreSweepTest, NullScalarReplaysAsZero)
     const std::string name = outcome.scalars.begin()->first;
     entry.statsJson = mutated(
         entry.statsJson,
-        BadDocument{"null_scalar", "(\"scalars\":\\{\"[^\"]+\":)[^,}]+",
-                    "$1null"});
+        BadDocument{"null_scalar", Edit::FirstMember, "scalars", "null"});
     const SweepOutcome back = outcomeFromStoreEntry("mcf", entry);
     EXPECT_EQ(back.scalars.at(name), 0.0);
     EXPECT_EQ(back.scalars.size(), outcome.scalars.size());
