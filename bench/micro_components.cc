@@ -354,9 +354,10 @@ BM_PowerRecordAccess(benchmark::State &state)
     // The per-access Wattch charge at a mid-ramp VDD: one
     // instruction's typical access mix (about sixteen charges, as the
     // core makes them), then the tick that closes it. range(0)
-    // lockstep followers each charge the same accesses at their own
-    // VDD. Items are charges, so the per-item time is the cost of one
-    // recordAccess() across the whole batch.
+    // lockstep replica rails beside the leader's each take the same
+    // accesses at their own VDD. Items are charges times rails, so
+    // the per-item time is the cost of pricing one access on one
+    // rail.
     using enum PowerStructure;
     static constexpr PowerStructure mix[] = {
         FetchLogic,      PipelineLatches, RenameLogic,     RuuRam,
@@ -364,20 +365,18 @@ BM_PowerRecordAccess(benchmark::State &state)
         LevelConverters, PipelineLatches, ResultBus,       RuuCam,
         RegFile,         LevelConverters, RuuRam,          PipelineLatches};
     const auto n = static_cast<std::size_t>(state.range(0));
-    std::vector<PowerModel> followers(n);
-    for (std::size_t f = 0; f < n; ++f)
-        followers[f].setPipelineVdd(1.2 + 0.03 * static_cast<double>(f));
-    PowerModel leader;
-    leader.setPipelineVdd(1.53);
-    leader.setFanout(followers);
+    const std::vector<PowerModelConfig> rails(n + 1);
+    PowerModel power(rails);
+    power.setPipelineVdd(1.53);
+    for (std::size_t r = 1; r <= n; ++r)
+        power.setPipelineVdd(1.2 + 0.03 * static_cast<double>(r - 1), r);
     for (auto _ : state) {
         for (const PowerStructure s : mix)
-            leader.recordAccess(s);
-        leader.tick(true);
+            power.recordAccess(s);
+        power.tick(true);
         benchmark::ClobberMemory();
     }
-    leader.setFanout({});
-    benchmark::DoNotOptimize(leader.totalEnergyPj());
+    benchmark::DoNotOptimize(power.totalEnergyPj());
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * std::size(mix) * (n + 1)));
 }

@@ -108,7 +108,7 @@ main(int argc, char **argv)
     vsv_config.up = {3, 10};
 
     PowerModel power;
-    VsvController ctrl(vsv_config, power);
+    VsvController ctrl(vsv_config, power.rail(0));
 
     TraceSink sink;
     power.setTraceSink(&sink);

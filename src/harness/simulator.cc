@@ -11,52 +11,63 @@
 namespace vsv
 {
 
+namespace
+{
+
+std::vector<PowerModelConfig>
+powerConfigs(std::span<const SimulationOptions> rails)
+{
+    std::vector<PowerModelConfig> configs;
+    configs.reserve(rails.size());
+    for (const SimulationOptions &rail : rails)
+        configs.push_back(rail.power);
+    return configs;
+}
+
+} // namespace
+
 Simulator::Simulator(std::span<const SimulationOptions> rails)
-    : options(rails.front())
+    : options(rails.front()), power(powerConfigs(rails))
 {
     VSV_ASSERT(!(options.timekeeping && options.stridePrefetch),
                "pick one hardware prefetcher");
 
-    const std::size_t n = rails.size();
-    power.reserve(n);
-    for (const SimulationOptions &rail : rails)
-        power.emplace_back(rail.power);
-    // The shared front-end charges the leader's model, which mirrors
-    // every access and tick into the other rails' models, each at its
-    // own voltage. Installed before warmup, so the prefetcher tables'
-    // warmup-phase charges land on every rail exactly as a serial run
-    // of its config would charge them.
-    power[0].setFanout(std::span(power).subspan(1));
+    // The shared front-end charges the ledger once per access, which
+    // prices it on every rail at that rail's own voltage - from
+    // warmup on, so the prefetcher tables' warmup-phase charges land
+    // on every rail exactly as a serial run of its config would
+    // charge them.
     hierarchy = std::make_unique<MemoryHierarchy>(options.hierarchy,
-                                                  power[0]);
+                                                  power);
 
     if (options.timekeeping) {
         tk = std::make_unique<TimekeepingPrefetcher>(
-            options.tk, options.hierarchy.l1d, power[0]);
+            options.tk, options.hierarchy.l1d, power);
         hierarchy->setPrefetcher(tk.get());
     } else if (options.stridePrefetch) {
         stride = std::make_unique<StridePrefetcher>(
-            options.stride, options.hierarchy.l1d, power[0]);
+            options.stride, options.hierarchy.l1d, power);
         hierarchy->setPrefetcher(stride.get());
     }
 
     predictor = std::make_unique<BranchPredictor>(options.branch);
     workload = std::make_unique<WorkloadGenerator>(options.profile);
     cpu = std::make_unique<Core>(options.core, *workload, *hierarchy,
-                                 *predictor, power[0]);
+                                 *predictor, power);
 
-    // One controller per rail, each driving its own model, and one
-    // registry per rail that mirrors the serial layout name for name
-    // and in the same insertion order.
+    // One controller per rail, each driving its own rail of the
+    // ledger, and one registry per rail that mirrors the serial layout
+    // name for name and in the same insertion order.
+    const std::size_t n = rails.size();
     vsvCtrl.reserve(n);
     registry.resize(n);
     results.resize(n);
     for (std::size_t r = 0; r < n; ++r) {
         VSV_ASSERT(rails[r].vsv.enabled == options.vsv.enabled,
                    "lockstep rails must agree on vsv.enabled");
-        vsvCtrl.emplace_back(rails[r].vsv, power[r]);
+        vsvCtrl.emplace_back(rails[r].vsv, power.rail(r));
         StatRegistry &reg = registry[r];
-        power[r].regStats(reg, "power");
+        power.regStats(reg, "power", r);
         hierarchy->regStats(reg, "mem");
         predictor->regStats(reg, "bpred");
         vsvCtrl[r].regStats(reg, "vsv");
@@ -76,7 +87,7 @@ Simulator::Simulator(std::span<const SimulationOptions> rails)
 
     if (!options.trace.path.empty()) {
         traceSink = std::make_unique<TraceSink>(options.trace.categories);
-        power[0].setTraceSink(traceSink.get());
+        power.setTraceSink(traceSink.get());
         vsvCtrl[0].setTraceSink(traceSink.get());
         cpu->setTraceSink(traceSink.get());
         hierarchy->setTraceSink(traceSink.get());
@@ -231,7 +242,7 @@ Simulator::snapshot(std::string_view fingerprint) const
     writer.b(false);
     writer.end();
 
-    power[0].snapshot(writer);
+    power.snapshot(writer);
     hierarchy->snapshot(writer);
     predictor->snapshot(writer);
     if (tk)
@@ -285,7 +296,7 @@ Simulator::restoreFrom(std::string_view bytes,
                 "snapshot: prefetcher/source wiring mismatch");
         }
 
-        power[0].restore(reader);
+        power.restore(reader);
         hierarchy->restore(reader);
         predictor->restore(reader);
         if (tk)
@@ -313,7 +324,7 @@ Simulator::run()
     const std::size_t rails = railCount();
     std::vector<double> energy0(rails);
     for (std::size_t r = 0; r < rails; ++r)
-        energy0[r] = power[r].totalEnergyPj();
+        energy0[r] = power.totalEnergyPj(r);
     const std::uint64_t misses0 = hierarchy->demandL2MissCount();
 
     const std::uint64_t target = options.measureInstructions;
@@ -344,7 +355,7 @@ Simulator::run()
             *traceSink, registry[0], options.trace.intervalTicks, scalars,
             start);
         sampler->setEnergyProbe(
-            [this] { return power[0].peekTotalEnergyPj(); });
+            [this] { return power.peekTotalEnergyPj(); });
     }
 
     const auto wallStart = std::chrono::steady_clock::now();
@@ -392,27 +403,29 @@ Simulator::run()
                             .ticks);
                 }
                 if (jump > 0) {
-                    // Each rail replays its own bulk idle bookkeeping:
-                    // the edge split and idle-tick banking are per
-                    // config, and the fanout only mirrors the per-tick
-                    // entry points.
+                    // Each rail's controller commits its own idle run;
+                    // the rails share one edge schedule, so the ledger
+                    // banks the span once for all of them.
+                    VsvController::IdleAdvance adv;
                     for (std::size_t r = 0; r < rails; ++r) {
-                        const VsvController::IdleAdvance adv =
+                        const VsvController::IdleAdvance railAdv =
                             vsvCtrl[r].advanceIdle(now, jump, ffBudget);
-                        VSV_ASSERT(adv.ticks == jump,
+                        VSV_ASSERT(railAdv.ticks == jump,
                                    "idle commit shorter than plan");
-                        if (r == 0) {
-                            if (traceSink) {
-                                traceSink->record(
-                                    TraceCategory::FastForward,
-                                    TraceEventKind::IdleSpan, now,
-                                    adv.ticks, adv.edges);
-                            }
-                            cpu->skipIdleCycles(adv.edges);
+                        if (r != 0 && railAdv.edges != adv.edges) {
+                            fatal("lockstep replica edge schedule "
+                                  "diverged from the leader at tick " +
+                                  std::to_string(now));
                         }
-                        power[r].accrueIdleTicks(adv.edges,
-                                                 adv.ticks - adv.edges);
+                        adv = railAdv;
                     }
+                    if (traceSink) {
+                        traceSink->record(TraceCategory::FastForward,
+                                          TraceEventKind::IdleSpan, now,
+                                          adv.ticks, adv.edges);
+                    }
+                    cpu->skipIdleCycles(adv.edges);
+                    power.accrueIdleTicks(adv.edges, adv.ticks - adv.edges);
                     ffTicks += jump;
                     now += jump;
                     continue;
@@ -422,8 +435,8 @@ Simulator::run()
 
         hierarchy->service(now);
         // Every rail advances its clock and voltage *before* the
-        // shared pipeline cycle runs, so the cycle's access energy
-        // fans out at each rail's tick-correct VDD. A rail whose
+        // shared pipeline cycle runs, so the cycle's access energy is
+        // priced at each rail's tick-correct VDD. A rail whose
         // pipeline-edge schedule diverges from the leader's would need
         // the shared stream at a different rate - batch formation
         // should have prevented that, so it is a fatal() (throwable
@@ -446,7 +459,7 @@ Simulator::run()
         }
         if (tk)
             tk->tick(now);
-        power[0].tick(edge);
+        power.tick(edge);
         ++now;
         if (now >= limit) {
             panic("simulation deadlock: " +
@@ -462,10 +475,9 @@ Simulator::run()
     if (sampler)
         sampler->finish(now);
 
-    // Convert any idle ticks still banked in the power models so the
+    // Convert any idle ticks still banked on the rails so the
     // registered Scalars (read directly by stats dumps) are final.
-    for (const PowerModel &p : power)
-        p.flushIdle();
+    power.flushIdle();
 
     // The front-end and timing fields are shared by every rail (that
     // sharing is exactly what batch formation proved legal); only the
@@ -499,7 +511,7 @@ Simulator::run()
         result = shared;
         result.downTransitions = vsvCtrl[r].downTransitions();
         result.upTransitions = vsvCtrl[r].upTransitions();
-        result.energyPj = power[r].totalEnergyPj() - energy0[r];
+        result.energyPj = power.totalEnergyPj(r) - energy0[r];
         result.avgPowerW = result.energyPj / ticks_d * 1e-3;
         result.lowModeFraction = lowModeTicks(vsvCtrl[r]) / ticks_d;
     }

@@ -132,10 +132,10 @@ struct SimulationResult
 /**
  * One wired-up simulation instance: a shared front-end (workload,
  * core, predictor, caches) driving one or more rails. A rail is one
- * configuration's pipeline supply - a VsvController plus the
- * PowerModel it drives - with its own stat registry and results. Rail
- * 0 is the leader, whose options build the front-end; further rails
- * are lockstep replicas (DESIGN.md §5h).
+ * configuration's pipeline supply - a VsvController plus the rail of
+ * the power ledger it drives - with its own stat registry and
+ * results. Rail 0 is the leader, whose options build the front-end;
+ * further rails are lockstep replicas (DESIGN.md §5h).
  */
 class Simulator
 {
@@ -200,7 +200,7 @@ class Simulator
     bool warmedUp() const { return warmedUp_; }
 
     /** Number of rails, the leader included. */
-    std::size_t railCount() const { return power.size(); }
+    std::size_t railCount() const { return power.railCount(); }
 
     /** Rail r's measured-window results (valid after run()). */
     const SimulationResult &result(std::size_t rail) const
@@ -219,10 +219,11 @@ class Simulator
         return registry.at(rail);
     }
 
-    /** Component access for tests and examples (the leader's rail). */
+    /** Component access for tests and examples (the controller is
+     *  the leader's; the power ledger's getters default to rail 0). */
     const VsvController &controller() const { return vsvCtrl[0]; }
     const MemoryHierarchy &memory() const { return *hierarchy; }
-    const PowerModel &powerModel() const { return power[0]; }
+    const PowerModel &powerModel() const { return power; }
     const Core &core() const { return *cpu; }
 
     /** The event sink, or nullptr when tracing is off. */
@@ -251,12 +252,14 @@ class Simulator
     };
 
     SimulationOptions options;  ///< the leader's
+    /** Every rail's energy, charged once per access by the shared
+     *  front-end. */
+    PowerModel power;
 
-    // The rails, structure of arrays with index 0 the leader. Sized
-    // exactly once, in the constructor: components hold their rail's
-    // PowerModel& and the fanouts hold spans, so these vectors never
+    // The rest of the rails, structure of arrays with index 0 the
+    // leader. Sized exactly once, in the constructor: the miss fanout
+    // holds a span of the controllers, so these vectors never
     // reallocate.
-    std::vector<PowerModel> power;
     std::vector<VsvController> vsvCtrl;
     std::vector<StatRegistry> registry;
     std::vector<SimulationResult> results;

@@ -8,10 +8,8 @@
 namespace vsv
 {
 
-PowerModel::PowerModel(const PowerModelConfig &config)
-    : config_(config),
-      pipelineVdd_(config.vddHigh),
-      vddHighSq(config.vddHigh * config.vddHigh)
+PowerModel::RailState::RailState(const PowerModelConfig &config)
+    : config(config), pipelineVdd(config.vddHigh)
 {
     VSV_ASSERT(config.vddHigh > 0.0, "VDDH must be positive");
     VSV_ASSERT(config.vddLow > 0.0 && config.vddLow <= config.vddHigh,
@@ -56,65 +54,183 @@ PowerModel::PowerModel(const PowerModelConfig &config)
         }
         idleBasePj[i] = idle;
     }
-    refreshCharges();
+    leaks = scaledLeakPerTick > 0.0 || fixedLeakPerTick > 0.0;
 }
 
-void
-PowerModel::refreshCharges()
+PowerModel::PowerModel(const PowerModelConfig &config)
+    : PowerModel(std::span(&config, 1))
 {
-    scaledVsq = (pipelineVdd_ * pipelineVdd_) / vddHighSq;
+}
+
+PowerModel::PowerModel(std::span<const PowerModelConfig> rails)
+    : railCount_(rails.size()),
+      energyPj(numPowerStructures * rails.size()),
+      accessChargePj(numPowerStructures * rails.size()),
+      idleChargePj(numPowerStructures * rails.size())
+{
+    VSV_ASSERT(!rails.empty(), "a power ledger needs at least one rail");
+    rails_.reserve(railCount_);
+    for (const PowerModelConfig &config : rails)
+        rails_.emplace_back(config);
+    for (std::size_t r = 0; r < railCount_; ++r)
+        loadCharges(r);
+}
+
+PowerModel::Rail
+PowerModel::rail(std::size_t r)
+{
+    VSV_ASSERT(r < railCount_, "power rail out of range");
+    return Rail(*this, r);
+}
+
+PowerModel::ChargeRow
+PowerModel::RailState::computeChargeRow() const
+{
+    ChargeRow row;
+    row.vddBits = std::bit_cast<std::uint64_t>(pipelineVdd);
+    row.lowPowerPath = lowPowerPath;
+    row.scaledVsq = (pipelineVdd * pipelineVdd) /
+                    (config.vddHigh * config.vddHigh);
+    const double vratio = pipelineVdd / config.vddHigh;
+    row.leakPerTick =
+        fixedLeakPerTick + scaledLeakPerTick * vratio * vratio * vratio;
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
         const auto s = static_cast<PowerStructure>(i);
-        const double vsq = domainVoltageSq(structureParams(s).domain);
-        accessChargePj[i] = perAccessPj(s) * vsq;
-        idleChargePj[i] = idleBasePj[i] * vsq;
+        const double vsq =
+            structureParams(s).domain == VoltageDomain::Fixed
+                ? 1.0
+                : row.scaledVsq;
+        row.access[i] = perAccessPj(s) * vsq;
+        row.idle[i] = idleBasePj[i] * vsq;
+    }
+    return row;
+}
+
+const PowerModel::ChargeRow &
+PowerModel::RailState::chargeRow()
+{
+    // A ramp uses its rows in the order it first added them, so the
+    // search starts after the last hit.
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(pipelineVdd);
+    const std::size_t rows = chargeRows.size();
+    for (std::size_t k = 1; k <= rows; ++k) {
+        const std::size_t i = (lastRow + k) % rows;
+        if (chargeRows[i].vddBits == bits &&
+            chargeRows[i].lowPowerPath == lowPowerPath) {
+            lastRow = i;
+            return chargeRows[i];
+        }
+    }
+    if (rows == maxChargeRows)
+        chargeRows.clear();
+    chargeRows.push_back(computeChargeRow());
+    lastRow = chargeRows.size() - 1;
+    return chargeRows.back();
+}
+
+void
+PowerModel::loadCharges(std::size_t rail)
+{
+    RailState &state = rails_[rail];
+    const ChargeRow &row = state.chargeRow();
+    state.scaledVsq = row.scaledVsq;
+    state.leakPerTick = row.leakPerTick;
+    for (std::size_t i = 0; i < numPowerStructures; ++i) {
+        accessChargePj[i * railCount_ + rail] = row.access[i];
+        idleChargePj[i * railCount_ + rail] = row.idle[i];
     }
 }
 
 void
-PowerModel::changePipelineVdd(double vdd)
+PowerModel::changePipelineVdd(double vdd, std::size_t rail)
 {
-    VSV_ASSERT(vdd >= config_.vddLow - 1e-9 &&
-               vdd <= config_.vddHigh + 1e-9,
+    RailState &state = rails_[rail];
+    VSV_ASSERT(vdd >= state.config.vddLow - 1e-9 &&
+               vdd <= state.config.vddHigh + 1e-9,
                "pipeline VDD outside [VDDL, VDDH]");
     // Banked idle ticks were accumulated at the old voltage.
-    flushIdle();
-    pipelineVdd_ = vdd;
-    refreshCharges();
+    flushRail(rail);
+    state.pipelineVdd = vdd;
+    loadCharges(rail);
 }
 
 void
-PowerModel::addRampEnergy(Tick when)
+PowerModel::changeLowPowerPath(bool low, std::size_t rail)
 {
-    rampEnergy += config_.rampEnergyPj;
-    if (trace) {
-        trace->record(TraceCategory::Power, TraceEventKind::RampEnergy,
-                      when,
-                      std::bit_cast<std::uint64_t>(rampEnergy.value()));
+    rails_[rail].lowPowerPath = low;
+    loadCharges(rail);
+}
+
+void
+PowerModel::addRampEnergy(Tick when, std::size_t rail)
+{
+    RailState &state = rails_[rail];
+    state.rampEnergy += state.config.rampEnergyPj;
+    if (state.trace) {
+        state.trace->record(
+            TraceCategory::Power, TraceEventKind::RampEnergy, when,
+            std::bit_cast<std::uint64_t>(state.rampEnergy.value()));
     }
 }
 
 void
-PowerModel::fanOutAccess(PowerStructure s, std::uint32_t count)
+PowerModel::chargeUnevenAccesses(PowerStructure s, std::uint32_t count)
 {
-    for (PowerModel &follower : fanout_)
-        follower.recordAccess(s, count);
+    const auto idx = static_cast<std::size_t>(s);
+    const VoltageDomain domain = structureParams(s).domain;
+    for (std::size_t r = 0; r < railCount_; ++r) {
+        const RailState &state = rails_[r];
+        energyPj[idx * railCount_ + r] += static_cast<double>(count) *
+                                          state.perAccessPj(s) *
+                                          state.domainVoltageSq(domain);
+    }
 }
 
+template <std::size_t Rails>
 void
-PowerModel::fanOutTick(bool pipeline_edge)
+PowerModel::closeRails(bool pipeline_edge)
 {
-    for (PowerModel &follower : fanout_)
-        follower.tick(pipeline_edge);
+    const std::size_t n = Rails != 0 ? Rails : railCount_;
+    // Leakage accrues every tick, ungateable; the scaled domain's
+    // share falls with roughly VDD^3 (subthreshold DIBL), the paper's
+    // cited leakage benefit of supply scaling.
+    for (std::size_t r = 0; r < n; ++r) {
+        flushRail(r);
+        RailState &state = rails_[r];
+        if (state.leaks)
+            state.leakageEnergy += state.leakPerTick;
+    }
+
+    // The global clock tree burns a full "cycle" of energy on every
+    // pipeline clock edge; in the low-power mode edges come at half
+    // rate, so clock power halves on top of the V^2 drop. Idle
+    // (clock-load) power goes to the clocked structures that recorded
+    // no access (active ones already paid access energy). The L2 runs
+    // on the full-speed clock; everything else - including the VDDH
+    // L1s and the register file - is clocked with the pipeline. Each
+    // accumulator takes at most one addition here, so walking the
+    // bits changes no sum.
+    std::uint32_t idle = pipeline_edge
+                             ? (idleOnEdge & ~accessedMask) | clockTreeBit
+                             : idleOnEveryTick & ~accessedMask;
+    for (; idle != 0; idle &= idle - 1) {
+        const auto i = static_cast<std::size_t>(std::countr_zero(idle));
+        Scalar *energy = energyPj.data() + i * n;
+        const double *charge = idleChargePj.data() + i * n;
+        for (std::size_t r = 0; r < n; ++r)
+            energy[r] += charge[r];
+    }
+    accessesThisTick.fill(0);
+    accessedMask = 0;
 }
 
 void
 PowerModel::closeActiveTick(bool pipeline_edge)
 {
-    flushIdle();
-    chargeActiveTick(pipeline_edge, accessedMask);
-    accessesThisTick.fill(0);
-    accessedMask = 0;
+    if (railCount_ == 1)
+        closeRails<1>(pipeline_edge);
+    else
+        closeRails<0>(pipeline_edge);
 }
 
 void
@@ -124,26 +240,30 @@ PowerModel::accrueIdleTicks(std::uint64_t edges, std::uint64_t no_edges)
                "accrueIdleTicks with accesses not yet closed by tick()");
     ticks += static_cast<double>(edges + no_edges);
     pipelineEdges += static_cast<double>(edges);
-    pendingIdleEdges += edges;
-    pendingIdleNoEdges += no_edges;
+    idleEdges += edges;
+    idleNoEdges += no_edges;
 }
 
 void
-PowerModel::flushPendingIdle() const
+PowerModel::flushIdle() const
+{
+    for (std::size_t r = 0; r < railCount_; ++r)
+        flushRail(r);
+}
+
+void
+PowerModel::flushPendingIdle(std::size_t rail) const
 {
     auto *self = const_cast<PowerModel *>(this);
-    const std::uint64_t edges = pendingIdleEdges;
-    const std::uint64_t all = pendingIdleEdges + pendingIdleNoEdges;
-    self->pendingIdleEdges = 0;
-    self->pendingIdleNoEdges = 0;
+    RailState &state = self->rails_[rail];
+    const std::uint64_t edges = idleEdges - state.flushedIdleEdges;
+    const std::uint64_t all =
+        edges + (idleNoEdges - state.flushedIdleNoEdges);
+    state.flushedIdleEdges = idleEdges;
+    state.flushedIdleNoEdges = idleNoEdges;
 
-    if (scaledLeakPerTick > 0.0 || fixedLeakPerTick > 0.0) {
-        const double vratio = pipelineVdd_ / config_.vddHigh;
-        self->leakageEnergy +=
-            static_cast<double>(all) *
-            (fixedLeakPerTick +
-             scaledLeakPerTick * vratio * vratio * vratio);
-    }
+    if (state.leaks)
+        state.leakageEnergy += static_cast<double>(all) * state.leakPerTick;
 
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
         const auto s = static_cast<PowerStructure>(i);
@@ -154,150 +274,118 @@ PowerModel::flushPendingIdle() const
         // pipeline and idles only on edges.
         const std::uint64_t n =
             s == PowerStructure::L2Cache ? all : edges;
-        if (n == 0 || idleBasePj[i] == 0.0)
+        if (n == 0 || state.idleBasePj[i] == 0.0)
             continue;
-        self->energyPj[i] += static_cast<double>(n) * idleBasePj[i] *
-                             domainVoltageSq(params.domain);
-    }
-}
-
-void
-PowerModel::chargeActiveTick(bool pipeline_edge, std::uint32_t accessed)
-{
-    // Leakage accrues every tick, ungateable; the scaled domain's
-    // share falls with roughly VDD^3 (subthreshold DIBL), the paper's
-    // cited leakage benefit of supply scaling.
-    if (scaledLeakPerTick > 0.0 || fixedLeakPerTick > 0.0) {
-        const double vratio = pipelineVdd_ / config_.vddHigh;
-        leakageEnergy += fixedLeakPerTick +
-                         scaledLeakPerTick * vratio * vratio * vratio;
-    }
-
-    // The global clock tree burns a full "cycle" of energy on every
-    // pipeline clock edge; in the low-power mode edges come at half
-    // rate, so clock power halves on top of the V^2 drop.
-    if (pipeline_edge) {
-        const auto clock =
-            static_cast<std::size_t>(PowerStructure::ClockTree);
-        energyPj[clock] += idleChargePj[clock];
-    }
-
-    // Idle (clock-load) power for the clocked structures that recorded
-    // no access (active ones already paid access energy). The L2 runs
-    // on the full-speed clock; everything else - including the VDDH
-    // L1s and the register file - is clocked with the pipeline. Each
-    // structure takes at most one addition here, into its own
-    // accumulator, so walking the bits changes no sum.
-    for (std::uint32_t idle =
-             (pipeline_edge ? idleOnEdge : idleOnEveryTick) & ~accessed;
-         idle != 0; idle &= idle - 1) {
-        const auto i = static_cast<std::size_t>(std::countr_zero(idle));
-        energyPj[i] += idleChargePj[i];
+        self->energyPj[i * railCount_ + rail] +=
+            static_cast<double>(n) * state.idleBasePj[i] *
+            state.domainVoltageSq(params.domain);
     }
 }
 
 double
-PowerModel::totalEnergyPj() const
+PowerModel::totalEnergyPj(std::size_t rail) const
 {
-    flushIdle();
-    double total = rampEnergy.value() + leakageEnergy.value();
-    for (const auto &e : energyPj)
-        total += e.value();
-    return total;
+    flushRail(rail);
+    return peekTotalEnergyPj(rail);
 }
 
 double
-PowerModel::peekTotalEnergyPj() const
+PowerModel::peekTotalEnergyPj(std::size_t rail) const
 {
-    double total = rampEnergy.value() + leakageEnergy.value();
-    for (const auto &e : energyPj)
-        total += e.value();
+    const RailState &state = rails_[rail];
+    double total = state.rampEnergy.value() + state.leakageEnergy.value();
+    for (std::size_t i = 0; i < numPowerStructures; ++i)
+        total += energyPj[i * railCount_ + rail].value();
 
-    // Add what flushIdle() *would* contribute, without flushing.
-    const std::uint64_t edges = pendingIdleEdges;
-    const std::uint64_t all = pendingIdleEdges + pendingIdleNoEdges;
+    // Add what a flush *would* contribute, without flushing.
+    const std::uint64_t edges = idleEdges - state.flushedIdleEdges;
+    const std::uint64_t all =
+        edges + (idleNoEdges - state.flushedIdleNoEdges);
     if (all == 0)
         return total;
 
-    if (scaledLeakPerTick > 0.0 || fixedLeakPerTick > 0.0) {
-        const double vratio = pipelineVdd_ / config_.vddHigh;
-        total += static_cast<double>(all) *
-                 (fixedLeakPerTick +
-                  scaledLeakPerTick * vratio * vratio * vratio);
-    }
+    if (state.leaks)
+        total += static_cast<double>(all) * state.leakPerTick;
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
         const auto s = static_cast<PowerStructure>(i);
         const StructureParams &params = structureParams(s);
         const std::uint64_t n =
             s == PowerStructure::L2Cache ? all : edges;
-        if (n == 0 || idleBasePj[i] == 0.0)
+        if (n == 0 || state.idleBasePj[i] == 0.0)
             continue;
-        total += static_cast<double>(n) * idleBasePj[i] *
-                 domainVoltageSq(params.domain);
+        total += static_cast<double>(n) * state.idleBasePj[i] *
+                 state.domainVoltageSq(params.domain);
     }
     return total;
 }
 
 double
-PowerModel::structureEnergyPj(PowerStructure s) const
+PowerModel::structureEnergyPj(PowerStructure s, std::size_t rail) const
 {
-    flushIdle();
-    return energyPj[static_cast<std::size_t>(s)].value();
+    flushRail(rail);
+    return energyPj[static_cast<std::size_t>(s) * railCount_ + rail].value();
 }
 
 double
-PowerModel::domainEnergyPj(VoltageDomain domain) const
+PowerModel::domainEnergyPj(VoltageDomain domain, std::size_t rail) const
 {
-    flushIdle();
+    flushRail(rail);
     double total = 0.0;
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
         if (structureParams(static_cast<PowerStructure>(i)).domain ==
             domain) {
-            total += energyPj[i].value();
+            total += energyPj[i * railCount_ + rail].value();
         }
     }
     return total;
 }
 
 double
-PowerModel::averagePowerW(Tick duration_ticks) const
+PowerModel::averagePowerW(Tick duration_ticks, std::size_t rail) const
 {
     if (duration_ticks == 0)
         return 0.0;
     // pJ per ns == mW; convert to watts.
-    return totalEnergyPj() / static_cast<double>(duration_ticks) * 1e-3;
+    return totalEnergyPj(rail) / static_cast<double>(duration_ticks) *
+           1e-3;
 }
 
 void
 PowerModel::snapshot(SnapshotWriter &writer) const
 {
+    VSV_ASSERT(railCount_ == 1, "only a one-rail ledger snapshots");
+    const RailState &state = rails_[0];
     writer.begin("power");
     writer.u32(static_cast<std::uint32_t>(numPowerStructures));
-    writer.f64(pipelineVdd_);
-    writer.b(lowPowerPath);
+    writer.f64(state.pipelineVdd);
+    writer.b(state.lowPowerPath);
     writer.b(accessedMask != 0);
     for (const std::uint64_t accesses : accessesThisTick)
         writer.f64(static_cast<double>(accesses));
     for (const Scalar &energy : energyPj)
         writer.scalar(energy);
-    writer.scalar(rampEnergy);
-    writer.scalar(leakageEnergy);
+    writer.scalar(state.rampEnergy);
+    writer.scalar(state.leakageEnergy);
     writer.scalar(ticks);
     writer.scalar(pipelineEdges);
-    writer.u64(pendingIdleEdges);
-    writer.u64(pendingIdleNoEdges);
+    writer.u64(idleEdges - state.flushedIdleEdges);
+    writer.u64(idleNoEdges - state.flushedIdleNoEdges);
     writer.end();
 }
 
 void
 PowerModel::restore(SnapshotReader &reader)
 {
+    VSV_ASSERT(railCount_ == 1, "only a one-rail ledger restores");
+    RailState &state = rails_[0];
     reader.begin("power");
     reader.expectU32(static_cast<std::uint32_t>(numPowerStructures),
                      "power structure count");
-    pipelineVdd_ = reader.f64();
-    lowPowerPath = reader.b();
-    refreshCharges();
+    state.pipelineVdd = reader.f64();
+    state.lowPowerPath = reader.b();
+    // The charge rows are derived state: rebuilt from here on.
+    state.chargeRows.clear();
+    loadCharges(0);
     const bool any_access = reader.b();
     accessedMask = 0;
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
@@ -319,28 +407,33 @@ PowerModel::restore(SnapshotReader &reader)
     }
     for (Scalar &energy : energyPj)
         reader.scalar(energy);
-    reader.scalar(rampEnergy);
-    reader.scalar(leakageEnergy);
+    reader.scalar(state.rampEnergy);
+    reader.scalar(state.leakageEnergy);
     reader.scalar(ticks);
     reader.scalar(pipelineEdges);
-    pendingIdleEdges = reader.u64();
-    pendingIdleNoEdges = reader.u64();
+    idleEdges = reader.u64();
+    idleNoEdges = reader.u64();
+    state.flushedIdleEdges = 0;
+    state.flushedIdleNoEdges = 0;
     reader.end();
 }
 
 void
-PowerModel::regStats(StatRegistry &registry, const std::string &prefix) const
+PowerModel::regStats(StatRegistry &registry, const std::string &prefix,
+                     std::size_t rail) const
 {
+    const RailState &state = rails_[rail];
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
         const auto s = static_cast<PowerStructure>(i);
         registry.registerScalar(
             prefix + ".energy." + std::string(powerStructureName(s)),
-            &energyPj[i],
+            &energyPj[i * railCount_ + rail],
             "dynamic energy (pJ)");
     }
-    registry.registerScalar(prefix + ".energy.ramp", &rampEnergy,
+    registry.registerScalar(prefix + ".energy.ramp", &state.rampEnergy,
                             "dual-rail ramp energy (pJ)");
-    registry.registerScalar(prefix + ".energy.leakage", &leakageEnergy,
+    registry.registerScalar(prefix + ".energy.leakage",
+                            &state.leakageEnergy,
                             "leakage energy (pJ); zero unless modeled");
     registry.registerScalar(prefix + ".ticks", &ticks,
                             "global ticks accounted");

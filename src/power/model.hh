@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 #include "power/structures.hh"
@@ -90,153 +91,210 @@ struct PowerModelConfig
     double converterHighModeFactor = 0.5;
 };
 
-/** The per-run energy accountant. */
+/**
+ * The per-run energy accountant: a ledger of one or more rails. A
+ * rail is one power configuration's supply - its pipeline VDD, latch
+ * path, banked idle ticks, ramp and leakage energy. A serial run has
+ * one rail; a lockstep batch (DESIGN.md 5h) has one per config, all
+ * charged by the one shared front-end.
+ *
+ * Activity is recorded once and charged to every rail at its own
+ * voltage: each structure has one contiguous row of per-rail energy
+ * accumulators and one row of per-rail cached charges, an access adds
+ * count x charge to each rail in rail order, and a tick closes every
+ * rail in one pass over its idle bits. Ticks and pipeline edges are
+ * counted once, since the rails share timing. Every per-rail
+ * accumulator sees exactly the floating-point operations, in the same
+ * order, that a one-rail model of its config fed the same calls would
+ * apply, so each rail is bit-identical to a serial run.
+ *
+ * Per-rail calls take the rail index last, defaulting to rail 0.
+ */
 class PowerModel
 {
+    struct RailState;
+
   public:
+    /** A ledger of one rail. */
     explicit PowerModel(const PowerModelConfig &config = {});
+    /** A ledger of one rail per entry of `rails`, in order. */
+    explicit PowerModel(std::span<const PowerModelConfig> rails);
+
+    // Rail handles and stat registries point into the ledger.
+    PowerModel(const PowerModel &) = delete;
+    PowerModel &operator=(const PowerModel &) = delete;
+
+    std::size_t railCount() const { return railCount_; }
 
     /**
-     * Pipeline-domain supply for the current tick (volts). Called
-     * every tick; only a change flushes the banked idle ticks and
-     * re-derives the charges.
+     * One rail's supply-side entry points, bound to its index: the
+     * handle a VSV controller drives its own rail through.
      */
-    void
-    setPipelineVdd(double vdd)
+    class Rail
     {
-        if (vdd != pipelineVdd_)
-            changePipelineVdd(vdd);
-    }
-    double pipelineVdd() const { return pipelineVdd_; }
+      public:
+        /** PowerModel::setPipelineVdd() on this rail. */
+        void
+        setPipelineVdd(double vdd)
+        {
+            if (vdd != state->pipelineVdd)
+                model->changePipelineVdd(vdd, index);
+        }
+        /** PowerModel::setLowPowerPath() on this rail. */
+        void
+        setLowPowerPath(bool low)
+        {
+            if (low != state->lowPowerPath)
+                model->changeLowPowerPath(low, index);
+        }
+        void addRampEnergy(Tick when) { model->addRampEnergy(when, index); }
+
+      private:
+        friend class PowerModel;
+        Rail(PowerModel &model, std::size_t index)
+            : model(&model), state(&model.rails_[index]), index(index)
+        {
+        }
+
+        PowerModel *model;
+        /** The rail's own state, read every tick without indexing. */
+        const RailState *state;
+        std::size_t index;
+    };
+
+    /** The handle of rail r; valid as long as the ledger lives. */
+    Rail rail(std::size_t r);
 
     /**
-     * Select the latch set on the VDDL->VDDH paths: true while the
-     * pipeline is in (or ramping through) the low-power path so the
-     * level-converting latches are selected.
+     * Pipeline-domain supply of a rail for the current tick (volts).
+     * Called every tick; only a change flushes the rail's banked idle
+     * ticks and re-derives its charges.
      */
     void
-    setLowPowerPath(bool low)
+    setPipelineVdd(double vdd, std::size_t rail = 0)
+    {
+        if (vdd != rails_[rail].pipelineVdd)
+            changePipelineVdd(vdd, rail);
+    }
+    double pipelineVdd(std::size_t rail = 0) const
+    {
+        return rails_[rail].pipelineVdd;
+    }
+
+    /**
+     * Select a rail's latch set on the VDDL->VDDH paths: true while
+     * the pipeline is in (or ramping through) the low-power path so
+     * the level-converting latches are selected.
+     */
+    void
+    setLowPowerPath(bool low, std::size_t rail = 0)
     {
         // Called every tick; only a change re-derives the charges.
-        if (low != lowPowerPath) {
-            lowPowerPath = low;
-            refreshCharges();
-        }
+        if (low != rails_[rail].lowPowerPath)
+            changeLowPowerPath(low, rail);
     }
 
     /**
-     * Charge one ramp's dual-rail network energy (66 nJ). `when` is
-     * only used to timestamp the trace event (if tracing is on).
+     * Charge one ramp's dual-rail network energy (66 nJ) to a rail.
+     * `when` is only used to timestamp the trace event (if tracing is
+     * on).
      */
-    void addRampEnergy(Tick when = 0);
+    void addRampEnergy(Tick when = 0, std::size_t rail = 0);
 
-    /** Attach an event sink (nullptr = tracing off, the default). */
-    void setTraceSink(TraceSink *sink) { trace = sink; }
-
-    /**
-     * Lockstep fanout: mirror every recordAccess() and tick() into
-     * `followers` (each charging at its *own* pipeline VDD /
-     * latch-path selection, as pushed by its rail's controller).
-     * Only those two methods forward - controller-driven calls
-     * (setPipelineVdd, setLowPowerPath, addRampEnergy) and the idle
-     * banking entry point accrueIdleTicks() are made per rail by
-     * the simulator, so each follower replays exactly the call
-     * sequence a serial run of its config would see. Followers must
-     * outlive the fanout window; pass an empty span to detach.
-     */
-    void setFanout(std::span<PowerModel> followers)
+    /** Attach an event sink to a rail (nullptr = tracing off, the
+     *  default). */
+    void setTraceSink(TraceSink *sink, std::size_t rail = 0)
     {
-        fanout_ = followers;
+        rails_[rail].trace = sink;
     }
 
     /**
      * Record `count` (>= 1) accesses to structure s during this tick,
-     * charged `count * per_access * vsq` evaluated left to right
-     * (per_access being accessPj times the latch factor, vsq the
-     * domain's V^2 ratio). Inline: the core charges about sixteen accesses per
-     * instruction. A power-of-two count (1, or the core's 2) adds
-     * count times the cached `per_access * vsq`: scaling by a power
-     * of two is exact, so that is the left-to-right product to the
-     * bit. Any other count multiplies out, because count *
-     * (per_access * vsq) rounds differently from it.
+     * charged to every rail as `count * per_access * vsq` evaluated
+     * left to right (per_access being accessPj times the rail's latch
+     * factor, vsq the domain's V^2 ratio on that rail). Inline: the
+     * core charges about sixteen accesses per instruction. A
+     * power-of-two count (1, or the core's 2) adds count times the
+     * cached `per_access * vsq`: scaling by a power of two is exact,
+     * so that is the left-to-right product to the bit. Any other
+     * count multiplies out, because count * (per_access * vsq) rounds
+     * differently from it.
      */
     void
     recordAccess(PowerStructure s, std::uint32_t count = 1)
     {
-        if (!fanout_.empty())
-            fanOutAccess(s, count);
-
         const auto idx = static_cast<std::size_t>(s);
         accessesThisTick[idx] += count;
         accessedMask |= std::uint32_t{1} << idx;
 
-        if ((count & (count - 1)) == 0) {
-            energyPj[idx] +=
-                static_cast<double>(count) * accessChargePj[idx];
-        } else {
-            energyPj[idx] += static_cast<double>(count) * perAccessPj(s) *
-                             domainVoltageSq(structureParams(s).domain);
+        if ((count & (count - 1)) != 0) {
+            chargeUnevenAccesses(s, count);
+            return;
         }
+        const std::size_t n = railCount_;
+        const double k = static_cast<double>(count);
+        if (n == 1) {
+            // Every serial run: one add, no rail loop.
+            energyPj[idx] += k * accessChargePj[idx];
+            return;
+        }
+        Scalar *energy = energyPj.data() + idx * n;
+        const double *charge = accessChargePj.data() + idx * n;
+        for (std::size_t r = 0; r < n; ++r)
+            energy[r] += k * charge[r];
     }
 
     /**
-     * Close out one global tick.
+     * Close out one global tick on every rail.
      * @param pipeline_edge true when the pipeline clock (and the
      *        half-clocked L1/regfile) saw an edge this tick
      */
     void
     tick(bool pipeline_edge)
     {
-        if (!fanout_.empty())
-            fanOutTick(pipeline_edge);
-
         ++ticks;
         if (pipeline_edge)
             ++pipelineEdges;
 
         if (accessedMask == 0) {
-            // Pure idle tick: just bank it. The voltage cannot change
-            // without a flush (setPipelineVdd flushes on a value
-            // change), so the conversion to energy can happen later,
-            // in bulk.
+            // Pure idle tick: just bank it. No rail's voltage can
+            // change without flushing that rail (setPipelineVdd
+            // flushes on a value change), so the conversion to energy
+            // can happen later, in bulk.
             if (pipeline_edge)
-                ++pendingIdleEdges;
+                ++idleEdges;
             else
-                ++pendingIdleNoEdges;
+                ++idleNoEdges;
             return;
         }
         closeActiveTick(pipeline_edge);
     }
 
     /**
-     * Account `edges + no_edges` consecutive *idle* global ticks in
-     * one call: ticks on which no structure recorded an access, split
-     * by whether the pipeline clock had an edge. Exactly equivalent to
-     * the same sequence of tick() calls - idle ticks are banked in
-     * pending counters either way and converted to energy at the same
+     * Account `edges + no_edges` consecutive *idle* global ticks on
+     * every rail in one call: ticks on which no structure recorded an
+     * access, split by whether the pipeline clock had an edge.
+     * Exactly equivalent to the same sequence of tick() calls - idle
+     * ticks are banked either way and converted to energy at the same
      * flush boundaries (a voltage change, an access-carrying tick, or
      * an energy read), so fast-forwarded and per-tick runs produce
      * bit-identical totals. Must not be called with accesses recorded
-     * and not yet closed by tick(). The banked counters are serialized
+     * and not yet closed by tick(). The banked counts are serialized
      * un-flushed by snapshot(), so a restore mid-bank replays the same
      * flush-boundary schedule.
      */
     void accrueIdleTicks(std::uint64_t edges, std::uint64_t no_edges);
 
     /**
-     * Convert any banked idle ticks to energy now. Called implicitly
-     * by every energy getter; call explicitly before reading the
-     * registered Scalars directly (e.g. a registry dump).
+     * Convert every rail's banked idle ticks to energy now. Each
+     * energy getter flushes its own rail implicitly; call this before
+     * reading the registered Scalars directly (e.g. a registry dump).
      */
-    void
-    flushIdle() const
-    {
-        if ((pendingIdleEdges | pendingIdleNoEdges) != 0)
-            flushPendingIdle();
-    }
+    void flushIdle() const;
 
-    /** Cumulative energy in picojoules (dynamic + ramp + leakage). */
-    double totalEnergyPj() const;
+    /** A rail's cumulative energy in picojoules (dynamic + ramp +
+     *  leakage). */
+    double totalEnergyPj(std::size_t rail = 0) const;
     /**
      * totalEnergyPj() without the implicit flush: banked idle ticks
      * are *computed into* the returned total but stay banked, so the
@@ -245,112 +303,190 @@ class PowerModel
      * Used by the interval-stats sampler, which must not perturb the
      * bit-identical-stats contract (DESIGN.md 5d).
      */
-    double peekTotalEnergyPj() const;
-    double structureEnergyPj(PowerStructure s) const;
-    double leakageEnergyPj() const
+    double peekTotalEnergyPj(std::size_t rail = 0) const;
+    double structureEnergyPj(PowerStructure s, std::size_t rail = 0) const;
+    double leakageEnergyPj(std::size_t rail = 0) const
     {
-        flushIdle();
-        return leakageEnergy.value();
+        flushRail(rail);
+        return rails_[rail].leakageEnergy.value();
     }
-    double rampEnergyPj() const
+    double rampEnergyPj(std::size_t rail = 0) const
     {
-        return rampEnergy.value();
+        return rails_[rail].rampEnergy.value();
     }
-    double domainEnergyPj(VoltageDomain domain) const;
+    double domainEnergyPj(VoltageDomain domain, std::size_t rail = 0) const;
 
-    /** Average power in watts given a wall-clock duration in ticks. */
-    double averagePowerW(Tick duration_ticks) const;
+    /** A rail's average power in watts given a wall-clock duration in
+     *  ticks. */
+    double averagePowerW(Tick duration_ticks, std::size_t rail = 0) const;
 
-    void regStats(StatRegistry &registry, const std::string &prefix) const;
+    /**
+     * Register a rail's scalars: its own energies plus the shared tick
+     * and pipeline-edge counts, named and ordered as a one-rail
+     * model's.
+     */
+    void regStats(StatRegistry &registry, const std::string &prefix,
+                  std::size_t rail = 0) const;
 
     /**
      * Serialize accumulators, per-tick activity and banked idle ticks
      * exactly as they stand - no implicit flushIdle(), so the restored
      * model replays the same flush-boundary schedule (and therefore
      * the same floating-point operation order) as a fresh run.
+     * One-rail ledgers only.
      */
     void snapshot(SnapshotWriter &writer) const;
 
-    /** Restore state saved by snapshot(); same config required. */
+    /** Restore state saved by snapshot(); same config required.
+     *  One-rail ledgers only. */
     void restore(SnapshotReader &reader);
 
-    const PowerModelConfig &config() const { return config_; }
+    const PowerModelConfig &config(std::size_t rail = 0) const
+    {
+        return rails_[rail].config;
+    }
 
   private:
-    /** recordAccess() on every lockstep follower; out of line so the
-     *  inlined charge stays small. */
-    void fanOutAccess(PowerStructure s, std::uint32_t count);
-    /** tick() on every lockstep follower. */
-    void fanOutTick(bool pipeline_edge);
+    /**
+     * One rail's per-structure charges at one (pipeline VDD, latch
+     * path) point: perAccessPj(s) * vsq for one access, idleBasePj *
+     * vsq for one access-carrying tick on which the structure idles
+     * (the clock tree's: one edge), plus the domain quotient and the
+     * per-tick leakage there. Each is the product the uncached charge
+     * evaluates, so it rounds identically.
+     */
+    struct ChargeRow
+    {
+        std::uint64_t vddBits = 0;
+        bool lowPowerPath = false;
+        /** (V*V)/VDDH^2 at the row's VDD, as this exact quotient. */
+        double scaledVsq = 1.0;
+        double leakPerTick = 0.0;
+        std::array<double, numPowerStructures> access{};
+        std::array<double, numPowerStructures> idle{};
+    };
+
+    /** Everything a rail owns apart from its rows in the ledger. */
+    struct RailState
+    {
+        explicit RailState(const PowerModelConfig &config);
+
+        /**
+         * Energy of one access to s at VDDH. The VDDL->VDDH path
+         * latches: in the high-power mode the regular (cheaper) latch
+         * set is selected; in the low-power mode the level-converting
+         * set is. Only the selected set burns power.
+         */
+        double
+        perAccessPj(PowerStructure s) const
+        {
+            const double pj = structureParams(s).accessPj;
+            return s == PowerStructure::LevelConverters && !lowPowerPath
+                       ? pj * config.converterHighModeFactor
+                       : pj;
+        }
+
+        /** (V/VDDH)^2 of a domain's current supply: 1 for the fixed
+         *  domain, whose energies are specified at VDDH. */
+        double
+        domainVoltageSq(VoltageDomain domain) const
+        {
+            return domain == VoltageDomain::Fixed ? 1.0 : scaledVsq;
+        }
+
+        /** The cached row at the current VDD and latch path,
+         *  computed and added on a miss. */
+        const ChargeRow &chargeRow();
+        ChargeRow computeChargeRow() const;
+
+        PowerModelConfig config;
+        double pipelineVdd;
+        bool lowPowerPath = false;
+        /** The current row's scaledVsq and leakPerTick. */
+        double scaledVsq = 1.0;
+        double leakPerTick = 0.0;
+        /** Per-tick leakage at VDDH, split by domain. */
+        double scaledLeakPerTick = 0.0;
+        double fixedLeakPerTick = 0.0;
+        bool leaks = false;
+        /**
+         * Per-structure idle energy at VDDH for one idle tick, with
+         * the gating style already applied (ClockTree's entry is its
+         * per-edge cycle energy).
+         */
+        std::array<double, numPowerStructures> idleBasePj{};
+        Scalar rampEnergy;
+        Scalar leakageEnergy;
+        /**
+         * The ledger's idle-tick counts when this rail last flushed:
+         * the rail's banked idle ticks are the counts' growth since.
+         */
+        std::uint64_t flushedIdleEdges = 0;
+        std::uint64_t flushedIdleNoEdges = 0;
+        TraceSink *trace = nullptr;
+        /**
+         * Charge rows seen so far, in first-use order. A VSV ramp
+         * walks the same short list of voltages every time, so a
+         * voltage change looks its row up instead of re-deriving it.
+         * Derived from config alone: never serialized.
+         */
+        std::vector<ChargeRow> chargeRows;
+        std::size_t lastRow = 0;
+    };
+
+    /** Rows a rail caches before it starts over; a VSV ramp uses
+     *  about thirty. */
+    static constexpr std::size_t maxChargeRows = 64;
 
     /** setPipelineVdd() with a new value: flush, then re-derive. */
-    void changePipelineVdd(double vdd);
+    void changePipelineVdd(double vdd, std::size_t rail);
+    /** setLowPowerPath() with a new value. */
+    void changeLowPowerPath(bool low, std::size_t rail);
 
-    /** flushIdle() with idle ticks banked. */
-    void flushPendingIdle() const;
+    /** Copy a rail's current charge row into its ledger columns. */
+    void loadCharges(std::size_t rail);
 
-    /** tick() with accesses recorded: flush the banked idle ticks,
-     *  charge this tick's idle structures and clear its activity. */
+    /** recordAccess() with a count that is not a power of two. */
+    void chargeUnevenAccesses(PowerStructure s, std::uint32_t count);
+
+    /** Convert one rail's banked idle ticks to energy, if any. */
+    void
+    flushRail(std::size_t rail) const
+    {
+        const RailState &state = rails_[rail];
+        if (((idleEdges - state.flushedIdleEdges) |
+             (idleNoEdges - state.flushedIdleNoEdges)) != 0)
+            flushPendingIdle(rail);
+    }
+    void flushPendingIdle(std::size_t rail) const;
+
+    /** tick() with accesses recorded: flush every rail's banked idle
+     *  ticks, charge this tick's leakage, clock and idle structures
+     *  on every rail, and clear its activity. */
     void closeActiveTick(bool pipeline_edge);
-
-    /** (V/VDDH)^2 of a domain's current supply: 1 for the fixed
-     *  domain, whose energies are specified at VDDH. */
-    double
-    domainVoltageSq(VoltageDomain domain) const
-    {
-        return domain == VoltageDomain::Fixed ? 1.0 : scaledVsq;
-    }
-
-    /**
-     * Energy of one access to s at VDDH. The VDDL->VDDH path latches:
-     * in the high-power mode the regular (cheaper) latch set is
-     * selected; in the low-power mode the level-converting set is.
-     * Only the selected set burns power.
-     */
-    double
-    perAccessPj(PowerStructure s) const
-    {
-        const double pj = structureParams(s).accessPj;
-        return s == PowerStructure::LevelConverters && !lowPowerPath
-                   ? pj * config_.converterHighModeFactor
-                   : pj;
-    }
-
-    /** Recompute scaledVsq and the cached charges from pipelineVdd_
-     *  and lowPowerPath; call on every change of either. */
-    void refreshCharges();
-
-    /** Charge idle/clock/leakage energy for one access-carrying tick:
-     *  the clock tree on an edge, then each clocked structure whose
-     *  bit in `accessed` is clear. */
-    void chargeActiveTick(bool pipeline_edge, std::uint32_t accessed);
+    /** closeActiveTick() over `Rails` rails, or railCount_ when 0: a
+     *  one-rail ledger (every serial run) gets a close with no rail
+     *  loops left in it. */
+    template <std::size_t Rails>
+    void closeRails(bool pipeline_edge);
 
     static_assert(numPowerStructures <= 32,
                   "a tick's accessed mask holds one bit per structure");
+    static constexpr std::uint32_t clockTreeBit =
+        std::uint32_t{1} << static_cast<unsigned>(PowerStructure::ClockTree);
     /** Structures that idle on a pipeline edge (the clock tree is
-     *  charged on its own). */
+     *  charged on every edge, accessed or not). */
     static constexpr std::uint32_t idleOnEdge =
-        ((std::uint32_t{1} << numPowerStructures) - 1) &
-        ~(std::uint32_t{1}
-          << static_cast<unsigned>(PowerStructure::ClockTree));
+        ((std::uint32_t{1} << numPowerStructures) - 1) & ~clockTreeBit;
     /** Structures that idle on every tick: the L2 runs on the
      *  full-speed clock. */
     static constexpr std::uint32_t idleOnEveryTick =
         std::uint32_t{1} << static_cast<unsigned>(PowerStructure::L2Cache);
 
-    PowerModelConfig config_;
-    double pipelineVdd_;
-    double vddHighSq;
-    /**
-     * The scaled domain's (V*V)/VDDH^2 at pipelineVdd_, refreshed by
-     * refreshCharges(). Cached as this exact quotient, so every charge
-     * rounds as it would with the ratio recomputed.
-     */
-    double scaledVsq = 1.0;
-    bool lowPowerPath = false;
-    TraceSink *trace = nullptr;
-    /** Lockstep follower models; see setFanout(). */
-    std::span<PowerModel> fanout_;
+    std::size_t railCount_;
+    /** Sized once, in the constructor: handles and registries point
+     *  into it. */
+    std::vector<RailState> rails_;
 
     /**
      * Accesses recorded per structure since the last tick() closed
@@ -361,39 +497,18 @@ class PowerModel
     std::array<std::uint64_t, numPowerStructures> accessesThisTick{};
     /** One bit per structure with accesses recorded this tick. */
     std::uint32_t accessedMask = 0;
-    std::array<Scalar, numPowerStructures> energyPj;
-    Scalar rampEnergy;
-    Scalar leakageEnergy;
-    /** Precomputed per-tick leakage at VDDH, split by domain. */
-    double scaledLeakPerTick = 0.0;
-    double fixedLeakPerTick = 0.0;
+    /** Energy accumulators, row s holding every rail's: index
+     *  s * railCount_ + rail. */
+    std::vector<Scalar> energyPj;
+    /** Each rail's cached charges, laid out like energyPj. */
+    std::vector<double> accessChargePj;
+    std::vector<double> idleChargePj;
     Scalar ticks;
     Scalar pipelineEdges;
-
-    /**
-     * Idle ticks banked since the last flush, all at the current
-     * pipeline VDD (setPipelineVdd flushes on a change of value).
-     * Split by pipeline-clock edge: the two tick kinds charge
-     * different structure sets.
-     */
-    mutable std::uint64_t pendingIdleEdges = 0;
-    mutable std::uint64_t pendingIdleNoEdges = 0;
-    /**
-     * Per-structure idle energy at VDDH for one idle tick, with the
-     * gating style already applied (ClockTree's entry is its per-edge
-     * cycle energy). Computed once in the constructor.
-     */
-    std::array<double, numPowerStructures> idleBasePj{};
-    /**
-     * Per-structure charges at the current pipelineVdd_ and latch
-     * path, refreshed by refreshCharges(): perAccessPj(s) * vsq for
-     * one access, and idleBasePj * vsq for one access-carrying tick on
-     * which the structure idles (the clock tree's: one edge). Each is
-     * the same product the uncached charge evaluates, so it rounds
-     * identically.
-     */
-    std::array<double, numPowerStructures> accessChargePj{};
-    std::array<double, numPowerStructures> idleChargePj{};
+    /** Idle ticks since construction (or restore), split by pipeline
+     *  edge: the two tick kinds charge different structure sets. */
+    std::uint64_t idleEdges = 0;
+    std::uint64_t idleNoEdges = 0;
 };
 
 } // namespace vsv

@@ -42,7 +42,8 @@ vsvStateName(VsvState state)
     panic("bad VSV state");
 }
 
-VsvController::VsvController(const VsvConfig &config, PowerModel &power)
+VsvController::VsvController(const VsvConfig &config,
+                             PowerModel::Rail power)
     : config(config),
       power(power),
       rail(config.vddHigh, config.slewVoltsPerTick),

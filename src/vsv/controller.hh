@@ -32,9 +32,10 @@
  *    if demand misses are still outstanding.
  *
  * Each tick the controller advances its state, drives the pipeline
- * VDD into the PowerModel (average voltage across ramp ticks, plus
- * the 66 nJ dual-rail charge per ramp) and reports whether the
- * pipeline clock has an edge this tick (half rate in low states).
+ * VDD into its rail of the PowerModel (average voltage across ramp
+ * ticks, plus the 66 nJ dual-rail charge per ramp) and reports
+ * whether the pipeline clock has an edge this tick (half rate in low
+ * states).
  */
 
 #ifndef VSV_VSV_CONTROLLER_HH
@@ -109,11 +110,12 @@ std::string_view vsvStateName(VsvState state);
 class VsvController : public MissListener
 {
   public:
-    VsvController(const VsvConfig &config, PowerModel &power);
+    /** Drives the power ledger's rail `power`. */
+    VsvController(const VsvConfig &config, PowerModel::Rail power);
 
     /**
      * Advance to tick `now`: progress any transition, drive this
-     * tick's pipeline VDD into the power model.
+     * tick's pipeline VDD into the controller's power rail.
      *
      * @return true when the pipeline clock has an edge this tick
      */
@@ -217,7 +219,7 @@ class VsvController : public MissListener
     void armUpFsm(Tick now);
 
     VsvConfig config;
-    PowerModel &power;
+    PowerModel::Rail power;
     VoltageRail rail;
     IssueMonitorFsm downFsm;
     IssueMonitorFsm upFsm;

@@ -19,6 +19,7 @@
 #include <functional>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -71,9 +72,18 @@ powerCharacterizationGrid(const std::string &bench, bool timekeeping)
     std::vector<SweepJob> jobs;
     jobs.push_back({bench + "/default", base});
 
-    SimulationOptions gating = base;
-    gating.power.gating = GatingStyle::Simple;
-    jobs.push_back({bench + "/gating-simple", gating});
+    for (const auto &[style, name] :
+         {std::pair{GatingStyle::None, "none"},
+          std::pair{GatingStyle::Simple, "simple"},
+          std::pair{GatingStyle::Ideal, "ideal"}}) {
+        SimulationOptions gating = base;
+        gating.power.gating = style;
+        jobs.push_back({bench + "/gating-" + name, gating});
+    }
+
+    SimulationOptions converters = base;
+    converters.power.converterHighModeFactor = 0.8;
+    jobs.push_back({bench + "/conv-0.8", converters});
 
     SimulationOptions efficiency = base;
     efficiency.power.gatingEfficiency = 0.80;
@@ -265,24 +275,31 @@ TEST(LockstepEquivalenceTest, Figure4GridIsBitIdentical)
 
 TEST(LockstepEquivalenceTest, PowerGridBatchesAndIsBitIdentical)
 {
-    const std::vector<SweepJob> jobs =
-        powerCharacterizationGrid("mcf", false);
+    // Every rail of the one batch must match its serial run, with the
+    // idle fast-forward banking whole spans on the ledger and with
+    // every tick closed one at a time.
+    for (const bool fast_forward : {true, false}) {
+        SCOPED_TRACE(fast_forward ? "fast-forward on" : "fast-forward off");
+        std::vector<SweepJob> jobs = powerCharacterizationGrid("mcf", false);
+        for (SweepJob &job : jobs)
+            job.options.fastForward = fast_forward;
 
-    SweepRunner serial(1);
-    const std::vector<SweepOutcome> want = serial.run(jobs);
+        SweepRunner serial(1);
+        const std::vector<SweepOutcome> want = serial.run(jobs);
 
-    SweepRunner lockstep(1);
-    lockstep.enableLockstep(16);
-    const std::vector<SweepOutcome> got = lockstep.run(jobs);
+        SweepRunner lockstep(1);
+        lockstep.enableLockstep(16);
+        const std::vector<SweepOutcome> got = lockstep.run(jobs);
 
-    const LockstepStats &stats = lockstep.lockstepStats();
-    EXPECT_EQ(stats.batches, 1u);
-    EXPECT_EQ(stats.batchedRuns, jobs.size());
-    EXPECT_EQ(stats.largestBatch, jobs.size());
-    EXPECT_EQ(stats.serialRuns, 0u);
-    EXPECT_EQ(stats.fallbacks, 0u);
+        const LockstepStats &stats = lockstep.lockstepStats();
+        EXPECT_EQ(stats.batches, 1u);
+        EXPECT_EQ(stats.batchedRuns, jobs.size());
+        EXPECT_EQ(stats.largestBatch, jobs.size());
+        EXPECT_EQ(stats.serialRuns, 0u);
+        EXPECT_EQ(stats.fallbacks, 0u);
 
-    expectBitIdentical(got, want);
+        expectBitIdentical(got, want);
+    }
 }
 
 TEST(LockstepEquivalenceTest, TimekeepingGridBatchesAndIsBitIdentical)
@@ -410,11 +427,11 @@ TEST(LockstepEquivalenceTest, AblationVsvGridBatchesAndIsBitIdentical)
 
 TEST(LockstepEquivalenceTest, ReplicaCapChunksWideGrids)
 {
-    // 7 batchable jobs at a batch width of 3 -> batches of 3+3 and one
-    // serial remainder; results must still match serial execution.
+    // 10 batchable jobs at a batch width of 3 -> batches of 3+3+3 and
+    // one serial remainder; results must still match serial execution.
     const std::vector<SweepJob> jobs =
         powerCharacterizationGrid("mcf", false);
-    ASSERT_EQ(jobs.size(), 7u);
+    ASSERT_EQ(jobs.size(), 10u);
 
     SweepRunner serial(1);
     const std::vector<SweepOutcome> want = serial.run(jobs);
@@ -424,8 +441,8 @@ TEST(LockstepEquivalenceTest, ReplicaCapChunksWideGrids)
     const std::vector<SweepOutcome> got = lockstep.run(jobs);
 
     const LockstepStats &stats = lockstep.lockstepStats();
-    EXPECT_EQ(stats.batches, 2u);
-    EXPECT_EQ(stats.batchedRuns, 6u);
+    EXPECT_EQ(stats.batches, 3u);
+    EXPECT_EQ(stats.batchedRuns, 9u);
     EXPECT_EQ(stats.largestBatch, 3u);
     EXPECT_EQ(stats.serialRuns, 1u);
 

@@ -3,8 +3,13 @@
  * Tests of the voltage-aware power model.
  */
 
-#include <array>
-#include <span>
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -279,13 +284,9 @@ TEST(PowerModelTest, IdleBankFlushesBeforeActiveTick)
                      stepped.structureEnergyPj(PowerStructure::IntAlu));
 }
 
-/**
- * A fixed mix of accesses and ticks, including an idle bank. Idle
- * banking does not fan out, so a lockstep leader passes its followers
- * to bank alongside it, as the lockstep executor does.
- */
+/** A fixed mix of accesses and ticks, including an idle bank. */
 void
-chargeSequence(PowerModel &pm, std::span<PowerModel> followers = {})
+chargeSequence(PowerModel &pm)
 {
     pm.recordAccess(PowerStructure::IntAlu);
     pm.recordAccess(PowerStructure::RuuCam, 3.0);
@@ -294,8 +295,6 @@ chargeSequence(PowerModel &pm, std::span<PowerModel> followers = {})
     pm.tick(true);
     pm.tick(false);
     pm.accrueIdleTicks(7, 5);
-    for (PowerModel &follower : followers)
-        follower.accrueIdleTicks(7, 5);
     pm.recordAccess(PowerStructure::LsqCam);
     pm.recordAccess(PowerStructure::PipelineLatches);
     pm.tick(true);
@@ -346,40 +345,156 @@ TEST(PowerModelTest, RestoreAtMidRampVddChargesBitIdentically)
     expectSameEnergy(live, restored);
 }
 
-TEST(PowerModelTest, LockstepFollowersChargeAtTheirOwnVdd)
+/** Bit pattern of a double, so EXPECT_EQ tells -0.0 from 0.0. */
+std::uint64_t
+bits(double v)
 {
-    // A leader fans accesses out to two followers; each follower must
-    // land on the doubles of a serial model run at its own VDD.
-    PowerModel leader;
-    std::array<PowerModel, 2> followers;
-    PowerModel &follower_a = followers[0];
-    PowerModel &follower_b = followers[1];
-    leader.setFanout(followers);
+    return std::bit_cast<std::uint64_t>(v);
+}
 
-    PowerModel serial_leader;
-    PowerModel serial_a;
-    PowerModel serial_b;
+TEST(PowerModelTest, LedgerRailsMatchIndependentModels)
+{
+    // One seeded call sequence fed to a six-rail ledger and to six
+    // one-rail models of the same configs: every rail must land on
+    // its model's doubles, read through every getter at random points
+    // (each flushing only its own rail), peeked mid-bank, and dumped
+    // through the registered scalars at the end.
+    std::vector<PowerModelConfig> configs(6);
+    configs[0].gating = GatingStyle::None;
+    configs[1].gating = GatingStyle::Simple;
+    configs[1].leakageFraction = 0.05;
+    configs[2].gating = GatingStyle::Dcg;
+    configs[2].converterHighModeFactor = 0.75;
+    configs[3].gating = GatingStyle::Ideal;
+    configs[3].leakageFraction = 0.2;
+    configs[4].gating = GatingStyle::Dcg;
+    configs[4].leakageFraction = 0.05;
+    configs[4].rampEnergyPj = 30000.0;
+    configs[5].gating = GatingStyle::Ideal;
+    const std::size_t rails = configs.size();
 
-    const double vdds[][3] = {
-        {1.8, 1.2, 1.53}, {1.71, 1.2, 1.8}, {1.53, 1.47, 1.2}};
-    for (const auto &v : vdds) {
-        leader.setPipelineVdd(v[0]);
-        follower_a.setPipelineVdd(v[1]);
-        follower_b.setPipelineVdd(v[2]);
-        serial_leader.setPipelineVdd(v[0]);
-        serial_a.setPipelineVdd(v[1]);
-        serial_b.setPipelineVdd(v[2]);
+    PowerModel ledger(configs);
+    ASSERT_EQ(ledger.railCount(), rails);
+    std::vector<std::unique_ptr<PowerModel>> models;
+    for (const PowerModelConfig &config : configs)
+        models.push_back(std::make_unique<PowerModel>(config));
 
-        chargeSequence(leader, followers);
-        chargeSequence(serial_leader);
-        chargeSequence(serial_a);
-        chargeSequence(serial_b);
+    // A ramp's per-tick voltages, revisited many times, plus fresh
+    // off-grid ones: together more than one rail's charge-row cache.
+    std::vector<double> ramp;
+    for (int step = 0; step <= 24; ++step)
+        ramp.push_back(1.8 - 0.025 * step);
+
+    std::mt19937_64 rng(20031203);
+    auto below = [&rng](std::uint64_t n) { return rng() % n; };
+    bool open = false;  // accesses recorded since the last tick
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t op = below(100);
+        if (op < 40) {
+            static constexpr std::uint32_t counts[] = {1, 1, 1, 2, 2, 3,
+                                                       4, 5, 7, 8, 12};
+            const auto s =
+                static_cast<PowerStructure>(below(numPowerStructures));
+            const std::uint32_t count = counts[below(std::size(counts))];
+            ledger.recordAccess(s, count);
+            for (auto &model : models)
+                model->recordAccess(s, count);
+            open = true;
+        } else if (op < 65) {
+            const bool edge = below(3) != 0;
+            ledger.tick(edge);
+            for (auto &model : models)
+                model->tick(edge);
+            open = false;
+        } else if (op < 70 && !open) {
+            const std::uint64_t edges = below(40);
+            const std::uint64_t no_edges = below(40);
+            ledger.accrueIdleTicks(edges, no_edges);
+            for (auto &model : models)
+                model->accrueIdleTicks(edges, no_edges);
+        } else if (op < 80) {
+            // A new supply on some rails only.
+            const double vdd =
+                below(4) == 0
+                    ? 1.2 + 0.6 * static_cast<double>(below(1000)) / 999.0
+                    : ramp[below(ramp.size())];
+            for (std::size_t r = 0; r < rails; ++r) {
+                if (below(2) == 0)
+                    continue;
+                ledger.setPipelineVdd(vdd, r);
+                models[r]->setPipelineVdd(vdd);
+            }
+        } else if (op < 85) {
+            const std::size_t r = below(rails);
+            const bool low = below(2) == 0;
+            ledger.setLowPowerPath(low, r);
+            models[r]->setLowPowerPath(low);
+        } else if (op < 87) {
+            const std::size_t r = below(rails);
+            ledger.addRampEnergy(static_cast<Tick>(step), r);
+            models[r]->addRampEnergy(static_cast<Tick>(step));
+        } else if (op < 92) {
+            const std::size_t r = below(rails);
+            ASSERT_EQ(bits(ledger.peekTotalEnergyPj(r)),
+                      bits(models[r]->peekTotalEnergyPj()))
+                << "rail " << r << " step " << step;
+        } else {
+            // One getter on one rail: it flushes that rail alone.
+            const std::size_t r = below(rails);
+            const PowerModel &model = *models[r];
+            const auto s =
+                static_cast<PowerStructure>(below(numPowerStructures));
+            switch (below(6)) {
+              case 0:
+                ASSERT_EQ(bits(ledger.structureEnergyPj(s, r)),
+                          bits(model.structureEnergyPj(s)));
+                break;
+              case 1:
+                ASSERT_EQ(bits(ledger.totalEnergyPj(r)),
+                          bits(model.totalEnergyPj()));
+                break;
+              case 2:
+                ASSERT_EQ(bits(ledger.leakageEnergyPj(r)),
+                          bits(model.leakageEnergyPj()));
+                break;
+              case 3:
+                ASSERT_EQ(bits(ledger.domainEnergyPj(VoltageDomain::Scaled,
+                                                     r)),
+                          bits(model.domainEnergyPj(VoltageDomain::Scaled)));
+                break;
+              case 4:
+                ASSERT_EQ(bits(ledger.averagePowerW(1000, r)),
+                          bits(model.averagePowerW(1000)));
+                break;
+              default:
+                ASSERT_EQ(bits(ledger.rampEnergyPj(r)),
+                          bits(model.rampEnergyPj()));
+                ASSERT_EQ(ledger.pipelineVdd(r), model.pipelineVdd());
+                break;
+            }
+        }
     }
-    leader.setFanout({});
 
-    expectSameEnergy(leader, serial_leader);
-    expectSameEnergy(follower_a, serial_a);
-    expectSameEnergy(follower_b, serial_b);
+    ledger.flushIdle();
+    for (std::size_t r = 0; r < rails; ++r) {
+        const PowerModel &model = *models[r];
+        model.flushIdle();
+        StatRegistry from_ledger;
+        StatRegistry from_model;
+        ledger.regStats(from_ledger, "power", r);
+        model.regStats(from_model, "power");
+        const std::map<std::string, double> got = from_ledger.scalarMap();
+        const std::map<std::string, double> want = from_model.scalarMap();
+        ASSERT_EQ(got.size(), want.size());
+        for (const auto &[name, value] : want) {
+            ASSERT_TRUE(got.contains(name)) << name;
+            EXPECT_EQ(bits(got.at(name)), bits(value))
+                << "rail " << r << " " << name;
+        }
+        EXPECT_EQ(bits(ledger.totalEnergyPj(r)),
+                  bits(model.totalEnergyPj()));
+        EXPECT_GT(model.totalEnergyPj(), 0.0);
+    }
 }
 
 TEST(PowerModelTest, AccessChargeKeepsItsProductOrder)

@@ -34,7 +34,7 @@ TEST_P(ControllerPropertyTest, InvariantsUnderRandomTraffic)
     config.upPolicy = static_cast<UpPolicy>(policy);
 
     PowerModel power;
-    VsvController ctrl(config, power);
+    VsvController ctrl(config, power.rail(0));
     Rng rng(down_thr * 131 + up_thr * 17 + policy);
 
     std::uint32_t outstanding = 0;
@@ -113,7 +113,7 @@ TEST(ControllerStressTest, NeverWedgesInLowForever)
     config.down = {0, 10};
     config.upPolicy = UpPolicy::LastR;
     PowerModel power;
-    VsvController ctrl(config, power);
+    VsvController ctrl(config, power.rail(0));
 
     ctrl.demandL2MissDetected(0, 3);
     Tick now = 0;

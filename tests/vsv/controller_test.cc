@@ -41,7 +41,7 @@ withFsm()
 struct Stepper
 {
     Stepper(const VsvConfig &config)
-        : power(), ctrl(config, power)
+        : power(), ctrl(config, power.rail(0))
     {
     }
 
