@@ -367,6 +367,8 @@ BM_PowerRecordAccess(benchmark::State &state)
     const auto n = static_cast<std::size_t>(state.range(0));
     const std::vector<PowerModelConfig> rails(n + 1);
     PowerModel power(rails);
+    // As in the measured loop, which never snapshots the ledger.
+    power.stopCountingAccesses();
     power.setPipelineVdd(1.53);
     for (std::size_t r = 1; r <= n; ++r)
         power.setPipelineVdd(1.2 + 0.03 * static_cast<double>(r - 1), r);
@@ -421,6 +423,85 @@ class StoreHeavyTrace : public TraceSource
     std::uint64_t group = 0;
 };
 
+/**
+ * A mixed window for the issue stage: every group of sixteen ops
+ * holds integer and FP ALU ops, multiplies, an integer and an FP
+ * divide (both unpipelined), two loads and a store over an
+ * L1-resident set, with short dependences, so the ready set is wide
+ * and pools run out of units within a cycle.
+ */
+class IssueMixTrace : public TraceSource
+{
+  public:
+    static constexpr Addr dataBase = WorkloadRegions::hot;
+    static constexpr Addr dataBytes = 16 * 1024;
+    static constexpr Addr codeBytes = 256;
+
+    MicroOp
+    next() override
+    {
+        struct Slot
+        {
+            OpClass cls;
+            std::uint32_t dep;
+        };
+        static constexpr Slot group[16] = {
+            {OpClass::IntAlu, 0},  {OpClass::IntAlu, 1},
+            {OpClass::FpAlu, 0},   {OpClass::FpMult, 1},
+            {OpClass::Load, 0},    {OpClass::IntMult, 0},
+            {OpClass::IntAlu, 2},  {OpClass::FpAlu, 4},
+            {OpClass::IntDiv, 8},  {OpClass::Load, 0},
+            {OpClass::FpMult, 0},  {OpClass::Store, 2},
+            {OpClass::IntAlu, 0},  {OpClass::FpDiv, 3},
+            {OpClass::IntAlu, 1},  {OpClass::FpAlu, 0}};
+        const Slot &slot = group[n % 16];
+        MicroOp op;
+        op.cls = slot.cls;
+        op.depDist1 = slot.dep;
+        if (isMemOp(op.cls))
+            op.addr = dataBase + (n * 72) % dataBytes;
+        op.pc = WorkloadRegions::code + (4 * n) % codeBytes;
+        ++n;
+        return op;
+    }
+
+  private:
+    std::uint64_t n = 0;
+};
+
+void
+BM_CoreIssueMix(benchmark::State &state)
+{
+    // One pipeline cycle of a core issuing a mixed int/FP/mul/div/
+    // memory window from L1-resident data: the cost line for the
+    // issue stage's select loop and unit acquisition. Items are
+    // committed instructions.
+    PowerModel power;
+    power.stopCountingAccesses();
+    MemoryHierarchy mem(HierarchyConfig{}, power);
+    BranchPredictor predictor;
+    IssueMixTrace trace;
+    Core core(CoreConfig{}, trace, mem, predictor, power);
+    mem.setWarmupMode(true);
+    Tick now = 0;
+    for (Addr off = 0; off < IssueMixTrace::codeBytes; off += 32)
+        mem.warmupInstAccess(WorkloadRegions::code + off, now++);
+    for (Addr off = 0; off < IssueMixTrace::dataBytes; off += 32)
+        mem.warmupDataAccess(IssueMixTrace::dataBase + off, false, now++);
+    mem.setWarmupMode(false);
+
+    const std::uint64_t committed0 = core.committedInstructions();
+    for (auto _ : state) {
+        mem.service(now);
+        benchmark::DoNotOptimize(core.cycle(now));
+        power.tick(true);
+        ++now;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        core.committedInstructions() - committed0));
+}
+BENCHMARK(BM_CoreIssueMix);
+
 void
 BM_CoreStoreHeavyCycle(benchmark::State &state)
 {
@@ -428,6 +509,7 @@ BM_CoreStoreHeavyCycle(benchmark::State &state)
     // loads that forward from them: the cost line for the LSQ's
     // store-forward search. Items are committed instructions.
     PowerModel power;
+    power.stopCountingAccesses();  // as in the measured loop
     MemoryHierarchy mem(HierarchyConfig{}, power);
     BranchPredictor predictor;
     StoreHeavyTrace trace;
@@ -462,6 +544,7 @@ BM_CorePipelineCycle(benchmark::State &state)
     // and no fast-forward, so every cycle runs every stage. time/inst
     // is the time per committed instruction (printed in ns).
     PowerModel power;
+    power.stopCountingAccesses();  // as in the measured loop
     MemoryHierarchy mem(HierarchyConfig{}, power);
     BranchPredictor predictor;
     WorkloadGenerator workload(spec2kProfile("mcf"));

@@ -42,10 +42,10 @@ struct BranchPredictorConfig
 /** Outcome of one prediction, fed back at resolution. */
 struct BranchPrediction
 {
-    bool predTaken = false;       ///< predicted direction
     Addr predTarget = 0;          ///< predicted target (0 = unknown)
-    bool btbHit = false;          ///< target came from BTB/RAS
     std::uint32_t historyBefore = 0;  ///< history to restore on squash
+    bool predTaken = false;       ///< predicted direction
+    bool btbHit = false;          ///< target came from BTB/RAS
     bool usedGshare = false;      ///< chooser selection (for update)
 };
 

@@ -99,6 +99,19 @@ GeometricParam::GeometricParam(double p)
             ++k;
         start[b] = static_cast<std::uint16_t>(k);
     }
+    // A bucket's draws are all k, the draw at its first m, exactly
+    // when the next threshold lies past its last m.
+    k = 0;
+    for (std::size_t b = 0; b < direct.size(); ++b) {
+        const std::uint64_t first = std::uint64_t{b} << directShift;
+        const std::uint64_t last =
+            first + (std::uint64_t{1} << directShift) - 1;
+        while (k < tableDraws && thr[k] <= first)
+            ++k;
+        direct[b] = k < straddled && thr[k] > last
+                        ? static_cast<std::uint8_t>(k)
+                        : straddled;
+    }
 }
 
 std::uint64_t

@@ -31,6 +31,11 @@ namespace vsv
  * that exact expression. A draw below tableDraws is then the number
  * of thresholds at or below m: the formula's answer, bit for bit, with
  * no logarithm. Larger draws evaluate the formula.
+ *
+ * Most draws take one lookup: a table over the top directBits bits of
+ * m holds, for each bucket no threshold splits, the draw every m in it
+ * shares. Only the buckets a threshold falls inside (a few dozen of
+ * 4096 at the workloads' dependence distances) scan the thresholds.
  */
 class GeometricParam
 {
@@ -44,6 +49,16 @@ class GeometricParam
     /** The draw for the 53-bit mantissa m of one raw value. */
     std::uint64_t
     draw(std::uint64_t m) const
+    {
+        const std::uint8_t k = direct[m >> directShift];
+        if (k != straddled)
+            return k;
+        return scan(m);
+    }
+
+    /** draw() by the threshold scan alone, for every bucket. */
+    std::uint64_t
+    scan(std::uint64_t m) const
     {
         std::size_t k = start[m >> bucketShift];
         while (k < tableDraws && thr[k] <= m)
@@ -67,6 +82,11 @@ class GeometricParam
     /** Start-index buckets over the top bits of m. */
     static constexpr unsigned bucketBits = 10;
     static constexpr unsigned bucketShift = 53 - bucketBits;
+    /** One-lookup buckets over the top bits of m. */
+    static constexpr unsigned directBits = 12;
+    static constexpr unsigned directShift = 53 - directBits;
+    /** A direct entry for a bucket that needs the scan. */
+    static constexpr std::uint8_t straddled = 0xff;
 
     /** The unfloored draw for mantissa m: the formula itself. */
     double
@@ -84,6 +104,10 @@ class GeometricParam
     std::array<std::uint64_t, tableDraws> thr{}; ///< see thresholds()
     /** start[b]: the draw at m = b << bucketShift, where scans begin. */
     std::array<std::uint16_t, std::size_t{1} << bucketBits> start{};
+    /** direct[b]: the draw of every m in bucket b when no threshold
+     *  lies inside it and that draw is below `straddled`; else
+     *  `straddled`. */
+    std::array<std::uint8_t, std::size_t{1} << directBits> direct{};
 };
 
 /**

@@ -13,7 +13,7 @@ namespace
 {
 
 /** Map an op class onto the power structure of its execution unit. */
-PowerStructure
+constexpr PowerStructure
 unitPowerStructure(OpClass cls)
 {
     switch (cls) {
@@ -62,35 +62,25 @@ Core::Core(const CoreConfig &config, TraceSource &workload,
       memory(memory),
       predictor(predictor),
       power(power),
-      fetchRing(config.fetchQueueSize),
-      ruu(config.ruuSize),
-      readyBits((config.ruuSize + 63) / 64, 0),
-      lsq(config.lsqSize)
+      lsq(config.lsqSize),
+      units(config.fuPools),
+      issueRateDist(0, 8, 1, std::uint64_t{config.issueWidth} + 1)
 {
     VSV_ASSERT(config.ruuSize > 0 && config.lsqSize > 0,
                "window sizes must be nonzero");
     VSV_ASSERT(config.lsqSize <= std::numeric_limits<std::uint16_t>::max(),
                "LSQ too large for the store filter's counters");
-    headSlot = tailSlot = static_cast<std::uint32_t>(headSeq % config.ruuSize);
+    const std::uint32_t ring_size =
+        std::bit_ceil(config.ruuSize + config.fetchQueueSize);
+    ringMask = ring_size - 1;
+    ops.resize(ring_size);
+    ruu.resize(ring_size);
+    dueBranches.resize(ring_size);
+    readyBits.assign((ring_size + 63) / 64, 0);
     const std::uint32_t wheel_size = completionWheelSize(memory.config());
     wheelMask = wheel_size - 1;
     wheelHead.assign(wheel_size, noLink);
     wheelBits.assign((wheel_size + 63) / 64, 0);
-    dueScratch.reserve(config.ruuSize);
-    for (std::size_t pool = 0; pool < numFuPools; ++pool) {
-        poolFirstUnit[pool + 1] =
-            poolFirstUnit[pool] + config.fuPools.count[pool];
-    }
-    unitFreeAt.assign(poolFirstUnit[numFuPools], 0);
-}
-
-inline std::uint32_t
-Core::slotIndex(InstSeqNum seq) const
-{
-    // The in-flight entries fill the ring from headSlot in sequence
-    // order, and fewer than ruuSize of them are in flight.
-    const auto idx = headSlot + static_cast<std::uint32_t>(seq - headSeq);
-    return idx >= config.ruuSize ? idx - config.ruuSize : idx;
 }
 
 inline void
@@ -174,18 +164,6 @@ Core::earliestCompletion() const
     return maxTick;
 }
 
-inline std::uint32_t
-Core::nextReady(std::uint32_t from, std::uint32_t end) const
-{
-    while (from < end) {
-        const std::uint64_t bits = readyBits[from >> 6] >> (from & 63);
-        if (bits != 0)
-            return std::min(from + std::countr_zero(bits), end);
-        from = (from | 63) + 1;
-    }
-    return end;
-}
-
 bool
 Core::storeForwards(const RuuEntry &entry) const
 {
@@ -209,26 +187,26 @@ Core::storeForwards(const RuuEntry &entry) const
 }
 
 bool
-Core::startMemoryAccess(RuuEntry &entry, Tick now)
+Core::startMemoryAccess(std::uint32_t idx, Tick now)
 {
-    const bool is_store = entry.op.cls == OpClass::Store;
-    const bool is_prefetch = entry.op.cls == OpClass::Prefetch;
-    const OpTiming timing = opTiming(entry.op.cls);
+    RuuEntry &entry = ruu[idx];
+    const Addr addr = ops[idx].op.addr;
+    const Cycle agen_done = cycleNum + entry.decode.latency;
 
-    if (is_store) {
+    if (entry.decode.store) {
         // Store issue = address generation; the write happens at
         // commit through the write buffer.
         LsqEntry &mem = lsq[entry.lsqSlot];
         mem.addrReady = true;
         ++readyStores[storeFilterBucket(mem.wordAddr)];
-        entry.completeCycle = cycleNum + timing.latency;
+        entry.completeCycle = agen_done;
         return true;
     }
 
     power.recordAccess(PowerStructure::LsqCam);
-    if (!is_prefetch && storeForwards(entry)) {
+    if (!entry.decode.prefetch && storeForwards(entry)) {
         ++storeForwardCount;
-        entry.completeCycle = cycleNum + timing.latency;
+        entry.completeCycle = agen_done;
         return true;
     }
 
@@ -236,18 +214,18 @@ Core::startMemoryAccess(RuuEntry &entry, Tick now)
         return false;
     ++dcachePortsUsed;
 
-    if (is_prefetch) {
+    if (entry.decode.prefetch) {
         // Non-binding: complete regardless of the memory outcome; a
         // rejected prefetch is simply dropped.
-        memory.dataAccess(entry.op.addr, false, true, now, {});
-        entry.completeCycle = cycleNum + timing.latency;
+        memory.dataAccess(addr, false, true, now, {});
+        entry.completeCycle = agen_done;
         ++swPrefetchesExecuted;
         return true;
     }
 
     const InstSeqNum seq = entry.seq;
     const MemAccessOutcome outcome = memory.dataAccess(
-        entry.op.addr, false, false, now, [this, seq](Tick) {
+        addr, false, false, now, [this, seq](Tick) {
             RuuEntry &load = slot(seq);
             VSV_ASSERT(load.seq == seq && load.memPending,
                        "memory response for a stale load");
@@ -269,8 +247,7 @@ Core::startMemoryAccess(RuuEntry &entry, Tick now)
     }
     ++loadsExecuted;
     if (outcome.immediate) {
-        entry.completeCycle = cycleNum + timing.latency +
-                              outcome.latencyCycles;
+        entry.completeCycle = agen_done + outcome.latencyCycles;
     } else {
         entry.memPending = true;
         entry.completeCycle = 0;
@@ -284,16 +261,17 @@ Core::commitStage(Tick now)
     for (std::uint32_t n = 0; n < config.commitWidth; ++n) {
         if (headSeq >= tailSeq)
             return;
-        RuuEntry &entry = ruu[headSlot];
+        const std::uint32_t idx = slotIndex(headSeq);
+        RuuEntry &entry = ruu[idx];
         VSV_ASSERT(entry.seq == headSeq, "RUU head slot mismatch");
         if (entry.status != EntryStatus::Completed)
             return;
 
-        if (entry.op.cls == OpClass::Store) {
+        if (entry.decode.store) {
             if (dcachePortsUsed >= config.dcachePorts)
                 return;
             const MemAccessOutcome outcome = memory.dataAccess(
-                entry.op.addr, true, false, now, {});
+                ops[idx].op.addr, true, false, now, {});
             if (!outcome.accepted) {
                 ++memRetries;
                 if (trace) {
@@ -307,7 +285,7 @@ Core::commitStage(Tick now)
             ++storesExecuted;
         }
 
-        if (isMemOp(entry.op.cls)) {
+        if (entry.decode.mem) {
             LsqEntry &mem = lsq[lsqHead];
             VSV_ASSERT(mem.seq == entry.seq,
                        "LSQ head out of order with RUU head");
@@ -329,9 +307,6 @@ Core::commitStage(Tick now)
         entry.status = EntryStatus::Empty;
         ++committed;
         ++headSeq;
-        if (++headSlot == config.ruuSize)
-            headSlot = 0;
-        --ruuOccupancy;
     }
 }
 
@@ -344,25 +319,15 @@ Core::completeStage(Tick now)
         return;
     wheelHead[s] = noLink;
     wheelBits[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
-    // Power charges and predictor training happen in program order.
-    // Each issue pushes onto the head of its slot's list, oldest op
-    // first, so the list runs mostly in descending sequence order:
-    // inserting into a descending array costs about one compare per
-    // entry, and the array is then walked from its end.
-    dueScratch.clear();
+    // The ops complete in list order: every charge one makes here adds
+    // the same per-access energy as another's to the same structure in
+    // this tick, and a wakeup only counts operands down, so the order
+    // changes no result. Branch training must follow program order,
+    // so the due branches are collected and resolved oldest first.
+    std::size_t branches = 0;
     for (; idx != noLink; idx = ruu[idx].nextDue) {
-        const InstSeqNum seq = ruu[idx].seq;
-        std::size_t at = dueScratch.size();
-        dueScratch.push_back(seq);
-        for (; at > 0 && dueScratch[at - 1] < seq; --at)
-            dueScratch[at] = dueScratch[at - 1];
-        dueScratch[at] = seq;
-    }
-
-    for (auto due = dueScratch.rbegin(); due != dueScratch.rend(); ++due) {
-        const InstSeqNum seq = *due;
-        RuuEntry &entry = slot(seq);
-        VSV_ASSERT(entry.seq == seq && entry.status == EntryStatus::Issued &&
+        RuuEntry &entry = ruu[idx];
+        VSV_ASSERT(entry.status == EntryStatus::Issued &&
                        !entry.memPending &&
                        entry.completeCycle == cycleNum,
                    "completion wheel entry is not an op due now");
@@ -372,23 +337,36 @@ Core::completeStage(Tick now)
         power.recordAccess(PowerStructure::RegFile); // result write
         power.recordAccess(PowerStructure::LevelConverters);
         wakeConsumers(entry);
+        // Appended without a branch; only a branch keeps its place.
+        dueBranches[branches] = entry.seq;
+        branches += entry.decode.branch;
+    }
 
-        if (entry.op.cls == OpClass::Branch) {
-            power.recordAccess(PowerStructure::BranchPred);
-            const bool mispredicted =
-                predictor.resolve(entry.op, entry.pred);
-            ++branchesResolved;
-            if (entry.seq == blockingBranch) {
-                VSV_ASSERT(mispredicted == entry.fetchMispredicted,
-                           "fetch/resolve misprediction disagreement");
-                fetchResumeCycle = cycleNum + config.mispredictPenalty;
-                blockingBranch = invalidSeqNum;
-                ++mispredictRecoveries;
-                if (trace) {
-                    trace->record(TraceCategory::Core,
-                                  TraceEventKind::Mispredict, now,
-                                  entry.seq);
-                }
+    // Each issue pushes onto the head of its slot's list, so the list
+    // runs mostly youngest first: sort the branches oldest first.
+    for (std::size_t i = 1; i < branches; ++i) {
+        const InstSeqNum seq = dueBranches[i];
+        std::size_t at = i;
+        for (; at > 0 && dueBranches[at - 1] > seq; --at)
+            dueBranches[at] = dueBranches[at - 1];
+        dueBranches[at] = seq;
+    }
+
+    for (std::size_t i = 0; i < branches; ++i) {
+        const InstSeqNum seq = dueBranches[i];
+        const OpSlot &op_slot = ops[slotIndex(seq)];
+        power.recordAccess(PowerStructure::BranchPred);
+        const bool mispredicted = predictor.resolve(op_slot.op, op_slot.pred);
+        ++branchesResolved;
+        if (seq == blockingBranch) {
+            VSV_ASSERT(mispredicted == op_slot.fetchMispredicted,
+                       "fetch/resolve misprediction disagreement");
+            fetchResumeCycle = cycleNum + config.mispredictPenalty;
+            blockingBranch = invalidSeqNum;
+            ++mispredictRecoveries;
+            if (trace) {
+                trace->record(TraceCategory::Core,
+                              TraceEventKind::Mispredict, now, seq);
             }
         }
     }
@@ -398,46 +376,67 @@ std::uint32_t
 Core::issueStage(Tick now)
 {
     std::uint32_t issued = 0;
+    if (readyCount != 0)
+        issued = issueReady(now);
+    issuedTotal += issued;
+    issueRateDist.sample(issued);
+    if (issued == 0)
+        ++zeroIssueCycles;
+    return issued;
+}
+
+std::uint32_t
+Core::issueReady(Tick now)
+{
+    std::uint32_t issued = 0;
+    units.beginCycle(cycleNum);
     // Oldest first: the in-flight entries fill the ring from the head
-    // slot onward and wrap at most once, so [head, size) then
-    // [0, head) is sequence order. A ready entry that cannot issue
-    // (no free unit, no D-cache port, MSHRs full) stays in the set.
-    for (unsigned pass = 0; pass < 2; ++pass) {
-        const std::uint32_t begin = pass == 0 ? headSlot : 0;
-        const std::uint32_t end = pass == 0 ? config.ruuSize : headSlot;
-        for (std::uint32_t idx = nextReady(begin, end);
-             idx < end && issued < config.issueWidth;
-             idx = nextReady(idx + 1, end)) {
+    // slot onward and wrap at most once, so the ready words read from
+    // the head's word around to it again (its bits at or above the
+    // head first, those below it last) give sequence order. Issue
+    // never sets a ready bit (memory responses arrive as events), so
+    // each word is read once. A ready entry that cannot issue (no free
+    // unit, no D-cache port, MSHRs full) stays in the set.
+    const std::uint32_t head = slotIndex(headSeq);
+    const auto words = static_cast<std::uint32_t>(readyBits.size());
+    const std::uint64_t from_head = ~std::uint64_t{0} << (head & 63);
+    for (std::uint32_t n = 0; n <= words; ++n) {
+        const std::uint32_t word = ((head >> 6) + n) & (words - 1);
+        std::uint64_t bits = readyBits[word];
+        if (n == 0)
+            bits &= from_head;
+        else if (n == words)
+            bits &= ~from_head;
+        for (; bits != 0; bits &= bits - 1) {
+            const std::uint32_t idx =
+                (word << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
+            if (issued == config.issueWidth)
+                return issued;
             RuuEntry &entry = ruu[idx];
-            if (!acquireUnit(entry.op.cls))
+            const OpDecode decode = entry.decode;
+            if (!units.acquire(decode.pool, decode.busyCycles))
                 continue;
 
-            if (isMemOp(entry.op.cls)) {
-                if (!startMemoryAccess(entry, now))
+            if (decode.mem) {
+                if (!startMemoryAccess(idx, now))
                     continue;  // ports exhausted or MSHR full: retry
             } else {
-                entry.completeCycle =
-                    cycleNum + opTiming(entry.op.cls).latency;
+                entry.completeCycle = cycleNum + decode.latency;
             }
 
             clearReady(idx);
             entry.status = EntryStatus::Issued;
-            ++issued;
             if (!entry.memPending)
                 scheduleCompletion(idx, entry.completeCycle);
 
-            power.recordAccess(unitPowerStructure(entry.op.cls));
+            power.recordAccess(decode.unit);
             power.recordAccess(PowerStructure::RuuCam);  // select/payload
             power.recordAccess(PowerStructure::RegFile, 2);  // operands
             power.recordAccess(PowerStructure::LevelConverters, 2);
             power.recordAccess(PowerStructure::PipelineLatches);
+            ++issued;
         }
     }
-
-    issuedTotal += static_cast<double>(issued);
-    issueRateDist.sample(issued);
-    if (issued == 0)
-        ++zeroIssueCycles;
     return issued;
 }
 
@@ -445,62 +444,57 @@ void
 Core::dispatchStage()
 {
     for (std::uint32_t n = 0; n < config.dispatchWidth; ++n) {
-        if (fetchCount == 0)
-            return;
-        if (ruuOccupancy >= config.ruuSize) {
+        if (tailSeq == nextFetchSeq)
+            return;  // fetch queue empty
+        if (ruuOccupancy() >= config.ruuSize) {
             ++ruuFullStalls;
             return;
         }
-        const FetchedOp &fo = fetchRing[fetchHead];
-        if (isMemOp(fo.op.cls) && lsqOccupancy >= config.lsqSize) {
+        const std::uint32_t idx = slotIndex(tailSeq);
+        RuuEntry &entry = ruu[idx];
+        if (entry.decode.mem & (lsqOccupancy >= config.lsqSize)) {
             ++lsqFullStalls;
             return;
         }
 
-        RuuEntry &entry = ruu[tailSlot];
         VSV_ASSERT(entry.status == EntryStatus::Empty,
                    "dispatch into an occupied RUU slot");
-        entry.op = fo.op;
         entry.seq = tailSeq;
         entry.status = EntryStatus::Dispatched;
         entry.memPending = false;
-        entry.pred = fo.pred;
-        entry.fetchMispredicted = fo.fetchMispredicted;
         entry.pendingSrcs = 0;
-        linkProducer(tailSlot, 0,
-                     fo.op.depDist1 != 0 && tailSeq > fo.op.depDist1
-                         ? tailSeq - fo.op.depDist1
+        const MicroOp &op = ops[idx].op;
+        linkProducer(idx, 0,
+                     op.depDist1 != 0 && tailSeq > op.depDist1
+                         ? tailSeq - op.depDist1
                          : invalidSeqNum);
-        linkProducer(tailSlot, 1,
-                     fo.op.depDist2 != 0 && tailSeq > fo.op.depDist2
-                         ? tailSeq - fo.op.depDist2
+        linkProducer(idx, 1,
+                     op.depDist2 != 0 && tailSeq > op.depDist2
+                         ? tailSeq - op.depDist2
                          : invalidSeqNum);
         if (entry.pendingSrcs == 0)
-            markReady(tailSlot);
+            markReady(idx);
 
-        if (isMemOp(fo.op.cls)) {
-            LsqEntry &mem = lsq[lsqTail];
-            mem.seq = tailSeq;
-            mem.wordAddr = fo.op.addr & ~Addr{7};
-            mem.isStore = fo.op.cls == OpClass::Store;
-            mem.addrReady = false;
-            entry.lsqSlot = lsqTail;
-            if (++lsqTail == config.lsqSize)
-                lsqTail = 0;
-            ++lsqOccupancy;
-        }
+        // Every op writes an LSQ entry, without a branch on its kind:
+        // a memory op its slot at the tail, any other op a scratch
+        // entry, and only a memory op advances the tail.
+        const bool is_mem = entry.decode.mem;
+        LsqEntry &mem = is_mem ? lsq[lsqTail] : lsqScratch;
+        mem.seq = tailSeq;
+        mem.wordAddr = op.addr & ~Addr{7};
+        mem.isStore = entry.decode.store;
+        mem.addrReady = false;
+        entry.lsqSlot = lsqTail;
+        const std::uint32_t next_tail =
+            lsqTail + 1 == config.lsqSize ? 0 : lsqTail + 1;
+        lsqTail = is_mem ? next_tail : lsqTail;
+        lsqOccupancy += is_mem;
 
         power.recordAccess(PowerStructure::RenameLogic);
         power.recordAccess(PowerStructure::RuuRam);
         power.recordAccess(PowerStructure::PipelineLatches);
 
-        if (++fetchHead == config.fetchQueueSize)
-            fetchHead = 0;
-        --fetchCount;
         ++tailSeq;
-        if (++tailSlot == config.ruuSize)
-            tailSlot = 0;
-        ++ruuOccupancy;
     }
 }
 
@@ -511,30 +505,47 @@ Core::fetchStage(Tick now)
         return;
     if (blockingBranch != invalidSeqNum || cycleNum < fetchResumeCycle)
         return;
-    if (fetchCount >= config.fetchQueueSize)
+    if (fetchCount() >= config.fetchQueueSize)
         return;
+
+    static constexpr auto decodeTable = [] {
+        std::array<OpDecode, static_cast<std::size_t>(
+                                 OpClass::NumOpClasses)> table{};
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            const auto cls = static_cast<OpClass>(i);
+            const OpTiming timing = isa_detail::opTimingTable[i];
+            table[i] = {static_cast<std::uint8_t>(timing.pool),
+                        static_cast<std::uint8_t>(timing.latency),
+                        static_cast<std::uint8_t>(timing.busyCycles()),
+                        unitPowerStructure(cls),
+                        isMemOp(cls),
+                        cls == OpClass::Store,
+                        cls == OpClass::Prefetch,
+                        cls == OpClass::Branch};
+        }
+        return table;
+    }();
 
     bool accessed_icache = false;
     for (std::uint32_t n = 0; n < config.fetchWidth; ++n) {
-        if (fetchCount >= config.fetchQueueSize)
+        if (fetchCount() >= config.fetchQueueSize)
             break;
 
-        std::uint32_t tail = fetchHead + fetchCount;
-        if (tail >= config.fetchQueueSize)
-            tail -= config.fetchQueueSize;
-        FetchedOp &fo = fetchRing[tail];
+        const InstSeqNum seq = nextFetchSeq++;
+        const std::uint32_t idx = slotIndex(seq);
+        OpSlot &op_slot = ops[idx];
         if (traceOps.empty())
             traceOps = workload.nextBatch(~std::uint64_t{0});
-        fo.op = traceOps.front();
+        op_slot.op = traceOps.front();
         traceOps = traceOps.subspan(1);
-        fo.seq = nextFetchSeq++;
-        fo.pred = {};
-        fo.fetchMispredicted = false;
+        const auto cls = static_cast<std::size_t>(op_slot.op.cls);
+        VSV_ASSERT(cls < decodeTable.size(), "fetch: bad op class");
+        ruu[idx].decode = decodeTable[cls];
 
         if (!accessed_icache) {
             accessed_icache = true;
             const MemAccessOutcome outcome = memory.instFetch(
-                fo.op.pc, now, [this](Tick) { icacheStall = false; });
+                op_slot.op.pc, now, [this](Tick) { icacheStall = false; });
             if (!outcome.accepted) {
                 // L1I MSHRs full; retry the whole fetch next cycle.
                 // The op is already drawn from the trace, so keep it.
@@ -547,26 +558,26 @@ Core::fetchStage(Tick now)
         power.recordAccess(PowerStructure::PipelineLatches);
 
         bool stop_fetch = icacheStall;
-        if (fo.op.cls == OpClass::Branch) {
+        if (ruu[idx].decode.branch) {
+            // Only branches read their prediction fields.
             power.recordAccess(PowerStructure::BranchPred);
-            fo.pred = predictor.predict(fo.op);
-            fo.fetchMispredicted =
-                BranchPredictor::wouldMispredict(fo.op, fo.pred);
-            if (fo.fetchMispredicted) {
+            op_slot.pred = predictor.predict(op_slot.op);
+            op_slot.fetchMispredicted =
+                BranchPredictor::wouldMispredict(op_slot.op, op_slot.pred);
+            if (op_slot.fetchMispredicted) {
                 // The trace holds only correct-path ops; model
                 // wrong-path fetch as a stall until this branch
                 // resolves plus the recovery penalty.
-                blockingBranch = fo.seq;
+                blockingBranch = seq;
                 fetchResumeCycle = maxTick;
                 stop_fetch = true;
-            } else if (fo.op.taken) {
+            } else if (op_slot.op.taken) {
                 // Fetch does not continue past a taken branch within
                 // the same cycle.
                 stop_fetch = true;
             }
         }
 
-        ++fetchCount;
         ++fetched;
         if (stop_fetch)
             break;
@@ -579,7 +590,7 @@ Core::cyclesUntilProgress() const
     // Commit: a Completed head retires (or re-attempts a store write,
     // touching the write buffer) on the very next cycle.
     if (headSeq < tailSeq &&
-        ruu[headSlot].status == EntryStatus::Completed) {
+        ruu[slotIndex(headSeq)].status == EntryStatus::Completed) {
         return 0;
     }
 
@@ -591,7 +602,7 @@ Core::cyclesUntilProgress() const
     // a full fetch queue drains only via dispatch (checked below).
     const bool fetch_blocked_indefinitely =
         icacheStall || blockingBranch != invalidSeqNum ||
-        fetchCount >= config.fetchQueueSize;
+        fetchCount() >= config.fetchQueueSize;
     if (!fetch_blocked_indefinitely) {
         if (fetchResumeCycle <= cycleNum + 1)
             return 0;
@@ -601,9 +612,9 @@ Core::cyclesUntilProgress() const
     // Dispatch: only a full RUU (or a full LSQ for a memory op at the
     // queue head) stalls it; either stall bumps a per-cycle counter
     // that skipIdleCycles() replays.
-    if (fetchCount != 0) {
-        const bool ruu_full = ruuOccupancy >= config.ruuSize;
-        const bool lsq_full = isMemOp(fetchRing[fetchHead].op.cls) &&
+    if (fetchCount() != 0) {
+        const bool ruu_full = ruuOccupancy() >= config.ruuSize;
+        const bool lsq_full = ruu[slotIndex(tailSeq)].decode.mem &&
                               lsqOccupancy >= config.lsqSize;
         if (!ruu_full && !lsq_full)
             return 0;
@@ -630,14 +641,14 @@ Core::skipIdleCycles(Cycle edges)
 {
     cycleNum += edges;
     issueRateDist.sample(0, edges);
-    zeroIssueCycles += static_cast<double>(edges);
-    // issuedTotal += 0 per cycle is a bit-exact no-op.
-    if (fetchCount != 0) {
-        if (ruuOccupancy >= config.ruuSize)
-            ruuFullStalls += static_cast<double>(edges);
-        else if (isMemOp(fetchRing[fetchHead].op.cls) &&
+    zeroIssueCycles += edges;
+    // issuedTotal += 0 per cycle is a no-op.
+    if (fetchCount() != 0) {
+        if (ruuOccupancy() >= config.ruuSize)
+            ruuFullStalls += edges;
+        else if (ruu[slotIndex(tailSeq)].decode.mem &&
                  lsqOccupancy >= config.lsqSize)
-            lsqFullStalls += static_cast<double>(edges);
+            lsqFullStalls += edges;
     }
 }
 

@@ -11,14 +11,14 @@
  *              stores perform their D-cache write here (write-buffer
  *              semantics: commit only needs the access *accepted*)
  *   complete - ops whose completion cycle is due come off the
- *              completion wheel in sequence order and wake their
- *              dependents; branches resolve (train the predictor,
+ *              completion wheel and wake their dependents; branches
+ *              then resolve in sequence order (train the predictor,
  *              start the 8-cycle misprediction recovery clock)
  *   issue    - oldest-first select from the ready set onto free
  *              functional units (8/cycle); loads probe the LSQ for
  *              store forwarding, then access the D-cache through a
  *              limited number of ports; MSHR-full rejections retry
- *   dispatch - in-order move from the fetch ring into RUU + LSQ,
+ *   dispatch - in-order move from the fetch queue into RUU + LSQ,
  *              resolving producer distances to sequence numbers and
  *              linking each op to its in-flight producers
  *   fetch    - up to 8 ops/cycle from the trace through the L1I;
@@ -26,6 +26,11 @@
  *              the trace outcome) would mispredict, and resumes a
  *              fixed penalty after that branch resolves - the classic
  *              trace-driven stall model of wrong-path fetch
+ *
+ * Every in-flight op, fetched or dispatched, lives in slot
+ * seq & (ring size - 1) of one power-of-two ring: the trace op is
+ * copied there once at fetch, and its class is decoded there once into
+ * the slot's RUU entry, which every later stage reads.
  *
  * The window is event-driven, as in sim-outorder's ready queue and
  * event queue: no stage scans the RUU. A bitset over RUU slots holds
@@ -106,7 +111,7 @@ class Core
 
     std::uint64_t committedInstructions() const
     {
-        return static_cast<std::uint64_t>(committed.value());
+        return committed.count();
     }
     Cycle pipelineCycles() const { return cycleNum; }
 
@@ -151,15 +156,42 @@ class Core
     /** End of a consumer list. */
     static constexpr std::uint32_t noLink = ~std::uint32_t{0};
 
-    /** One RUU (register update unit) slot. */
-    struct RuuEntry
+    /** What the stages need of an op's class, decoded once per op at
+     *  fetch (8 bytes, copied as one word). */
+    struct OpDecode
+    {
+        std::uint8_t pool;        ///< FuPool index
+        std::uint8_t latency;     ///< execute latency (agen for memory)
+        std::uint8_t busyCycles;  ///< OpTiming::busyCycles()
+        PowerStructure unit;      ///< the executing unit's structure
+        bool mem;                 ///< isMemOp()
+        bool store;
+        bool prefetch;
+        bool branch;
+    };
+
+    /**
+     * One in-flight op, fetched and not yet committed: the trace op,
+     * stored once at fetch, and its fetch-time prediction (64 bytes on
+     * LP64 hosts: one cache line).
+     */
+    struct OpSlot
     {
         MicroOp op;
+        bool fetchMispredicted = false;
+        BranchPrediction pred;  ///< branches only
+    };
+
+    /**
+     * The scheduling state of one in-flight op (one RUU entry once
+     * dispatched). Fetch writes the decode into the entry of the op's
+     * ring slot, which the op's predecessor there has left Empty.
+     */
+    struct RuuEntry
+    {
         InstSeqNum seq = invalidSeqNum;
-        EntryStatus status = EntryStatus::Empty;
         Cycle completeCycle = 0;  ///< valid when Issued (non-memory)
-        bool memPending = false;  ///< load in the memory system
-        std::uint8_t pendingSrcs = 0;  ///< producers not yet completed
+        OpDecode decode{};
         /**
          * Head of this entry's consumer list. A link names one source
          * operand of one consumer: slot * 2 + operand, so an op whose
@@ -170,8 +202,9 @@ class Core
         /** Next entry in the same completion-wheel slot. */
         std::uint32_t nextDue = noLink;
         std::uint32_t lsqSlot = 0;
-        BranchPrediction pred;    ///< branches only
-        bool fetchMispredicted = false;
+        EntryStatus status = EntryStatus::Empty;
+        bool memPending = false;  ///< load in the memory system
+        std::uint8_t pendingSrcs = 0;  ///< producers not yet completed
     };
 
     /** One LSQ slot. */
@@ -183,26 +216,37 @@ class Core
         bool addrReady = false;  ///< agen done (stores)
     };
 
-    /** An op fetched but not yet dispatched. */
-    struct FetchedOp
-    {
-        MicroOp op;
-        InstSeqNum seq;
-        BranchPrediction pred;
-        bool fetchMispredicted = false;
-    };
-
     // Pipeline stages (called youngest-last so results flow across
     // cycles, not within one).
     void commitStage(Tick now);
     void completeStage(Tick now);
     std::uint32_t issueStage(Tick now);
+    /** issueStage()'s select loop, with something ready. */
+    std::uint32_t issueReady(Tick now);
     void dispatchStage();
     void fetchStage(Tick now);
 
-    /** RUU slot of in-flight sequence number `seq` (>= headSeq). */
-    std::uint32_t slotIndex(InstSeqNum seq) const;
+    /** Ring slot of in-flight sequence number `seq`, in both `ops`
+     *  and `ruu`. */
+    std::uint32_t
+    slotIndex(InstSeqNum seq) const
+    {
+        return static_cast<std::uint32_t>(seq) & ringMask;
+    }
     RuuEntry &slot(InstSeqNum seq) { return ruu[slotIndex(seq)]; }
+
+    /** Fetched ops not yet dispatched. */
+    std::uint32_t
+    fetchCount() const
+    {
+        return static_cast<std::uint32_t>(nextFetchSeq - tailSeq);
+    }
+    /** Dispatched ops not yet committed. */
+    std::uint32_t
+    ruuOccupancy() const
+    {
+        return static_cast<std::uint32_t>(tailSeq - headSeq);
+    }
 
     /** Put operand `operand` of the op in RUU slot `idx` on the
      *  consumer list of `producer` unless that producer is done
@@ -216,8 +260,6 @@ class Core
 
     void markReady(std::uint32_t idx);
     void clearReady(std::uint32_t idx);
-    /** First ready slot in [from, end), or end. */
-    std::uint32_t nextReady(std::uint32_t from, std::uint32_t end) const;
 
     /** Put the Issued op in RUU slot `idx` on the wheel slot of
      *  pipeline cycle `when`. */
@@ -237,25 +279,9 @@ class Core
                (storeFilterBuckets - 1);
     }
 
-    /** Try to start the memory access of a ready load/prefetch. */
-    bool startMemoryAccess(RuuEntry &entry, Tick now);
-
-    /** Acquire a functional unit for cls at this cycle. */
-    bool
-    acquireUnit(OpClass cls)
-    {
-        const OpTiming timing = opTiming(cls);
-        const auto pool = static_cast<std::size_t>(timing.pool);
-        for (std::uint32_t u = poolFirstUnit[pool];
-             u < poolFirstUnit[pool + 1]; ++u) {
-            if (unitFreeAt[u] <= cycleNum) {
-                unitFreeAt[u] =
-                    cycleNum + (timing.pipelined ? 1 : timing.latency);
-                return true;
-            }
-        }
-        return false;
-    }
+    /** Try to start the memory access of the ready load, store or
+     *  prefetch in ring slot `idx`. */
+    bool startMemoryAccess(std::uint32_t idx, Tick now);
 
     CoreConfig config;
     TraceSource &workload;
@@ -265,11 +291,18 @@ class Core
 
     Cycle cycleNum = 0;
 
-    // Fetch state: a ring of fetchQueueSize slots holding fetchCount
-    // ops from fetchHead on.
-    std::vector<FetchedOp> fetchRing;
-    std::uint32_t fetchHead = 0;
-    std::uint32_t fetchCount = 0;
+    /**
+     * Every in-flight op sits in slot seq & ringMask of `ops` (the op)
+     * and `ruu` (its scheduling state, once dispatched). The fetch
+     * queue is [tailSeq, nextFetchSeq) and the window [headSeq,
+     * tailSeq); together they hold at most ruuSize + fetchQueueSize
+     * ops, which the power-of-two ring size covers.
+     */
+    std::uint32_t ringMask = 0;
+    std::vector<OpSlot> ops;
+    std::vector<RuuEntry> ruu;
+
+    // Fetch state.
     InstSeqNum nextFetchSeq = 1;
     /** Ops drawn from the trace but not yet fetched, read in place. */
     std::span<const MicroOp> traceOps;
@@ -278,14 +311,10 @@ class Core
     bool icacheStall = false;
 
     // Window state.
-    std::vector<RuuEntry> ruu;
     InstSeqNum headSeq = 1;  ///< oldest in-flight sequence number
     InstSeqNum tailSeq = 1;  ///< next sequence number to dispatch
-    std::uint32_t headSlot = 0;  ///< ruu index of headSeq
-    std::uint32_t tailSlot = 0;  ///< ruu index of tailSeq
-    std::uint32_t ruuOccupancy = 0;
 
-    /** Ready set: one bit per RUU slot, set exactly for Dispatched
+    /** Ready set: one bit per ring slot, set exactly for Dispatched
      *  entries with no producer outstanding. */
     std::vector<std::uint64_t> readyBits;
     std::uint32_t readyCount = 0;
@@ -301,13 +330,16 @@ class Core
     /** One bit per wheel slot, set exactly when its list is non-empty. */
     std::vector<std::uint64_t> wheelBits;
     std::uint32_t wheelMask = 0;
-    /** completeStage's due set, kept in descending sequence order. */
-    std::vector<InstSeqNum> dueScratch;
+    /** completeStage's due branches (room for a whole ring). */
+    std::vector<InstSeqNum> dueBranches;
 
     std::vector<LsqEntry> lsq;
     std::uint32_t lsqHead = 0;
     std::uint32_t lsqTail = 0;
     std::uint32_t lsqOccupancy = 0;
+    /** Where dispatch writes the LSQ fields of an op that is not a
+     *  memory op. */
+    LsqEntry lsqScratch;
     /**
      * Address-ready stores in the LSQ, counted per storeFilterBucket()
      * of their word address: a store's agen increments its bucket and
@@ -318,29 +350,27 @@ class Core
      */
     std::array<std::uint16_t, storeFilterBuckets> readyStores{};
 
-    /** Unit free times (pipeline cycles), pool by pool: pool p's
-     *  units are [poolFirstUnit[p], poolFirstUnit[p + 1]). */
-    std::vector<Cycle> unitFreeAt;
-    std::array<std::uint32_t, numFuPools + 1> poolFirstUnit{};
+    FuPoolSet units;
     std::uint32_t dcachePortsUsed = 0;
 
     TraceSink *trace = nullptr;
 
     // Statistics.
-    Scalar committed;
-    Scalar issuedTotal;
-    Scalar fetched;
-    Scalar loadsExecuted;
-    Scalar storesExecuted;
-    Scalar swPrefetchesExecuted;
-    Scalar storeForwardCount;
-    Scalar branchesResolved;
-    Scalar mispredictRecoveries;
-    Scalar zeroIssueCycles;
-    Scalar ruuFullStalls;
-    Scalar lsqFullStalls;
-    Scalar memRetries;
-    Distribution issueRateDist{0, 8, 1};
+    Counter committed;
+    Counter issuedTotal;
+    Counter fetched;
+    Counter loadsExecuted;
+    Counter storesExecuted;
+    Counter swPrefetchesExecuted;
+    Counter storeForwardCount;
+    Counter branchesResolved;
+    Counter mispredictRecoveries;
+    Counter zeroIssueCycles;
+    Counter ruuFullStalls;
+    Counter lsqFullStalls;
+    Counter memRetries;
+    /** Tallies every value up to the issue width (DESIGN.md 5d). */
+    Distribution issueRateDist;
 };
 
 } // namespace vsv

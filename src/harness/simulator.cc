@@ -358,6 +358,9 @@ Simulator::run()
             [this] { return power.peekTotalEnergyPj(); });
     }
 
+    // Nothing snapshots the ledger from here on.
+    power.stopCountingAccesses();
+
     const auto wallStart = std::chrono::steady_clock::now();
 
     AbortPoller poller(options.abortHook);

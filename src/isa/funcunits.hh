@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/logging.hh"
 #include "isa/microop.hh"
@@ -38,6 +39,13 @@ struct OpTiming
     FuPool pool;          ///< which pool executes it
     std::uint32_t latency;  ///< execute latency in pipeline cycles
     bool pipelined;       ///< can the unit accept a new op next cycle?
+
+    /** Cycles one op keeps its unit from accepting another. */
+    constexpr std::uint32_t
+    busyCycles() const
+    {
+        return pipelined ? 1 : latency;
+    }
 };
 
 namespace isa_detail
@@ -86,6 +94,63 @@ struct FuPoolSizes
     }
 
     bool operator==(const FuPoolSizes &) const = default;
+};
+
+/**
+ * One core's functional units, pool by pool, each with the pipeline
+ * cycle it is next free. acquire() takes the first free unit of a
+ * pool, as a scan from the pool's first unit finds it. The scan
+ * resumes where the cycle's previous acquire in that pool stopped:
+ * every unit before that point was found busy or was just taken, and
+ * stays so for the rest of the cycle, so the unit it finds is the
+ * same.
+ */
+class FuPoolSet
+{
+  public:
+    explicit FuPoolSet(const FuPoolSizes &sizes)
+    {
+        for (std::size_t pool = 0; pool < numFuPools; ++pool)
+            first[pool + 1] = first[pool] + sizes.count[pool];
+        freeAt.assign(first[numFuPools], 0);
+    }
+
+    /** Start pipeline cycle `now`: every pool's scan restarts at its
+     *  first unit. */
+    void
+    beginCycle(Cycle now)
+    {
+        cycle = now;
+        for (std::size_t pool = 0; pool < numFuPools; ++pool)
+            cursor[pool] = first[pool];
+    }
+
+    /** Take the first free unit of `pool` for `busy_cycles` (>= 1)
+     *  cycles from this one; false when every unit is busy. */
+    bool
+    acquire(std::size_t pool, std::uint32_t busy_cycles)
+    {
+        std::uint32_t &u = cursor[pool];
+        const std::uint32_t end = first[pool + 1];
+        for (; u < end; ++u) {
+            if (freeAt[u] <= cycle) {
+                freeAt[u] = cycle + busy_cycles;
+                ++u;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /** Each unit's next free cycle, pool by pool. */
+    const std::vector<Cycle> &freeCycles() const { return freeAt; }
+
+  private:
+    /** Pool p's units are [first[p], first[p + 1]). */
+    std::array<std::uint32_t, numFuPools + 1> first{};
+    std::array<std::uint32_t, numFuPools> cursor{};
+    std::vector<Cycle> freeAt;
+    Cycle cycle = 0;
 };
 
 } // namespace vsv

@@ -62,11 +62,18 @@ enum class BranchKind : std::uint8_t
     Return      ///< subroutine return (pops RAS)
 };
 
-/** One element of the dynamic instruction trace. */
+/** One element of the dynamic instruction trace (40 bytes: the
+ *  one-byte fields lead, so they pack into the padding). */
 struct MicroOp
 {
     /** Operation class. */
     OpClass cls = OpClass::IntAlu;
+
+    /** Actual branch outcome (Branch ops only). */
+    bool taken = false;
+
+    /** Control-transfer subtype (Branch ops only). */
+    BranchKind brKind = BranchKind::NotBranch;
 
     /**
      * Producer distances: this op's sources are the results of the ops
@@ -84,12 +91,6 @@ struct MicroOp
 
     /** Branch target (Branch ops only). */
     Addr target = 0;
-
-    /** Actual branch outcome (Branch ops only). */
-    bool taken = false;
-
-    /** Control-transfer subtype (Branch ops only). */
-    BranchKind brKind = BranchKind::NotBranch;
 };
 
 } // namespace vsv

@@ -142,22 +142,18 @@ PowerModel::loadCharges(std::size_t rail)
 }
 
 void
-PowerModel::changePipelineVdd(double vdd, std::size_t rail)
+PowerModel::changeSupply(double vdd, bool low, std::size_t rail)
 {
     RailState &state = rails_[rail];
-    VSV_ASSERT(vdd >= state.config.vddLow - 1e-9 &&
-               vdd <= state.config.vddHigh + 1e-9,
-               "pipeline VDD outside [VDDL, VDDH]");
-    // Banked idle ticks were accumulated at the old voltage.
-    flushRail(rail);
-    state.pipelineVdd = vdd;
-    loadCharges(rail);
-}
-
-void
-PowerModel::changeLowPowerPath(bool low, std::size_t rail)
-{
-    rails_[rail].lowPowerPath = low;
+    if (vdd != state.pipelineVdd) {
+        VSV_ASSERT(vdd >= state.config.vddLow - 1e-9 &&
+                   vdd <= state.config.vddHigh + 1e-9,
+                   "pipeline VDD outside [VDDL, VDDH]");
+        // Banked idle ticks were accumulated at the old voltage.
+        flushRail(rail);
+        state.pipelineVdd = vdd;
+    }
+    state.lowPowerPath = low;
     loadCharges(rail);
 }
 
@@ -220,7 +216,8 @@ PowerModel::closeRails(bool pipeline_edge)
         for (std::size_t r = 0; r < n; ++r)
             energy[r] += charge[r];
     }
-    accessesThisTick.fill(0);
+    if (countingAccesses)
+        accessesThisTick.fill(0);
     accessedMask = 0;
 }
 
@@ -238,8 +235,8 @@ PowerModel::accrueIdleTicks(std::uint64_t edges, std::uint64_t no_edges)
 {
     VSV_ASSERT(accessedMask == 0,
                "accrueIdleTicks with accesses not yet closed by tick()");
-    ticks += static_cast<double>(edges + no_edges);
-    pipelineEdges += static_cast<double>(edges);
+    ticks += edges + no_edges;
+    pipelineEdges += edges;
     idleEdges += edges;
     idleNoEdges += no_edges;
 }
@@ -350,10 +347,31 @@ PowerModel::averagePowerW(Tick duration_ticks, std::size_t rail) const
            1e-3;
 }
 
+namespace
+{
+
+/** A count a snapshot stores as a double: a whole number, exact below
+ *  2^53. */
+std::uint64_t
+readCount(SnapshotReader &reader, const char *what)
+{
+    const double count = reader.f64();
+    if (!(count >= 0.0 && count < 0x1p53) ||
+        count != static_cast<double>(static_cast<std::uint64_t>(count))) {
+        throw SnapshotError(std::string("snapshot: ") + what +
+                            " is not a whole number below 2^53");
+    }
+    return static_cast<std::uint64_t>(count);
+}
+
+} // namespace
+
 void
 PowerModel::snapshot(SnapshotWriter &writer) const
 {
     VSV_ASSERT(railCount_ == 1, "only a one-rail ledger snapshots");
+    VSV_ASSERT(countingAccesses,
+               "power snapshot after stopCountingAccesses()");
     const RailState &state = rails_[0];
     writer.begin("power");
     writer.u32(static_cast<std::uint32_t>(numPowerStructures));
@@ -366,8 +384,8 @@ PowerModel::snapshot(SnapshotWriter &writer) const
         writer.scalar(energy);
     writer.scalar(state.rampEnergy);
     writer.scalar(state.leakageEnergy);
-    writer.scalar(ticks);
-    writer.scalar(pipelineEdges);
+    writer.f64(ticks.value());
+    writer.f64(pipelineEdges.value());
     writer.u64(idleEdges - state.flushedIdleEdges);
     writer.u64(idleNoEdges - state.flushedIdleNoEdges);
     writer.end();
@@ -389,15 +407,7 @@ PowerModel::restore(SnapshotReader &reader)
     const bool any_access = reader.b();
     accessedMask = 0;
     for (std::size_t i = 0; i < numPowerStructures; ++i) {
-        // Counts are whole numbers, exact as doubles below 2^53.
-        const double accesses = reader.f64();
-        if (!(accesses >= 0.0 && accesses < 0x1p53) ||
-            accesses != static_cast<double>(
-                             static_cast<std::uint64_t>(accesses))) {
-            throw SnapshotError("snapshot: power access count is not a "
-                                "whole number below 2^53");
-        }
-        accessesThisTick[i] = static_cast<std::uint64_t>(accesses);
+        accessesThisTick[i] = readCount(reader, "power access count");
         if (accessesThisTick[i] != 0)
             accessedMask |= std::uint32_t{1} << i;
     }
@@ -409,8 +419,8 @@ PowerModel::restore(SnapshotReader &reader)
         reader.scalar(energy);
     reader.scalar(state.rampEnergy);
     reader.scalar(state.leakageEnergy);
-    reader.scalar(ticks);
-    reader.scalar(pipelineEdges);
+    ticks = Counter(readCount(reader, "power tick count"));
+    pipelineEdges = Counter(readCount(reader, "power edge count"));
     idleEdges = reader.u64();
     idleNoEdges = reader.u64();
     state.flushedIdleEdges = 0;

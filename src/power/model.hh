@@ -133,19 +133,16 @@ class PowerModel
     class Rail
     {
       public:
-        /** PowerModel::setPipelineVdd() on this rail. */
+        /**
+         * PowerModel::setPipelineVdd() and setLowPowerPath() on this
+         * rail in one call: a change to either derives (or looks up)
+         * one charge row, for the pair.
+         */
         void
-        setPipelineVdd(double vdd)
+        setSupply(double vdd, bool low)
         {
-            if (vdd != state->pipelineVdd)
-                model->changePipelineVdd(vdd, index);
-        }
-        /** PowerModel::setLowPowerPath() on this rail. */
-        void
-        setLowPowerPath(bool low)
-        {
-            if (low != state->lowPowerPath)
-                model->changeLowPowerPath(low, index);
+            if (vdd != state->pipelineVdd || low != state->lowPowerPath)
+                model->changeSupply(vdd, low, index);
         }
         void addRampEnergy(Tick when) { model->addRampEnergy(when, index); }
 
@@ -174,7 +171,7 @@ class PowerModel
     setPipelineVdd(double vdd, std::size_t rail = 0)
     {
         if (vdd != rails_[rail].pipelineVdd)
-            changePipelineVdd(vdd, rail);
+            changeSupply(vdd, rails_[rail].lowPowerPath, rail);
     }
     double pipelineVdd(std::size_t rail = 0) const
     {
@@ -191,7 +188,7 @@ class PowerModel
     {
         // Called every tick; only a change re-derives the charges.
         if (low != rails_[rail].lowPowerPath)
-            changeLowPowerPath(low, rail);
+            changeSupply(rails_[rail].pipelineVdd, low, rail);
     }
 
     /**
@@ -224,7 +221,8 @@ class PowerModel
     recordAccess(PowerStructure s, std::uint32_t count = 1)
     {
         const auto idx = static_cast<std::size_t>(s);
-        accessesThisTick[idx] += count;
+        if (countingAccesses)
+            accessesThisTick[idx] += count;
         accessedMask |= std::uint32_t{1} << idx;
 
         if ((count & (count - 1)) != 0) {
@@ -243,6 +241,15 @@ class PowerModel
         for (std::size_t r = 0; r < n; ++r)
             energy[r] += k * charge[r];
     }
+
+    /**
+     * Stop keeping the per-structure access counts that only
+     * snapshot() reads, which may not be called afterwards. The
+     * measured loop, which never snapshots, calls this before its
+     * first tick, so neither an access nor a tick's close touches the
+     * counts.
+     */
+    void stopCountingAccesses() { countingAccesses = false; }
 
     /**
      * Close out one global tick on every rail.
@@ -438,10 +445,9 @@ class PowerModel
      *  about thirty. */
     static constexpr std::size_t maxChargeRows = 64;
 
-    /** setPipelineVdd() with a new value: flush, then re-derive. */
-    void changePipelineVdd(double vdd, std::size_t rail);
-    /** setLowPowerPath() with a new value. */
-    void changeLowPowerPath(bool low, std::size_t rail);
+    /** A new (VDD, latch path) pair: flush the banked idle ticks if
+     *  the VDD moved, then load the pair's charge row. */
+    void changeSupply(double vdd, bool low, std::size_t rail);
 
     /** Copy a rail's current charge row into its ledger columns. */
     void loadCharges(std::size_t rail);
@@ -490,11 +496,14 @@ class PowerModel
 
     /**
      * Accesses recorded per structure since the last tick() closed
-     * (warmup, which runs no ticks, leaves its counts open). Integer
-     * counts are exact; a snapshot stores them as the doubles they
-     * convert to exactly below 2^53.
+     * (warmup, which runs no ticks, leaves its counts open), kept
+     * until stopCountingAccesses(). Only snapshot() reads them; a
+     * tick's close needs only the mask. Integer counts are exact; a
+     * snapshot stores them as the doubles they convert to exactly
+     * below 2^53.
      */
     std::array<std::uint64_t, numPowerStructures> accessesThisTick{};
+    bool countingAccesses = true;
     /** One bit per structure with accesses recorded this tick. */
     std::uint32_t accessedMask = 0;
     /** Energy accumulators, row s holding every rail's: index
@@ -503,8 +512,8 @@ class PowerModel
     /** Each rail's cached charges, laid out like energyPj. */
     std::vector<double> accessChargePj;
     std::vector<double> idleChargePj;
-    Scalar ticks;
-    Scalar pipelineEdges;
+    Counter ticks;
+    Counter pipelineEdges;
     /** Idle ticks since construction (or restore), split by pipeline
      *  edge: the two tick kinds charge different structure sets. */
     std::uint64_t idleEdges = 0;

@@ -1,6 +1,7 @@
 #include "timekeeping.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -240,12 +241,16 @@ TimekeepingPrefetcher::sweepSlice(Tick now)
     // of at most 64 consecutive sets (modulo the power-of-two set
     // count) touches at most two aligned screens, the ones holding its
     // first and last set; when both screens' bounds lie past `now`, no
-    // set in the block is due and it is skipped unscreened. A block
-    // that is one whole screen leaves that screen's bound at the
-    // minimum of its sets' wakes, folded in as the screen reads them
-    // and as the visits recompute them. Any other block leaves its
-    // screens' bounds alone: a visit only moves a due set's wake from
-    // at most `now` to past it, so they stay lower bounds.
+    // set in the block is due and it is skipped unscreened.
+    //
+    // The screen is the bare due mask, read in place when the block is
+    // one whole aligned screen. Only such a block found with no set
+    // due then sets its screen's bound, to its sets' minimum wake,
+    // taken in four independent minima; that skips it until then. A
+    // block with due sets leaves its screens' bounds alone: a visit
+    // only moves a due set's wake from at most `now` to past it, so
+    // they stay lower bounds, and a later screen that finds the group
+    // quiet sets one.
     for (std::uint32_t block = 0; block < sets_per_slice; block += 64) {
         const std::uint32_t span =
             std::min<std::uint32_t>(64, sets_per_slice - block);
@@ -256,26 +261,39 @@ TimekeepingPrefetcher::sweepSlice(Tick now)
         if (now < screenWake[first_screen] && now < screenWake[last_screen])
             continue;
         std::uint64_t due = 0;
-        Tick wake = std::numeric_limits<Tick>::max();
-        for (std::uint32_t i = 0; i < span; ++i) {
-            const Tick set_wake = setWake[(start + i) & set_mask];
-            const bool set_due = now >= set_wake;
-            due |= std::uint64_t{set_due} << i;
-            wake = std::min(wake, set_due ? wake : set_wake);
+        if (span == screenSets && start % screenSets == 0) {
+            const Tick *wakes = setWake.data() + start;
+            for (std::uint32_t i = 0; i < screenSets; ++i)
+                due |= std::uint64_t{now >= wakes[i]} << i;
+            if (due == 0) {
+                std::array<Tick, 4> lane = {wakes[0], wakes[1], wakes[2],
+                                            wakes[3]};
+                for (std::uint32_t i = 4; i < screenSets; i += 4) {
+                    for (std::uint32_t j = 0; j < 4; ++j)
+                        lane[j] = std::min(lane[j], wakes[i + j]);
+                }
+                screenWake[first_screen] =
+                    std::min(std::min(lane[0], lane[1]),
+                             std::min(lane[2], lane[3]));
+                continue;
+            }
+        } else {
+            for (std::uint32_t i = 0; i < span; ++i) {
+                due |= std::uint64_t{now >= setWake[(start + i) & set_mask]}
+                       << i;
+            }
         }
         for (; due != 0; due &= due - 1) {
             const std::uint32_t set =
                 (start + static_cast<std::uint32_t>(std::countr_zero(due))) &
                 set_mask;
-            wake = std::min(wake, sweepSet(set, now));
+            sweepSet(set, now);
         }
-        if (span == screenSets && start % screenSets == 0)
-            screenWake[first_screen] = wake;
     }
     sweepCursor = (sweepCursor + sets_per_slice) & set_mask;
 }
 
-Tick
+void
 TimekeepingPrefetcher::sweepSet(std::uint32_t set, Tick now)
 {
     Tick wake = std::numeric_limits<Tick>::max();
@@ -319,7 +337,6 @@ TimekeepingPrefetcher::sweepSet(std::uint32_t set, Tick now)
         }
     }
     setWake[set] = wake;
-    return wake;
 }
 
 std::vector<std::pair<std::int32_t, std::uint8_t>>

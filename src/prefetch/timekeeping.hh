@@ -153,8 +153,8 @@ class TimekeepingPrefetcher : public Prefetcher
     Frame *findFrame(Addr block_addr);
     void sweepSlice(Tick now);
     /** Visit one due set of a sweep slice: predict its dead frames
-     *  and recompute its wake tick, which it returns. */
-    Tick sweepSet(std::uint32_t set, Tick now);
+     *  and recompute its wake tick. */
+    void sweepSet(std::uint32_t set, Tick now);
 
     /** First tick at which the sweep's idle > deadMultiplier * live
      *  test can hold for `frame`, given its current timestamps. */

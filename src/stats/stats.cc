@@ -46,8 +46,9 @@ jsonNumber(double value)
 }
 
 Distribution::Distribution(std::uint64_t min, std::uint64_t max,
-                           std::uint64_t bucket_size)
-    : min(min), max(max), bucketSize(bucket_size)
+                           std::uint64_t bucket_size,
+                           std::uint64_t tally_limit)
+    : min(min), max(max), bucketSize(bucket_size), tallies(tally_limit, 0)
 {
     VSV_ASSERT(max >= min, "distribution max below min");
     VSV_ASSERT(bucket_size > 0, "distribution bucket size zero");
@@ -58,14 +59,57 @@ void
 Distribution::reset()
 {
     std::fill(buckets_.begin(), buckets_.end(), 0);
+    std::fill(tallies.begin(), tallies.end(), 0);
     underflow_ = overflow_ = samples_ = 0;
     sum = 0.0;
+}
+
+std::uint64_t
+Distribution::samples() const
+{
+    std::uint64_t total = samples_;
+    for (const std::uint64_t count : tallies)
+        total += count;
+    return total;
 }
 
 double
 Distribution::mean() const
 {
-    return samples_ == 0 ? 0.0 : sum / static_cast<double>(samples_);
+    double total = sum;
+    for (std::size_t v = 0; v < tallies.size(); ++v) {
+        total += static_cast<double>(v) *
+                 static_cast<double>(tallies[v]);
+    }
+    const std::uint64_t n = samples();
+    return n == 0 ? 0.0 : total / static_cast<double>(n);
+}
+
+std::uint64_t
+Distribution::underflow() const
+{
+    std::uint64_t total = underflow_;
+    for (std::size_t v = 0; v < tallies.size() && v < min; ++v)
+        total += tallies[v];
+    return total;
+}
+
+std::uint64_t
+Distribution::overflow() const
+{
+    std::uint64_t total = overflow_;
+    for (std::size_t v = max + 1; v < tallies.size(); ++v)
+        total += tallies[v];
+    return total;
+}
+
+std::vector<std::uint64_t>
+Distribution::buckets() const
+{
+    std::vector<std::uint64_t> folded = buckets_;
+    for (std::size_t v = min; v < tallies.size() && v <= max; ++v)
+        folded[(v - min) / bucketSize] += tallies[v];
+    return folded;
 }
 
 void
@@ -74,7 +118,16 @@ StatRegistry::registerScalar(const std::string &name, const Scalar *stat,
 {
     VSV_ASSERT(stat != nullptr, "null scalar registered: " + name);
     VSV_ASSERT(!scalars.count(name), "duplicate scalar stat: " + name);
-    scalars.emplace(name, ScalarEntry{stat, desc});
+    scalars.emplace(name, ScalarEntry{stat, nullptr, desc});
+}
+
+void
+StatRegistry::registerScalar(const std::string &name, const Counter *stat,
+                             const std::string &desc)
+{
+    VSV_ASSERT(stat != nullptr, "null scalar registered: " + name);
+    VSV_ASSERT(!scalars.count(name), "duplicate scalar stat: " + name);
+    scalars.emplace(name, ScalarEntry{nullptr, stat, desc});
 }
 
 void
@@ -93,7 +146,7 @@ StatRegistry::scalarValue(const std::string &name) const
     auto it = scalars.find(name);
     if (it == scalars.end())
         panic("unknown scalar stat: " + name);
-    return it->second.stat->value();
+    return it->second.value();
 }
 
 bool
@@ -108,7 +161,7 @@ StatRegistry::dump(std::ostream &os) const
     for (const auto &[name, entry] : scalars) {
         os << std::left << std::setw(44) << name << std::right
            << std::setw(18) << std::setprecision(6) << std::fixed
-           << entry.stat->value() << "  # " << entry.desc << '\n';
+           << entry.value() << "  # " << entry.desc << '\n';
     }
     for (const auto &[name, entry] : dists) {
         os << name << "  # " << entry.desc << " (samples="
@@ -137,7 +190,7 @@ StatRegistry::dumpJson(std::ostream &os) const
     bool first = true;
     for (const auto &[name, entry] : scalars) {
         os << (first ? "" : ",") << '"' << jsonEscape(name)
-           << "\":" << jsonNumber(entry.stat->value());
+           << "\":" << jsonNumber(entry.value());
         first = false;
     }
     os << "},\"distributions\":{";
@@ -169,7 +222,7 @@ StatRegistry::scalarMap() const
 {
     std::map<std::string, double> values;
     for (const auto &[name, entry] : scalars)
-        values.emplace(name, entry.stat->value());
+        values.emplace(name, entry.value());
     return values;
 }
 

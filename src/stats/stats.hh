@@ -50,7 +50,39 @@ class Scalar
     double value_ = 0.0;
 };
 
-/** Histogram over a fixed linear bucket range, with under/overflow. */
+/**
+ * A whole-number counter: integer increments, read as the double a
+ * Scalar fed the same increments holds. Every partial sum of whole
+ * numbers below 2^53 is exact as a double, so up to 2^53 the
+ * conversion at read gives that double to the bit, and an increment
+ * costs no floating-point read-modify-write.
+ */
+class Counter
+{
+  public:
+    explicit Counter(std::uint64_t count = 0) : count_(count) {}
+
+    Counter &operator++() { ++count_; return *this; }
+    Counter &operator+=(std::uint64_t n) { count_ += n; return *this; }
+
+    void reset() { count_ = 0; }
+    std::uint64_t count() const { return count_; }
+    double value() const { return static_cast<double>(count_); }
+
+  private:
+    std::uint64_t count_ = 0;
+};
+
+/**
+ * Histogram over a fixed linear bucket range, with under/overflow.
+ *
+ * Values below an optional tally limit are only added to a per-value
+ * integer count, and the getters fold those counts in as they read.
+ * Sample values and counts are whole numbers, so the sum is one too,
+ * and while it stays below 2^53 every grouping of it is exact: a
+ * folded read returns exactly what bucketing each value as it came
+ * would have accumulated.
+ */
 class Distribution
 {
   public:
@@ -58,15 +90,20 @@ class Distribution
      * @param min lowest bucketed value
      * @param max highest bucketed value (inclusive)
      * @param bucket_size width of each bucket
+     * @param tally_limit values below it are tallied per value
      */
     Distribution(std::uint64_t min, std::uint64_t max,
-                 std::uint64_t bucket_size);
+                 std::uint64_t bucket_size, std::uint64_t tally_limit = 0);
 
     /** Record `count` samples of `value`. Inline: the core samples
-     *  its issue rate every pipeline cycle. */
+     *  its issue rate every pipeline cycle, a tallied value. */
     void
     sample(std::uint64_t value, std::uint64_t count = 1)
     {
+        if (value < tallies.size()) {
+            tallies[value] += count;
+            return;
+        }
         samples_ += count;
         sum += static_cast<double>(value) * static_cast<double>(count);
         if (value < min) {
@@ -80,11 +117,11 @@ class Distribution
 
     void reset();
 
-    std::uint64_t samples() const { return samples_; }
+    std::uint64_t samples() const;
     double mean() const;
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
+    std::uint64_t underflow() const;
+    std::uint64_t overflow() const;
+    std::vector<std::uint64_t> buckets() const;
     std::uint64_t bucketLow(std::size_t i) const
     {
         return min + i * bucketSize;
@@ -99,6 +136,8 @@ class Distribution
     std::uint64_t overflow_ = 0;
     std::uint64_t samples_ = 0;
     double sum = 0.0;
+    /** tallies[v]: samples of value v, for v below the tally limit. */
+    std::vector<std::uint64_t> tallies;
 };
 
 /**
@@ -109,6 +148,9 @@ class StatRegistry
 {
   public:
     void registerScalar(const std::string &name, const Scalar *stat,
+                        const std::string &desc);
+    /** A Counter registers as a scalar: it reads as a double. */
+    void registerScalar(const std::string &name, const Counter *stat,
                         const std::string &desc);
     void registerDistribution(const std::string &name,
                               const Distribution *stat,
@@ -135,10 +177,18 @@ class StatRegistry
     std::map<std::string, double> scalarMap() const;
 
   private:
+    /** One of `scalar` and `counter` is set. */
     struct ScalarEntry
     {
-        const Scalar *stat;
+        const Scalar *scalar;
+        const Counter *counter;
         std::string desc;
+
+        double
+        value() const
+        {
+            return scalar ? scalar->value() : counter->value();
+        }
     };
     struct DistEntry
     {

@@ -242,13 +242,12 @@ VsvController::beginTick(Tick now)
         }
     }
 
-    stateTicks[static_cast<std::size_t>(state_)] += 1.0;
+    ++stateTicks[static_cast<std::size_t>(state_)];
 
     // Drive this tick's pipeline voltage (average across the tick
     // while ramping, per Section 5.2) and latch-set selection.
     const double vdd = rail.advance();
-    power.setPipelineVdd(vdd);
-    power.setLowPowerPath(lowPowerPath());
+    power.setSupply(vdd, lowPowerPath());
     if (trace) {
         if (vdd != tracedVdd) {
             trace->record(TraceCategory::Power,
@@ -346,8 +345,7 @@ VsvController::advanceIdle(Tick now, Tick max_ticks, Tick max_edges)
         edge_step = d;
     }
 
-    stateTicks[static_cast<std::size_t>(state_)] +=
-        static_cast<double>(plan.ticks);
+    stateTicks[static_cast<std::size_t>(state_)] += plan.ticks;
     if (config.enabled && plan.edges > 0) {
         const bool high = state_ == VsvState::High;
         const IssueMonitorFsm &fsm = high ? downFsm : upFsm;

@@ -184,16 +184,15 @@ class VsvController : public MissListener
     /** Ticks spent in each state so far. */
     std::uint64_t ticksInState(VsvState state) const
     {
-        return static_cast<std::uint64_t>(
-            stateTicks[static_cast<std::size_t>(state)].value());
+        return stateTicks[static_cast<std::size_t>(state)].count();
     }
     std::uint64_t downTransitions() const
     {
-        return static_cast<std::uint64_t>(downCount.value());
+        return downCount.count();
     }
     std::uint64_t upTransitions() const
     {
-        return static_cast<std::uint64_t>(upCount.value());
+        return upCount.count();
     }
 
     void regStats(StatRegistry &registry, const std::string &prefix) const;
@@ -246,13 +245,13 @@ class VsvController : public MissListener
     double tracedVdd = -1.0;
     std::uint64_t tracedDivider = 0;
 
-    std::array<Scalar, static_cast<std::size_t>(VsvState::NumStates)>
+    std::array<Counter, static_cast<std::size_t>(VsvState::NumStates)>
         stateTicks;
-    Scalar downCount;
-    Scalar upCount;
-    Scalar detectionsInHigh;
-    Scalar returnsInLow;
-    Scalar immediateUpOnLastReturn;
+    Counter downCount;
+    Counter upCount;
+    Counter detectionsInHigh;
+    Counter returnsInLow;
+    Counter immediateUpOnLastReturn;
 };
 
 } // namespace vsv

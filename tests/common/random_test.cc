@@ -224,6 +224,52 @@ TEST(GeometricParamTest, TableDrawEqualsTheFormula)
     EXPECT_GT(checked, std::uint64_t{1000000});
 }
 
+TEST(GeometricParamTest, DirectLookupEqualsTheFormulaAtEveryBucketEdge)
+{
+    // The one-lookup table answers a whole bucket of mantissas with
+    // the draw at its first m, so the first and last m of every bucket
+    // (and the m on either side of each edge) must draw what the
+    // threshold scan and the formula draw.
+    std::set<double> ps = {0.2, 0.5, 0.999, 1e-3};
+    for (const std::string &name : spec2kBenchmarks())
+        ps.insert(1.0 / std::max(1.0, spec2kProfile(name).meanDepDist));
+    constexpr unsigned bucket_bits = 12;
+    constexpr std::uint64_t bucket = std::uint64_t{1} << (53 - bucket_bits);
+    for (const double p : ps) {
+        SCOPED_TRACE("p = " + std::to_string(p));
+        const GeometricParam param(p);
+        for (std::uint64_t b = 0; b < (std::uint64_t{1} << bucket_bits);
+             ++b) {
+            for (const std::uint64_t m : {b * bucket, b * bucket + 1,
+                                          (b + 1) * bucket - 2,
+                                          (b + 1) * bucket - 1}) {
+                ASSERT_EQ(param.draw(m), param.scan(m)) << "m = " << m;
+                if (p < 1.0) {
+                    ASSERT_EQ(param.draw(m), formulaDraw(m, p))
+                        << "m = " << m;
+                }
+            }
+        }
+    }
+}
+
+TEST(GeometricParamTest, DirectLookupEqualsTheFormulaOnSeededDraws)
+{
+    // A million seeded draws per stock producer-distance parameter,
+    // through the Rng entry points a generator uses: the prepared
+    // parameter and the formula consume the stream alike and agree.
+    std::set<double> ps;
+    for (const std::string &name : spec2kBenchmarks())
+        ps.insert(1.0 / std::max(1.0, spec2kProfile(name).meanDepDist));
+    for (const double p : ps) {
+        SCOPED_TRACE("p = " + std::to_string(p));
+        const GeometricParam param(p);
+        Rng table(11), formula(11);
+        for (int i = 0; i < 1000000; ++i)
+            ASSERT_EQ(table.nextGeometric(param), formula.nextGeometric(p));
+    }
+}
+
 TEST(MantissaCutTest, IntegerTestEqualsTheDoubleTest)
 {
     // m < mantissaCut(p) must hold exactly when nextDouble() < p would

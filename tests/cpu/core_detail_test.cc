@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+
 #include "cpu/core.hh"
 
 namespace vsv
@@ -244,6 +248,79 @@ TEST(CoreDetailTest, IssueRateDistributionIsRecorded)
     EXPECT_GE(issued, committed);
     EXPECT_LE(issued, committed + 200.0);
 }
+
+/** The distributions half of a registry's JSON dump. */
+std::string
+distributionsJson(const StatRegistry &registry)
+{
+    std::ostringstream os;
+    registry.dumpJson(os);
+    const std::string json = os.str();
+    return json.substr(json.find("\"distributions\""));
+}
+
+/**
+ * The issue-rate histogram the core tallies per cycle and folds at
+ * read must equal a distribution sampled with each cycle's issue
+ * count, and with every fast-forwarded idle span, as it happens:
+ * under mcf's long memory stalls (so spans are skipped) at the
+ * default width and at 16, whose counts above 8 overflow the
+ * buckets.
+ */
+class CoreIssueRateTest : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(CoreIssueRateTest, FoldedHistogramEqualsPerCycleSampling)
+{
+    CoreConfig config;
+    config.issueWidth = GetParam();
+    config.fetchWidth = config.dispatchWidth = config.commitWidth =
+        GetParam();
+    config.fuPools = FuPoolSizes{{16, 4, 8, 8}};
+    config.dcachePorts = 8;
+    Rig rig(spec2kProfile("mcf"), config);
+    rig.warm(20000);
+    Distribution reference(0, 8, 1);
+    Tick now = 0;
+    std::uint32_t last_issued = 1;
+    Cycle skipped = 0;
+    std::uint32_t widest = 0;
+    while (rig.core.committedInstructions() < 30000 && now < 20'000'000) {
+        const Tick next_event = rig.mem.nextEventTick();
+        const Cycle budget = last_issued == 0 && next_event > now
+                                 ? rig.core.cyclesUntilProgress()
+                                 : 0;
+        if (budget > 0 && next_event != maxTick) {
+            const Cycle span = std::min<Cycle>(budget, next_event - now);
+            rig.core.skipIdleCycles(span);
+            reference.sample(0, span);
+            skipped += span;
+            now += span;
+            continue;
+        }
+        rig.mem.service(now);
+        last_issued = rig.core.cycle(now);
+        reference.sample(last_issued);
+        widest = std::max(widest, last_issued);
+        ++now;
+    }
+    ASSERT_GE(rig.core.committedInstructions(), 30000u);
+    EXPECT_GT(skipped, 0u);
+    if (GetParam() > 8) {
+        EXPECT_GT(widest, 8u);
+    }
+
+    StatRegistry core_stats;
+    rig.core.regStats(core_stats, "cpu");
+    StatRegistry sampled;
+    sampled.registerDistribution("cpu.issueRate", &reference,
+                                 "instructions issued per cycle");
+    EXPECT_EQ(distributionsJson(core_stats), distributionsJson(sampled));
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, CoreIssueRateTest,
+                         ::testing::Values(8u, 16u));
 
 } // namespace
 } // namespace vsv

@@ -345,6 +345,35 @@ TEST(PowerModelTest, RestoreAtMidRampVddChargesBitIdentically)
     expectSameEnergy(live, restored);
 }
 
+TEST(PowerModelTest, UncountedLedgerChargesIdentically)
+{
+    // A ledger that stopped keeping its per-structure access counts
+    // charges every access and closes every tick exactly as one that
+    // keeps them; only snapshot(), which reads the counts, is gone.
+    PowerModelConfig config;
+    config.leakageFraction = 0.05;
+    PowerModel counted(config);
+    PowerModel uncounted(config);
+    uncounted.stopCountingAccesses();
+    for (PowerModel *pm : {&counted, &uncounted}) {
+        for (const double vdd : {1.8, 1.62, 1.53, 1.2, 1.44, 1.8}) {
+            pm->setLowPowerPath(vdd < 1.7);
+            pm->setPipelineVdd(vdd);
+            chargeSequence(*pm);
+            pm->recordAccess(PowerStructure::RegFile, 5);
+            pm->tick(true);
+        }
+    }
+    expectSameEnergy(counted, uncounted);
+    StatRegistry a, b;
+    counted.regStats(a, "power");
+    uncounted.regStats(b, "power");
+    EXPECT_EQ(a.scalarMap(), b.scalarMap());
+    SnapshotWriter writer("power");
+    counted.snapshot(writer);
+    EXPECT_DEATH(uncounted.snapshot(writer), "stopCountingAccesses");
+}
+
 /** Bit pattern of a double, so EXPECT_EQ tells -0.0 from 0.0. */
 std::uint64_t
 bits(double v)
